@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
+from .functions import strict_cells
 from .ops import _prog_max, _prog_min_all
 from .streams import EventStream, Progress
 from .timeline import INF, ExtTime, Span, TimeSet, t_lt, t_min
@@ -138,19 +139,6 @@ def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
     return apply
 
 
-def strict_cells(f_abs: Callable) -> Callable:
-    """Wrap a value function into cell semantics: any BOTTOM wins, then any GAP."""
-
-    def g(*cells):
-        if any(c is BOTTOM for c in cells):
-            return BOTTOM
-        if any(c is GAP for c in cells):
-            return GAP
-        return f_abs(*cells)
-
-    return g
-
-
 # -- last ------------------------------------------------------------------
 
 def _vstart_bound(v: AbstractEventStream) -> ExtTime:
@@ -215,43 +203,13 @@ def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
     z = last_abs(v, r)
     prog = z.progress.min(d.progress)
     events = tuple((t, val) for t, val in d.stream.events if prog.covers(t))
-    d_ticks = d.stream.tick_set()
-    gaps = TimeSet(
-        s for s in z.gaps.spans
-        if not (s.is_point() and s.lo in d_ticks)
-    )
-    keep = []
-    for s in gaps.spans:
-        holes = [t for t in d_ticks if s.contains(t)]
-        if not holes:
-            keep.append(s)
-            continue
-        segments = _punch(s, sorted(holes))
-        keep.extend(segments)
-    return AbstractEventStream.of(
-        EventStream.of(events, prog), TimeSet(keep).intersect(covered_span(prog))
-    )
+    gaps = z.gaps.minus(_points(d.stream.ticks()))
+    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
-def _punch(s: Span, holes: list) -> list:
-    """Remove single points from a span."""
-    out = []
-    lo, lo_closed = s.lo, s.lo_closed
-    for h in holes:
-        if lo < h or (lo == h and lo_closed):
-            if lo == h:
-                pass
-            else:
-                out.append(Span(lo, lo_closed, h, False))
-        lo, lo_closed = h, False
-    if s.hi is INF:
-        out.append(Span(lo, lo_closed, INF, False))
-    elif lo < s.hi or (lo == s.hi and lo_closed and s.hi_closed):
-        if lo == s.hi:
-            out.append(Span(lo, True, lo, True))
-        else:
-            out.append(Span(lo, lo_closed, s.hi, s.hi_closed))
-    return out
+def _points(times) -> TimeSet:
+    """The set holding exactly the given time points."""
+    return TimeSet(Span(t, True, t, True) for t in times)
 
 
 # -- time-aware last -------------------------------------------------------
@@ -550,15 +508,8 @@ class _DelaySweep:
     def _finish(self, horizon: Progress) -> AbstractEventStream:
         prog = horizon if self.cap is None else horizon.min(self.cap)
         events = [(t, UNIT) for t in self.fires if prog.covers(t)]
-        gaps = TimeSet(self.gap_spans).intersect(covered_span(prog))
-        keep = []
-        ev_times = sorted(t for t, _ in events)
-        for sp in gaps.spans:
-            holes = [t for t in ev_times if sp.contains(t)]
-            keep.extend(_punch(sp, holes) if holes else [sp])
-        return AbstractEventStream.of(
-            EventStream.of(events, prog), TimeSet(keep)
-        )
+        gaps = TimeSet(self.gap_spans).minus(_points(t for t, _ in events))
+        return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
 def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
@@ -578,14 +529,8 @@ def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
     z = delay_abs(d, r)
     prog = z.progress.min(p.progress)
     events = tuple((t, val) for t, val in p.stream.events if prog.covers(t))
-    p_ticks = sorted(p.stream.tick_set())
-    keep = []
-    for sp in z.gaps.spans:
-        holes = [t for t in p_ticks if sp.contains(t)]
-        keep.extend(_punch(sp, holes) if holes else [sp])
-    return AbstractEventStream.of(
-        EventStream.of(events, prog), TimeSet(keep).intersect(covered_span(prog))
-    )
+    gaps = z.gaps.minus(_points(p.stream.ticks()))
+    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
 def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, OperatorError
 from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet, as_time
+from .timeline import Span, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval, value_eq
 
 
@@ -48,10 +48,6 @@ class AbstractEventStream:
                 raise OperatorError(f"event at {t} lies inside a gap")
         return AbstractEventStream(stream, gaps)
 
-    @staticmethod
-    def embed(stream: EventStream) -> "AbstractEventStream":
-        return AbstractEventStream.of(stream)
-
     @property
     def progress(self) -> Progress:
         return self.stream.progress
@@ -76,27 +72,8 @@ class AbstractEventStream:
             v is TOP or isinstance(v, Interval) for _, v in self.stream.events
         )
 
-    def started_before(self, t) -> bool:
-        """True if some timestamp strictly below t holds an event or a gap."""
-        t = as_time(t)
-        if any(et < t for et, _ in self.stream.events):
-            return True
-        first = self.gaps.first_point()
-        return first is not INF and first < t
-
     def __repr__(self):
         return f"Abs({self.stream!r}, gaps={self.gaps!r})"
-
-
-@dataclass(frozen=True)
-class DataAbstraction:
-    """An abstract value domain: top element, partial order and concretization."""
-
-    name: str
-    top: object
-    leq: Callable[[object, object], bool]
-    join: Callable[[object, object], object]
-    gamma: Callable[[object, tuple], tuple]
 
 
 def value_leq(a, b) -> bool:
@@ -159,31 +136,6 @@ def gamma_values(abstract_value, universe_values: tuple) -> tuple:
                     value_eq(b, v) for v in out if not isinstance(v, bool)):
                 out.append(b)
     return tuple(out)
-
-
-BOOL_ABSTRACTION = DataAbstraction(
-    name="bool",
-    top=TOP,
-    leq=value_leq,
-    join=value_join,
-    gamma=lambda v, _u=(True, False): tuple(x for x in (True, False) if gamma_contains(v, x)),
-)
-
-INTERVAL_ABSTRACTION = DataAbstraction(
-    name="interval",
-    top=Interval.top(),
-    leq=value_leq,
-    join=value_join,
-    gamma=gamma_values,
-)
-
-TOP_LIFTED_ABSTRACTION = DataAbstraction(
-    name="top-lifted",
-    top=TOP,
-    leq=value_leq,
-    join=value_join,
-    gamma=gamma_values,
-)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ SPEC_NAMES = (
     "self-updating-queue",
 )
 
-APP_G_NAMES = SPEC_NAMES[1:]
-
 _TRACE_KEYS = {
     "running-count": ("running-count",),
     "reset-sum": ("reset-sum-fig", "reset-sum-gapped", "reset-sum-ign"),
@@ -72,18 +70,6 @@ def trace_text(key: str) -> str:
 def builtin_specs() -> Dict[str, SpecAst]:
     """All bundled specifications, parsed."""
     return {name: parse_spec(spec_text(name)) for name in SPEC_NAMES}
-
-
-def trace_keys(name: str) -> Tuple[str, ...]:
-    return _TRACE_KEYS[name]
-
-
-def gapped_trace_key(name: str) -> str:
-    """The trace with data losses used by the precision comparisons."""
-    for key in _TRACE_KEYS[name]:
-        if "gapped" in key or "ign" in key or "fig" in key and "queue" in name:
-            return key
-    return _TRACE_KEYS[name][0]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ from . import ops
 from .abstract import AbstractEventStream, covered_span
 from .absops import merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
-from .errors import NonTermination, OperatorError
-from .speclang import SpecGraph
+from .errors import OperatorError
+from .evaluator import sweep_until_stable
+from .functions import strict_cells
+from .speclang import SpecGraph, longest_chain
 from .streams import EventStream, Progress
 from .timeline import INF
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
@@ -72,25 +74,7 @@ class EncodedGraph:
         return len(self.nodes)
 
     def depth(self) -> int:
-        memo: Dict[str, int] = {}
-        by_name = {n.name: n for n in self.nodes}
-
-        def d(name: str) -> int:
-            if name not in by_name:
-                return 0
-            if name in memo:
-                return memo[name]
-            memo[name] = 0
-            node = by_name[name]
-            best = 0
-            for i, dep in enumerate(node.deps):
-                if i in node.guarded:
-                    continue
-                best = max(best, d(dep))
-            memo[name] = best + 1
-            return memo[name]
-
-        return max((d(n.name) for n in self.nodes), default=0)
+        return longest_chain({n.name: (n.deps, n.guarded) for n in self.nodes})
 
 
 CLOCK = "%clock"
@@ -275,14 +259,7 @@ def _enc_slift(g: EncodedGraph, cell_fn, pairs) -> Tuple[str, str]:
         lastp = _enc_last(g, p, trig)
         synced.append(_enc_lift(g, merge_cells, [p, lastp]))
 
-    def strict_fn(*cells):
-        if any(c is BOTTOM for c in cells):
-            return BOTTOM
-        if any(c is GAP for c in cells):
-            return GAP
-        return cell_fn(*cells)
-
-    return _enc_lift(g, strict_fn, synced)
+    return _enc_lift(g, strict_cells(cell_fn), synced)
 
 
 def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
@@ -312,14 +289,7 @@ def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
     xs = tmerge(as_iv(xp), _enc_last_time(g, xp, yp))
     ys = tmerge(as_iv(yp), _enc_last_time(g, yp, xp))
 
-    def strict_fn(*cells):
-        if any(c is BOTTOM for c in cells):
-            return BOTTOM
-        if any(c is GAP for c in cells):
-            return GAP
-        return cell_fn(*cells)
-
-    return _enc_lift(g, strict_fn, [xs, ys])
+    return _enc_lift(g, strict_cells(cell_fn), [xs, ys])
 
 
 # -- delay ---------------------------------------------------------------------
@@ -535,6 +505,10 @@ def decode_output(v: EventStream, k: EventStream, epsilon) -> AbstractEventStrea
 
 def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
                      progress: Progress, horizon: Fraction) -> Dict[str, AbstractEventStream]:
+    if not (progress.inclusive or progress.is_infinite()):
+        # the clock ticks at the horizon, which exclusive progress leaves out
+        raise OperatorError("encoded evaluation needs inclusive or infinite "
+                            f"progress, got {progress}")
     env: Dict[str, EventStream] = {CLOCK: make_clock(g.epsilon, horizon, progress)}
     for name, s in inputs.items():
         if isinstance(s, EventStream):
@@ -547,17 +521,12 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
 
     grid_len = int(horizon / g.epsilon) + 2
     bound = max(32, 3 * grid_len + len(g.nodes))
-    for sweep in range(bound):
-        changed = False
-        for node in g.nodes:
-            new = node.fn(*(env[d] for d in node.deps))
-            if new != env[node.name]:
-                env[node.name] = new
-                changed = True
-        if not changed:
-            break
-    else:
-        raise NonTermination("encoded evaluation did not stabilize")
+
+    def step(node):
+        return lambda: node.fn(*(env[d] for d in node.deps))
+
+    sweep_until_stable(env, [(node.name, step(node)) for node in g.nodes], bound,
+                       "encoded evaluation did not stabilize")
 
     out = {}
     for name in g.outputs:

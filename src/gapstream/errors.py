@@ -22,10 +22,6 @@ class ArityMismatch(SpecSyntaxError):
     pass
 
 
-class MissingAbstractFunction(GapstreamError):
-    pass
-
-
 class UnsupportedRecursionShape(GapstreamError):
     pass
 

@@ -3,88 +3,48 @@
 Offline evaluation iterates all equations from empty streams until nothing
 changes; operator monotonicity and future-independence make the iteration
 converge to the least fixed point, with each variable growing by prefix
-extension.  Online evaluation feeds timestamped messages one at a time and
-re-runs the fixed point from the previous state, emitting newly decided
-output events, gap boundaries and watermarks.
+extension.  Online evaluation feeds timestamped messages one at a time and,
+on every message, re-runs the fixed point from empty streams over the inputs
+received so far, emitting newly decided output events, gap boundaries and
+watermarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream
 from .errors import NonTermination, OperatorError, OutOfOrderInput
-from .speclang import Apply, SpecGraph
+from .speclang import OPERATORS, RESERVED_NAME, Apply, SpecGraph
 from .streams import EventStream, Progress
 from .timeline import INF, Span, TimeSet, as_time
 
 
 def _eval_concrete(app: Apply, get):
-    op = app.op
-    if op == "nil":
-        return ops.nil()
-    if op == "unit":
-        return ops.unit()
-    if op == "time":
-        return ops.time(get(0))
-    if op == "merge":
-        return ops.merge(*(get(i) for i in range(len(app.args))))
-    if op == "const":
-        return ops.const(app.lit)(get(0))
-    if op == "lift":
-        f = app.fn.resolve()
-        return ops.lift(f.concrete, *(get(i) for i in range(len(app.args))))
-    if op == "slift":
-        f = app.fn.resolve()
-        return ops.slift(f.concrete, *(get(i) for i in range(len(app.args))))
-    if op == "last":
-        return ops.last(get(0), get(1))
-    if op == "delay":
-        return ops.delay(get(0), get(1))
-    raise OperatorError(f"operator '{op}' needs abstract evaluation mode")
+    return _apply(app, get, concrete=True)
 
 
 def _eval_abstract(app: Apply, get):
-    op = app.op
-    if op == "nil_abs":
-        return absops.nil_abs()
-    if op == "unit_abs":
-        return absops.unit_abs()
-    if op == "time_abs":
-        return absops.time_abs(get(0))
-    if op == "merge_abs":
-        return absops.merge_abs(*(get(i) for i in range(len(app.args))))
-    if op == "const_abs":
-        return absops.const_abs(app.lit)(get(0))
-    if op == "lift_abs":
+    return _apply(app, get, concrete=False)
+
+
+def _apply(app: Apply, get, concrete: bool):
+    """Evaluate one operator application through the operator table."""
+    row = OPERATORS.get(app.op)
+    if row is None or row.concrete != concrete:
+        raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
+                            if concrete else f"operator '{app.op}' is not abstract")
+    impl = getattr(ops if concrete else absops, row.impl)
+    streams = [get(i) for i in range(len(app.args))]
+    if row.takes == "lit":
+        return impl(app.lit)(*streams)
+    if row.takes == "fn":
         f = app.fn.resolve()
-        return absops.lift_abs(f.abstract_cells, *(get(i) for i in range(len(app.args))))
-    if op == "slift_abs":
-        f = app.fn.resolve()
-        return absops.slift_abs(f.abstract_cells, *(get(i) for i in range(len(app.args))))
-    if op == "slift_time":
-        f = app.fn.resolve()
-        return absops.slift_time_abs(f.abstract_cells, get(0), get(1))
-    if op == "last_abs":
-        return absops.last_abs(get(0), get(1))
-    if op == "last_time":
-        return absops.last_time_abs(get(0), get(1))
-    if op == "last_bot":
-        return absops.last_abs_bot(get(0), get(1))
-    if op == "last_gap":
-        return absops.last_abs_gap(get(0), get(1), get(2))
-    if op == "delay_abs":
-        return absops.delay_abs(get(0), get(1))
-    if op == "delay_fin":
-        return absops.delay_abs_fin(get(0), get(1))
-    if op == "delay_bot":
-        return absops.delay_abs_bot(get(0), get(1))
-    if op == "delay_gap":
-        return absops.delay_abs_gap(get(0), get(1), get(2))
-    raise OperatorError(f"operator '{op}' is not abstract")
+        return impl(f.concrete if concrete else f.abstract_cells, *streams)
+    return impl(*streams)
 
 
 def _empty(mode: str):
@@ -111,6 +71,30 @@ def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
     return max(16, (events + 4) * (len(graph.equations) + 2))
 
 
+def sweep_until_stable(env: Dict[str, object],
+                       steps: Sequence[Tuple[str, Callable[[], object]]],
+                       max_sweeps: int, failure: str) -> int:
+    """Run every step in order, sweep after sweep, until a sweep changes nothing.
+
+    A step is (name, compute): compute() reads env and its result replaces
+    env[name].  Returns the number of sweeps run, the unchanged one included.
+    After max_sweeps sweeps that all changed something, raises
+    NonTermination with `failure` and the names changed in the last sweep.
+    """
+    changing: List[str] = []
+    for sweep in range(max_sweeps):
+        changing = []
+        for name, compute in steps:
+            new = compute()
+            if new != env[name]:
+                env[name] = new
+                changing.append(name)
+        if not changing:
+            return sweep + 1
+    raise NonTermination(
+        f"{failure}; still changing in the last sweep: {', '.join(changing)}")
+
+
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
                       max_sweeps: Optional[int] = None) -> Dict[str, object]:
     """Least fixed point of the equations over the given input streams."""
@@ -123,21 +107,16 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
         env[name] = _empty(mode)
     bound = max_sweeps if max_sweeps is not None else iteration_bound(graph, inputs)
     evaluator = _eval_abstract if mode == "abstract" else _eval_concrete
-    for sweep in range(bound + 1):
-        changed = False
-        for name, app in graph.equations:
-            def get(i, app=app):
-                return env[app.args[i].name]
-            new = evaluator(app, get)
-            if new != env[name]:
-                env[name] = new
-                changed = True
-        if not changed:
-            env["__sweeps__"] = sweep + 1
-            return env
-    raise NonTermination(
+
+    def step(app):
+        names = [a.name for a in app.args]
+        return lambda: evaluator(app, lambda i: env[names[i]])
+
+    env[RESERVED_NAME] = sweep_until_stable(
+        env, [(name, step(app)) for name, app in graph.equations], bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
+    return env
 
 
 # -- online evaluation -------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ArityMismatch, SpecSyntaxError, UnknownIdentifier,
                      UnsupportedRecursionShape)
@@ -60,29 +60,67 @@ class Apply:
 
 STREAM_TYPES = ("Unit", "Bool", "Int", "Real", "AbsBool", "Interval")
 
-CONCRETE_OPS = {
-    "nil": 0, "unit": 0, "time": 1, "last": 2, "delay": 2, "merge": None,
-    "lift": None, "slift": None, "const": 1,
-}
-ABSTRACT_OPS = {
-    "nil_abs": 0, "unit_abs": 0, "time_abs": 1, "last_abs": 2, "delay_abs": 2,
-    "delay_fin": 2, "merge_abs": None, "lift_abs": None, "slift_abs": None,
-    "const_abs": 1, "last_time": 2, "slift_time": 2,
-    "last_bot": 2, "last_gap": 3, "delay_bot": 2, "delay_gap": 3,
-}
-ALL_OPS = {**CONCRETE_OPS, **ABSTRACT_OPS}
-FN_OPS = {"lift", "slift", "lift_abs", "slift_abs", "slift_time"}
 
-# Operator argument positions that break dependency cycles.  The plain
-# abstract last/delay are deliberately absent: their gap output can feed
-# back into the value input at the same timestamp once encoded, which is
-# what the unrolled bot/gap halves repair; each half reads its value input
-# strictly in the past, so both count as guards.
-GUARDED_POSITIONS = {
-    "last": (0,), "delay": (0,),
-    "last_bot": (0,), "delay_bot": (0,),
-    "last_gap": (0,), "delay_gap": (0,),
+@dataclass(frozen=True)
+class Operator:
+    """One row of the operator table.
+
+    impl names the implementing function: in ops for a concrete operator,
+    in absops for an abstract one.  It is a name, not the function, so the
+    evaluator looks the function up on every call.
+    """
+
+    impl: str
+    min_args: int               # stream arguments accepted by the parser
+    max_args: Optional[int]     # None: no upper bound
+    takes: str = "streams"      # "fn": a registry function first; "lit": a literal
+    guarded: Tuple[int, ...] = ()   # argument positions that break cycles
+    abstract: Optional[str] = None  # counterpart; set exactly on concrete rows
+    unroll: Optional[Tuple[str, str]] = None  # value and gap halves
+    history: bool = False       # last/delay family: unroll never clones it
+
+    @property
+    def concrete(self) -> bool:
+        return self.abstract is not None
+
+
+# The plain abstract last/delay have no guarded position: their gap output
+# can feed back into the value input at the same timestamp once encoded,
+# which is what the unrolled bot/gap halves repair; each half reads its
+# value input strictly in the past, so both count as guards.  The lift
+# family's stream count is checked only when its function is applied.
+OPERATORS: Dict[str, Operator] = {
+    "nil": Operator("nil", 0, 0, abstract="nil_abs"),
+    "unit": Operator("unit", 0, 0, abstract="unit_abs"),
+    "time": Operator("time", 1, 1, abstract="time_abs"),
+    "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True),
+    "delay": Operator("delay", 2, 2, guarded=(0,), abstract="delay_abs", history=True),
+    "merge": Operator("merge", 1, None, abstract="merge_abs"),
+    "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs"),
+    "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs"),
+    "const": Operator("const", 1, 1, takes="lit", abstract="const_abs"),
+    "nil_abs": Operator("nil_abs", 0, 0),
+    "unit_abs": Operator("unit_abs", 0, 0),
+    "time_abs": Operator("time_abs", 1, 1),
+    "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
+                         history=True),
+    "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
+                          history=True),
+    "delay_fin": Operator("delay_abs_fin", 2, 2),
+    "merge_abs": Operator("merge_abs", 0, None),
+    "lift_abs": Operator("lift_abs", 0, None, takes="fn"),
+    "slift_abs": Operator("slift_abs", 0, None, takes="fn"),
+    "const_abs": Operator("const_abs", 1, 1, takes="lit"),
+    "last_time": Operator("last_time_abs", 2, 2, history=True),
+    "slift_time": Operator("slift_time_abs", 0, None, takes="fn"),
+    "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True),
+    "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
+    "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True),
+    "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True),
 }
+
+# Holds the evaluator's sweep count in the environment it returns.
+RESERVED_NAME = "__sweeps__"
 
 
 @dataclass(frozen=True)
@@ -108,6 +146,15 @@ class _Parser:
     def parse(self) -> SpecAst:
         inputs, defs, outputs = [], [], []
         declared = set()
+
+        def declare(name, lineno):
+            if name in declared:
+                raise SpecSyntaxError(f"duplicate name '{name}'", lineno)
+            if name == RESERVED_NAME:
+                raise SpecSyntaxError(
+                    f"'{name}' is reserved for the evaluator's sweep count", lineno)
+            declared.add(name)
+
         for lineno, raw in enumerate(self.lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -115,15 +162,11 @@ class _Parser:
             head, _, rest = line.partition(" ")
             if head == "in":
                 name, ty = self._parse_input(rest, lineno)
-                if name in declared:
-                    raise SpecSyntaxError(f"duplicate name '{name}'", lineno)
-                declared.add(name)
+                declare(name, lineno)
                 inputs.append((name, ty))
             elif head == "def":
                 name, expr = self._parse_def(rest, lineno)
-                if name in declared:
-                    raise SpecSyntaxError(f"duplicate name '{name}'", lineno)
-                declared.add(name)
+                declare(name, lineno)
                 defs.append((name, expr))
             elif head == "out":
                 outputs.append(rest.strip())
@@ -216,31 +259,27 @@ def _parse_expr(toks, pos, lineno):
     is_call = pos < len(toks) and toks[pos] == ("sym", "(")
     if not is_call:
         return Ref(name), pos
-    if name not in ALL_OPS:
+    row = OPERATORS.get(name)
+    if row is None:
         raise UnknownIdentifier(f"unknown operator '{name}'", lineno)
     pos += 1  # past '('
-    if name in FN_OPS:
-        fn, pos = _parse_fnref(toks, pos, lineno)
+    fn = lit = None
+    if row.takes != "streams":
+        if row.takes == "fn":
+            fn, pos = _parse_fnref(toks, pos, lineno)
+        else:
+            lit, pos = _parse_literal(toks, pos, lineno)
         pos = _expect(toks, pos, ")", lineno)
         pos = _expect(toks, pos, "(", lineno)
-        args, pos = _parse_args(toks, pos, lineno)
-        return Apply(name, tuple(args), fn=fn), pos
-    if name in ("const", "const_abs"):
-        lit, pos = _parse_literal(toks, pos, lineno)
-        pos = _expect(toks, pos, ")", lineno)
-        pos = _expect(toks, pos, "(", lineno)
-        args, pos = _parse_args(toks, pos, lineno)
-        if len(args) != 1:
-            raise ArityMismatch("const takes exactly one stream", lineno)
-        return Apply(name, tuple(args), lit=lit), pos
     args, pos = _parse_args(toks, pos, lineno)
-    want = ALL_OPS[name]
-    if want is not None and len(args) != want:
+    if row.max_args is None:
+        if len(args) < row.min_args:
+            raise ArityMismatch(f"{name} needs at least one stream", lineno)
+    elif len(args) != row.max_args:
         raise ArityMismatch(
-            f"operator '{name}' takes {want} arguments, got {len(args)}", lineno)
-    if name == "merge" and len(args) < 1:
-        raise ArityMismatch("merge needs at least one stream", lineno)
-    return Apply(name, tuple(args)), pos
+            f"operator '{name}' takes {row.max_args} arguments, got {len(args)}",
+            lineno)
+    return Apply(name, tuple(args), fn=fn, lit=lit), pos
 
 
 def _parse_fnref(toks, pos, lineno):
@@ -335,9 +374,10 @@ def format_expr(e) -> str:
         return e.name
     assert isinstance(e, Apply)
     args = ", ".join(format_expr(a) for a in e.args)
-    if e.op in FN_OPS:
+    takes = OPERATORS[e.op].takes
+    if takes == "fn":
         return f"{e.op}({e.fn})({args})"
-    if e.op in ("const", "const_abs"):
+    if takes == "lit":
         return f"{e.op}({format_literal(e.lit)})({args})"
     return f"{e.op}({args})"
 
@@ -360,24 +400,31 @@ class SpecGraph:
     equations: Tuple[Tuple[str, Apply], ...]  # args are all Refs
     outputs: Tuple[str, ...]
 
-    def dependencies(self, guarded_filtered=True):
+    def dependencies(self):
         """Edges name -> (dep name, guarded)."""
         edges = []
         for name, app in self.equations:
-            guarded = GUARDED_POSITIONS.get(app.op, ())
+            guarded = OPERATORS[app.op].guarded
             for i, a in enumerate(app.args):
                 edges.append((name, a.name, i in guarded))
         return edges
 
 
 def flatten(ast: SpecAst) -> SpecGraph:
-    """A-normal form: one operator per equation, nested uses named __tN."""
+    """A-normal form: one operator per equation, nested uses named __tN.
+
+    Fresh names skip every name the spec declares itself.
+    """
     counter = [0]
     equations: List[Tuple[str, Apply]] = []
+    declared = {n for n, _ in ast.inputs} | {n for n, _ in ast.defs}
 
     def fresh() -> str:
-        counter[0] += 1
-        return f"__t{counter[0]}"
+        while True:
+            counter[0] += 1
+            name = f"__t{counter[0]}"
+            if name not in declared:
+                return name
 
     def norm(e, top_name=None) -> object:
         if isinstance(e, Ref):
@@ -450,37 +497,35 @@ def check_well_formed(g: SpecGraph) -> Optional[CycleReport]:
 
 def computation_depth(g: SpecGraph) -> int:
     """Longest operator chain, guarded edges not counted as dependencies."""
-    defs = dict(g.equations)
+    return longest_chain({name: ([a.name for a in app.args], OPERATORS[app.op].guarded)
+                          for name, app in g.equations})
+
+
+def longest_chain(nodes: Dict[str, Tuple[Sequence[str], Collection[int]]]) -> int:
+    """Most nodes on a chain linked through unguarded arguments.
+
+    nodes maps a name to its argument names and guarded argument positions;
+    an argument that is not a node (an input) ends the chain.  A cycle,
+    which well-formedness allows only through guarded positions, counts from
+    zero where it closes.
+    """
     memo: Dict[str, int] = {}
 
     def depth(name) -> int:
-        if name in g.inputs or name not in defs:
+        if name not in nodes:
             return 0
         if name in memo:
             return memo[name]
-        memo[name] = 0  # cycle through guarded edge scores from zero
-        app = defs[name]
-        guarded = GUARDED_POSITIONS.get(app.op, ())
-        best = 0
-        for i, a in enumerate(app.args):
-            if i in guarded:
-                continue
-            best = max(best, depth(a.name))
-        memo[name] = best + 1
+        memo[name] = 0
+        args, guarded = nodes[name]
+        memo[name] = 1 + max((depth(a) for i, a in enumerate(args) if i not in guarded),
+                             default=0)
         return memo[name]
 
-    names = [n for n, _ in g.equations]
-    return max((depth(n) for n in names), default=0)
+    return max((depth(n) for n in nodes), default=0)
 
 
 # -- transformations ---------------------------------------------------------
-
-_ABSTRACT_MAP = {
-    "nil": "nil_abs", "unit": "unit_abs", "time": "time_abs", "lift": "lift_abs",
-    "slift": "slift_abs", "last": "last_abs", "delay": "delay_abs",
-    "merge": "merge_abs", "const": "const_abs",
-}
-
 
 def abstractify(ast: SpecAst, time_aware: bool = False) -> SpecAst:
     """Swap every concrete operator for its abstract counterpart.
@@ -503,7 +548,7 @@ def abstractify(ast: SpecAst, time_aware: bool = False) -> SpecAst:
             v, r = e.args
             if isinstance(v, Apply) and v.op == "time":
                 return Apply("last_time", (rewrite(v.args[0]), rewrite(r)))
-        op = _ABSTRACT_MAP.get(e.op, e.op)
+        op = OPERATORS[e.op].abstract or e.op
         return Apply(op, tuple(rewrite(a) for a in e.args), fn=e.fn, lit=e.lit)
 
     return replace(
@@ -511,12 +556,6 @@ def abstractify(ast: SpecAst, time_aware: bool = False) -> SpecAst:
         defs=tuple((n, rewrite(e)) for n, e in ast.defs),
         mode="abstract",
     )
-
-
-_UNROLLABLE = {"last_abs": ("last_bot", "last_gap"),
-               "delay_abs": ("delay_bot", "delay_gap")}
-_GUARD_FAMILY = set(_UNROLLABLE) | {"last_bot", "last_gap", "delay_bot",
-                                    "delay_gap", "last", "delay", "last_time"}
 
 
 def unroll(ast: SpecAst, max_steps: int = 8) -> SpecAst:
@@ -541,7 +580,7 @@ def unroll(ast: SpecAst, max_steps: int = 8) -> SpecAst:
         target = None
         for name in report.cycle:
             app = defs.get(name)
-            if app is not None and app.op in _UNROLLABLE:
+            if app is not None and OPERATORS[app.op].unroll:
                 target = name
                 break
         if target is None:
@@ -557,7 +596,7 @@ def unroll(ast: SpecAst, max_steps: int = 8) -> SpecAst:
 def _unroll_one(g: SpecGraph, target: str, cycle: set, step: int) -> SpecGraph:
     defs = dict(g.equations)
     app = defs[target]
-    bot_op, gap_op = _UNROLLABLE[app.op]
+    bot_op, gap_op = OPERATORS[app.op].unroll
     v_ref, r_ref = app.args[0], app.args[1]
 
     # clone set: definitions on a path from target back to v, excluding other
@@ -572,7 +611,7 @@ def _unroll_one(g: SpecGraph, target: str, cycle: set, step: int) -> SpecGraph:
     feeds_v = _closure({v_ref.name}, deps_of)            # nodes v depends on, plus v
     clone_set = {
         n for n in reaches_from_target & feeds_v
-        if n != target and n in defs and defs[n].op not in _GUARD_FAMILY
+        if n != target and n in defs and not OPERATORS[defs[n].op].history
     }
     if v_ref.name not in clone_set:
         # the value input is the target itself or a guard node: nothing to clone

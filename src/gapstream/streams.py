@@ -150,30 +150,7 @@ class EventStream:
         evs = tuple((t, v) for t, v in self.events if progress.covers(t))
         return EventStream(evs, progress)
 
-    def shift(self, delta: Fraction) -> "EventStream":
-        evs = tuple((t + delta, v) for t, v in self.events)
-        if self.progress.time is INF:
-            prog = self.progress
-        else:
-            prog = Progress(self.progress.time + delta, self.progress.inclusive)
-        return EventStream(evs, prog)
-
     def __repr__(self):
         body = ", ".join(f"{t}:{v!r}" for t, v in self.events)
         return f"<{body} | {self.progress}>"
 
-
-def stream_at(s: EventStream, t) -> object:
-    return s.at(t)
-
-
-def ticks(s: EventStream) -> set:
-    return s.tick_set()
-
-
-def is_prefix(s: EventStream, r: EventStream) -> bool:
-    return s.is_prefix(r)
-
-
-def signal_value(s: EventStream, t) -> object:
-    return s.signal_value(t)

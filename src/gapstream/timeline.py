@@ -78,10 +78,6 @@ def t_min(a: ExtTime, b: ExtTime) -> ExtTime:
     return a if t_le(a, b) else b
 
 
-def t_max(a: ExtTime, b: ExtTime) -> ExtTime:
-    return b if t_le(a, b) else a
-
-
 @dataclass(frozen=True)
 class Span:
     """One interval piece of a TimeSet.  hi may be INF (then hi_closed is False)."""
@@ -131,24 +127,9 @@ def span(lo: TimeLike, hi, lo_closed: bool = True, hi_closed: bool = True) -> Sp
     return Span(lo, lo_closed, as_time(hi), hi_closed)
 
 
-# Boundary encoding used to merge and compare spans exactly: a position on the
-# time axis extended with +/- epsilon sides.  (t, -1) sits just below t, (t, 0)
-# is t itself, (t, +1) just above.  Infinity sorts after everything.
-_Bound = tuple
-
-
-def _start_key(s: Span) -> _Bound:
+def _start_key(s: Span) -> tuple:
+    """Sort key of a span's start: a closed start at t sorts before an open one."""
     return (0, s.lo, 0 if s.lo_closed else 1)
-
-
-def _end_key(s: Span) -> _Bound:
-    if s.hi is INF:
-        return (1, Fraction(0), 0)
-    return (0, s.hi, 0 if s.hi_closed else -1)
-
-
-def _key_lt(a: _Bound, b: _Bound) -> bool:
-    return a < b
 
 
 def _adjacent_or_overlapping(a: Span, b: Span) -> bool:
@@ -224,6 +205,8 @@ class TimeSet:
         return TimeSet(out)
 
     def minus(self, other: "TimeSet") -> "TimeSet":
+        if not self.spans or not other.spans:
+            return self
         return self.intersect(other.complement())
 
     def overlaps_open(self, lo: Fraction, hi: ExtTime) -> bool:
@@ -232,16 +215,6 @@ class TimeSet:
             return False
         probe = Span(lo, False, hi, False) if hi is not INF else Span(lo, False, INF, False)
         return any(_intersect_spans(s, probe) is not None for s in self.spans)
-
-    def min_above(self, t: Fraction) -> ExtTime:
-        """Infimum of set members strictly above t; INF if none."""
-        for s in self.spans:
-            if s.hi is not INF and s.hi <= t:
-                continue
-            if s.lo > t:
-                return s.lo
-            return t
-        return INF
 
     def first_point(self) -> ExtTime:
         """Infimum of the set (which may or may not be attained); INF if empty."""

@@ -74,6 +74,14 @@ class TestRun:
         got = run_cli("run", str(workdir / "reset-sum.spec"), str(bad))
         assert got.returncode == 2
 
+    def test_reserved_stream_name(self, workdir, tmp_path):
+        spec = tmp_path / "reserved.spec"
+        spec.write_text("in values : Events[Int]\n"
+                        "def __sweeps__ := const(5)(values)\nout __sweeps__\n")
+        got = run_cli("run", str(spec), str(workdir / "fig.trace"))
+        assert got.returncode == 1
+        assert "__sweeps__" in got.stderr and "Traceback" not in got.stderr
+
 
 class TestCheck:
     def test_well_formed(self, workdir):

@@ -6,8 +6,10 @@ import pytest
 
 from gapstream.builtin_specs import SPEC_NAMES, _TRACE_KEYS, spec_text, trace_text
 from gapstream.encoded import build_encoded, evaluate_encoded
+from gapstream.errors import OperatorError
 from gapstream.evaluator import evaluate_fixpoint
 from gapstream.speclang import abstractify, check_well_formed, flatten, parse_spec, unroll
+from gapstream.streams import Progress
 from gapstream.tracefile import parse_trace, serialize_trace
 
 
@@ -48,6 +50,14 @@ class TestPathEquivalence:
             "reset-sum", "reset-sum-gapped", time_aware=True)
         for out in ast.outputs:
             assert serialized(tr, native[out], out) == serialized(tr, encoded[out], out)
+
+    def test_exclusive_progress_rejected(self):
+        tr = parse_trace(trace_text("reset-sum-gapped"))
+        eg = build_encoded(flatten(abstractify(parse_spec(spec_text("reset-sum")))),
+                           tr.epsilon / 2)
+        with pytest.raises(OperatorError, match="inclusive or infinite progress"):
+            evaluate_encoded(eg, tr.streams, Progress.exclusive(tr.progress.time),
+                             tr.horizon())
 
     def test_encoded_needs_no_unrolling(self):
         # the abstract graph is ill-formed, yet its encoding is evaluable

@@ -81,10 +81,23 @@ class TestFixpoint:
             "in y : Events[Unit]\n"
             "def x := merge(unit(), delay(const(1)(x), merge(unit(), y)))\n"
             "out x\n")
-        with pytest.raises(NonTermination):
+        with pytest.raises(NonTermination) as err:
             evaluate_fixpoint(flatten(ast),
                               {"y": EventStream.of([], Progress.infinite())},
                               max_sweeps=30)
+        changing = str(err.value).split("still changing in the last sweep: ")[1]
+        assert "x" in changing.split(", ")
+
+    def test_user_names_beside_fresh_names(self):
+        # a declared __t1 must not collide with flatten's names for nested terms
+        ast = parse_spec("in x : Events[Int]\n"
+                         "def __t1 := const(5)(x)\n"
+                         "def y := lift(add)(__t1, lift(inc)(x))\n"
+                         "out __t1\nout y\n")
+        x = EventStream.of([(1, F(1)), (3, F(2))], Progress.infinite())
+        env = evaluate_fixpoint(flatten(ast), {"x": x})
+        assert env["__t1"] == EventStream.of([(1, F(5)), (3, F(5))], Progress.infinite())
+        assert env["y"] == EventStream.of([(1, F(7)), (3, F(8))], Progress.infinite())
 
     def test_unguarded_cycle_converges_to_empty(self):
         # the least fixed point of an unguarded merge loop never progresses

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import event_streams
-from gapstream.streams import (EventStream, Progress, is_prefix, signal_value,
-                               stream_at, ticks)
+from gapstream.streams import EventStream, Progress
 from gapstream.values import BOTTOM, UNIT, UNKNOWN
 
 
@@ -19,34 +18,34 @@ def ev(*pairs, prog=None):
 class TestStreamAt:
     def test_event_value(self):
         s = ev((2, UNIT), (4, UNIT))
-        assert stream_at(s, 2) is UNIT
+        assert s.at(2) is UNIT
 
     def test_covered_non_event(self):
         s = ev((2, UNIT), (4, UNIT))
-        assert stream_at(s, 3) is BOTTOM
+        assert s.at(3) is BOTTOM
 
     def test_beyond_exclusive_progress(self):
         s = EventStream.of([(1, F(1))], Progress.exclusive(5))
-        assert stream_at(s, 5) is UNKNOWN
-        assert stream_at(s, F("4.9")) is BOTTOM
+        assert s.at(5) is UNKNOWN
+        assert s.at(F("4.9")) is BOTTOM
 
     def test_inclusive_progress_boundary(self):
         s = EventStream.of([], Progress.inclusive_at(5))
-        assert stream_at(s, 5) is BOTTOM
-        assert stream_at(s, F("5.1")) is UNKNOWN
+        assert s.at(5) is BOTTOM
+        assert s.at(F("5.1")) is UNKNOWN
 
 
 class TestTicks:
     def test_fig_values_prefix(self):
         s = ev((1, F(3)), (F("2.3"), F(2)))
-        assert ticks(s) == {F(1), F("2.3")}
+        assert s.tick_set() == {F(1), F("2.3")}
 
     def test_empty(self):
-        assert ticks(EventStream.empty()) == set()
+        assert EventStream.empty().tick_set() == set()
 
     def test_nil_has_none(self):
         from gapstream.ops import nil
-        assert ticks(nil()) == set()
+        assert nil().tick_set() == set()
 
 
 class TestPrefix:
@@ -54,26 +53,26 @@ class TestPrefix:
         y4 = EventStream.of([(0, F(0)), (2, F(1)), (4, F(2))],
                             Progress.exclusive(F(9, 2)))
         y5 = EventStream.of([(0, F(0)), (2, F(1)), (4, F(2))], Progress.infinite())
-        assert is_prefix(y4, y5)
-        assert not is_prefix(y5, y4)
+        assert y4.is_prefix(y5)
+        assert not y5.is_prefix(y4)
 
     def test_reflexive(self):
         s = ev((1, F(3)))
-        assert is_prefix(s, s)
+        assert s.is_prefix(s)
 
     def test_conflicting_value(self):
         a = ev((1, F(3)))
         b = ev((1, F(4)))
-        assert not is_prefix(a, b)
+        assert not a.is_prefix(b)
 
     @given(event_streams(), event_streams(), event_streams())
     @settings(max_examples=150, deadline=None)
     def test_partial_order(self, a, b, c):
-        assert is_prefix(a, a)
-        if is_prefix(a, b) and is_prefix(b, a):
+        assert a.is_prefix(a)
+        if a.is_prefix(b) and b.is_prefix(a):
             assert a == b
-        if is_prefix(a, b) and is_prefix(b, c):
-            assert is_prefix(a, c)
+        if a.is_prefix(b) and b.is_prefix(c):
+            assert a.is_prefix(c)
 
 
 class TestSignalValue:
@@ -81,10 +80,10 @@ class TestSignalValue:
         self.a = ev((0, F(0)), (1, F(2)), (2, F(1)), prog=Progress.inclusive_at(6))
 
     def test_between_events(self):
-        assert signal_value(self.a, F("1.5")) == F(2)
+        assert self.a.signal_value(F("1.5")) == F(2)
 
     def test_no_event_strictly_before(self):
-        assert signal_value(self.a, 0) is BOTTOM
+        assert self.a.signal_value(0) is BOTTOM
 
     def test_holds_after_last(self):
         # linear scan oracle: latest event strictly before 4 is (2, 1)
@@ -93,7 +92,7 @@ class TestSignalValue:
             if t < 4:
                 best = v
         assert best == F(1)
-        assert signal_value(self.a, 4) == F(1)
+        assert self.a.signal_value(4) == F(1)
 
     @given(event_streams(), st.sampled_from([F(1), F(2), F(3), F(5)]))
     @settings(max_examples=100, deadline=None)
@@ -102,8 +101,8 @@ class TestSignalValue:
         t1 = t2 - F(1, 2)
         if any(t1 <= t < t2 for t in s.ticks()):
             return
-        assert signal_value(s, t1) == signal_value(s, t2) or \
-            signal_value(s, t1) is signal_value(s, t2)
+        assert s.signal_value(t1) == s.signal_value(t2) or \
+            s.signal_value(t1) is s.signal_value(t2)
 
 
 class TestOrderingInvariant:
