@@ -14,6 +14,7 @@ concrete counterparts; randomized tests assert that embedding.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -44,47 +45,51 @@ def time_abs(s: AbstractEventStream) -> AbstractEventStream:
 
 # -- lift ------------------------------------------------------------------
 
-def _atom_points(streams: Sequence[AbstractEventStream], prog: Progress) -> list:
+def _atom_points(streams: Sequence[AbstractEventStream]) -> list:
+    """Sorted 0, ticks, gap boundaries and finite progress times of the streams."""
     pts = {Fraction(0)}
     for s in streams:
         pts.update(s.stream.ticks())
         pts.update(s.gaps.boundaries())
-    if not prog.is_infinite():
-        pts.add(prog.time)
-    return sorted(p for p in pts if prog.covers(p))
+        if not s.progress.is_infinite():
+            pts.add(s.progress.time)
+    return sorted(pts)
 
 
 def _atoms(points: list, prog: Progress):
-    """Yield (lo, hi, sample, lo_open) atoms partitioning the covered span.
+    """Yield (lo, hi, sample, is_point) atoms partitioning the span prog covers.
 
-    Point atoms have lo == hi; open atoms exclude both endpoints.  Together
-    with the given points they cover [0, progress].
+    Point atoms have lo == hi; open atoms exclude both endpoints.  The walk
+    stops at the first point prog does not cover and ends with the open
+    atom from the last covered point up to progress.  While an atom is
+    consumed, points above its hi may be inserted into the sorted list.
     """
-    for i, p in enumerate(points):
-        yield (p, p, p, False)
-        if i + 1 < len(points):
-            q = points[i + 1]
-            yield (p, q, (p + q) / 2, True)
-    last = points[-1] if points else Fraction(0)
+    last = None
+    i = 0
+    while i < len(points) and prog.covers(points[i]):
+        p = points[i]
+        if last is not None:
+            yield (last, p, (last + p) / 2, False)
+        yield (p, p, p, True)
+        last = p
+        i += 1
+    if last is None:
+        last = Fraction(0)
     if prog.is_infinite():
-        yield (last, INF, last + 1, True)
+        yield (last, INF, last + 1, False)
     elif t_lt(last, prog.time):
-        yield (last, prog.time, (last + prog.time) / 2, True)
+        yield (last, prog.time, (last + prog.time) / 2, False)
 
 
 def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
     prog = _prog_min_all([s.progress for s in streams])
-    points = _atom_points(streams, prog)
     events = []
     gap_spans = []
-    for lo, hi, sample, lo_open in _atoms(points, prog):
-        if lo == hi:
-            if not prog.covers(sample):
-                continue
-            cells = [s.at(sample) for s in streams]
-            out = f_abs(*cells)
+    for lo, hi, sample, is_point in _atoms(_atom_points(streams), prog):
+        if is_point:
+            out = f_abs(*(s.at(sample) for s in streams))
             if out is GAP:
                 gap_spans.append(Span(lo, True, lo, True))
             elif out is not BOTTOM:
@@ -92,19 +97,14 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStr
                     raise OperatorError("abstract lifted function produced unknown")
                 events.append((sample, out))
         else:
-            cells = [GAP if s.gaps.contains(sample) else BOTTOM for s in streams]
-            out = f_abs(*cells)
+            out = f_abs(*(GAP if s.gaps.contains(sample) else BOTTOM for s in streams))
             if out is GAP:
-                if hi is INF:
-                    gap_spans.append(Span(lo, False, INF, False))
-                else:
-                    gap_spans.append(Span(lo, False, hi, False))
+                gap_spans.append(Span(lo, False, hi, False))
             elif out is not BOTTOM:
                 raise OperatorError(
                     "abstract lifted function produced an event over a region"
                 )
-    gaps = TimeSet(gap_spans)
-    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+    return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
 
 
 def merge_cell(a, b):
@@ -200,7 +200,11 @@ def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEven
 def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
                  d: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract last: d's events plus recomputed gaps."""
-    z = last_abs(v, r)
+    return _gap_half(last_abs(v, r), d)
+
+
+def _gap_half(z: AbstractEventStream, d: AbstractEventStream) -> AbstractEventStream:
+    """d's events, with z's gaps everywhere except at d's ticks."""
     prog = z.progress.min(d.progress)
     events = tuple((t, val) for t, val in d.stream.events if prog.covers(t))
     gaps = z.gaps.minus(_points(d.stream.ticks()))
@@ -250,40 +254,22 @@ def _time_as_intervals(s: AbstractEventStream) -> AbstractEventStream:
     return AbstractEventStream.of(mapped, s.gaps)
 
 
+def _tmerge_cells(a, b, t):
+    """merge of a timestamp cell a and a last-time cell b, given b's timestamp t.
+
+    Like merge_cell, except that a gap on a combined with a last-time
+    interval hulls in t itself: an event hidden in the gap would carry its
+    own (known) timestamp.
+    """
+    if a is GAP and isinstance(b, Interval):
+        return b.hull(Interval.single(t))
+    return merge_cell(a, b)
+
+
 def _tmerge_time_aware(x_times: AbstractEventStream,
                        lt: AbstractEventStream) -> AbstractEventStream:
-    """merge for the time-aware signal lift.
-
-    Like merge_abs, except that a gap on the first stream combined with a
-    last-time interval hulls in the gap timestamp itself: an event hidden in
-    the gap would carry its own (known) timestamp.
-    """
-    prog = x_times.progress.min(lt.progress)
-    points = _atom_points([x_times, lt], prog)
-    events = []
-    gap_spans = []
-    for lo, hi, sample, lo_open in _atoms(points, prog):
-        a = x_times.at(sample) if lo == hi else (GAP if x_times.gaps.contains(sample) else BOTTOM)
-        b = lt.at(sample) if lo == hi else (GAP if lt.gaps.contains(sample) else BOTTOM)
-        if lo == hi:
-            if not prog.covers(sample):
-                continue
-            if a is GAP and isinstance(b, Interval):
-                out = b.hull(Interval.single(sample))
-            else:
-                out = merge_cell(a, b)
-            if out is GAP:
-                gap_spans.append(Span(lo, True, lo, True))
-            elif out is not BOTTOM:
-                events.append((sample, out))
-        else:
-            out = merge_cell(a, b)
-            if out is GAP:
-                gap_spans.append(Span(lo, False, hi, False) if hi is not INF
-                                 else Span(lo, False, INF, False))
-            elif out is not BOTTOM:
-                raise OperatorError("time-aware merge produced an event over a region")
-    return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
+    """merge for the time-aware signal lift: _tmerge_cells lifted over x_times and lt."""
+    return lift_abs(_tmerge_cells, x_times, lt, time_abs(lt))
 
 
 # -- signal lift -----------------------------------------------------------
@@ -376,35 +362,10 @@ class _DelaySweep:
         for t, val in d.stream.events:
             _delay_amount(val, t)  # validate early
         horizon = _prog_max(d.progress, r.progress)
-        pts = {Fraction(0)}
-        for s in (d, r):
-            pts.update(s.stream.ticks())
-            pts.update(s.gaps.boundaries())
-            if not s.progress.is_infinite():
-                pts.add(s.progress.time)
-        agenda = sorted(pts)
-        i = 0
-        prev_end = Fraction(0)
-        while i < len(agenda):
-            agenda.sort()
-            p = agenda[i]
-            if not horizon.covers(p):
+        agenda = _atom_points((d, r))
+        for lo, hi, sample, is_point in _atoms(agenda, horizon):
+            if not self._atom(lo, hi, sample, is_point, agenda):
                 break
-            if not self._atom(p, p, p, True, agenda):
-                return self._finish(horizon)
-            agenda.sort()
-            nxt = agenda[i + 1] if i + 1 < len(agenda) else None
-            if nxt is None:
-                break
-            if nxt > p:
-                if not self._atom(p, nxt, (p + nxt) / 2, False, agenda):
-                    return self._finish(horizon)
-            i += 1
-        last = agenda[-1] if agenda else Fraction(0)
-        if horizon.is_infinite():
-            self._atom(last, INF, last + 1, False, agenda)
-        elif t_lt(last, horizon.time):
-            self._atom(last, horizon.time, (last + horizon.time) / 2, False, agenda)
         return self._finish(horizon)
 
     def _stop(self, prog: Progress) -> bool:
@@ -501,8 +462,9 @@ class _DelaySweep:
                 elif possible_set and amount is not None:
                     src = _ExactSource(sample, sample + amount, definite)
                     self.exact.append(src)
-                    if src.tau not in agenda:
-                        agenda.append(src.tau)
+                    i = bisect_left(agenda, src.tau)
+                    if i == len(agenda) or agenda[i] != src.tau:
+                        agenda.insert(i, src.tau)
         return True
 
     def _finish(self, horizon: Progress) -> AbstractEventStream:
@@ -526,11 +488,7 @@ def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
 def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
                   p: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract delay: p's events plus recomputed gaps."""
-    z = delay_abs(d, r)
-    prog = z.progress.min(p.progress)
-    events = tuple((t, val) for t, val in p.stream.events if prog.covers(t))
-    gaps = z.gaps.minus(_points(p.stream.ticks()))
-    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+    return _gap_half(delay_abs(d, r), p)
 
 
 def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:

@@ -22,14 +22,13 @@ from typing import Callable, Dict, List, Tuple
 
 from . import ops
 from .abstract import AbstractEventStream, covered_span
-from .absops import merge_cells
+from .absops import _delay_amount, _tmerge_cells, merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
 from .evaluator import sweep_until_stable
 from .functions import strict_cells
 from .speclang import SpecGraph, longest_chain
 from .streams import EventStream, Progress
-from .timeline import INF
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
 
 
@@ -264,27 +263,13 @@ def _enc_slift(g: EncodedGraph, cell_fn, pairs) -> Tuple[str, str]:
 
 def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
     def as_iv(pair):
-        v, k = pair
-        tv = g.add("time", (v,), lambda s: ops.time(s))
+        tv, k = _enc_time(g, pair)
         iv = g.add("iv", (tv,), lambda s: ops.lift(
             lambda t: BOTTOM if t is BOTTOM else Interval.single(t), s))
         return iv, k
 
     def tmerge(pair, last_pair):
-        a = _cells(g, pair)
-        b = _cells(g, last_pair)
-        tc = g.add("now", (CLOCK,), lambda c: ops.time(c))
-
-        def f(ca, cb, t):
-            if BOTTOM in (ca, cb, t):
-                return BOTTOM
-            pa, pb = ca.payload, cb.payload
-            if pa is GAP and isinstance(pb, Interval):
-                return Cell(pb.hull(Interval.single(t)))
-            return Cell(merge_cells(pa, pb))
-
-        zc = g.add("tmerge", (a, b, tc), lambda aa, bb, tt: ops.lift(f, aa, bb, tt))
-        return _pair_from_cells(g, zc)
+        return _enc_lift(g, _tmerge_cells, [pair, last_pair, _enc_time(g, last_pair)])
 
     xs = tmerge(as_iv(xp), _enc_last_time(g, xp, yp))
     ys = tmerge(as_iv(yp), _enc_last_time(g, yp, xp))
@@ -307,23 +292,11 @@ def _delay_verdict(state, t):
 
 
 def _delay_step(eps):
-    def amount_of(val):
-        if val is TOP:
-            return "any"
-        if val is INF:
-            return None
-        if isinstance(val, Interval):
-            if val.is_single():
-                val = val.lo
-            else:
-                return "any"
-        if isinstance(val, int) and not isinstance(val, bool):
-            val = Fraction(val)
-        if not isinstance(val, Fraction) or val <= 0:
-            raise OperatorError(f"bad delay amount {val!r}")
-        if (val / eps).denominator != 1:
-            raise OperatorError(f"delay amount {val} off the epsilon grid")
-        return val
+    def amount_of(val, t):
+        amount = _delay_amount(val, t)
+        if isinstance(amount, Fraction) and (amount / eps).denominator != 1:
+            raise OperatorError(f"delay amount {amount} off the epsilon grid")
+        return amount
 
     def step(state, dc, rc, t):
         pending, any_alive = state
@@ -343,7 +316,7 @@ def _delay_step(eps):
             if set_pos:
                 any_alive = True
         elif dv is not BOTTOM:
-            amt = amount_of(dv)
+            amt = amount_of(dv, t)
             if set_pos and amt == "any":
                 any_alive = True
             elif set_pos and amt is not None:

@@ -38,13 +38,19 @@ def _apply(app: Apply, get, concrete: bool):
         raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
                             if concrete else f"operator '{app.op}' is not abstract")
     impl = getattr(ops if concrete else absops, row.impl)
-    streams = [get(i) for i in range(len(app.args))]
+    args = [get(i) for i in range(len(app.args))]
     if row.takes == "lit":
-        return impl(app.lit)(*streams)
-    if row.takes == "fn":
+        impl = impl(app.lit)
+    elif row.takes == "fn":
         f = app.fn.resolve()
-        return impl(f.concrete if concrete else f.abstract_cells, *streams)
-    return impl(*streams)
+        args.insert(0, f.concrete if concrete else f.abstract_cells)
+    try:
+        return impl(*args)
+    except (TypeError, ArithmeticError) as e:
+        # a value function met payloads it cannot take (a type mismatch the
+        # parser does not see, a division by zero)
+        name = f"{app.op}({app.fn})" if app.fn is not None else app.op
+        raise OperatorError(f"operator '{name}' failed: {type(e).__name__}: {e}") from e
 
 
 def _empty(mode: str):

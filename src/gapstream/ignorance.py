@@ -7,9 +7,9 @@ integrated over the trace and divided by its length.  Zero means all
 streams agree everywhere, one means total disagreement throughout.
 
 Two measure spaces are supported: finite value sets with counting measure
-and bounded intervals with length measure.  The interval space closes each
-disagreement set to its convex hull, which is the minimal extension making
-the sets measurable by intervals.
+and bounded intervals with length measure.  The interval space measures each
+disagreement set by the length of its convex hull, the minimal extension
+making the sets measurable by intervals.
 
 The comparison harness feeds a specification both ways around the
 concretization square: the optimal ignorance evaluates the concrete spec
@@ -41,9 +41,6 @@ class FiniteSetSpace:
         hits = sum(1 for v in disagreement if v is BOTTOM or v in self.values)
         return min(Fraction(1), Fraction(hits, len(self.values)))
 
-    def close(self, values: frozenset) -> frozenset:
-        return values
-
 
 @dataclass(frozen=True)
 class BoundedIntervalSpace:
@@ -59,9 +56,6 @@ class BoundedIntervalSpace:
             return Fraction(0)
         width = max(vals) - min(vals)
         return min(Fraction(1), Fraction(width) / (self.hi - self.lo))
-
-    def close(self, values: frozenset) -> frozenset:
-        return values  # the hull is taken by measure()
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,6 @@ def ignorance_repr(streams: Sequence[EventStream], space) -> IgnoranceRepresenta
         vals = [s.signal_value(_mid(lo, hi)) for s in streams]
         distinct = _distinct(vals)
         dis = frozenset(distinct) if len(distinct) > 1 else frozenset()
-        dis = space.close(dis)
         if pieces and pieces[-1][2] == dis and pieces[-1][1] == lo:
             pieces[-1] = (pieces[-1][0], hi, dis)
         else:

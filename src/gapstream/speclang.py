@@ -87,8 +87,8 @@ class Operator:
 # The plain abstract last/delay have no guarded position: their gap output
 # can feed back into the value input at the same timestamp once encoded,
 # which is what the unrolled bot/gap halves repair; each half reads its
-# value input strictly in the past, so both count as guards.  The lift
-# family's stream count is checked only when its function is applied.
+# value input strictly in the past, so both count as guards.  The parser
+# also holds the lift family's stream count to its function's arity.
 OPERATORS: Dict[str, Operator] = {
     "nil": Operator("nil", 0, 0, abstract="nil_abs"),
     "unit": Operator("unit", 0, 0, abstract="unit_abs"),
@@ -112,7 +112,7 @@ OPERATORS: Dict[str, Operator] = {
     "slift_abs": Operator("slift_abs", 0, None, takes="fn"),
     "const_abs": Operator("const_abs", 1, 1, takes="lit"),
     "last_time": Operator("last_time_abs", 2, 2, history=True),
-    "slift_time": Operator("slift_time_abs", 0, None, takes="fn"),
+    "slift_time": Operator("slift_time_abs", 2, 2, takes="fn"),
     "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True),
     "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
     "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True),
@@ -263,10 +263,10 @@ def _parse_expr(toks, pos, lineno):
     if row is None:
         raise UnknownIdentifier(f"unknown operator '{name}'", lineno)
     pos += 1  # past '('
-    fn = lit = None
+    fn = lit = arity = None
     if row.takes != "streams":
         if row.takes == "fn":
-            fn, pos = _parse_fnref(toks, pos, lineno)
+            fn, arity, pos = _parse_fnref(toks, pos, lineno)
         else:
             lit, pos = _parse_literal(toks, pos, lineno)
         pos = _expect(toks, pos, ")", lineno)
@@ -279,6 +279,9 @@ def _parse_expr(toks, pos, lineno):
         raise ArityMismatch(
             f"operator '{name}' takes {row.max_args} arguments, got {len(args)}",
             lineno)
+    if arity is not None and len(args) != arity:
+        raise ArityMismatch(
+            f"function '{fn}' takes {arity} streams, got {len(args)}", lineno)
     return Apply(name, tuple(args), fn=fn, lit=lit), pos
 
 
@@ -302,10 +305,10 @@ def _parse_fnref(toks, pos, lineno):
     if fname not in known_names():
         raise UnknownIdentifier(f"unknown function '{fname}'", lineno)
     try:
-        ref.resolve()
+        arity = ref.resolve().arity
     except (UnknownIdentifier, ArityMismatch) as e:
         raise type(e)(str(e), lineno)
-    return ref, pos
+    return ref, arity, pos
 
 
 def _parse_args(toks, pos, lineno):

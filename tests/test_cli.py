@@ -82,6 +82,19 @@ class TestRun:
         assert got.returncode == 1
         assert "__sweeps__" in got.stderr and "Traceback" not in got.stderr
 
+    @pytest.mark.parametrize("stream_type, value, body", [
+        ("Unit", "()", "lift(inc)(x)"),
+        ("Int", "3", "lift(div)(x, const(0)(x))"),
+    ])
+    def test_value_function_failure_is_typed(self, tmp_path, stream_type, value, body):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"in x : Events[{stream_type}]\ndef z := {body}\nout z\n")
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"stream x : {stream_type}\n1: x = {value}\nprogress 2\n")
+        got = run_cli("run", str(spec), str(trace))
+        assert got.returncode == 1
+        assert "evaluation error" in got.stderr and "Traceback" not in got.stderr
+
 
 class TestCheck:
     def test_well_formed(self, workdir):

@@ -1,7 +1,9 @@
 """The operator table: every row resolves, encodes and evaluates, and the
 evaluator looks implementations up when it calls them."""
 
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +70,24 @@ def test_evaluator_calls_patched_implementation(monkeypatch, module, name):
     monkeypatch.setattr(module, name, counting)
     env = evaluate_fixpoint(tiny_graph(name), INPUTS)
     assert len(calls) == env["__sweeps__"]
+
+
+def test_tracer_wraps_existing_attributes_and_restores_them():
+    # perfbench's --trace run wraps engine attributes by name; a renamed
+    # operator would make instrument() fail or leave a wrapper behind
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.instrument()
+        patched = list(tracer._patched)
+        assert {(owner, attr) for owner, attr, _, _ in patched} >= {
+            (absops, name) for name in tracer_module.ABSOPS}
+        for owner, attr, _, original in patched:
+            assert getattr(owner, attr) is not original, f"{attr} not wrapped"
+    finally:
+        tracer.uninstall()
+    for owner, attr, own, original in patched:
+        assert (vars(owner).get(attr) is original) if own else attr not in vars(owner)

@@ -36,8 +36,10 @@ class TestParsing:
             parse_spec("in y : Events[Int]\ndef x := frobnicate(y)\nout x\n")
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            parse_spec("in y : Events[Int]\ndef x := last(y)\nout x\n")
+        # the lift family's stream count is its function's arity
+        for expr in ("last(y)", "lift(add)(y)", "slift_time(leq)(y, y, y)"):
+            with pytest.raises(ArityMismatch):
+                parse_spec(f"in y : Events[Int]\ndef x := {expr}\nout x\n")
 
     def test_undefined_stream(self):
         with pytest.raises(UnknownIdentifier):
