@@ -90,10 +90,22 @@ def _infer_type(stream) -> str:
     return "Int"
 
 
+def _number(text, what: str, kind=Fraction):
+    """`text` as a `kind` (Fraction or int), or a usage error naming `what`."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise _Exit(SPEC_ERROR, f"{what}: not a number: {text!r}")
+
+
+def _env_number(name: str, default, kind=Fraction):
+    return _number(os.environ.get(name, default), name, kind)
+
+
 def cmd_run(args) -> int:
     ast = _transform(_load_spec(args.spec), args)
     trace = _load_trace(args.trace)
-    epsilon = Fraction(os.environ.get("GAPSTREAM_EPSILON", trace.epsilon))
+    epsilon = _env_number("GAPSTREAM_EPSILON", trace.epsilon)
     graph = flatten(ast)
     missing = [n for n in graph.inputs if n not in trace.streams]
     if missing:
@@ -149,7 +161,7 @@ def cmd_depth(args) -> int:
     concrete = flatten(ast)
     d = computation_depth(concrete)
     abstract = flatten(abstractify(ast, time_aware=args.time_aware))
-    epsilon = Fraction(os.environ.get("GAPSTREAM_EPSILON", "1"))
+    epsilon = _env_number("GAPSTREAM_EPSILON", "1")
     try:
         eg = build_encoded(abstract, epsilon)
         d_abs = eg.depth()
@@ -160,8 +172,10 @@ def cmd_depth(args) -> int:
     return 0
 
 
-def _parse_universe(args, outputs):
-    grid = [Fraction(x) for x in args.universe_grid.split(",") if x]
+def _parse_universe(args):
+    grid = [_number(x, "--universe-grid") for x in args.universe_grid.split(",") if x]
+    if any(t < 0 for t in grid):
+        raise _Exit(SPEC_ERROR, "--universe-grid: timestamps must be non-negative")
     per_stream = {}
     values = ()
     for spec in args.universe_values or []:
@@ -170,7 +184,7 @@ def _parse_universe(args, outputs):
             per_stream[name] = tuple(_parse_uvalue(x) for x in raw.split(",") if x)
         else:
             values = tuple(_parse_uvalue(x) for x in spec.split(",") if x)
-    budget = int(os.environ.get("GAPSTREAM_BUDGET", args.budget))
+    budget = _env_number("GAPSTREAM_BUDGET", args.budget, int)
     return FiniteUniverse.of(grid, values, per_stream, budget)
 
 
@@ -180,7 +194,21 @@ def _parse_uvalue(text: str):
         return UNIT
     if text in ("true", "false"):
         return text == "true"
-    return Fraction(text)
+    return _number(text, "--universe-values")
+
+
+def _parse_measure(text: str, universe: FiniteUniverse, output: str):
+    if text == "set":
+        return FiniteSetSpace(universe.values_for(output))
+    kind, _, bounds = text.partition(":")
+    parts = bounds.split(",")
+    if kind != "interval" or len(parts) != 2:
+        raise _Exit(SPEC_ERROR,
+                    f"--measure: expected 'set' or 'interval:lo,hi', got {text!r}")
+    lo, hi = (_number(x, "--measure") for x in parts)
+    if not lo < hi:
+        raise _Exit(SPEC_ERROR, f"--measure: interval needs lo < hi, got {text!r}")
+    return BoundedIntervalSpace(lo, hi)
 
 
 def cmd_ignorance(args) -> int:
@@ -199,12 +227,8 @@ def cmd_ignorance(args) -> int:
     output = args.output or (base.outputs[0] if base.outputs else None)
     if output is None:
         raise _Exit(SPEC_ERROR, "spec has no outputs")
-    universe = _parse_universe(args, base.outputs)
-    if args.measure.startswith("interval:"):
-        lo, hi = args.measure.split(":", 1)[1].split(",")
-        space = BoundedIntervalSpace(Fraction(lo), Fraction(hi))
-    else:
-        space = FiniteSetSpace(universe.values_for(output))
+    universe = _parse_universe(args)
+    space = _parse_measure(args.measure, universe, output)
     concrete_inputs = {}
     for name in concrete.inputs:
         if name not in trace.streams:

@@ -75,7 +75,7 @@ def _common_progress(streams: Sequence[EventStream]) -> Progress:
     return prog
 
 
-def ignorance_repr(streams: Sequence[EventStream], space) -> IgnoranceRepresentation:
+def ignorance_repr(streams: Sequence[EventStream]) -> IgnoranceRepresentation:
     """Minimal piece-wise constant representation of value disagreement."""
     if not streams:
         raise UnequalProgress("need at least one stream")
@@ -122,7 +122,7 @@ def _veq(a, b) -> bool:
 
 def iota(streams: Sequence[EventStream], space) -> Fraction:
     """Normalized time-integral of disagreement measure; in [0, 1]."""
-    rep = ignorance_repr(streams, space)
+    rep = ignorance_repr(streams)
     if rep.horizon == 0:
         return Fraction(0)
     total = sum(((hi - lo) * space.measure(dis) for lo, hi, dis in rep.pieces),

@@ -8,12 +8,17 @@ event timestamps, BOTTOM at covered non-event timestamps and UNKNOWN beyond
 its progress.
 
 Streams are immutable; operators build new ones.  Fixed-point evaluation
-relies on comparing successive prefixes, so equality is structural.
+relies on comparing successive prefixes, so equality is structural.  The
+lookup indexes (tick tuple, tick-to-value dict) are built on first use and
+cached on the instance; they are not fields, so equality and hashing ignore
+them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -94,39 +99,34 @@ class EventStream:
     def empty(progress: Progress = None) -> "EventStream":
         return EventStream((), progress if progress is not None else ZERO_PROGRESS)
 
+    @cached_property
+    def _ticks(self) -> tuple:
+        return tuple(t for t, _ in self.events)
+
+    @cached_property
+    def _values(self) -> dict:
+        return dict(self.events)
+
     def at(self, t) -> object:
         """The paper-style three-way view: value, BOTTOM, or UNKNOWN."""
         t = as_time(t)
         if not self.progress.covers(t):
             return UNKNOWN
-        for et, v in self.events:
-            if et == t:
-                return v
-            if et > t:
-                break
-        return BOTTOM
+        return self._values.get(t, BOTTOM)
 
     def ticks(self) -> tuple:
-        return tuple(t for t, _ in self.events)
+        return self._ticks
 
     def tick_set(self) -> set:
         return {t for t, _ in self.events}
 
     def value_at_tick(self, t) -> object:
-        for et, v in self.events:
-            if et == t:
-                return v
-        raise KeyError(t)
+        return self._values[t]
 
     def last_event_before(self, t) -> tuple | None:
         """Latest (timestamp, value) strictly before t, or None."""
-        best = None
-        for et, v in self.events:
-            if et < t:
-                best = (et, v)
-            else:
-                break
-        return best
+        i = bisect_left(self._ticks, t)
+        return self.events[i - 1] if i else None
 
     def signal_value(self, t) -> object:
         """Value of the most recent event strictly before t; BOTTOM if none.

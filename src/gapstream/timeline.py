@@ -56,8 +56,9 @@ ExtTime = Union[Fraction, _Infinity]
 
 
 def as_time(value: TimeLike) -> Fraction:
-    t = Fraction(value)
-    if t < 0:
+    # Fractions are immutable, so an exact one is returned as is
+    t = value if type(value) is Fraction else Fraction(value)
+    if t.numerator < 0:
         raise ValueError(f"timestamps must be non-negative, got {t}")
     return t
 

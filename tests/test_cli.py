@@ -1,5 +1,6 @@
 """Command-line interface: sub-commands, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,15 @@ class TestDepth:
         parts = dict(p.split("=") for p in got.stdout.split())
         assert int(parts["d#"]) > int(parts["d"])
 
+    @pytest.mark.parametrize("command", ["run", "depth"])
+    def test_bad_epsilon_is_typed(self, workdir, command):
+        args = [str(workdir / "reset-sum.spec")]
+        if command == "run":
+            args.append(str(workdir / "fig.trace"))
+        got = run_cli(command, *args, env={**os.environ, "GAPSTREAM_EPSILON": "fine"})
+        assert got.returncode == 1
+        assert "GAPSTREAM_EPSILON" in got.stderr and "Traceback" not in got.stderr
+
 
 class TestIgnorance:
     def test_reports_equal_pair(self, tmp_path):
@@ -151,3 +161,19 @@ class TestIgnorance:
                       "--universe-grid", "5,8,9", "--universe-values", "0,1,2,3",
                       "--budget", "3")
         assert got.returncode == 3
+
+    @pytest.mark.parametrize("extra, env, named", [
+        (["--universe-grid", "abc"], {}, "--universe-grid"),
+        (["--universe-values", "1,x"], {}, "--universe-values"),
+        (["--measure", "interval:1"], {}, "--measure"),
+        (["--measure", "bogus"], {}, "--measure"),
+        ([], {"GAPSTREAM_BUDGET": "lots"}, "GAPSTREAM_BUDGET"),
+    ], ids=["grid", "values", "interval-arity", "unknown-measure", "budget-env"])
+    def test_bad_option_is_typed(self, tmp_path, extra, env, named):
+        (tmp_path / "s.spec").write_text(spec_text("reset-sum"))
+        (tmp_path / "t.trace").write_text(trace_text("reset-sum-ign"))
+        got = run_cli("ignorance", str(tmp_path / "s.spec"), str(tmp_path / "t.trace"),
+                      "--time-aware", "--universe-grid", "2", "--universe-values", "1,2",
+                      *extra, env={**os.environ, **env})
+        assert got.returncode == 1
+        assert named in got.stderr and "Traceback" not in got.stderr

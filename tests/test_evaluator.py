@@ -4,17 +4,26 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapstream.abstract import AbstractEventStream
 from gapstream.builtin_specs import spec_text, trace_text
 from gapstream.errors import NonTermination, OutOfOrderInput
 from gapstream.evaluator import (Message, OnlineEvaluator, evaluate_fixpoint,
                                  evaluate_online)
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
+from gapstream.timeline import INF, Span, TimeSet
 from gapstream.tracefile import parse_trace
-from gapstream.values import UNIT
+from gapstream.values import TOP, UNIT
 
 APP_A = parse_spec(spec_text("running-count"))
+RESET_SUM = parse_spec(spec_text("reset-sum"))
+RESET_SUM_GRAPHS = {
+    "concrete": flatten(RESET_SUM),
+    "abstract": flatten(unroll(abstractify(RESET_SUM, time_aware=True))),
+}
 
 
 class TestFixpoint:
@@ -153,6 +162,35 @@ class TestOnline:
             ev.feed(Message.event("x", 3, UNIT))
         assert "x" in str(e.value)
 
+    def test_decided_timestamp_not_revised(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        out = []
+        for m in (Message.event("resets", 1, UNIT), Message.event("values", 1, F(3)),
+                  Message.progress("values", 4), Message.progress("resets", 4)):
+            out += ev.feed(m)
+        assert ("progress", "sum", F(4)) in {(m.kind, m.stream, m.time) for m in out}
+        with pytest.raises(OutOfOrderInput) as e:
+            ev.feed(Message.event("values", 4, F(5)))
+        assert "values" in str(e.value)
+        # the rejected event left no trace: the next one extends the input
+        out = ev.feed(Message.event("values", 5, F(5)))
+        out += ev.feed(Message.progress("resets", 5))
+        assert [(m.time, m.value) for m in out if m.kind == "event"
+                and m.stream == "sum"] == [(F(5), F(5))]
+
+    def test_decided_gap_time_not_revised(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["abstract"])
+        ev.feed(Message.event("values", 1, F(1)))
+        with pytest.raises(OutOfOrderInput):
+            ev.feed(Message.gap_start("values", 1))
+        ev.feed(Message.gap_start("values", 2))
+        ev.feed(Message.progress("values", 3))
+        # 3 is decided as inside the gap; the gap cannot end there any more
+        with pytest.raises(OutOfOrderInput):
+            ev.feed(Message.gap_end("values", 3))
+        ev.feed(Message.gap_end("values", 4))
+        assert ev.env["values"].gaps == TimeSet.of(Span(F(2), True, F(4), False))
+
     def test_unknown_stream_rejected(self):
         g = flatten(APP_A)
         ev = OnlineEvaluator(g)
@@ -179,6 +217,84 @@ class TestOnline:
         msgs = [Message.event("x", 2, UNIT), Message.progress("x", 9)]
         got = list(evaluate_online(g, msgs))
         assert any(m.kind == "event" and m.time == F(2) for m in got)
+
+
+@st.composite
+def reset_sum_messages(draw, gaps: bool):
+    """Time-ordered messages on reset-sum's inputs with random heartbeats;
+    with `gaps`, also gap_start/gap_end pairs and #top values."""
+    msgs = []
+    in_gap = {"values": False, "resets": False}
+    t = F(0)
+    for _ in range(draw(st.integers(1, 8))):
+        t += draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+        for name in draw(st.permutations(["values", "resets"])):
+            kind = draw(st.sampled_from(["event", "event", "progress", "none"]
+                                        + (["gap"] if gaps else [])))
+            if kind == "gap":
+                msgs.append((Message.gap_end if in_gap[name] else Message.gap_start)(name, t))
+                in_gap[name] = not in_gap[name]
+            elif kind == "event" and not in_gap[name]:
+                value = UNIT if name == "resets" else F(draw(st.integers(0, 3)))
+                if gaps and name == "values" and draw(st.booleans()):
+                    value = TOP
+                msgs.append(Message.event(name, t, value))
+            elif kind == "progress":
+                msgs.append(Message.progress(name, t))
+    if draw(st.booleans()):
+        msgs += [Message.progress(name, INF) for name in in_gap if not in_gap[name]]
+    return msgs
+
+
+def _received(msgs, mode):
+    """The input streams that a message prefix describes, built directly."""
+    out = {}
+    for name in ("values", "resets"):
+        events, spans, prog, gap_from = [], [], Progress.exclusive(0), None
+        for m in msgs:
+            if m.stream != name:
+                continue
+            if m.kind == "event":
+                events.append((m.time, m.value))
+            if m.kind == "gap_start":
+                gap_from = m.time
+            if m.kind == "gap_end":
+                spans.append(Span(gap_from, True, m.time, False))
+                gap_from = None
+            prog = (Progress.infinite() if m.time is INF
+                    else Progress(m.time, m.kind != "gap_end"))
+        stream = EventStream.of(events, prog)
+        if mode == "abstract":
+            if gap_from is not None:
+                spans.append(Span(gap_from, True, INF, False))
+            stream = AbstractEventStream.of(stream, TimeSet(spans))
+        out[name] = stream
+    return out
+
+
+class TestWarmStart:
+    """Each warm-started online fixed point equals the fixed point from
+    empty streams over the same input prefix, message for message."""
+
+    @pytest.mark.parametrize("mode", ["concrete", "abstract"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_online_equals_offline_on_every_prefix(self, mode, data):
+        g = RESET_SUM_GRAPHS[mode]
+        msgs = data.draw(reset_sum_messages(gaps=mode == "abstract"))
+        ev = OnlineEvaluator(g)
+        emitted = {n: [] for n in g.outputs}
+        for k, msg in enumerate(msgs):
+            for m in ev.feed(msg):
+                if m.kind == "event":
+                    emitted[m.stream].append((m.time, m.value))
+            offline = evaluate_fixpoint(g, _received(msgs[:k + 1], mode))
+            for name, _ in g.equations:
+                assert ev.env[name] == offline[name], (k, name)
+            for name in g.outputs:
+                stream = offline[name]
+                stream = stream.stream if mode == "abstract" else stream
+                assert emitted[name] == list(stream.events), (k, name)
 
 
 class TestSelfUpdatingWindow:

@@ -57,7 +57,7 @@ def _key(x):
 
 class TestThreeStreamExample:
     def test_representation_pieces(self):
-        rep = ignorance_repr(make_three_streams(), SPACE3)
+        rep = ignorance_repr(make_three_streams())
         assert [(lo, hi, set(ds)) for lo, hi, ds in rep.pieces] == [
             (F(2), F(3), {F(1), F(2)}),
             (F(3), F(4), {F(0), F(1), F(2)}),

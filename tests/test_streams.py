@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import event_streams
 from gapstream.streams import EventStream, Progress
+from gapstream.timeline import INF
 from gapstream.values import BOTTOM, UNIT, UNKNOWN
 
 
@@ -46,6 +47,54 @@ class TestTicks:
     def test_nil_has_none(self):
         from gapstream.ops import nil
         assert nil().tick_set() == set()
+
+
+def _linear_at(s, t):
+    if not s.progress.covers(t):
+        return UNKNOWN
+    for et, v in s.events:
+        if et == t:
+            return v
+    return BOTTOM
+
+
+def _linear_before(s, t):
+    best = None
+    for et, v in s.events:
+        if et < t:
+            best = (et, v)
+    return best
+
+
+class TestIndexedLookups:
+    """The cached tick indexes answer as a linear scan of the events does."""
+
+    @given(event_streams(max_events=6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_agree_with_linear_scan(self, s, as_int):
+        ticks = [t for t, _ in s.events]
+        horizon = s.progress.time if s.progress.time is not INF else F(8)
+        probes = {F(0), horizon, horizon + 1, horizon + F(1, 3)}
+        probes.update(ticks)
+        probes.update((a + b) / 2 for a, b in zip(ticks, ticks[1:]))
+        probes.update(t + F(1, 7) for t in ticks)
+        assert s.ticks() == tuple(ticks)
+        for t in sorted(probes):
+            probe = int(t) if as_int and t.denominator == 1 else t
+            assert s.at(probe) == _linear_at(s, t)
+            assert s.last_event_before(probe) == _linear_before(s, t)
+            if t in ticks:
+                assert s.value_at_tick(probe) == dict(s.events)[t]
+            else:
+                with pytest.raises(KeyError):
+                    s.value_at_tick(probe)
+        assert s.last_event_before(INF) == (s.events[-1] if s.events else None)
+
+    def test_indexes_are_not_fields(self):
+        a = ev((1, F(3)), (2, F(4)))
+        b = ev((1, F(3)), (2, F(4)))
+        a.at(2)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestPrefix:
