@@ -496,9 +496,10 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
     bound = max(32, 3 * grid_len + len(g.nodes))
 
     def step(node):
-        return lambda: node.fn(*(env[d] for d in node.deps))
+        return (node.name, node.deps, node.guarded,
+                lambda: node.fn(*(env[d] for d in node.deps)))
 
-    sweep_until_stable(env, [(node.name, step(node)) for node in g.nodes], bound,
+    sweep_until_stable(env, [step(node) for node in g.nodes], bound,
                        "encoded evaluation did not stabilize")
 
     out = {}

@@ -1,9 +1,12 @@
 """Fixed-point and online evaluation of specification graphs.
 
-Offline evaluation iterates all equations from empty streams until nothing
-changes; operator monotonicity and future-independence make the iteration
-converge to the least fixed point, with each variable growing by prefix
-extension.  Online evaluation feeds timestamped messages one at a time and,
+Offline evaluation starts from empty streams and follows the dependency
+graph: its strongly connected components run dependencies first, an equation
+that does not read itself, directly or through others, is evaluated once, and
+a recursive component is swept until nothing changes, re-evaluating only the
+equations whose arguments changed.  Operator monotonicity and
+future-independence make the iteration converge to the least fixed point,
+with each variable growing by prefix extension.  Online evaluation feeds timestamped messages one at a time and,
 on every message, re-runs the fixed point over the inputs received so far,
 emitting newly decided output events, gap boundaries and watermarks.  Each
 online fixed point starts from the previous one rather than from empty
@@ -16,7 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from graphlib import CycleError, TopologicalSorter
+from itertools import count
+from typing import (Callable, Collection, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from . import absops, ops
 from .abstract import AbstractEventStream
@@ -80,24 +86,120 @@ def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
     return max(16, (events + 4) * (len(graph.equations) + 2))
 
 
-def sweep_until_stable(env: Dict[str, object],
-                       steps: Sequence[Tuple[str, Callable[[], object]]],
-                       max_sweeps: int, failure: str) -> int:
-    """Run every step in order, sweep after sweep, until a sweep changes nothing.
+Step = Tuple[str, Sequence[str], Collection[int], Callable[[], object]]
 
-    A step is (name, compute): compute() reads env and its result replaces
-    env[name].  Returns the number of sweeps run, the unchanged one included.
-    After max_sweeps sweeps that all changed something, raises
-    NonTermination with `failure` and the names changed in the last sweep.
+
+def sweep_until_stable(env: Dict[str, object], steps: Sequence[Step],
+                       max_sweeps: int, failure: str) -> int:
+    """Evaluate the steps component by component until each is stable.
+
+    A step is (name, deps, guarded, compute): compute() reads env at the
+    names in deps and its result replaces env[name]; guarded holds the
+    positions in deps that break cycles.  The strongly connected components
+    of the steps' dependencies run dependencies first.  A step alone in its
+    component that does not read itself is evaluated once.  A recursive
+    component is swept until a sweep changes nothing, each sweep in the
+    order of its unguarded internal edges (declaration order when an
+    unguarded cycle leaves no such order); its first sweep evaluates every
+    member, later ones only the members with an argument that changed since
+    their last evaluation.
+
+    Returns the largest sweep count of any component, the unchanged sweep
+    included, a step evaluated once counting as one sweep.  A component
+    still changing after max_sweeps sweeps raises NonTermination with
+    `failure` and the names changed in its last sweep.
     """
+    pos = {step[0]: i for i, step in enumerate(steps)}
+    reads = [[pos[d] for d in deps if d in pos] for _, deps, _, _ in steps]
+    sweeps = 0
+    for members in _components(reads):
+        if len(members) == 1 and members[0] not in reads[members[0]]:
+            name, _, _, compute = steps[members[0]]
+            env[name] = compute()
+            sweeps = max(sweeps, 1)
+        else:
+            sweeps = max(sweeps, _sweep_component(env, steps, pos, members,
+                                                  max_sweeps, failure))
+    return sweeps
+
+
+def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Strongly connected components, each after every component it reads.
+
+    Tarjan's algorithm with an explicit stack, so long dependency chains do
+    not meet the recursion limit.  Members are listed in declaration order.
+    """
+    index = [-1] * len(reads)
+    low = [0] * len(reads)
+    on_stack = [False] * len(reads)
+    stack: List[int] = []
+    out: List[List[int]] = []
+    visits = count()
+
+    def enter(v):
+        index[v] = low[v] = next(visits)
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(reads[v])
+
+    for root in range(len(reads)):
+        if index[root] >= 0:
+            continue
+        work = [enter(root)]
+        while work:
+            v, pending = work[-1]
+            w = next(pending, None)
+            if w is None:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        on_stack[members[-1]] = False
+                    out.append(sorted(members))
+            elif index[w] < 0:
+                work.append(enter(w))
+            elif on_stack[w]:
+                low[v] = min(low[v], index[w])
+    return out
+
+
+def _sweep_component(env: Dict[str, object], steps: Sequence[Step],
+                     pos: Dict[str, int], members: List[int],
+                     max_sweeps: int, failure: str) -> int:
+    """Sweep one recursive component until a sweep changes nothing."""
+    inside = set(members)
+    readers: Dict[int, List[int]] = {i: [] for i in members}
+    needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
+    for i in members:
+        _, deps, guarded, _ = steps[i]
+        for k, d in enumerate(deps):
+            j = pos.get(d)
+            if j in inside:
+                readers[j].append(i)
+                if k not in guarded:
+                    needs[i].append(j)
+    try:
+        order = list(TopologicalSorter(needs).static_order())
+    except CycleError:
+        order = members
+    dirty = set(members)
     changing: List[str] = []
     for sweep in range(max_sweeps):
         changing = []
-        for name, compute in steps:
+        for i in order:
+            if i not in dirty:
+                continue
+            dirty.discard(i)
+            name, _, _, compute = steps[i]
             new = compute()
             if new != env[name]:
                 env[name] = new
                 changing.append(name)
+                dirty.update(readers[i])
         if not changing:
             return sweep + 1
     raise NonTermination(
@@ -125,12 +227,13 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     bound = max_sweeps if max_sweeps is not None else iteration_bound(graph, inputs)
     evaluator = _eval_abstract if mode == "abstract" else _eval_concrete
 
-    def step(app):
+    def step(name, app):
         names = [a.name for a in app.args]
-        return lambda: evaluator(app, lambda i: env[names[i]])
+        return (name, names, OPERATORS[app.op].guarded,
+                lambda: evaluator(app, lambda i: env[names[i]]))
 
     env[RESERVED_NAME] = sweep_until_stable(
-        env, [(name, step(app)) for name, app in graph.equations], bound + 1,
+        env, [step(name, app) for name, app in graph.equations], bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env

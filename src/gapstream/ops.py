@@ -13,6 +13,7 @@ decided by the available input prefixes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -45,11 +46,20 @@ def time(s: EventStream) -> EventStream:
     return EventStream.of(((t, t) for t, _ in s.events), s.progress)
 
 
+def _ticks_covered(s: EventStream, prog: Progress) -> tuple:
+    """The ticks of s that prog covers."""
+    ticks = s.ticks()
+    if prog.is_infinite():
+        return ticks
+    cut = bisect_right if prog.inclusive else bisect_left
+    return ticks[:cut(ticks, prog.time)]
+
+
 def lift(f: Callable, *streams: EventStream) -> EventStream:
     if not streams:
         raise OperatorError("lift needs at least one stream")
     prog = _prog_min_all([s.progress for s in streams])
-    times = sorted({t for s in streams for t in s.ticks() if prog.covers(t)})
+    times = sorted({t for s in streams for t in _ticks_covered(s, prog)})
     events = []
     for t in times:
         out = f(*(s.at(t) for s in streams))
@@ -134,18 +144,17 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
 
     d_vals = {t: (Fraction(val) if isinstance(val, int) and not isinstance(val, bool) else val)
               for t, val in d.events}
-    r_ticks = set(r.ticks())
+    r_sorted = r.ticks()
+    r_ticks = set(r_sorted)
 
     fires = []
     pending = None  # timeout timestamp of the armed delay, or None
     caps = []
 
-    times = sorted(set(d_vals) | r_ticks)
     i = 0
-    agenda = list(times)
+    agenda = sorted(set(d_vals) | r_ticks)
     seen = set(agenda)
     while i < len(agenda):
-        agenda.sort()
         t = agenda[i]
         i += 1
         fired = False
@@ -161,7 +170,7 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
             if val is not INF:
                 pending = t + val
                 if pending not in seen:
-                    agenda.append(pending)
+                    insort(agenda, pending)  # lands after t: amounts are positive
                     seen.add(pending)
 
     # The output is bottom at t when, for every earlier point, either no
@@ -177,7 +186,8 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
             continue
         armed = t in r_ticks or t in fire_set
         if armed:
-            canceled = any(t < u < tau for u in r_ticks)
+            k = bisect_right(r_sorted, t)
+            canceled = k < len(r_sorted) and r_sorted[k] < tau
             if not canceled and not r.progress.covers_below(tau):
                 caps.append(Progress.exclusive(tau))
         elif not r.progress.covers(t):

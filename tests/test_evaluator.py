@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapstream import evaluator, ops
 from gapstream.abstract import AbstractEventStream
-from gapstream.builtin_specs import spec_text, trace_text
+from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
 from gapstream.errors import NonTermination, OutOfOrderInput
 from gapstream.evaluator import (Message, OnlineEvaluator, evaluate_fixpoint,
                                  evaluate_online)
@@ -97,6 +98,20 @@ class TestFixpoint:
         changing = str(err.value).split("still changing in the last sweep: ")[1]
         assert "x" in changing.split(", ")
 
+    def test_unguarded_cycle_nontermination(self):
+        # the plain abstract delay has no guarded position, so this cycle has
+        # no unguarded order and is swept in declaration order until the bound
+        ast = abstractify(parse_spec(
+            "in y : Events[Unit]\n"
+            "def x := merge(unit(), delay(const(1)(x), merge(unit(), y)))\n"
+            "out x\n"))
+        with pytest.raises(NonTermination) as err:
+            evaluate_fixpoint(flatten(ast),
+                              {"y": EventStream.of([], Progress.infinite())},
+                              max_sweeps=30)
+        changing = str(err.value).split("still changing in the last sweep: ")[1]
+        assert "x" in changing.split(", ")
+
     def test_user_names_beside_fresh_names(self):
         # a declared __t1 must not collide with flatten's names for nested terms
         ast = parse_spec("in x : Events[Int]\n"
@@ -115,6 +130,84 @@ class TestFixpoint:
         env = evaluate_fixpoint(
             flatten(ast), {"y": EventStream.of([(1, F(0))], Progress.infinite())})
         assert env["x"].events == () and env["x"].progress.time == 0
+
+
+def _unscheduled_fixpoint(graph, inputs):
+    """The plain iteration: sweep all equations in declaration order until
+    a sweep changes nothing."""
+    env = {n: evaluator._embed(inputs[n], graph.ast.mode) for n in graph.inputs}
+    for name, _ in graph.equations:
+        env[name] = evaluator._empty(graph.ast.mode)
+    apply = (evaluator._eval_abstract if graph.ast.mode == "abstract"
+             else evaluator._eval_concrete)
+    changed = True
+    while changed:
+        changed = False
+        for name, app in graph.equations:
+            new = apply(app, lambda i, app=app: env[app.args[i].name])
+            changed = changed or new != env[name]
+            env[name] = new
+    return env
+
+
+def _bundled_runs():
+    """(graph, inputs) of every bundled pair: abstract, time-aware and
+    unrolled, and also concrete where the trace has no gaps."""
+    for spec, keys in _TRACE_KEYS.items():
+        ast = parse_spec(spec_text(spec))
+        for key in keys:
+            tr = parse_trace(trace_text(key))
+            if not tr.is_abstract():
+                yield pytest.param(flatten(ast), tr.streams, id=f"{key}-concrete")
+            yield pytest.param(flatten(unroll(abstractify(ast, time_aware=True))),
+                               tr.streams, id=f"{key}-abstract")
+
+
+class TestSchedule:
+    def test_non_recursive_equations_evaluated_once(self, monkeypatch):
+        calls = {"time": 0, "cond": 0, "sum": 0}
+        time, slift = ops.time, ops.slift
+
+        def counting_time(*args):
+            calls["time"] += 1
+            return time(*args)
+
+        def counting_slift(f, *streams):
+            calls["cond" if len(streams) == 2 else "sum"] += 1
+            return slift(f, *streams)
+
+        monkeypatch.setattr(ops, "time", counting_time)
+        monkeypatch.setattr(ops, "slift", counting_slift)
+        tr = parse_trace(trace_text("reset-sum-fig"))
+        env = evaluate_fixpoint(RESET_SUM_GRAPHS["concrete"], tr.streams)
+        assert calls["time"] == 2 and calls["cond"] == 1
+        # the confirming sweep re-evaluates only last(sum, values)
+        assert 1 < calls["sum"] < env["__sweeps__"]
+
+    def test_long_chain_needs_no_recursion(self):
+        # each step reads the next, so the component walk goes n deep
+        n = 5000
+        env = {f"s{i}": None for i in range(n)}
+        calls = []
+        steps = [(f"s{i}", [f"s{i + 1}"] if i + 1 < n else [], (),
+                  lambda i=i: calls.append(i) or i) for i in range(n)]
+        assert evaluator.sweep_until_stable(env, steps, 3, "unused") == 1
+        assert calls == list(reversed(range(n)))
+        assert env["s0"] == 0
+
+    @pytest.mark.parametrize("graph, inputs", list(_bundled_runs()))
+    def test_matches_unscheduled_iteration(self, graph, inputs):
+        # every equation, in declaration order and in three shuffled orders
+        want = _unscheduled_fixpoint(graph, inputs)
+        for seed in (None, 1, 2, 3):
+            eqs = list(graph.equations)
+            if seed is not None:
+                random.Random(seed).shuffle(eqs)
+            g = SpecGraph(ast=graph.ast, inputs=graph.inputs,
+                          equations=tuple(eqs), outputs=graph.outputs)
+            env = evaluate_fixpoint(g, inputs)
+            for name, _ in graph.equations:
+                assert env[name] == want[name], (seed, name)
 
 
 class TestOnline:
