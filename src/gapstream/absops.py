@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
-from .ops import _prog_max, _prog_min_all
+from .ops import _prog_max, _prog_min_all, synchronized
 from .streams import EventStream, Progress
 from .timeline import INF, ExtTime, Span, TimeSet, t_lt, t_min
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
@@ -276,14 +276,7 @@ def _tmerge_time_aware(x_times: AbstractEventStream,
 
 def slift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
     """Abstract signal lift via synchronization with abstract last."""
-    if len(streams) == 1:
-        return lift_abs(strict_cells(f_abs), *streams)
-    synced = []
-    for i, x in enumerate(streams):
-        others = [s for j, s in enumerate(streams) if j != i]
-        trigger = merge_abs(*others) if len(others) > 1 else others[0]
-        synced.append(merge_abs(x, last_abs(x, trigger)))
-    return lift_abs(strict_cells(f_abs), *synced)
+    return lift_abs(strict_cells(f_abs), *synchronized(streams, merge_abs, last_abs))
 
 
 def slift_time_abs(f_abs: Callable, x: AbstractEventStream,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, OperatorError
 from .streams import EventStream, Progress
@@ -251,10 +251,3 @@ def refinement_leq(a: AbstractEventStream, b: AbstractEventStream) -> bool:
     # known-set inclusion) and event-free (checked just now)
     return True
 
-
-def canonical_on_points(s: AbstractEventStream, points: Iterable[Fraction]) -> AbstractEventStream:
-    """Restrict the gap set to the given candidate points (for grid comparisons)."""
-    pts = [p for p in points if s.gaps.contains(p)]
-    return AbstractEventStream.of(
-        s.stream, TimeSet(Span(p, True, p, True) for p in pts)
-    )

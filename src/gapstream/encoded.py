@@ -27,7 +27,7 @@ from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
 from .evaluator import sweep_until_stable
 from .functions import strict_cells
-from .speclang import SpecGraph, longest_chain
+from .speclang import OPERATORS, SpecGraph, longest_chain
 from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
 
@@ -68,9 +68,6 @@ class EncodedGraph:
         name = self.fresh(tag)
         self.nodes.append(EncodedNode(name, tuple(deps), fn, frozenset(guarded)))
         return name
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def depth(self) -> int:
         return longest_chain({n.name: (n.deps, n.guarded) for n in self.nodes})
@@ -122,7 +119,7 @@ def _pair_from_cells(g: EncodedGraph, zc: str) -> Tuple[str, str]:
     return _strip(g, zc), _markers(g, zc)
 
 
-def _enc_lift(g: EncodedGraph, cell_fn: Callable, pairs) -> Tuple[str, str]:
+def _enc_lift(g: EncodedGraph, cell_fn: Callable, *pairs) -> Tuple[str, str]:
     cells = [_cells(g, p) for p in pairs]
 
     def f(*cs):
@@ -137,6 +134,28 @@ def _enc_lift(g: EncodedGraph, cell_fn: Callable, pairs) -> Tuple[str, str]:
 
 def _always_known(g: EncodedGraph, tag: str) -> str:
     return g.add(tag, (), lambda: ops.lift(lambda u: True, ops.unit()))
+
+
+def _enc_nil(g: EncodedGraph) -> Tuple[str, str]:
+    return g.add("nil", (), lambda: ops.nil()), _always_known(g, "allk")
+
+
+def _enc_unit(g: EncodedGraph) -> Tuple[str, str]:
+    return g.add("unit", (), lambda: ops.unit()), _always_known(g, "allk")
+
+
+def _enc_merge(g: EncodedGraph, *pairs) -> Tuple[str, str]:
+    """merge_cells as a chain of binary lifts; a single pair is lifted once."""
+    if len(pairs) == 1:
+        return _enc_lift(g, merge_cells, pairs[0])
+    res = pairs[0]
+    for p in pairs[1:]:
+        res = _enc_lift(g, merge_cells, res, p)
+    return res
+
+
+def _enc_const(g: EncodedGraph, lit, xp) -> Tuple[str, str]:
+    return _enc_lift(g, lambda v: v if v in (BOTTOM, GAP) else lit, xp)
 
 
 # -- last ---------------------------------------------------------------------
@@ -248,17 +267,10 @@ def _enc_time(g: EncodedGraph, xp) -> Tuple[str, str]:
     return tv, k
 
 
-def _enc_slift(g: EncodedGraph, cell_fn, pairs) -> Tuple[str, str]:
-    synced = []
-    for i, p in enumerate(pairs):
-        others = [q for j, q in enumerate(pairs) if j != i]
-        trig = others[0]
-        for q in others[1:]:
-            trig = _enc_lift(g, merge_cells, [trig, q])
-        lastp = _enc_last(g, p, trig)
-        synced.append(_enc_lift(g, merge_cells, [p, lastp]))
-
-    return _enc_lift(g, strict_cells(cell_fn), synced)
+def _enc_slift(g: EncodedGraph, cell_fn, *pairs) -> Tuple[str, str]:
+    synced = ops.synchronized(pairs, lambda *ps: _enc_merge(g, *ps),
+                              lambda vp, rp: _enc_last(g, vp, rp))
+    return _enc_lift(g, strict_cells(cell_fn), *synced)
 
 
 def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
@@ -269,12 +281,12 @@ def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
         return iv, k
 
     def tmerge(pair, last_pair):
-        return _enc_lift(g, _tmerge_cells, [pair, last_pair, _enc_time(g, last_pair)])
+        return _enc_lift(g, _tmerge_cells, pair, last_pair, _enc_time(g, last_pair))
 
     xs = tmerge(as_iv(xp), _enc_last_time(g, xp, yp))
     ys = tmerge(as_iv(yp), _enc_last_time(g, yp, xp))
 
-    return _enc_lift(g, strict_cells(cell_fn), [xs, ys])
+    return _enc_lift(g, strict_cells(cell_fn), xs, ys)
 
 
 # -- delay ---------------------------------------------------------------------
@@ -362,6 +374,25 @@ def _enc_gap_half(g: EncodedGraph, z_pair, d_pair) -> Tuple[str, str]:
 
 # -- graph construction ----------------------------------------------------------
 
+def _encoder(op: str) -> Callable:
+    """The function expanding op: its row's encode, or derived from unroll.
+
+    The value half of an unrolled last/delay is its base encoding with gaps
+    demoted to no-event; the gap half re-marks the base encoding's gaps
+    around the third argument's events.
+    """
+    row = OPERATORS[op]
+    if row.encode is not None:
+        return globals()[row.encode]
+    for base in OPERATORS.values():
+        if base.unroll and op in base.unroll:
+            enc = globals()[base.encode]
+            if op == base.unroll[0]:
+                return lambda g, v, r: _enc_demote_gaps(g, enc(g, v, r))
+            return lambda g, v, r, d: _enc_gap_half(g, enc(g, v, r), d)
+    raise OperatorError(f"operator '{op}' has no concrete encoding")
+
+
 def build_encoded(graph: SpecGraph, epsilon) -> EncodedGraph:
     """Expand an abstract-mode spec graph into concrete operator nodes."""
     if graph.ast.mode != "abstract":
@@ -377,68 +408,17 @@ def build_encoded(graph: SpecGraph, epsilon) -> EncodedGraph:
     for name, _ in graph.equations:
         pair[name] = (f"{name}#v", f"{name}#k")
 
-    def ref(r):
-        return pair[r.name]
-
-    def alias(name, res):
-        v_node, k_node = res
-        g.nodes.append(EncodedNode(f"{name}#v", (v_node,),
-                                   lambda s: ops.merge(s), frozenset()))
-        g.nodes.append(EncodedNode(f"{name}#k", (k_node,),
-                                   lambda s: ops.merge(s), frozenset()))
-
     for name, app in graph.equations:
-        op = app.op
-        if op == "nil_abs":
-            v = g.add("nil", (), lambda: ops.nil())
-            res = (v, _always_known(g, "allk"))
-        elif op == "unit_abs":
-            v = g.add("unit", (), lambda: ops.unit())
-            res = (v, _always_known(g, "allk"))
-        elif op == "time_abs":
-            res = _enc_time(g, ref(app.args[0]))
-        elif op == "merge_abs":
-            res = ref(app.args[0])
-            for a in app.args[1:]:
-                res = _enc_lift(g, merge_cells, [res, ref(a)])
-            if len(app.args) == 1:
-                res = _enc_lift(g, merge_cells, [res])
-        elif op == "const_abs":
-            lit = app.lit
-            res = _enc_lift(
-                g, lambda v, lit=lit: v if v in (BOTTOM, GAP) else lit,
-                [ref(app.args[0])])
-        elif op == "lift_abs":
-            fn = app.fn.resolve()
-            res = _enc_lift(g, fn.abstract_cells, [ref(a) for a in app.args])
-        elif op == "slift_abs":
-            fn = app.fn.resolve()
-            res = _enc_slift(g, fn.abstract_cells, [ref(a) for a in app.args])
-        elif op == "slift_time":
-            fn = app.fn.resolve()
-            res = _enc_slift_time(g, fn.abstract_cells,
-                                  ref(app.args[0]), ref(app.args[1]))
-        elif op == "last_abs":
-            res = _enc_last(g, ref(app.args[0]), ref(app.args[1]))
-        elif op == "last_time":
-            res = _enc_last_time(g, ref(app.args[0]), ref(app.args[1]))
-        elif op == "delay_abs":
-            res = _enc_delay(g, ref(app.args[0]), ref(app.args[1]))
-        elif op == "last_bot":
-            res = _enc_demote_gaps(
-                g, _enc_last(g, ref(app.args[0]), ref(app.args[1])))
-        elif op == "delay_bot":
-            res = _enc_demote_gaps(
-                g, _enc_delay(g, ref(app.args[0]), ref(app.args[1])))
-        elif op == "last_gap":
-            z = _enc_last(g, ref(app.args[0]), ref(app.args[1]))
-            res = _enc_gap_half(g, z, ref(app.args[2]))
-        elif op == "delay_gap":
-            z = _enc_delay(g, ref(app.args[0]), ref(app.args[1]))
-            res = _enc_gap_half(g, z, ref(app.args[2]))
-        else:
-            raise OperatorError(f"operator '{op}' has no concrete encoding")
-        alias(name, res)
+        encode = _encoder(app.op)
+        args = [pair[a.name] for a in app.args]
+        takes = OPERATORS[app.op].takes
+        if takes == "fn":
+            args.insert(0, app.fn.resolve().abstract_cells)
+        elif takes == "lit":
+            args.insert(0, app.lit)
+        for node, res in zip(pair[name], encode(g, *args)):
+            g.nodes.append(EncodedNode(node, (res,), lambda s: ops.merge(s),
+                                       frozenset()))
 
     g.pairs = pair
     g.outputs = list(graph.outputs)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import count
-from typing import (Callable, Collection, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream
@@ -381,10 +380,3 @@ class OnlineEvaluator:
                                 m.stream, m.kind))
         return out
 
-
-def evaluate_online(graph: SpecGraph, messages: Iterable[Message]):
-    """Run the online evaluator over a message sequence, yielding outputs."""
-    ev = OnlineEvaluator(graph)
-    for msg in messages:
-        for out in ev.feed(msg):
-            yield out

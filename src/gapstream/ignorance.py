@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, UnequalProgress
 from .evaluator import evaluate_fixpoint
 from .speclang import SpecGraph
 from .streams import EventStream, Progress
-from .values import BOTTOM, Interval
+from .values import BOTTOM, Interval, value_eq
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,9 @@ def _mid(lo: Fraction, hi: Fraction) -> Fraction:
 def _distinct(vals) -> list:
     out = []
     for v in vals:
-        if not any(_veq(v, u) for u in out):
+        if not any(value_eq(v, u) for u in out):
             out.append(v)
     return out
-
-
-def _veq(a, b) -> bool:
-    if a is BOTTOM or b is BOTTOM:
-        return a is b
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
 
 
 def iota(streams: Sequence[EventStream], space) -> Fraction:
@@ -165,6 +157,14 @@ def compare_ignorance(concrete: SpecGraph, abstract: SpecGraph,
 
     env = evaluate_fixpoint(abstract, abs_inputs)
     abs_out = env[output]
-    gamma = concretize(abs_out, universe, name=output)
+    values = universe.values_for(output)
+    if isinstance(space, BoundedIntervalSpace):
+        # the interval measure scores every number in [lo, hi], and the
+        # concrete outputs may take numbers outside the universe there: the
+        # output's gaps and TOPs must reach both bounds to stay an upper bound
+        values += tuple(b for b in (space.lo, space.hi)
+                        if not any(value_eq(b, v) for v in values))
+    gamma = concretize(abs_out, replace(
+        universe, per_stream=((output, values),) + universe.per_stream), name=output)
     abstract_ign = iota(gamma, space)
     return optimal, abstract_ign

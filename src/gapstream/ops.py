@@ -210,19 +210,31 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
     return EventStream.of(events, prog)
 
 
-def slift(f: Callable, *streams: EventStream) -> EventStream:
-    """Signal lift: apply a total function to the synchronized last values."""
-    if len(streams) == 1:
-        return lift(lambda a: BOTTOM if a is BOTTOM else f(a), *streams)
+def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
+    """Each stream merged with its last value at the other streams' events.
+
+    Stream i becomes merge(x_i, last(x_i, trigger_i)), where trigger_i is
+    the merge of every other stream; a single stream stays as it is.  This
+    is the synchronization behind the signal lift, built from whichever
+    merge and last the caller passes: the concrete, abstract and encoded
+    signal lifts all share it.
+    """
+    if len(streams) < 2:
+        return list(streams)
     synced = []
     for i, x in enumerate(streams):
         others = [s for j, s in enumerate(streams) if j != i]
         trigger = merge(*others) if len(others) > 1 else others[0]
         synced.append(merge(x, last(x, trigger)))
+    return synced
+
+
+def slift(f: Callable, *streams: EventStream) -> EventStream:
+    """Signal lift: apply a total function to the synchronized last values."""
 
     def g(*vals):
         if any(v is BOTTOM for v in vals):
             return BOTTOM
         return f(*vals)
 
-    return lift(g, *synced)
+    return lift(g, *synchronized(streams, merge, last))

@@ -67,7 +67,9 @@ class Operator:
 
     impl names the implementing function: in ops for a concrete operator,
     in absops for an abstract one.  It is a name, not the function, so the
-    evaluator looks the function up on every call.
+    evaluator looks the function up on every call.  encode names the
+    function in encoded that expands an abstract operator into concrete
+    nodes; the unroll halves derive theirs from their base row's.
     """
 
     impl: str
@@ -78,6 +80,7 @@ class Operator:
     abstract: Optional[str] = None  # counterpart; set exactly on concrete rows
     unroll: Optional[Tuple[str, str]] = None  # value and gap halves
     history: bool = False       # last/delay family: unroll never clones it
+    encode: Optional[str] = None    # encoded function of an abstract row
 
     @property
     def concrete(self) -> bool:
@@ -99,20 +102,22 @@ OPERATORS: Dict[str, Operator] = {
     "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs"),
     "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs"),
     "const": Operator("const", 1, 1, takes="lit", abstract="const_abs"),
-    "nil_abs": Operator("nil_abs", 0, 0),
-    "unit_abs": Operator("unit_abs", 0, 0),
-    "time_abs": Operator("time_abs", 1, 1),
+    "nil_abs": Operator("nil_abs", 0, 0, encode="_enc_nil"),
+    "unit_abs": Operator("unit_abs", 0, 0, encode="_enc_unit"),
+    "time_abs": Operator("time_abs", 1, 1, encode="_enc_time"),
     "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
-                         history=True),
+                         history=True, encode="_enc_last"),
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
-                          history=True),
+                          history=True, encode="_enc_delay"),
     "delay_fin": Operator("delay_abs_fin", 2, 2),
-    "merge_abs": Operator("merge_abs", 0, None),
-    "lift_abs": Operator("lift_abs", 0, None, takes="fn"),
-    "slift_abs": Operator("slift_abs", 0, None, takes="fn"),
-    "const_abs": Operator("const_abs", 1, 1, takes="lit"),
-    "last_time": Operator("last_time_abs", 2, 2, history=True),
-    "slift_time": Operator("slift_time_abs", 2, 2, takes="fn"),
+    "merge_abs": Operator("merge_abs", 0, None, encode="_enc_merge"),
+    "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift"),
+    "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift"),
+    "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const"),
+    "last_time": Operator("last_time_abs", 2, 2, history=True,
+                          encode="_enc_last_time"),
+    "slift_time": Operator("slift_time_abs", 2, 2, takes="fn",
+                           encode="_enc_slift_time"),
     "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True),
     "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
     "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True),
@@ -472,29 +477,27 @@ def check_well_formed(g: SpecGraph) -> Optional[CycleReport]:
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {}
-    stack: List[str] = []
-
-    def dfs(n) -> Optional[Tuple[str, ...]]:
-        color[n] = GRAY
-        stack.append(n)
-        for m in adj.get(n, ()):
+    for root, _ in g.equations:
+        if color.get(root, WHITE) != WHITE:
+            continue
+        # depth-first with an explicit stack: path holds the gray nodes,
+        # work the unvisited successors of each
+        color[root] = GRAY
+        path = [root]
+        work = [iter(adj.get(root, ()))]
+        while work:
+            m = next(work[-1], None)
+            if m is None:
+                work.pop()
+                color[path.pop()] = BLACK
+                continue
             c = color.get(m, WHITE)
             if c == GRAY:
-                i = stack.index(m)
-                return tuple(stack[i:])
+                return CycleReport(tuple(path[path.index(m):]))
             if c == WHITE:
-                got = dfs(m)
-                if got:
-                    return got
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for name, _ in g.equations:
-        if color.get(name, WHITE) == WHITE:
-            got = dfs(name)
-            if got:
-                return CycleReport(got)
+                color[m] = GRAY
+                path.append(m)
+                work.append(iter(adj.get(m, ())))
     return None
 
 
@@ -514,18 +517,29 @@ def longest_chain(nodes: Dict[str, Tuple[Sequence[str], Collection[int]]]) -> in
     """
     memo: Dict[str, int] = {}
 
-    def depth(name) -> int:
-        if name not in nodes:
-            return 0
-        if name in memo:
-            return memo[name]
+    def enter(name) -> list:
+        # [name, unguarded arguments still to visit, longest of those visited]
         memo[name] = 0
         args, guarded = nodes[name]
-        memo[name] = 1 + max((depth(a) for i, a in enumerate(args) if i not in guarded),
-                             default=0)
-        return memo[name]
+        return [name, iter([a for i, a in enumerate(args) if i not in guarded]), 0]
 
-    return max((depth(n) for n in nodes), default=0)
+    for root in nodes:
+        if root in memo:
+            continue
+        work = [enter(root)]    # an explicit stack, for long chains
+        while work:
+            frame = work[-1]
+            a = next(frame[1], None)
+            if a is None:
+                work.pop()
+                memo[frame[0]] = 1 + frame[2]
+                if work:
+                    work[-1][2] = max(work[-1][2], memo[frame[0]])
+            elif a in memo or a not in nodes:
+                frame[2] = max(frame[2], memo.get(a, 0))
+            else:
+                work.append(enter(a))
+    return max(memo.values(), default=0)
 
 
 # -- transformations ---------------------------------------------------------

@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Tuple
 from .abstract import AbstractEventStream
 from .encoding import grid_canonical
 from .errors import OutOfOrderInput, TraceError, UndeclaredStream
+from .speclang import STREAM_TYPES
 from .streams import EventStream, Progress
 from .timeline import INF, Span, TimeSet, as_time
 from .values import TOP, UNIT, Interval
-
-TRACE_TYPES = ("Unit", "Bool", "Int", "Real", "AbsBool", "Interval")
 
 
 @dataclass
@@ -186,7 +185,7 @@ def parse_trace(text: str) -> Trace:
             if not m:
                 raise TraceError(f"line {lineno}: bad stream declaration")
             name, ty = m.group(1), m.group(2)
-            if ty not in TRACE_TYPES:
+            if ty not in STREAM_TYPES:
                 raise TraceError(f"line {lineno}: unknown type '{ty}'")
             if name in builders:
                 raise TraceError(f"line {lineno}: duplicate stream '{name}'")
@@ -314,17 +313,13 @@ def serialize_trace(declarations, streams: Dict[str, object], epsilon,
         end = horizon if horizon is not None else _last_feature(stream, gaps)
         for sp in grid_canonical(gaps, epsilon, end).spans:
             directives.append((sp.lo, 2, f"{format_time(sp.lo)}: gap {name}"))
-            if sp.hi is not INF and (horizon is None or t_le_frac(sp.hi, end)):
+            if sp.hi is not INF and (horizon is None or sp.hi <= end):
                 directives.append((sp.hi, 0, f"{format_time(sp.hi)}: known {name}"))
     directives.sort(key=lambda d: (d[0], d[1], d[2]))
     lines += [d[2] for d in directives]
     lines.append("progress " + ("inf" if progress.is_infinite()
                                 else format_time(progress.time)))
     return "\n".join(lines) + "\n"
-
-
-def t_le_frac(a: Fraction, b: Fraction) -> bool:
-    return a <= b
 
 
 def _last_feature(stream: EventStream, gaps: TimeSet) -> Fraction:

@@ -21,6 +21,14 @@ from gapstream.values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, value_eq
 F = Fraction
 
 
+def reverse_chain_spec(n: int, base: str = "lift(inc)(x)") -> str:
+    """A chain a0 <- a1 <- ... <- an of lift(inc), declared last link first."""
+    lines = ["in x : Events[Int]"]
+    lines += [f"def a{i} := lift(inc)(a{i - 1})" for i in range(n, 0, -1)]
+    lines += [f"def a0 := {base}", f"out a{n}"]
+    return "\n".join(lines) + "\n"
+
+
 # -- three-valued helpers -----------------------------------------------------
 
 def t_and(*vals):

@@ -9,6 +9,8 @@ import pytest
 
 from gapstream.builtin_specs import spec_text, trace_text
 
+from conftest import reverse_chain_spec
+
 PKG = Path(__file__).resolve().parent.parent
 
 
@@ -116,6 +118,17 @@ class TestCheck:
         assert good.returncode == 0
 
 
+class TestDeepSpec:
+    @pytest.mark.parametrize("command, shows", [
+        ("check", "well-formed (3001 equations, depth 3001)"), ("depth", "d=3001 ")])
+    def test_reverse_chain(self, tmp_path, command, shows):
+        spec = tmp_path / "chain.spec"
+        spec.write_text(reverse_chain_spec(3000))
+        got = run_cli(command, str(spec))
+        assert got.returncode == 0 and "Traceback" not in got.stderr
+        assert shows in got.stdout
+
+
 class TestRender:
     def test_rows_and_gap(self, workdir):
         got = run_cli("render", str(workdir / "gapped.trace"))
@@ -153,6 +166,18 @@ class TestIgnorance:
                       "--output", "sum")
         assert got.returncode == 0
         assert "optimal=1/4" in got.stdout and "abstract=1/4" in got.stdout
+
+    def test_interval_measure_keeps_optimal_below_abstract(self, tmp_path):
+        # the concrete sum takes 3 at time 2, outside the universe values;
+        # the abstract side's gap must still reach the measure's bounds
+        (tmp_path / "s.spec").write_text(spec_text("reset-sum"))
+        (tmp_path / "t.trace").write_text(trace_text("reset-sum-ign"))
+        got = run_cli("ignorance", str(tmp_path / "s.spec"), str(tmp_path / "t.trace"),
+                      "--time-aware", "--universe-grid", "2",
+                      "--universe-values", "1,2", "--output", "sum",
+                      "--measure", "interval:0,4")
+        assert got.returncode == 0
+        assert "optimal=1/8" in got.stdout and "abstract=1/4" in got.stdout
 
     def test_budget_exit_code(self, tmp_path):
         (tmp_path / "s.spec").write_text(spec_text("reset-sum"))

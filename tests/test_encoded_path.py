@@ -13,12 +13,12 @@ from gapstream.streams import Progress
 from gapstream.tracefile import parse_trace, serialize_trace
 
 
-def both_paths(name, tkey, time_aware=False):
+def both_paths(name, tkey, time_aware=False, encode_unrolled=False):
     ast = parse_spec(spec_text(name))
     tr = parse_trace(trace_text(tkey))
     ab = abstractify(ast, time_aware=time_aware)
     native_env = evaluate_fixpoint(flatten(unroll(ab)), tr.streams)
-    eg = build_encoded(flatten(ab), tr.epsilon / 2)
+    eg = build_encoded(flatten(unroll(ab) if encode_unrolled else ab), tr.epsilon / 2)
     encoded = evaluate_encoded(eg, tr.streams, tr.progress, tr.horizon())
     return ast, tr, native_env, encoded, eg
 
@@ -51,6 +51,14 @@ class TestPathEquivalence:
         for out in ast.outputs:
             assert serialized(tr, native[out], out) == serialized(tr, encoded[out], out)
 
+    @pytest.mark.parametrize("name,tkey", [("reset-count", "reset-count-gapped"),
+                                           ("variable-period", "variable-period-gapped")])
+    def test_unrolled_halves_encode(self, name, tkey):
+        # the last and delay halves are encoded from their base operators
+        ast, tr, native, encoded, _ = both_paths(name, tkey, encode_unrolled=True)
+        for out in ast.outputs:
+            assert serialized(tr, native[out], out) == serialized(tr, encoded[out], out)
+
     def test_exclusive_progress_rejected(self):
         tr = parse_trace(trace_text("reset-sum-gapped"))
         eg = build_encoded(flatten(abstractify(parse_spec(spec_text("reset-sum")))),
@@ -73,7 +81,7 @@ class TestEncodedStructure:
     def test_expansion_uses_many_concrete_nodes(self):
         ab = abstractify(parse_spec(spec_text("reset-sum")))
         eg = build_encoded(flatten(ab), F(1, 2))
-        concrete_nodes = eg.node_count()
+        concrete_nodes = len(eg.nodes)
         abstract_nodes = len(flatten(ab).equations)
         assert concrete_nodes > 5 * abstract_nodes
 

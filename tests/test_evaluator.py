@@ -11,8 +11,7 @@ from gapstream import evaluator, ops
 from gapstream.abstract import AbstractEventStream
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
 from gapstream.errors import NonTermination, OutOfOrderInput
-from gapstream.evaluator import (Message, OnlineEvaluator, evaluate_fixpoint,
-                                 evaluate_online)
+from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
@@ -304,12 +303,6 @@ class TestOnline:
         kinds = {(m.kind, m.stream, m.time) for m in out}
         assert ("gap_start", "sum", F(2)) in kinds
         assert ("gap_end", "sum", F(3)) in kinds
-
-    def test_generator_interface(self):
-        g = flatten(APP_A)
-        msgs = [Message.event("x", 2, UNIT), Message.progress("x", 9)]
-        got = list(evaluate_online(g, msgs))
-        assert any(m.kind == "event" and m.time == F(2) for m in got)
 
 
 @st.composite

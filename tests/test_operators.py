@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from gapstream import absops, ops
+from gapstream import absops, encoded, ops
 from gapstream.abstract import AbstractEventStream
+from gapstream.builtin_specs import SPEC_NAMES, spec_text
 from gapstream.encoded import build_encoded
 from gapstream.errors import OperatorError
 from gapstream.evaluator import evaluate_fixpoint
-from gapstream.speclang import OPERATORS, abstractify, flatten, parse_spec
+from gapstream.speclang import OPERATORS, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
 
 ABSTRACT = sorted(n for n, row in OPERATORS.items() if not row.concrete)
@@ -54,7 +55,66 @@ def test_abstract_row_encodes(name):
         with pytest.raises(OperatorError):
             build_encoded(graph, F(1, 2))
     else:
-        assert build_encoded(graph, F(1, 2)).node_count() > 0
+        assert len(build_encoded(graph, F(1, 2)).nodes) > 0
+
+
+def test_every_abstract_row_has_an_encoding():
+    # a row names its encoder, or is an unroll half of a row that does
+    halves = {h: base for base in OPERATORS.values() for h in base.unroll or ()}
+    unencoded = []
+    for name in ABSTRACT:
+        row = OPERATORS[name]
+        if row.encode is not None:
+            assert callable(getattr(encoded, row.encode)), name
+        elif name in halves:
+            assert callable(getattr(encoded, halves[name].encode)), name
+        else:
+            unencoded.append(name)
+    assert unencoded == ["delay_fin"]
+    assert all(row.encode is None for row in OPERATORS.values() if row.concrete)
+    with pytest.raises(OperatorError,
+                       match="operator 'delay_fin' has no concrete encoding"):
+        build_encoded(tiny_graph("delay_fin"), F(1, 2))
+
+
+# (depth, node count) of each bundled spec's encoding: plain, time-aware,
+# unrolled, unrolled time-aware
+ENCODED_SIZES = {
+    "running-count": ((19, 46), (19, 46), (23, 90), (23, 90)),
+    "reset-count": ((34, 206), (34, 214), (35, 349), (35, 357)),
+    "reset-sum": ((34, 206), (34, 214), (35, 349), (35, 357)),
+    "filter-example": ((26, 62), (26, 60), (26, 62), (26, 60)),
+    "variable-period": ((28, 98), (28, 98), (36, 237), (36, 237)),
+    "bursts": ((37, 163), (37, 161), (37, 254), (37, 252)),
+    "queue": ((35, 121), (35, 121), (38, 226), (38, 226)),
+    "finite-queue": ((35, 121), (35, 121), (38, 226), (38, 226)),
+    "self-updating-queue": ((50, 194), (50, 194), (53, 453), (53, 453)),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+@pytest.mark.parametrize("time_aware", [False, True])
+@pytest.mark.parametrize("unrolled", [False, True])
+def test_encoded_graph_size(name, time_aware, unrolled):
+    ast = abstractify(parse_spec(spec_text(name)), time_aware=time_aware)
+    if unrolled:
+        ast = unroll(ast)
+    eg = build_encoded(flatten(ast), F(1, 2))
+    want = ENCODED_SIZES[name][2 * unrolled + time_aware]
+    assert (eg.depth(), len(eg.nodes)) == want
+
+
+def test_synchronized_builds_each_stream_once_against_the_others():
+    def merge(*xs):
+        return f"m({','.join(xs)})"
+
+    def last(x, r):
+        return f"l({x},{r})"
+
+    assert ops.synchronized(["a"], merge, last) == ["a"]
+    assert ops.synchronized(["a", "b"], merge, last) == ["m(a,l(a,b))", "m(b,l(b,a))"]
+    assert ops.synchronized(["a", "b", "c"], merge, last) == [
+        "m(a,l(a,m(b,c)))", "m(b,l(b,m(a,c)))", "m(c,l(c,m(a,b)))"]
 
 
 @pytest.mark.parametrize("module, name", [(ops, "last"), (absops, "delay_abs")])

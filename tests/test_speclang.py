@@ -10,6 +10,8 @@ from gapstream.speclang import (abstractify, check_well_formed,
                                 computation_depth, flatten, format_spec,
                                 parse_spec, unroll)
 
+from conftest import reverse_chain_spec
+
 APP_A = """
 in x : Events[Unit]
 def y := merge(lift(inc)(last(y, x)), const(0)(unit()))
@@ -155,3 +157,25 @@ class TestDepth:
         # same node/edge shape, but the abstract last no longer guards,
         # so paths through it start counting
         assert d > 0 and d_abs >= d
+
+
+class TestDeepChains:
+    """The graph walks keep their own stack, so chain length is no limit."""
+
+    def test_reverse_chain(self):
+        ast = parse_spec(reverse_chain_spec(3000))
+        g = flatten(ast)
+        assert check_well_formed(g) is None
+        assert computation_depth(g) == 3001
+        assert check_well_formed(flatten(unroll(abstractify(ast)))) is None
+
+    def test_reverse_chain_closed_by_last(self):
+        ast = parse_spec(reverse_chain_spec(
+            3000, "merge(last(a3000, x), const(0)(unit()))"))
+        assert check_well_formed(flatten(ast)) is None
+        report = check_well_formed(flatten(abstractify(ast)))
+        assert len(report.cycle) == 3002 and report.cycle[:2] == ("a3000", "a2999")
+        unrolled = flatten(unroll(abstractify(ast)))
+        assert check_well_formed(unrolled) is None
+        assert "__t1__bot" in dict(unrolled.equations)
+        assert computation_depth(unrolled) == 3003
