@@ -170,12 +170,12 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
         prev = v.stream.last_event_before(t)
         if prev is not None:
             t_prev, val = prev
-            if v.gaps.overlaps_open(t_prev, t):
+            if t_prev < v.gaps.free_since(t):
                 events.append((t, TOP))
             else:
                 events.append((t, val))
         else:
-            if not v.gaps.clip(Fraction(0), t, False).is_empty():
+            if v.gaps.first_point() < t:
                 point_gaps.append(Span(t, True, t, True))
 
     vstart = _vstart_bound(v)
@@ -185,8 +185,6 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
         inherited = r.gaps.intersect(TimeSet.of(Span(vstart, False, INF, False)))
 
     prog = _prog_max(main, _vbot_extent_abs(v))
-    events = [(t, d) for t, d in events if main.covers(t)]
-    point_gaps = [p for p in point_gaps if main.covers(p.lo)]
     gaps = inherited.intersect(covered_span(main)).union(TimeSet(point_gaps))
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
@@ -218,15 +216,6 @@ def _points(times) -> TimeSet:
 
 # -- time-aware last -------------------------------------------------------
 
-def _gap_free_inf(v: AbstractEventStream, t: Fraction) -> Fraction:
-    """Infimum u <= t such that (u, t) contains no gap of v; t if none exists."""
-    candidates = [Fraction(0)] + [b for b in v.gaps.boundaries() if b <= t]
-    for c in sorted(candidates):
-        if not v.gaps.overlaps_open(c, t):
-            return c
-    return t
-
-
 def last_time_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Time-aware abstract last: intervals of possible last-event timestamps.
 
@@ -241,7 +230,7 @@ def last_time_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
         if val is TOP:
             prev = v.stream.last_event_before(t)
             lo = prev[0]
-            hi = _gap_free_inf(v, t)
+            hi = v.gaps.free_since(t)
             events.append((t, Interval.of(lo, max(lo, hi))))
         else:
             events.append((t, Interval.single(val)))

@@ -117,9 +117,7 @@ def last(v: EventStream, r: EventStream) -> EventStream:
         prev = v.last_event_before(t)
         if prev is not None:
             events.append((t, prev[1]))
-    prog = _prog_max(main, _vbot_extent(v))
-    events = [(t, d) for t, d in events if main.covers(t)]
-    return EventStream.of(events, prog)
+    return EventStream.of(events, _prog_max(main, _vbot_extent(v)))
 
 
 def _delay_value_ok(val) -> bool:

@@ -110,7 +110,7 @@ OPERATORS: Dict[str, Operator] = {
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
                           history=True, encode="_enc_delay"),
     "delay_fin": Operator("delay_abs_fin", 2, 2),
-    "merge_abs": Operator("merge_abs", 0, None, encode="_enc_merge"),
+    "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge"),
     "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift"),
     "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift"),
     "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const"),

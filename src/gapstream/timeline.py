@@ -7,13 +7,24 @@ engine (decimal literals are parsed into Fractions).
 A TimeSet is a finite union of disjoint intervals over [0, oo) with
 inclusive or exclusive endpoints.  It represents the set of timestamps at
 which something holds (e.g. the known region of an abstract stream).
+
+All set algebra is one sweep over span edges.  An edge key (t, side)
+orders the time line with every point doubled: (t, False) is the point t
+and (t, True) the open stretch just above it.  A span starts at
+(lo, not lo_closed) and, if finite, ends at (hi, hi_closed); its start
+edge carries weight +w and its end edge -w.  The sweep sorts the edges,
+sums the weights of equal keys and emits the normalized spans where the
+running sum is at least `need`: need 1 normalizes and unites, need 2
+intersects, and a subtrahend of weight -1 subtracts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Union
 
 
 class _Infinity:
@@ -128,30 +139,16 @@ def span(lo: TimeLike, hi, lo_closed: bool = True, hi_closed: bool = True) -> Sp
     return Span(lo, lo_closed, as_time(hi), hi_closed)
 
 
-def _start_key(s: Span) -> tuple:
-    """Sort key of a span's start: a closed start at t sorts before an open one."""
-    return (0, s.lo, 0 if s.lo_closed else 1)
-
-
-def _adjacent_or_overlapping(a: Span, b: Span) -> bool:
-    """True if a and b (a starting first) touch so their union is one span."""
-    if a.hi is INF:
-        return True
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.hi_closed or b.lo_closed
-    return False
-
-
 class TimeSet:
     """Immutable finite union of disjoint, sorted, non-touching spans."""
 
     __slots__ = ("spans",)
 
     def __init__(self, spans: Iterable[Span] = ()):
-        normal = _normalize(list(spans))
-        object.__setattr__(self, "spans", tuple(normal))
+        spans = tuple(spans)
+        if len(spans) > 1:
+            spans = _sweep(_edges(spans, 1), 1).spans
+        object.__setattr__(self, "spans", spans)
 
     @staticmethod
     def empty() -> "TimeSet":
@@ -170,52 +167,34 @@ class TimeSet:
 
     def contains(self, t: TimeLike) -> bool:
         t = as_time(t)
-        return any(s.contains(t) for s in self.spans)
+        spans = self.spans
+        if len(spans) < 2:
+            return bool(spans) and spans[0].contains(t)
+        i = bisect_right(spans, t, key=_lo)
+        return i > 0 and spans[i - 1].contains(t)
 
     def union(self, other: "TimeSet") -> "TimeSet":
-        return TimeSet(self.spans + other.spans)
+        if not other.spans:
+            return self
+        if not self.spans:
+            return other
+        return _sweep(_edges(self.spans, 1) + _edges(other.spans, 1), 1)
 
     def intersect(self, other: "TimeSet") -> "TimeSet":
-        out = []
-        for a in self.spans:
-            for b in other.spans:
-                c = _intersect_spans(a, b)
-                if c is not None:
-                    out.append(c)
-        return TimeSet(out)
-
-    def complement(self) -> "TimeSet":
-        """Complement within [0, oo)."""
-        out = []
-        cursor: Fraction = Fraction(0)
-        cursor_closed = True
-        for s in self.spans:
-            if s.lo > cursor or (s.lo == cursor and cursor_closed and not s.lo_closed):
-                if s.lo == cursor:
-                    out.append(point(cursor))
-                else:
-                    out.append(Span(cursor, cursor_closed, s.lo, not s.lo_closed))
-            if s.hi is INF:
-                return TimeSet(out)
-            cursor = s.hi
-            cursor_closed = not s.hi_closed
-        if cursor_closed:
-            out.append(Span(cursor, True, INF, False))
-        else:
-            out.append(Span(cursor, False, INF, False))
-        return TimeSet(out)
+        if not self.spans or other.spans == _FULL.spans:
+            return self
+        if not other.spans or self.spans == _FULL.spans:
+            return other
+        return _sweep(_edges(self.spans, 1) + _edges(other.spans, 1), 2)
 
     def minus(self, other: "TimeSet") -> "TimeSet":
         if not self.spans or not other.spans:
             return self
-        return self.intersect(other.complement())
+        return _sweep(_edges(self.spans, 1) + _edges(other.spans, -1), 1)
 
-    def overlaps_open(self, lo: Fraction, hi: ExtTime) -> bool:
-        """True if the set meets the open interval (lo, hi)."""
-        if not t_lt(lo, hi):
-            return False
-        probe = Span(lo, False, hi, False) if hi is not INF else Span(lo, False, INF, False)
-        return any(_intersect_spans(s, probe) is not None for s in self.spans)
+    def complement(self) -> "TimeSet":
+        """Complement within [0, oo)."""
+        return _FULL.minus(self)
 
     def first_point(self) -> ExtTime:
         """Infimum of the set (which may or may not be attained); INF if empty."""
@@ -223,14 +202,12 @@ class TimeSet:
             return INF
         return self.spans[0].lo
 
-    def clip(self, lo: Fraction, hi: ExtTime, hi_closed: bool) -> "TimeSet":
-        if hi is INF:
-            probe = Span(lo, True, INF, False)
-        else:
-            if t_lt(hi, lo) or (hi == lo and not hi_closed):
-                return TimeSet.empty()
-            probe = Span(lo, True, hi, hi_closed)
-        return self.intersect(TimeSet.of(probe))
+    def free_since(self, t: Fraction) -> Fraction:
+        """Infimum u <= t such that the open interval (u, t) misses the set."""
+        i = bisect_left(self.spans, t, key=_lo)
+        if i == 0:
+            return Fraction(0)
+        return t_min(self.spans[i - 1].hi, t)
 
     def grid_points(self, epsilon: Fraction, limit: ExtTime) -> list:
         """All multiples of epsilon inside the set, up to and including limit."""
@@ -275,46 +252,44 @@ def _ceil_grid(lo: Fraction, lo_closed: bool, epsilon: Fraction) -> Fraction:
     return g
 
 
-def _intersect_spans(a: Span, b: Span) -> Span | None:
-    if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed):
-        lo, lo_closed = a.lo, a.lo_closed
-    else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi is INF:
-        hi, hi_closed = b.hi, b.hi_closed
-    elif b.hi is INF:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif a.hi < b.hi or (a.hi == b.hi and not a.hi_closed):
-        hi, hi_closed = a.hi, a.hi_closed
-    else:
-        hi, hi_closed = b.hi, b.hi_closed
-    if hi is INF:
-        return Span(lo, lo_closed, INF, False)
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    return Span(lo, lo_closed, hi, hi_closed)
+_lo = attrgetter("lo")
 
 
-def _normalize(spans: Sequence[Span]) -> list:
-    if not spans:
-        return []
-    items = sorted(spans, key=_start_key)
-    out = [items[0]]
-    for s in items[1:]:
-        last = out[-1]
-        if _adjacent_or_overlapping(last, s):
-            if last.hi is INF:
-                continue
-            if s.hi is INF:
-                out[-1] = Span(last.lo, last.lo_closed, INF, False)
-            elif s.hi > last.hi or (s.hi == last.hi and s.hi_closed):
-                out[-1] = Span(last.lo, last.lo_closed, s.hi, s.hi_closed)
-        else:
-            out.append(s)
+def _edges(spans: Iterable[Span], weight: int) -> list:
+    """Start and end edges of the spans, each start weighted +weight."""
+    out = []
+    for s in spans:
+        out.append((s.lo, not s.lo_closed, weight))
+        if s.hi is not INF:
+            out.append((s.hi, s.hi_closed, -weight))
     return out
 
 
-_EMPTY = TimeSet.__new__(TimeSet)
-object.__setattr__(_EMPTY, "spans", ())
-_FULL = TimeSet.__new__(TimeSet)
-object.__setattr__(_FULL, "spans", (Span(Fraction(0), True, INF, False),))
+def _sweep(edges: list, need: int) -> TimeSet:
+    """The set of positions whose summed edge weight is >= need."""
+    edges.sort()
+    out = []
+    depth = 0
+    i, n = 0, len(edges)
+    while i < n:
+        t, side, w = edges[i]
+        was = depth >= need
+        depth += w
+        i += 1
+        while i < n and edges[i][1] == side and edges[i][0] == t:
+            depth += edges[i][2]
+            i += 1
+        if depth < need:
+            if was:
+                out.append(Span(lo, not lo_side, t, side))
+        elif not was:
+            lo, lo_side = t, side
+    if depth >= need:
+        out.append(Span(lo, not lo_side, INF, False))
+    ts = object.__new__(TimeSet)
+    object.__setattr__(ts, "spans", tuple(out))
+    return ts
+
+
+_EMPTY = TimeSet()
+_FULL = TimeSet.of(Span(Fraction(0), True, INF, False))

@@ -153,8 +153,6 @@ class _Builder:
         start, closed = self.open_gap
         if t > start:
             self.gap_spans.append(Span(start, closed, t, False))
-        elif t == start and not closed:
-            pass
         self.open_gap = None
 
     def finish(self, progress: Progress, abstract_type: bool):

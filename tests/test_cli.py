@@ -154,6 +154,18 @@ class TestDepth:
         assert got.returncode == 1
         assert "GAPSTREAM_EPSILON" in got.stderr and "Traceback" not in got.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("depth",), ("run", "--abstract", "--path", "encoded")])
+    def test_empty_abstract_merge_is_typed(self, workdir, tmp_path, command):
+        spec = tmp_path / "empty.spec"
+        spec.write_text("in values : Events[Int]\ndef z := merge_abs()\nout z\n")
+        args = [str(spec)]
+        if command[0] == "run":
+            args.append(str(workdir / "gapped.trace"))
+        got = run_cli(*command, *args)
+        assert got.returncode == 1
+        assert "merge_abs" in got.stderr and "Traceback" not in got.stderr
+
 
 class TestIgnorance:
     def test_reports_equal_pair(self, tmp_path):

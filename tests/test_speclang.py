@@ -39,7 +39,8 @@ class TestParsing:
 
     def test_arity_mismatch(self):
         # the lift family's stream count is its function's arity
-        for expr in ("last(y)", "lift(add)(y)", "slift_time(leq)(y, y, y)"):
+        for expr in ("last(y)", "lift(add)(y)", "slift_time(leq)(y, y, y)",
+                     "merge_abs()"):
             with pytest.raises(ArityMismatch):
                 parse_spec(f"in y : Events[Int]\ndef x := {expr}\nout x\n")
 

@@ -1,0 +1,122 @@
+"""TimeSet against a point-sampling oracle.
+
+Spans are drawn on a half-unit grid, so every boundary is a multiple of 1/2
+and sampling at every quarter unit visits each boundary point and the open
+stretch on either side of it.  The oracle reads the raw span tuples with its
+own comparisons; it shares no code with the edge sweep.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapstream.timeline import INF, Span, TimeSet
+
+F = Fraction
+
+# boundaries reach at most 6 + 3; sample a unit past that
+SAMPLES = [F(k, 4) for k in range(41)]
+
+
+@st.composite
+def raw_spans(draw):
+    lo = F(draw(st.integers(0, 12)), 2)
+    kind = draw(st.sampled_from(["point", "finite", "tail"]))
+    if kind == "point":
+        return (lo, True, lo, True)
+    lo_closed = draw(st.booleans())
+    if kind == "tail":
+        return (lo, lo_closed, INF, False)
+    return (lo, lo_closed, lo + F(draw(st.integers(1, 6)), 2), draw(st.booleans()))
+
+
+span_lists = st.lists(raw_spans(), max_size=6)
+
+
+def build(raw):
+    return TimeSet(Span(*r) for r in raw)
+
+
+def raw_of(ts):
+    return [(s.lo, s.lo_closed, s.hi, s.hi_closed) for s in ts.spans]
+
+
+def member(raw, t):
+    return any((lo < t or (lo_c and lo == t))
+               and (hi is INF or t < hi or (hi_c and t == hi))
+               for lo, lo_c, hi, hi_c in raw)
+
+
+def assert_canonical(ts):
+    for a, b in zip(ts.spans, ts.spans[1:]):
+        assert a.hi is not INF
+        assert a.hi < b.lo or (a.hi == b.lo and not a.hi_closed and not b.lo_closed)
+
+
+def assert_samples(ts, pred):
+    assert_canonical(ts)
+    got = raw_of(ts)
+    for t in SAMPLES:
+        assert member(got, t) == pred(t), t
+
+
+def brute_free_since(raw, t):
+    """Walk down from t in quarter steps while (u, t) stays outside the set."""
+    u = t
+    while u > 0 and not member(raw, u - F(1, 8)) and (u == t or not member(raw, u)):
+        u -= F(1, 4)
+    return u
+
+
+class TestOracle:
+    @given(span_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_normalizes(self, raw):
+        ts = build(raw)
+        assert_samples(ts, lambda t: member(raw, t))
+        assert TimeSet(Span(*r) for r in reversed(raw)) == ts
+        assert build(raw + raw) == ts
+
+    @given(span_lists, span_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_union_intersect_minus(self, ra, rb):
+        a, b = build(ra), build(rb)
+        assert_samples(a.union(b), lambda t: member(ra, t) or member(rb, t))
+        assert_samples(a.intersect(b), lambda t: member(ra, t) and member(rb, t))
+        assert_samples(a.minus(b), lambda t: member(ra, t) and not member(rb, t))
+
+    @given(span_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_complement(self, raw):
+        assert_samples(build(raw).complement(), lambda t: not member(raw, t))
+
+    @given(span_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_contains(self, raw):
+        ts = build(raw)
+        assert [ts.contains(t) for t in SAMPLES] == [member(raw, t) for t in SAMPLES]
+
+    @given(span_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_first_point(self, raw):
+        expected = min((r[0] for r in raw), default=INF)
+        assert build(raw).first_point() == expected
+
+    @given(span_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_free_since(self, raw):
+        ts = build(raw)
+        for t in SAMPLES:
+            assert ts.free_since(t) == brute_free_since(raw, t), t
+
+
+class TestStructuralEquality:
+    @given(span_lists, span_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_sets_compare_equal(self, ra, rb):
+        a, b = build(ra), build(rb)
+        assert a.union(b) == b.union(a)
+        assert a.intersect(b) == b.intersect(a)
+        assert a.minus(b).union(a.intersect(b)) == a
+        assert hash(a.complement().complement()) == hash(a)
