@@ -6,9 +6,11 @@ that does not read itself, directly or through others, is evaluated once, and
 a recursive component is swept until nothing changes, re-evaluating only the
 equations whose arguments changed.  Operator monotonicity and
 future-independence make the iteration converge to the least fixed point,
-with each variable growing by prefix extension.  Online evaluation feeds timestamped messages one at a time and,
-on every message, re-runs the fixed point over the inputs received so far,
-emitting newly decided output events, gap boundaries and watermarks.  Each
+with each variable growing by prefix extension.  Online evaluation feeds
+timestamped messages one at a time and, on every message, re-runs the fixed
+point over the inputs received so far, following a schedule computed once
+from the graph, and emits newly decided output events, gap boundaries and
+watermarks.  Each
 online fixed point starts from the previous one rather than from empty
 streams: every accepted message extends its input by prefix extension, so
 the previous fixed point lies below the new least one and the iteration
@@ -17,7 +19,7 @@ climbs from there to the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import count
@@ -25,7 +27,7 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream
-from .errors import NonTermination, OperatorError, OutOfOrderInput
+from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
 from .speclang import OPERATORS, RESERVED_NAME, Apply, SpecGraph
 from .streams import EventStream, Progress
 from .timeline import INF, Span, TimeSet, as_time
@@ -86,6 +88,7 @@ def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
 
 
 Step = Tuple[str, Sequence[str], Collection[int], Callable[[], object]]
+Plan = List[Tuple[List[int], Optional[Dict[int, List[int]]]]]
 
 
 def sweep_until_stable(env: Dict[str, object], steps: Sequence[Step],
@@ -108,16 +111,53 @@ def sweep_until_stable(env: Dict[str, object], steps: Sequence[Step],
     still changing after max_sweeps sweeps raises NonTermination with
     `failure` and the names changed in its last sweep.
     """
+    return _run_plan(env, steps, sweep_plan(steps), max_sweeps, failure)
+
+
+def sweep_plan(steps: Sequence[Tuple]) -> Plan:
+    """The schedule sweep_until_stable follows, from the steps' first three fields.
+
+    One (order, readers) per strongly connected component, dependencies
+    first, holding positions in steps.  A step evaluated once is ([i],
+    None).  A recursive component lists its members in sweep order, and
+    readers maps each member to the members that read it.
+    """
     pos = {step[0]: i for i, step in enumerate(steps)}
-    reads = [[pos[d] for d in deps if d in pos] for _, deps, _, _ in steps]
-    sweeps = 0
+    reads = [[pos[d] for d in step[1] if d in pos] for step in steps]
+    plan: Plan = []
     for members in _components(reads):
         if len(members) == 1 and members[0] not in reads[members[0]]:
-            name, _, _, compute = steps[members[0]]
+            plan.append((members, None))
+            continue
+        inside = set(members)
+        readers: Dict[int, List[int]] = {i: [] for i in members}
+        needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
+        for i in members:
+            _, deps, guarded = steps[i][:3]
+            for k, d in enumerate(deps):
+                j = pos.get(d)
+                if j in inside:
+                    readers[j].append(i)
+                    if k not in guarded:
+                        needs[i].append(j)
+        try:
+            order = list(TopologicalSorter(needs).static_order())
+        except CycleError:
+            order = members
+        plan.append((order, readers))
+    return plan
+
+
+def _run_plan(env: Dict[str, object], steps: Sequence[Step], plan: Plan,
+              max_sweeps: int, failure: str) -> int:
+    sweeps = 0
+    for order, readers in plan:
+        if readers is None:
+            name, _, _, compute = steps[order[0]]
             env[name] = compute()
             sweeps = max(sweeps, 1)
         else:
-            sweeps = max(sweeps, _sweep_component(env, steps, pos, members,
+            sweeps = max(sweeps, _sweep_component(env, steps, order, readers,
                                                   max_sweeps, failure))
     return sweeps
 
@@ -167,25 +207,10 @@ def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def _sweep_component(env: Dict[str, object], steps: Sequence[Step],
-                     pos: Dict[str, int], members: List[int],
+                     order: List[int], readers: Dict[int, List[int]],
                      max_sweeps: int, failure: str) -> int:
     """Sweep one recursive component until a sweep changes nothing."""
-    inside = set(members)
-    readers: Dict[int, List[int]] = {i: [] for i in members}
-    needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
-    for i in members:
-        _, deps, guarded, _ = steps[i]
-        for k, d in enumerate(deps):
-            j = pos.get(d)
-            if j in inside:
-                readers[j].append(i)
-                if k not in guarded:
-                    needs[i].append(j)
-    try:
-        order = list(TopologicalSorter(needs).static_order())
-    except CycleError:
-        order = members
-    dirty = set(members)
+    dirty = set(order)
     changing: List[str] = []
     for sweep in range(max_sweeps):
         changing = []
@@ -207,13 +232,15 @@ def _sweep_component(env: Dict[str, object], steps: Sequence[Step],
 
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
                       max_sweeps: Optional[int] = None, *,
-                      start: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+                      start: Optional[Dict[str, object]] = None,
+                      _plan: Optional[Plan] = None) -> Dict[str, object]:
     """Least fixed point of the equations over the given input streams.
 
     The iteration starts from empty streams, or from `start`'s stream for
     each equation it names.  A start must lie below the least fixed point
     over `inputs`, as the fixed point over a prefix of these inputs does;
-    the result is then the same as from empty streams.
+    the result is then the same as from empty streams.  `_plan` is the
+    graph's `_graph_plan`, for a caller that evaluates one graph many times.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
@@ -231,11 +258,17 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
         return (name, names, OPERATORS[app.op].guarded,
                 lambda: evaluator(app, lambda i: env[names[i]]))
 
-    env[RESERVED_NAME] = sweep_until_stable(
-        env, [step(name, app) for name, app in graph.equations], bound + 1,
+    steps = [step(name, app) for name, app in graph.equations]
+    env[RESERVED_NAME] = _run_plan(
+        env, steps, _plan if _plan is not None else sweep_plan(steps), bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env
+
+
+def _graph_plan(graph: SpecGraph) -> Plan:
+    return sweep_plan([(name, [a.name for a in app.args], OPERATORS[app.op].guarded)
+                       for name, app in graph.equations])
 
 
 # -- online evaluation -------------------------------------------------------
@@ -249,20 +282,29 @@ class Message:
 
     @staticmethod
     def event(stream, time, value):
-        return Message("event", stream, as_time(time), value)
+        return Message("event", stream, _message_time("event", stream, time), value)
 
     @staticmethod
     def progress(stream, time):
-        t = time if time is INF else as_time(time)
-        return Message("progress", stream, t)
+        return Message("progress", stream, _message_time("progress", stream, time))
 
     @staticmethod
     def gap_start(stream, time):
-        return Message("gap_start", stream, as_time(time))
+        return Message("gap_start", stream, _message_time("gap_start", stream, time))
 
     @staticmethod
     def gap_end(stream, time):
-        return Message("gap_end", stream, as_time(time))
+        return Message("gap_end", stream, _message_time("gap_end", stream, time))
+
+
+def _message_time(kind: str, stream: str, time):
+    """time as an exact timestamp, INF for a progress message allowed."""
+    if kind == "progress" and time is INF:
+        return time
+    try:
+        return as_time(time)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise TraceError(f"{kind} on '{stream}' has a bad time {time!r}: {e}") from e
 
 
 @dataclass
@@ -315,11 +357,13 @@ class OnlineEvaluator:
         self.emitted_prog: Dict[str, Progress] = {
             n: Progress.exclusive(0) for n in graph.outputs}
         self.env: Optional[Dict[str, object]] = None
+        self._plan = _graph_plan(graph)  # the graph never changes
 
     def feed(self, msg: Message) -> List[Message]:
         st = self.state.get(msg.stream)
         if st is None:
             raise OutOfOrderInput(f"unknown input stream '{msg.stream}'")
+        msg = replace(msg, time=_message_time(msg.kind, msg.stream, msg.time))
         if msg.kind in ("event", "gap_start", "gap_end") and st.progress().covers(msg.time):
             # a decided timestamp never changes: the warm-started fixed
             # point relies on inputs growing by prefix extension only
@@ -353,7 +397,7 @@ class OnlineEvaluator:
 
     def _refresh(self) -> List[Message]:
         inputs = {n: s.stream(self.mode) for n, s in self.state.items()}
-        env = evaluate_fixpoint(self.graph, inputs, start=self.env)
+        env = evaluate_fixpoint(self.graph, inputs, start=self.env, _plan=self._plan)
         self.env = env
         out: List[Message] = []
         for name in self.graph.outputs:

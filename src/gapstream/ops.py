@@ -1,10 +1,12 @@
 """Core operators on concrete event streams.
 
-The six primitives are nil, unit, time, lift, last and delay; const, merge
-and slift are derived from them.  Every operator returns the longest prefix
-of its semantic result that is decided by the inputs' progress, so outputs
-grow monotonically as inputs grow, which is what fixed-point evaluation
-needs.
+The six primitives are nil, unit, time, lift, last and delay; const and
+merge are derived from them.  The signal lift slift is one time-ordered walk
+over its arguments' ticks; the paper's composition, lift over
+synchronized(streams, merge, last), is its specification and its test
+oracle.  Every operator returns the longest prefix of its semantic result
+that is decided by the inputs' progress, so outputs grow monotonically as
+inputs grow, which is what fixed-point evaluation needs.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import OperatorError
@@ -46,20 +50,20 @@ def time(s: EventStream) -> EventStream:
     return EventStream.of(((t, t) for t, _ in s.events), s.progress)
 
 
-def _ticks_covered(s: EventStream, prog: Progress) -> tuple:
-    """The ticks of s that prog covers."""
+def _covered_count(s: EventStream, prog: Progress) -> int:
+    """How many of s's events prog covers."""
     ticks = s.ticks()
     if prog.is_infinite():
-        return ticks
+        return len(ticks)
     cut = bisect_right if prog.inclusive else bisect_left
-    return ticks[:cut(ticks, prog.time)]
+    return cut(ticks, prog.time)
 
 
 def lift(f: Callable, *streams: EventStream) -> EventStream:
     if not streams:
         raise OperatorError("lift needs at least one stream")
     prog = _prog_min_all([s.progress for s in streams])
-    times = sorted({t for s in streams for t in _ticks_covered(s, prog)})
+    times = sorted({t for s in streams for t in s.ticks()[:_covered_count(s, prog)]})
     events = []
     for t in times:
         out = f(*(s.at(t) for s in streams))
@@ -214,8 +218,8 @@ def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
     Stream i becomes merge(x_i, last(x_i, trigger_i)), where trigger_i is
     the merge of every other stream; a single stream stays as it is.  This
     is the synchronization behind the signal lift, built from whichever
-    merge and last the caller passes: the concrete, abstract and encoded
-    signal lifts all share it.
+    merge and last the caller passes: the abstract and encoded signal lifts
+    share it, and the concrete one is specified by it.
     """
     if len(streams) < 2:
         return list(streams)
@@ -228,11 +232,41 @@ def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
 
 
 def slift(f: Callable, *streams: EventStream) -> EventStream:
-    """Signal lift: apply a total function to the synchronized last values."""
+    """Signal lift: apply f to every argument's latest value at each tick.
 
-    def g(*vals):
-        if any(v is BOTTOM for v in vals):
-            return BOTTOM
-        return f(*vals)
+    One walk, in time order, over the arguments' ticks that the output
+    progress covers carries each argument's latest value.  Once every
+    argument has one, each tick yields f of them, and no event where f gives
+    BOTTOM.  This equals lift of the strict f over synchronized(streams,
+    merge, last), the paper's definition, without building those streams.
 
-    return lift(g, *synchronized(streams, merge, last))
+    That composition's progress is the least of the arguments' progress p_i.
+    Synchronized stream i is decided up to min(p_i, max(m_i, v)), where v is
+    x_i's _vbot_extent and m_i, the progress of last(x_i, trigger_i), is the
+    other arguments' least progress, cut exclusive at the first trigger tick
+    above p_i.  That cut lies above p_i, so each synchronized stream's
+    progress lies between the least p_j and p_i.
+    """
+    if not streams:
+        raise OperatorError("slift needs at least one stream")
+    prog = _prog_min_all([s.progress for s in streams])
+    ticks = sorted([(t, i, v) for i, s in enumerate(streams)
+                    for t, v in s.events[:_covered_count(s, prog)]],
+                   key=itemgetter(0))
+    latest = [BOTTOM] * len(streams)
+    missing = len(streams)
+    events = []
+    for t, group in groupby(ticks, itemgetter(0)):
+        for _, i, v in group:
+            if latest[i] is BOTTOM:
+                missing -= 1
+            latest[i] = v
+        if missing:
+            continue
+        out = f(*latest)
+        if out is BOTTOM:
+            continue
+        if out in (UNKNOWN, GAP):
+            raise OperatorError(f"lifted function produced {out!r} on concrete streams")
+        events.append((t, out))
+    return EventStream.of(events, prog)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gapstream import evaluator, ops
 from gapstream.abstract import AbstractEventStream
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
-from gapstream.errors import NonTermination, OutOfOrderInput
+from gapstream.errors import NonTermination, OutOfOrderInput, TraceError
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
@@ -282,6 +282,36 @@ class TestOnline:
             ev.feed(Message.gap_end("values", 3))
         ev.feed(Message.gap_end("values", 4))
         assert ev.env["values"].gaps == TimeSet.of(Span(F(2), True, F(4), False))
+
+    def test_schedule_built_once(self, monkeypatch):
+        built = []
+        components = evaluator._components
+        monkeypatch.setattr(evaluator, "_components",
+                            lambda reads: built.append(reads) or components(reads))
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        for m in (Message.event("resets", 1, UNIT), Message.event("values", 1, F(3)),
+                  Message.progress("values", 4), Message.progress("resets", 4)):
+            ev.feed(m)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: Message.progress("values", -1),
+        lambda: Message.event("values", -1, F(1)),
+        lambda: Message.gap_start("values", -1),
+        lambda: Message.gap_end("values", -1),
+    ])
+    def test_negative_message_time_is_typed(self, make):
+        with pytest.raises(TraceError) as e:
+            make()
+        assert "'values'" in str(e.value) and "-1" in str(e.value)
+
+    def test_non_time_fed_is_typed(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        with pytest.raises(TraceError) as e:
+            ev.feed(Message("event", "values", "x", 3))
+        assert "'values'" in str(e.value) and "'x'" in str(e.value)
+        # the rejected message left no trace
+        assert ev.state["values"].events == []
 
     def test_unknown_stream_rejected(self):
         g = flatten(APP_A)

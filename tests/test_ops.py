@@ -12,7 +12,7 @@ from gapstream import ops
 from gapstream.errors import OperatorError
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF
-from gapstream.values import BOTTOM, TOP, UNIT
+from gapstream.values import BOTTOM, TOP, UNIT, UNKNOWN
 
 
 def ev(*pairs, prog=None):
@@ -186,6 +186,63 @@ class TestSlift:
         y = EventStream.of([], Progress.infinite())
         out = ops.slift(lambda a, b: a + b, x, y)
         assert out.events == ()
+
+
+HALF_GRID = [F(k, 2) for k in range(17)]
+
+
+@st.composite
+def half_grid_streams(draw):
+    """Up to five events on a half-unit grid under a progress drawn anywhere on it."""
+    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    if kind == "inf":
+        prog = Progress.infinite()
+    else:
+        at = draw(st.sampled_from(HALF_GRID))
+        prog = Progress.inclusive_at(at) if kind == "incl" else Progress.exclusive(at)
+    times = sorted(draw(st.lists(st.sampled_from(HALF_GRID), unique=True, max_size=5)))
+    return EventStream.of([(t, F(draw(st.integers(-2, 3)))) for t in times
+                           if prog.covers(t)], prog)
+
+
+def synchronized_slift(f, *streams):
+    """The paper's signal lift: lift of the strict f over the synchronized streams."""
+    def strict(*vals):
+        return BOTTOM if any(v is BOTTOM for v in vals) else f(*vals)
+
+    return ops.lift(strict, *ops.synchronized(streams, ops.merge, ops.last))
+
+
+def sum_off_threes(*vals):
+    total = sum(vals)
+    return BOTTOM if total % 3 == 0 else total
+
+
+class TestSliftWalk:
+    """The one-walk slift against its specification, the synchronized lift."""
+
+    @given(st.lists(half_grid_streams(), min_size=1, max_size=3))
+    @settings(max_examples=600, deadline=None)
+    def test_equals_synchronized_lift(self, streams):
+        got = ops.slift(sum_off_threes, *streams)
+        want = synchronized_slift(sum_off_threes, *streams)
+        assert got.events == want.events
+        assert got.progress == want.progress
+
+    def test_progress_below_another_arguments_ticks(self):
+        x = ev((1, F(1)), prog=Progress.exclusive(2))
+        y = ev((F(1, 2), F(1)), (2, F(1)), (4, F(1)))
+        got = ops.slift(sum_off_threes, x, y)
+        assert got == synchronized_slift(sum_off_threes, x, y)
+        assert got == ev((1, F(2)), prog=Progress.exclusive(2))
+
+    def test_needs_a_stream(self):
+        with pytest.raises(OperatorError):
+            ops.slift(sum_off_threes)
+
+    def test_unknown_result_is_an_error(self):
+        with pytest.raises(OperatorError):
+            ops.slift(lambda a, b: UNKNOWN, ev((1, F(1))), ev((1, F(2))))
 
 
 def truncate(s: EventStream, prog: Progress) -> EventStream:
