@@ -9,11 +9,12 @@ so 1 is linear and 2 quadratic.  A run whose output differs from the oracle
 makes the script exit 1.
 
 With --out the results are stored in a JSON file under --label, next to the
-results already there under other labels.  --src evaluates the engine of
-another source tree, so two versions can be recorded side by side:
+results already there under other labels.  The engine evaluated is the
+gapstream that PYTHONPATH selects, so two versions can be recorded side by
+side:
 
     PYTHONPATH=src python scripts/bench.py --label change --out BENCH.json
-    python scripts/bench.py --src ../other/src --label parent --out BENCH.json
+    PYTHONPATH=../other/src python scripts/bench.py --label parent --out BENCH.json
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def fitted_exponent(sizes, times) -> float:
@@ -54,16 +56,13 @@ def machine() -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="source tree whose gapstream is evaluated")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to record the results in")
     args = ap.parse_args(argv)
     if len(args.sizes) < 2:
         ap.error("give at least two sizes to fit an exponent")
 
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
     import oracle
     from gapstream.builtin_specs import spec_text
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
     graph = flatten(parse_spec(spec_text("reset-sum")))
     times, sweeps, wrong = [], [], []
     for n in args.sizes:
-        text = gen.reset_sum(args.seed, n)
+        text = gen.reset_sum(SEED, n)
         inputs = parse_trace(text).streams
         start = perf_counter()
         env = evaluate_fixpoint(graph, inputs)
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
                          "outputs checked against perfbench/oracle.py",
             "runs": {}}
         record["runs"][args.label] = {
-            "seed": args.seed,
+            "seed": SEED,
             "sizes": args.sizes,
             "wall_s": [round(t, 4) for t in times],
             "sweeps": sweeps,

@@ -230,6 +230,12 @@ def _sweep_component(env: Dict[str, object], steps: Sequence[Step],
         f"{failure}; still changing in the last sweep: {', '.join(changing)}")
 
 
+def _graph_plan(graph: SpecGraph) -> Plan:
+    """The sweep plan of the graph's equations, in declaration order."""
+    return sweep_plan([(name, [a.name for a in app.args], OPERATORS[app.op].guarded)
+                       for name, app in graph.equations])
+
+
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
                       max_sweeps: Optional[int] = None, *,
                       start: Optional[Dict[str, object]] = None,
@@ -260,15 +266,10 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
 
     steps = [step(name, app) for name, app in graph.equations]
     env[RESERVED_NAME] = _run_plan(
-        env, steps, _plan if _plan is not None else sweep_plan(steps), bound + 1,
+        env, steps, _plan if _plan is not None else _graph_plan(graph), bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env
-
-
-def _graph_plan(graph: SpecGraph) -> Plan:
-    return sweep_plan([(name, [a.name for a in app.args], OPERATORS[app.op].guarded)
-                       for name, app in graph.equations])
 
 
 # -- online evaluation -------------------------------------------------------
