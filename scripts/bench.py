@@ -1,12 +1,20 @@
-"""Doubling runs of concrete reset-sum offline, each checked against the oracle.
+"""Doubling runs of one offline workload, each checked against an independent result.
 
-For every n it generates the seeded reset-sum trace with `perfbench/gen.py`,
-evaluates the bundled reset-sum spec offline with `evaluate_fixpoint`, checks
-`cond` and `sum` against the independent oracle in `perfbench/oracle.py` and
-times the evaluation in wall seconds.  It prints the times and the doubling
-exponent fitted to them: the least-squares slope of log(time) against log(n),
-so 1 is linear and 2 quadratic.  A run whose output differs from the oracle
-makes the script exit 1.
+Two workloads are measured:
+
+- `reset-sum` (the default): concrete reset-sum offline on
+  `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
+  `perfbench/oracle.py`.
+- `window-gapped`: the bundled sliding-window `queue` spec, abstract
+  (time-aware and unrolled, as `gapstream run --abstract` sets it up), on
+  the gapped trace of `perfbench/gen.py` `window`; the concrete output on
+  the full trace must refine every abstract output (`refinement_leq`).
+
+For every n it generates the seeded trace, times `evaluate_fixpoint` in
+wall seconds and checks the output.  It prints the times and the doubling
+exponent fitted to them: the least-squares slope of log(time) against
+log(n), so 1 is linear and 2 quadratic.  A run whose output fails its
+check makes the script exit 1.
 
 With --out the results are stored in a JSON file under --label, next to the
 results already there under other labels.  The engine evaluated is the
@@ -53,16 +61,8 @@ def machine() -> str:
     return f"{names[0] if names else model}, {os.cpu_count()} CPUs"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800])
-    ap.add_argument("--label", default="current")
-    ap.add_argument("--out", help="JSON file to record the results in")
-    args = ap.parse_args(argv)
-    if len(args.sizes) < 2:
-        ap.error("give at least two sizes to fit an exponent")
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def reset_sum_run(n: int):
+    """Concrete reset-sum offline at n: (wall seconds, sweeps, oracle agrees)."""
     import gen
     import oracle
     from gapstream.builtin_specs import spec_text
@@ -71,22 +71,77 @@ def main(argv=None) -> int:
     from gapstream.tracefile import parse_trace
 
     graph = flatten(parse_spec(spec_text("reset-sum")))
+    text = gen.reset_sum(SEED, n)
+    inputs = parse_trace(text).streams
+    start = perf_counter()
+    env = evaluate_fixpoint(graph, inputs)
+    wall = perf_counter() - start
+    want_cond, want_sum = oracle.reset_sum(text)
+    ok = (list(env["cond"].events) == want_cond
+          and list(env["sum"].events) == want_sum)
+    return wall, env["__sweeps__"], ok
+
+
+def window_gapped_run(n: int):
+    """Abstract queue spec on the gapped window trace at n: (wall, sweeps, refined)."""
+    import gen
+    from gapstream.abstract import AbstractEventStream, refinement_leq
+    from gapstream.builtin_specs import spec_text
+    from gapstream.evaluator import evaluate_fixpoint
+    from gapstream.speclang import abstractify, flatten, parse_spec, unroll
+    from gapstream.tracefile import parse_trace
+
+    ast = parse_spec(spec_text("queue"))
+    full, gapped = gen.window(SEED, n)
+    concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
+    graph = flatten(unroll(abstractify(ast, time_aware=True)))
+    inputs = parse_trace(gapped).streams
+    start = perf_counter()
+    env = evaluate_fixpoint(graph, inputs)
+    wall = perf_counter() - start
+    ok = all(refinement_leq(AbstractEventStream.of(concrete[name]), env[name])
+             for name in graph.outputs)
+    return wall, env["__sweeps__"], ok
+
+
+WORKLOADS = {
+    "reset-sum": (reset_sum_run, [100, 200, 400, 800], "oracle",
+                  "concrete reset-sum offline: wall seconds of evaluate_fixpoint "
+                  "on perfbench/gen.py reset_sum(seed, n), outputs checked "
+                  "against perfbench/oracle.py"),
+    "window-gapped": (window_gapped_run, [30, 60, 120, 240], "refinement",
+                      "abstract queue spec offline: wall seconds of "
+                      "evaluate_fixpoint on the gapped trace of perfbench/gen.py "
+                      "window(seed, n), the concrete output on the full trace "
+                      "checked to refine every abstract output"),
+}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="reset-sum")
+    ap.add_argument("--sizes", type=int, nargs="+",
+                    help="trace sizes n (default: 100 200 400 800 for reset-sum, "
+                         "30 60 120 240 for window-gapped)")
+    ap.add_argument("--label", default="current")
+    ap.add_argument("--out", help="JSON file to record the results in")
+    args = ap.parse_args(argv)
+    run, default_sizes, check, benchmark = WORKLOADS[args.workload]
+    sizes = args.sizes or default_sizes
+    if len(sizes) < 2:
+        ap.error("give at least two sizes to fit an exponent")
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
     times, sweeps, wrong = [], [], []
-    for n in args.sizes:
-        text = gen.reset_sum(SEED, n)
-        inputs = parse_trace(text).streams
-        start = perf_counter()
-        env = evaluate_fixpoint(graph, inputs)
-        times.append(perf_counter() - start)
-        sweeps.append(env["__sweeps__"])
-        want_cond, want_sum = oracle.reset_sum(text)
-        ok = (list(env["cond"].events) == want_cond
-              and list(env["sum"].events) == want_sum)
+    for n in sizes:
+        wall, swept, ok = run(n)
+        times.append(wall)
+        sweeps.append(swept)
         if not ok:
             wrong.append(n)
-        print(f"n={n:5d}  wall {times[-1]:8.3f} s  sweeps {sweeps[-1]:5d}  "
-              f"{'oracle ok' if ok else 'DIFFERS FROM THE ORACLE'}", flush=True)
-    exponent = fitted_exponent(args.sizes, times)
+        print(f"n={n:5d}  wall {wall:8.3f} s  sweeps {swept:5d}  "
+              f"{check + ' ok' if ok else check.upper() + ' FAILS'}", flush=True)
+    exponent = fitted_exponent(sizes, times)
     steps = [math.log2(b / a) for a, b in zip(times, times[1:])]
     print(f"fitted exponent {exponent:.2f}; per doubling "
           + ", ".join(f"{e:.2f}" for e in steps))
@@ -94,18 +149,15 @@ def main(argv=None) -> int:
     if args.out:
         path = Path(args.out)
         record = json.loads(path.read_text()) if path.exists() else {
-            "benchmark": "concrete reset-sum offline: wall seconds of "
-                         "evaluate_fixpoint on perfbench/gen.py reset_sum(seed, n), "
-                         "outputs checked against perfbench/oracle.py",
-            "runs": {}}
+            "benchmark": benchmark, "runs": {}}
         record["runs"][args.label] = {
             "seed": SEED,
-            "sizes": args.sizes,
+            "sizes": sizes,
             "wall_s": [round(t, 4) for t in times],
             "sweeps": sweeps,
             "fitted_exponent": round(exponent, 3),
             "doubling_exponents": [round(e, 3) for e in steps],
-            "oracle_ok": not wrong,
+            f"{check}_ok": not wrong,
             "python": platform.python_version(),
             "machine": machine(),
         }

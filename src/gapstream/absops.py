@@ -10,6 +10,14 @@ progress still grows.
 
 All operators restricted to gap-free, TOP-free inputs coincide with their
 concrete counterparts; randomized tests assert that embedding.
+
+lift_abs and slift_abs are one walk each over the atoms of their arguments:
+the points (ticks, gap boundaries, progress) and the open intervals between
+them.  _walk reads every argument's cell on each atom off one cursor over
+its ticks and gap boundaries.  The signal lift slift_abs carries each
+argument's latest value through that walk instead of building the paper's
+synchronization, merge_abs(x, last_abs(x, others)) (ops.synchronized); that
+composition is kept only for the encoded signal lift and as the test oracle.
 """
 
 from __future__ import annotations
@@ -17,15 +25,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
-from .ops import _prog_max, _prog_min_all, synchronized
+from .ops import _prog_max, _prog_min_all
 from .streams import EventStream, Progress
 from .timeline import INF, ExtTime, Span, TimeSet, t_lt, t_min
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 from .abstract import AbstractEventStream, covered_span
+
+_ZERO = Fraction(0)
 
 
 def nil_abs() -> AbstractEventStream:
@@ -81,30 +93,110 @@ def _atoms(points: list, prog: Progress):
         yield (last, prog.time, (last + prog.time) / 2, False)
 
 
-def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
-    if not streams:
-        raise OperatorError("lift_abs needs at least one stream")
-    prog = _prog_min_all([s.progress for s in streams])
+def _marks(s: AbstractEventStream) -> list:
+    """(t, cell at t, gapped just above t) at each tick and gap boundary of s.
+
+    The cell is the event value, GAP or BOTTOM.  Between two marks s is
+    constant: in a gap if the earlier mark says so, empty otherwise.
+    """
+    marks = []
+    for sp in s.gaps.spans:
+        point = sp.is_point()
+        if marks and marks[-1][0] == sp.lo:
+            marks.pop()     # two open ends meet at sp.lo, which is no gap
+        marks.append((sp.lo, GAP if sp.lo_closed else BOTTOM, not point))
+        if sp.hi is not INF and not point:
+            marks.append((sp.hi, GAP if sp.hi_closed else BOTTOM, False))
+    events = s.stream.events
+    if not marks:
+        return [(t, v, False) for t, v in events]
+    # an event can only sit on an open gap end, and keeps that end's gap above
+    ticks = s.stream.ticks()
+    out = []
+    j = 0
+    for t, cell, above in marks:
+        i = bisect_left(ticks, t, j)
+        out.extend((u, v, False) for u, v in events[j:i])
+        if i < len(ticks) and ticks[i] == t:
+            cell = events[i][1]
+            i += 1
+        out.append((t, cell, above))
+        j = i
+    out.extend((u, v, False) for u, v in events[j:])
+    return out
+
+
+def _walk(streams: Sequence[AbstractEventStream], prog: Progress):
+    """Yield (lo, hi, cells) for the atoms partitioning the span prog covers.
+
+    Atoms come in time order.  The point atom at lo has hi None; the open
+    atom (lo, hi) runs to the next point, or to INF.  cells holds each
+    stream's cell on the atom: its event value, GAP or BOTTOM.  The points
+    are 0, the streams' ticks and gap boundaries, and an inclusive prog's
+    time.  One pass over the streams' merged marks tracks which stream is in
+    a gap, so no cell is looked up.
+    """
+    if not prog.covers(_ZERO):
+        return
+    marks = [(t, i, cell, above) for i, s in enumerate(streams)
+             for t, cell, above in _marks(s)]
+    if len(streams) > 1:
+        marks.sort(key=itemgetter(0))
+    region = (BOTTOM,) * len(streams)
+    prev = None
+    for t, group in groupby(marks, itemgetter(0)):
+        if not prog.covers(t):
+            break
+        if prev is not None:
+            yield prev, t, region
+        elif t:
+            yield _ZERO, None, region
+            yield _ZERO, t, region
+        cells, after = list(region), list(region)
+        for _, i, cell, above in group:
+            cells[i] = cell
+            after[i] = GAP if above else BOTTOM
+        yield t, None, tuple(cells)
+        region = tuple(after)
+        prev = t
+    if prev is None:
+        yield _ZERO, None, region
+        prev = _ZERO
+    if prog.is_infinite():
+        yield prev, INF, region
+    elif prev < prog.time:
+        yield prev, prog.time, region
+        if prog.inclusive:
+            yield prog.time, None, region
+
+
+def _lift_atoms(f_abs: Callable, atoms, prog: Progress) -> AbstractEventStream:
+    """The stream with f_abs of each atom's cells on it, up to prog."""
     events = []
     gap_spans = []
-    for lo, hi, sample, is_point in _atoms(_atom_points(streams), prog):
-        if is_point:
-            out = f_abs(*(s.at(sample) for s in streams))
+    for lo, hi, cells in atoms:
+        out = f_abs(*cells)
+        if hi is None:
             if out is GAP:
                 gap_spans.append(Span(lo, True, lo, True))
             elif out is not BOTTOM:
                 if out is UNKNOWN:
                     raise OperatorError("abstract lifted function produced unknown")
-                events.append((sample, out))
-        else:
-            out = f_abs(*(GAP if s.gaps.contains(sample) else BOTTOM for s in streams))
-            if out is GAP:
-                gap_spans.append(Span(lo, False, hi, False))
-            elif out is not BOTTOM:
-                raise OperatorError(
-                    "abstract lifted function produced an event over a region"
-                )
+                events.append((lo, out))
+        elif out is GAP:
+            gap_spans.append(Span(lo, False, hi, False))
+        elif out is not BOTTOM:
+            raise OperatorError(
+                "abstract lifted function produced an event over a region"
+            )
     return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
+
+
+def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
+    if not streams:
+        raise OperatorError("lift_abs needs at least one stream")
+    prog = _prog_min_all([s.progress for s in streams])
+    return _lift_atoms(f_abs, _walk(streams, prog), prog)
 
 
 def merge_cell(a, b):
@@ -263,9 +355,72 @@ def _tmerge_time_aware(x_times: AbstractEventStream,
 
 # -- signal lift -----------------------------------------------------------
 
+def _synchronized_atoms(atoms, n: int):
+    """The atoms with the cells of synchronized(streams, merge_abs, last_abs).
+
+    Synchronized stream i is merge_abs(x_i, last_abs(x_i, trigger_i)), where
+    trigger_i merges the other streams.  The walk carries, per stream, its
+    latest event value, whether a gap came after that event (or before any
+    event), and whether it has started: had an event or a gap.  On a point
+    where x_i has no event of its own, its cell is
+      - where x_i is in a gap: TOP if another stream has an event and x_i
+        an earlier one, else GAP;
+      - where another stream has an event: x_i's latest value, TOP if a gap
+        came after it; with no earlier value, GAP if a gap came before;
+      - where another stream is in a gap: GAP if x_i has started;
+    and BOTTOM otherwise.  On an open atom the cell is GAP where x_i is in
+    a gap, or has started while another stream is.
+    """
+    latest = [BOTTOM] * n
+    tainted = [False] * n
+    started = [False] * n
+    for lo, hi, cells in atoms:
+        gapped = sum(c is GAP for c in cells)
+        if hi is not None:
+            synced = []
+            for i, c in enumerate(cells):
+                if c is GAP:
+                    tainted[i] = started[i] = True
+                    synced.append(GAP)
+                else:
+                    synced.append(GAP if gapped and started[i] else BOTTOM)
+            yield lo, hi, synced
+            continue
+        ticking = gapped + sum(c is BOTTOM for c in cells) < n
+        synced = []
+        for i, c in enumerate(cells):
+            if c is GAP:
+                synced.append(TOP if ticking and latest[i] is not BOTTOM else GAP)
+                tainted[i] = started[i] = True
+            elif c is not BOTTOM:
+                synced.append(c)
+                latest[i], tainted[i], started[i] = c, False, True
+            elif ticking:
+                if latest[i] is BOTTOM:
+                    synced.append(GAP if tainted[i] else BOTTOM)
+                else:
+                    synced.append(TOP if tainted[i] else latest[i])
+            else:
+                synced.append(GAP if gapped and started[i] else BOTTOM)
+        yield lo, hi, synced
+
+
 def slift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
-    """Abstract signal lift via synchronization with abstract last."""
-    return lift_abs(strict_cells(f_abs), *synchronized(streams, merge_abs, last_abs))
+    """Abstract signal lift: the strict f_abs over the synchronized streams.
+
+    One walk over the arguments' atoms computes the cells of
+    lift_abs(strict_cells(f_abs), *synchronized(streams, merge_abs,
+    last_abs)), the paper's definition, without building those streams.  As
+    for the concrete slift, the output progress is the least of the
+    arguments' progress: last_abs cuts its progress at a trigger tick above
+    x_i's own progress, so every synchronized stream's progress lies between
+    the least and x_i's.
+    """
+    if not streams:
+        raise OperatorError("slift_abs needs at least one stream")
+    prog = _prog_min_all([s.progress for s in streams])
+    atoms = _synchronized_atoms(_walk(streams, prog), len(streams))
+    return _lift_atoms(strict_cells(f_abs), atoms, prog)
 
 
 def slift_time_abs(f_abs: Callable, x: AbstractEventStream,

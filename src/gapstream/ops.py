@@ -2,11 +2,13 @@
 
 The six primitives are nil, unit, time, lift, last and delay; const and
 merge are derived from them.  The signal lift slift is one time-ordered walk
-over its arguments' ticks; the paper's composition, lift over
-synchronized(streams, merge, last), is its specification and its test
-oracle.  Every operator returns the longest prefix of its semantic result
-that is decided by the inputs' progress, so outputs grow monotonically as
-inputs grow, which is what fixed-point evaluation needs.
+over its arguments' ticks, as is its abstract counterpart absops.slift_abs
+over their atoms.  The paper's composition, lift over synchronized(streams,
+merge, last), is the specification and test oracle of both walks; only the
+encoded signal lift builds it.  Every operator returns the longest prefix
+of its semantic result that is decided by the inputs' progress, so outputs
+grow monotonically as inputs grow, which is what fixed-point evaluation
+needs.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -111,14 +113,27 @@ def _vbot_extent(v: EventStream) -> Progress:
 
 
 def last(v: EventStream, r: EventStream) -> EventStream:
-    """At each trigger event on r, the most recent prior value on v."""
+    """At each trigger event on r, the most recent prior value on v.
+
+    The trigger ticks ascend, so one pointer into v's events follows them:
+    the first tick is looked up with one bisect, and each later one moves
+    the pointer forward past v's events below it.
+    """
     main = r.progress
     events = []
+    v_ticks = v.ticks()
+    k = None        # how many of v's events lie strictly before t
     for t in r.ticks():
         if not v.progress.covers_below(t):
             main = main.min(Progress.exclusive(t))
             break
-        prev = v.last_event_before(t)
+        if k is None:
+            prev = v.last_event_before(t)
+            k = 0 if prev is None else bisect_right(v_ticks, prev[0])
+        else:
+            while k < len(v_ticks) and v_ticks[k] < t:
+                k += 1
+            prev = v.events[k - 1] if k else None
         if prev is not None:
             events.append((t, prev[1]))
     return EventStream.of(events, _prog_max(main, _vbot_extent(v)))
@@ -218,8 +233,10 @@ def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
     Stream i becomes merge(x_i, last(x_i, trigger_i)), where trigger_i is
     the merge of every other stream; a single stream stays as it is.  This
     is the synchronization behind the signal lift, built from whichever
-    merge and last the caller passes: the abstract and encoded signal lifts
-    share it, and the concrete one is specified by it.
+    merge and last the caller passes.  Only the encoded signal lift
+    (encoded._enc_slift) builds it; the concrete slift and absops.slift_abs
+    are one walk each, and this composition is their specification and test
+    oracle.
     """
     if len(streams) < 2:
         return list(streams)

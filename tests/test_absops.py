@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,10 @@ from gapstream import absops as A
 from gapstream import ops
 from gapstream.abstract import (AbstractEventStream, FiniteUniverse,
                                 refinement_leq)
-from gapstream.functions import lookup
+from gapstream.errors import OperatorError
+from gapstream.functions import lookup, strict_cells
 from gapstream.streams import EventStream, Progress
-from gapstream.timeline import Span, TimeSet
+from gapstream.timeline import INF, Span, TimeSet
 from gapstream.values import BOTTOM, GAP, TOP, UNIT, Interval
 
 Pinc = Progress.inclusive_at
@@ -346,3 +348,125 @@ def _hull(a, b):
     from gapstream.abstract import value_join
     got = value_join(a, b)
     return got
+
+
+# -- the one-walk signal lift and atom walk against their definitions ---------
+
+HALF_GRID = [F(k, 2) for k in range(17)]
+SPAN_SHAPES = ["point", "closed", "open", "lo_open", "hi_open", "tail"]
+
+
+@st.composite
+def gapped_half_grid_streams(draw):
+    """Events, gaps and progress on a half-unit grid, with TOP payloads.
+
+    Gaps are points, spans open or closed at either end, and INF tails;
+    progress is exclusive, inclusive or infinite.
+    """
+    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    if kind == "inf":
+        prog = Progress.infinite()
+    else:
+        at = draw(st.sampled_from(HALF_GRID))
+        prog = Pinc(at) if kind == "incl" else Progress.exclusive(at)
+    spans = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.sampled_from(HALF_GRID))
+        shape = draw(st.sampled_from(SPAN_SHAPES))
+        hi = lo + draw(st.sampled_from([F(1, 2), F(1), F(2)]))
+        if shape == "point":
+            spans.append(Span(lo, True, lo, True))
+        elif shape == "tail":
+            spans.append(Span(lo, draw(st.booleans()), INF, False))
+        else:
+            spans.append(Span(lo, shape in ("closed", "hi_open"), hi,
+                              shape in ("closed", "lo_open")))
+    gaps = TimeSet(spans)
+    times = sorted(draw(st.lists(st.sampled_from(HALF_GRID), unique=True, max_size=5)))
+    vals = st.sampled_from([F(0), F(1), F(2), TOP])
+    events = [(t, draw(vals)) for t in times
+              if prog.covers(t) and not gaps.contains(t)]
+    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+
+
+def sum_off_threes_abs(*cells):
+    """Sum of the cells, TOP if one is TOP, no event where it is a multiple of 3."""
+    if any(c is TOP for c in cells):
+        return TOP
+    total = sum(cells)
+    return BOTTOM if total % 3 == 0 else total
+
+
+def gap_wins(*cells):
+    """GAP if any cell is GAP, else BOTTOM if all are, else TOP."""
+    if any(c is GAP for c in cells):
+        return GAP
+    return BOTTOM if all(c is BOTTOM for c in cells) else TOP
+
+
+def per_atom_lift_abs(f_abs, *streams):
+    """lift_abs as defined atom by atom: each cell looked up at the atom's sample."""
+    prog = ops._prog_min_all([s.progress for s in streams])
+    events, gap_spans = [], []
+    for lo, hi, sample, is_point in A._atoms(A._atom_points(streams), prog):
+        if is_point:
+            out = f_abs(*(s.at(sample) for s in streams))
+            if out is GAP:
+                gap_spans.append(Span(lo, True, lo, True))
+            elif out is not BOTTOM:
+                events.append((sample, out))
+        else:
+            out = f_abs(*(GAP if s.gaps.contains(sample) else BOTTOM for s in streams))
+            if out is GAP:
+                gap_spans.append(Span(lo, False, hi, False))
+    return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
+
+
+def synchronized_slift_abs(f_abs, *streams):
+    """The paper's abstract signal lift: lift_abs over the synchronized streams."""
+    return A.lift_abs(strict_cells(f_abs),
+                      *ops.synchronized(streams, A.merge_abs, A.last_abs))
+
+
+class TestSliftAbsWalk:
+    """The one-walk slift_abs and lift_abs against their definitions."""
+
+    @given(st.lists(gapped_half_grid_streams(), min_size=1, max_size=3))
+    @settings(max_examples=800, deadline=None)
+    def test_equals_synchronized_lift(self, streams):
+        got = A.slift_abs(sum_off_threes_abs, *streams)
+        assert got == synchronized_slift_abs(sum_off_threes_abs, *streams)
+
+    @given(st.lists(gapped_half_grid_streams(), min_size=1, max_size=3),
+           st.sampled_from([A.merge_cells, gap_wins, strict_cells(sum_off_threes_abs)]))
+    @settings(max_examples=500, deadline=None)
+    def test_lift_equals_per_atom_definition(self, streams, f_abs):
+        assert A.lift_abs(f_abs, *streams) == per_atom_lift_abs(f_abs, *streams)
+
+    def test_gap_after_event_taints_the_value(self):
+        x = astream([(1, F(1))], gaps=[sp(2)], prog=Pinc(6))
+        y = astream([(3, F(1)), (4, F(1))], gaps=[sp(5, 6, False, True)], prog=Pinc(6))
+        got = A.slift_abs(sum_off_threes_abs, x, y)
+        assert got == synchronized_slift_abs(sum_off_threes_abs, x, y)
+        assert got.stream.events == ((F(3), TOP), (F(4), TOP))
+        assert got.gaps == TimeSet.of(sp(5, 6, False, True))
+
+    def test_gap_before_any_event_is_a_gap(self):
+        x = astream([], gaps=[sp(1)], prog=Pinc(4))
+        y = astream([(2, F(1))], prog=Pinc(4))
+        got = A.slift_abs(sum_off_threes_abs, x, y)
+        assert got == synchronized_slift_abs(sum_off_threes_abs, x, y)
+        # y has not started at 1, so only the tick at 2 is undetermined
+        assert got.stream.events == () and got.gaps == TimeSet.of(sp(2))
+
+    def test_progress_is_the_least(self):
+        x = astream([(1, F(1))], prog=Progress.exclusive(2))
+        y = astream([(F(1, 2), F(1)), (2, F(1)), (4, F(1))], gaps=[sp(3)])
+        for args in ((x, y), (y, x)):
+            got = A.slift_abs(sum_off_threes_abs, *args)
+            assert got == synchronized_slift_abs(sum_off_threes_abs, *args)
+            assert got.progress == Progress.exclusive(2)
+
+    def test_needs_a_stream(self):
+        with pytest.raises(OperatorError, match="slift_abs needs at least one stream"):
+            A.slift_abs(sum_off_threes_abs)
