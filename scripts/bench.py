@@ -1,6 +1,6 @@
 """Doubling runs of one offline workload, each checked against an independent result.
 
-Two workloads are measured:
+Three workloads are measured:
 
 - `reset-sum` (the default): concrete reset-sum offline on
   `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
@@ -9,6 +9,8 @@ Two workloads are measured:
   (time-aware and unrolled, as `gapstream run --abstract` sets it up), on
   the gapped trace of `perfbench/gen.py` `window`; the concrete output on
   the full trace must refine every abstract output (`refinement_leq`).
+- `period-gapped`: the same for the bundled `variable-period` spec on the
+  gapped trace of `perfbench/gen.py` `period`.
 
 For every n it generates the seeded trace, times `evaluate_fixpoint` in
 wall seconds and checks the output.  It prints the times and the doubling
@@ -33,6 +35,7 @@ import math
 import os
 import platform
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -82,8 +85,8 @@ def reset_sum_run(n: int):
     return wall, env["__sweeps__"], ok
 
 
-def window_gapped_run(n: int):
-    """Abstract queue spec on the gapped window trace at n: (wall, sweeps, refined)."""
+def gapped_run(spec: str, generator: str, n: int):
+    """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps, refined)."""
     import gen
     from gapstream.abstract import AbstractEventStream, refinement_leq
     from gapstream.builtin_specs import spec_text
@@ -91,8 +94,8 @@ def window_gapped_run(n: int):
     from gapstream.speclang import abstractify, flatten, parse_spec, unroll
     from gapstream.tracefile import parse_trace
 
-    ast = parse_spec(spec_text("queue"))
-    full, gapped = gen.window(SEED, n)
+    ast = parse_spec(spec_text(spec))
+    full, gapped = getattr(gen, generator)(SEED, n)
     concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
     graph = flatten(unroll(abstractify(ast, time_aware=True)))
     inputs = parse_trace(gapped).streams
@@ -104,16 +107,21 @@ def window_gapped_run(n: int):
     return wall, env["__sweeps__"], ok
 
 
+def _gapped(spec: str, generator: str, sizes: list):
+    return (partial(gapped_run, spec, generator), sizes, "refinement",
+            f"abstract {spec} spec offline: wall seconds of evaluate_fixpoint on "
+            f"the gapped trace of perfbench/gen.py {generator}(seed, n), the "
+            "concrete output on the full trace checked to refine every abstract "
+            "output")
+
+
 WORKLOADS = {
     "reset-sum": (reset_sum_run, [100, 200, 400, 800], "oracle",
                   "concrete reset-sum offline: wall seconds of evaluate_fixpoint "
                   "on perfbench/gen.py reset_sum(seed, n), outputs checked "
                   "against perfbench/oracle.py"),
-    "window-gapped": (window_gapped_run, [30, 60, 120, 240], "refinement",
-                      "abstract queue spec offline: wall seconds of "
-                      "evaluate_fixpoint on the gapped trace of perfbench/gen.py "
-                      "window(seed, n), the concrete output on the full trace "
-                      "checked to refine every abstract output"),
+    "window-gapped": _gapped("queue", "window", [30, 60, 120, 240]),
+    "period-gapped": _gapped("variable-period", "period", [8, 16, 32, 64]),
 }
 
 
@@ -122,7 +130,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default="reset-sum")
     ap.add_argument("--sizes", type=int, nargs="+",
                     help="trace sizes n (default: 100 200 400 800 for reset-sum, "
-                         "30 60 120 240 for window-gapped)")
+                         "30 60 120 240 for window-gapped, 8 16 32 64 for "
+                         "period-gapped)")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to record the results in")
     args = ap.parse_args(argv)

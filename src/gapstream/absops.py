@@ -11,13 +11,18 @@ progress still grows.
 All operators restricted to gap-free, TOP-free inputs coincide with their
 concrete counterparts; randomized tests assert that embedding.
 
-lift_abs and slift_abs are one walk each over the atoms of their arguments:
-the points (ticks, gap boundaries, progress) and the open intervals between
-them.  _walk reads every argument's cell on each atom off one cursor over
-its ticks and gap boundaries.  The signal lift slift_abs carries each
-argument's latest value through that walk instead of building the paper's
-synchronization, merge_abs(x, last_abs(x, others)) (ops.synchronized); that
-composition is kept only for the encoded signal lift and as the test oracle.
+Every operator that decides its output atom by atom walks the same atoms,
+those _walk yields: the points (0, ticks, gap boundaries, progress) and the
+open intervals between them.  _walk reads each argument's cell on each atom
+off one cursor over its marks (_marks: ticks, gap boundaries and progress),
+with UNKNOWN past the argument's own progress.  lift_abs lifts a function
+over those cells.  The signal lift slift_abs carries each argument's latest
+value through the walk instead of building the paper's synchronization,
+merge_abs(x, last_abs(x, others)) (ops.synchronized); that composition is
+kept only for the encoded signal lift and as the test oracle.  delay_abs
+and delay_abs_fin walk their inputs through _split, which also splits the
+atoms at the pending timeouts.  last_abs moves one pointer through the value
+stream's marks as the trigger ticks ascend.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
@@ -57,86 +63,56 @@ def time_abs(s: AbstractEventStream) -> AbstractEventStream:
 
 # -- lift ------------------------------------------------------------------
 
-def _atom_points(streams: Sequence[AbstractEventStream]) -> list:
-    """Sorted 0, ticks, gap boundaries and finite progress times of the streams."""
-    pts = {Fraction(0)}
-    for s in streams:
-        pts.update(s.stream.ticks())
-        pts.update(s.gaps.boundaries())
-        if not s.progress.is_infinite():
-            pts.add(s.progress.time)
-    return sorted(pts)
-
-
-def _atoms(points: list, prog: Progress):
-    """Yield (lo, hi, sample, is_point) atoms partitioning the span prog covers.
-
-    Point atoms have lo == hi; open atoms exclude both endpoints.  The walk
-    stops at the first point prog does not cover and ends with the open
-    atom from the last covered point up to progress.  While an atom is
-    consumed, points above its hi may be inserted into the sorted list.
-    """
-    last = None
-    i = 0
-    while i < len(points) and prog.covers(points[i]):
-        p = points[i]
-        if last is not None:
-            yield (last, p, (last + p) / 2, False)
-        yield (p, p, p, True)
-        last = p
-        i += 1
-    if last is None:
-        last = Fraction(0)
-    if prog.is_infinite():
-        yield (last, INF, last + 1, False)
-    elif t_lt(last, prog.time):
-        yield (last, prog.time, (last + prog.time) / 2, False)
-
-
 def _marks(s: AbstractEventStream) -> list:
-    """(t, cell at t, gapped just above t) at each tick and gap boundary of s.
+    """(t, cell at t, cell just above t) at each tick, gap boundary and progress of s.
 
-    The cell is the event value, GAP or BOTTOM.  Between two marks s is
-    constant: in a gap if the earlier mark says so, empty otherwise.
+    The cell at t is the event value, GAP or BOTTOM; the cell above is GAP
+    or BOTTOM.  Between two marks s is constant, with the earlier mark's
+    cell above.  A finite progress p ends the list: (p, cell at p, UNKNOWN)
+    if p is inclusive, (p, UNKNOWN, UNKNOWN) if exclusive.
     """
     marks = []
     for sp in s.gaps.spans:
         point = sp.is_point()
         if marks and marks[-1][0] == sp.lo:
             marks.pop()     # two open ends meet at sp.lo, which is no gap
-        marks.append((sp.lo, GAP if sp.lo_closed else BOTTOM, not point))
+        marks.append((sp.lo, GAP if sp.lo_closed else BOTTOM, BOTTOM if point else GAP))
         if sp.hi is not INF and not point:
-            marks.append((sp.hi, GAP if sp.hi_closed else BOTTOM, False))
+            marks.append((sp.hi, GAP if sp.hi_closed else BOTTOM, BOTTOM))
     events = s.stream.events
-    if not marks:
-        return [(t, v, False) for t, v in events]
     # an event can only sit on an open gap end, and keeps that end's gap above
     ticks = s.stream.ticks()
     out = []
     j = 0
     for t, cell, above in marks:
         i = bisect_left(ticks, t, j)
-        out.extend((u, v, False) for u, v in events[j:i])
+        out.extend((u, v, BOTTOM) for u, v in events[j:i])
         if i < len(ticks) and ticks[i] == t:
             cell = events[i][1]
             i += 1
         out.append((t, cell, above))
         j = i
-    out.extend((u, v, False) for u, v in events[j:])
+    out.extend((u, v, BOTTOM) for u, v in events[j:])
+    prog = s.progress
+    if not prog.is_infinite():
+        # gaps and events lie in the covered span, so only the last mark can sit on p
+        cell = out.pop()[1] if out and out[-1][0] == prog.time else BOTTOM
+        out.append((prog.time, cell if prog.inclusive else UNKNOWN, UNKNOWN))
     return out
 
 
-def _walk(streams: Sequence[AbstractEventStream], prog: Progress):
-    """Yield (lo, hi, cells) for the atoms partitioning the span prog covers.
+def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
+    """Yield (lo, hi, cells) for the atoms partitioning the span horizon covers.
 
     Atoms come in time order.  The point atom at lo has hi None; the open
     atom (lo, hi) runs to the next point, or to INF.  cells holds each
-    stream's cell on the atom: its event value, GAP or BOTTOM.  The points
-    are 0, the streams' ticks and gap boundaries, and an inclusive prog's
-    time.  One pass over the streams' merged marks tracks which stream is in
-    a gap, so no cell is looked up.
+    stream's cell on the atom: its event value, GAP, BOTTOM, or UNKNOWN past
+    the stream's own progress.  The points are 0 and the streams' ticks, gap
+    boundaries and finite progress times; horizon is one stream's progress.
+    One pass over the streams' merged marks tracks each stream's cell, so no
+    cell is looked up.
     """
-    if not prog.covers(_ZERO):
+    if not horizon.covers(_ZERO):
         return
     marks = [(t, i, cell, above) for i, s in enumerate(streams)
              for t, cell, above in _marks(s)]
@@ -145,7 +121,7 @@ def _walk(streams: Sequence[AbstractEventStream], prog: Progress):
     region = (BOTTOM,) * len(streams)
     prev = None
     for t, group in groupby(marks, itemgetter(0)):
-        if not prog.covers(t):
+        if not horizon.covers(t):
             break
         if prev is not None:
             yield prev, t, region
@@ -155,19 +131,35 @@ def _walk(streams: Sequence[AbstractEventStream], prog: Progress):
         cells, after = list(region), list(region)
         for _, i, cell, above in group:
             cells[i] = cell
-            after[i] = GAP if above else BOTTOM
+            after[i] = above
         yield t, None, tuple(cells)
         region = tuple(after)
         prev = t
     if prev is None:
         yield _ZERO, None, region
         prev = _ZERO
-    if prog.is_infinite():
+    if horizon.is_infinite():
         yield prev, INF, region
-    elif prev < prog.time:
-        yield prev, prog.time, region
-        if prog.inclusive:
-            yield prog.time, None, region
+    elif prev < horizon.time:
+        yield prev, horizon.time, region
+
+
+def _split(atoms, taus: list):
+    """The atoms, with each open atom split at the times in the heap taus.
+
+    A time tau inside an open atom (lo, hi) makes it (lo, tau), the point
+    tau and (tau, hi), all with the atom's cells; a time at a point atom,
+    or already passed, is dropped.  The consumer may push times above the
+    atom it is consuming.
+    """
+    for lo, hi, cells in atoms:
+        while taus and (taus[0] <= lo if hi is None else t_lt(taus[0], hi)):
+            tau = heappop(taus)
+            if lo < tau:
+                yield lo, tau, cells
+                yield tau, None, cells
+                lo = tau
+        yield lo, hi, cells
 
 
 def _lift_atoms(f_abs: Callable, atoms, prog: Progress) -> AbstractEventStream:
@@ -255,20 +247,27 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
     main = r.progress
     events = []
     point_gaps = []
+    # one pointer into v's marks carries v's latest value before the trigger
+    # tick and whether a gap came since it (or, with no value, at all)
+    marks = _marks(v)
+    j = 0
+    latest, tainted = BOTTOM, False
     for t in r.stream.ticks():
         if not v.progress.covers_below(t):
             main = main.min(Progress.exclusive(t))
             break
-        prev = v.stream.last_event_before(t)
-        if prev is not None:
-            t_prev, val = prev
-            if t_prev < v.gaps.free_since(t):
-                events.append((t, TOP))
-            else:
-                events.append((t, val))
-        else:
-            if v.gaps.first_point() < t:
-                point_gaps.append(Span(t, True, t, True))
+        while j < len(marks) and marks[j][0] < t:
+            _, cell, above = marks[j]
+            if cell is GAP:
+                tainted = True
+            elif cell is not BOTTOM:
+                latest, tainted = cell, False
+            tainted = tainted or above is GAP
+            j += 1
+        if latest is not BOTTOM:
+            events.append((t, TOP if tainted else latest))
+        elif tainted:
+            point_gaps.append(Span(t, True, t, True))
 
     vstart = _vstart_bound(v)
     if vstart is INF:
@@ -481,27 +480,20 @@ class _DelaySweep:
         self.d = d
         self.r = r
         self.exact: List[_ExactSource] = []
+        self.taus: List[Fraction] = []    # heap of the exact sources' timeouts
         self.any_alive = False
         self.fires: List[Fraction] = []
         self.gap_spans: List[Span] = []
         self.cap: Optional[Progress] = None
         self.unknown_source_seen = False
 
-    def _cell(self, s: AbstractEventStream, sample, is_point: bool):
-        if is_point:
-            return s.at(sample)
-        if not s.progress.covers(sample):
-            return UNKNOWN
-        return GAP if s.gaps.contains(sample) else BOTTOM
-
     def run(self) -> AbstractEventStream:
         d, r = self.d, self.r
         for t, val in d.stream.events:
             _delay_amount(val, t)  # validate early
         horizon = _prog_max(d.progress, r.progress)
-        agenda = _atom_points((d, r))
-        for lo, hi, sample, is_point in _atoms(agenda, horizon):
-            if not self._atom(lo, hi, sample, is_point, agenda):
+        for lo, hi, cells in _split(_walk((d, r), horizon), self.taus):
+            if not self._atom(lo, hi, *cells):
                 break
         return self._finish(horizon)
 
@@ -509,12 +501,16 @@ class _DelaySweep:
         self.cap = prog
         return False
 
-    def _atom(self, lo, hi, sample, is_point: bool, agenda) -> bool:
+    def _atom(self, lo, hi, d_cell, r_cell) -> bool:
+        """Decide the atom at lo (a point if hi is None); False stops the sweep.
+
+        No timeout or source start lies inside an open atom, so its cells and
+        sources are those at any of its times; lo stands for them.
+        """
+        is_point = hi is None
         if self.unknown_source_seen:
             return self._stop(Progress.inclusive_at(lo) if not is_point
                               else Progress.exclusive(lo))
-        d_cell = self._cell(self.d, sample, is_point)
-        r_cell = self._cell(self.r, sample, is_point)
 
         if not is_point:
             # inside a region, sources arming at interior points affect later
@@ -530,41 +526,37 @@ class _DelaySweep:
 
         # 1. decide z on this atom from sources created strictly earlier,
         #    plus region self-arming (a delay gap inside a reset gap)
-        hit_exact = [s for s in self.exact if is_point and s.tau == sample]
+        hit_exact = [s for s in self.exact if is_point and s.tau == lo]
         for s in hit_exact:
             if s.undecidable:
-                return self._stop(Progress.exclusive(sample))
+                return self._stop(Progress.exclusive(lo))
         forced = any(s.definite_set and not s.vulnerable for s in hit_exact)
         self_arming = (not is_point and d_cell is GAP and r_cell is GAP)
         possible = bool(hit_exact) or self.any_alive or self_arming
         if r_cell is UNKNOWN and self.any_alive:
             # gap-versus-bottom depends on unseen reset data
-            return self._stop(Progress.exclusive(sample) if is_point
+            return self._stop(Progress.exclusive(lo) if is_point
                               else Progress.inclusive_at(lo))
 
         cell = BOTTOM
         if forced:
             cell = UNIT
-            self.fires.append(sample)
+            self.fires.append(lo)
         elif possible:
             cell = GAP
-            if is_point:
-                self.gap_spans.append(Span(sample, True, sample, True))
-            elif hi is INF:
-                self.gap_spans.append(Span(lo, False, INF, False))
-            else:
-                self.gap_spans.append(Span(lo, False, hi, False))
+            self.gap_spans.append(Span(lo, True, lo, True) if is_point
+                                  else Span(lo, False, hi, False))
 
         # expired exact sources
-        self.exact = [s for s in self.exact if t_lt(sample, s.tau)]
+        self.exact = [s for s in self.exact if lo < s.tau]
 
         # 2. apply reset effects of this atom to pre-existing sources
         if is_point and r_cell not in (BOTTOM, GAP, UNKNOWN):
-            self.exact = [s for s in self.exact if not s.start < sample]
+            self.exact = [s for s in self.exact if not s.start < lo]
             self.any_alive = False
         elif r_cell is GAP:
             for s in self.exact:
-                if s.start < sample or (not is_point and s.start <= lo):
+                if s.start < lo or (not is_point and s.start == lo):
                     s.vulnerable = True
         elif r_cell is UNKNOWN:
             for s in self.exact:
@@ -591,17 +583,14 @@ class _DelaySweep:
             if r_cell is UNKNOWN:
                 self.unknown_source_seen = True
             else:
-                amount = _delay_amount(d_cell, sample)
+                amount = _delay_amount(d_cell, lo)
                 definite = (r_cell not in (BOTTOM, GAP)) or forced
                 possible_set = definite or r_cell is GAP or cell is GAP
                 if possible_set and amount == "any":
                     self.any_alive = True
                 elif possible_set and amount is not None:
-                    src = _ExactSource(sample, sample + amount, definite)
-                    self.exact.append(src)
-                    i = bisect_left(agenda, src.tau)
-                    if i == len(agenda) or agenda[i] != src.tau:
-                        agenda.insert(i, src.tau)
+                    self.exact.append(_ExactSource(lo, lo + amount, definite))
+                    heappush(self.taus, lo + amount)
         return True
 
     def _finish(self, horizon: Progress) -> AbstractEventStream:
@@ -644,42 +633,23 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
             sources.append((t, t + amount))
     if not sources:
         return z
-    r_ticks = sorted(r.stream.tick_set())
-
-    pts = {tau for _, tau in sources} | {t for t, _ in sources} | set(r_ticks)
-    pts |= set(z.gaps.boundaries()) | z.stream.tick_set()
-    pts = sorted(p for p in pts if z.progress.covers(p))
-
+    # a source promotes from its timeout on while z stays in a gap and no
+    # reset event follows its start; (x, False) < atom: x lies before the atom
+    live = [True] * len(sources)
     extra = []
-    broken = {i: False for i in range(len(sources))}
-
-    def override_at(t) -> bool:
-        first = any(
-            tau1 <= t and not broken[i] and not any(t1 < u < t for u in r_ticks)
-            for i, (t1, tau1) in enumerate(sources)
-        )
-        second = any(t2 < t and tau2 >= t for t2, tau2 in sources)
-        return first and second
-
-    def scan_atom(lo, hi, sample, is_point):
-        was_gap = z.at(sample) is GAP
-        over = override_at(sample) and z.at(sample) is BOTTOM
-        if over:
-            if is_point:
-                extra.append(Span(sample, True, sample, True))
-            else:
-                extra.append(Span(lo, False, hi, False))
-        if not (was_gap or over):
-            # the gap chain breaks: sources whose timeout already passed die
-            for i, (_, tau1) in enumerate(sources):
-                if tau1 < sample or (is_point and tau1 == sample):
-                    broken[i] = True
-
-    for i, p in enumerate(pts):
-        scan_atom(p, p, p, True)
-        if i + 1 < len(pts):
-            q = pts[i + 1]
-            scan_atom(p, q, (p + q) / 2, False)
+    times = sorted({t for source in sources for t in source})
+    for lo, hi, (z_cell, r_cell) in _split(_walk((z, r), z.progress), times):
+        atom = (lo, hi is not None)
+        timed_out = [(tau, False) <= atom for _, tau in sources]
+        if (z_cell is BOTTOM and any(ok and out for ok, out in zip(live, timed_out))
+                and any((t, False) < atom <= (tau, False) for t, tau in sources)):
+            extra.append(Span(lo, True, lo, True) if hi is None
+                         else Span(lo, False, hi, False))
+        elif z_cell is not GAP:
+            # the gap chain breaks: sources whose timeout passed die
+            live = [ok and not out for ok, out in zip(live, timed_out)]
+        if hi is None and r_cell not in (BOTTOM, GAP, UNKNOWN):
+            live = [ok and not t < lo for ok, (t, _) in zip(live, sources)]
     if not extra:
         return z
     return AbstractEventStream.of(z.stream, z.gaps.union(TimeSet(extra)))

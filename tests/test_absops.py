@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_streams, flat_join
+from conftest import abstract_streams, flat_join, unit_streams
 from enumeration import check_perfect, check_sound
 from gapstream import absops as A
 from gapstream import ops
 from gapstream.abstract import (AbstractEventStream, FiniteUniverse,
-                                refinement_leq)
+                                covered_span, refinement_leq)
 from gapstream.errors import OperatorError
 from gapstream.functions import lookup, strict_cells
 from gapstream.streams import EventStream, Progress
@@ -203,6 +203,14 @@ class TestDelayFin:
         assert refinement_leq(z, fin)
         assert z.gaps != fin.gaps
 
+    def test_reset_event_ends_promotion(self):
+        # the source at 1 times out at 2, but the reset event at 2 follows its
+        # start, so the pending timeout of the source at 3/2 is not merged in
+        d = astream([(1, F(1)), (F(3, 2), F(3))], prog=Pinc(6))
+        r = astream([(2, UNIT)], gaps=[sp(0, 2, False, False)], prog=Pinc(6))
+        assert A.delay_abs_fin(d, r) == A.delay_abs(d, r)
+        assert A.delay_abs(d, r).gaps == TimeSet.of(sp(2))
+
     def test_without_reset_gaps_identical(self):
         d = astream([(1, F(2)), (4, F(3))], prog=Pinc(10))
         r = astream([(1, UNIT), (4, UNIT)], prog=Pinc(10))
@@ -245,6 +253,22 @@ class TestEmbedding:
                           AbstractEventStream.of(ops.time(r)))
         conc = ops.slift(lambda a, b: a + b, v, ops.time(r))
         assert out.gaps.is_empty() and out.stream == conc
+
+    @given(st.lists(st.sampled_from([F(k, 2) for k in range(13)]), unique=True,
+                    max_size=4),
+           st.lists(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), INF]),
+                    min_size=4, max_size=4),
+           st.sampled_from([None, F(3), F(6)]), unit_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_delay_embeds(self, times, amounts, d_prog, r):
+        prog = Progress.infinite() if d_prog is None else Pinc(d_prog)
+        d = EventStream.of([(t, a) for t, a in zip(sorted(times), amounts)
+                            if prog.covers(t)], prog)
+        out = A.delay_abs(AbstractEventStream.of(d), AbstractEventStream.of(r))
+        conc = ops.delay(d, r)
+        assert out.gaps.is_empty()
+        # past the end of r's progress the abstract delay decides less
+        assert out.stream == conc if r.progress.is_infinite() else out.stream.is_prefix(conc)
 
 
 # -- soundness and perfection on small universes ------------------------------
@@ -357,7 +381,7 @@ SPAN_SHAPES = ["point", "closed", "open", "lo_open", "hi_open", "tail"]
 
 
 @st.composite
-def gapped_half_grid_streams(draw):
+def gapped_half_grid_streams(draw, values=st.sampled_from([F(0), F(1), F(2), TOP])):
     """Events, gaps and progress on a half-unit grid, with TOP payloads.
 
     Gaps are points, spans open or closed at either end, and INF tails;
@@ -383,8 +407,7 @@ def gapped_half_grid_streams(draw):
                               shape in ("closed", "lo_open")))
     gaps = TimeSet(spans)
     times = sorted(draw(st.lists(st.sampled_from(HALF_GRID), unique=True, max_size=5)))
-    vals = st.sampled_from([F(0), F(1), F(2), TOP])
-    events = [(t, draw(vals)) for t in times
+    events = [(t, draw(values)) for t in times
               if prog.covers(t) and not gaps.contains(t)]
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
@@ -404,11 +427,46 @@ def gap_wins(*cells):
     return BOTTOM if all(c is BOTTOM for c in cells) else TOP
 
 
+def _atom_points(streams):
+    """Sorted 0, ticks, gap boundaries and finite progress times of the streams."""
+    pts = {F(0)}
+    for s in streams:
+        pts.update(s.stream.ticks())
+        pts.update(s.gaps.boundaries())
+        if not s.progress.is_infinite():
+            pts.add(s.progress.time)
+    return sorted(pts)
+
+
+def _atoms(points, prog):
+    """Yield (lo, hi, sample, is_point) atoms partitioning the span prog covers.
+
+    Point atoms have lo == hi; open atoms exclude both endpoints and are
+    sampled at their midpoint.  The walk stops at the first point prog does
+    not cover and ends with the open atom from the last covered point up to
+    progress.
+    """
+    last = None
+    for p in points:
+        if not prog.covers(p):
+            break
+        if last is not None:
+            yield (last, p, (last + p) / 2, False)
+        yield (p, p, p, True)
+        last = p
+    if last is None:
+        last = F(0)
+    if prog.is_infinite():
+        yield (last, INF, last + 1, False)
+    elif last < prog.time:
+        yield (last, prog.time, (last + prog.time) / 2, False)
+
+
 def per_atom_lift_abs(f_abs, *streams):
     """lift_abs as defined atom by atom: each cell looked up at the atom's sample."""
     prog = ops._prog_min_all([s.progress for s in streams])
     events, gap_spans = [], []
-    for lo, hi, sample, is_point in A._atoms(A._atom_points(streams), prog):
+    for lo, hi, sample, is_point in _atoms(_atom_points(streams), prog):
         if is_point:
             out = f_abs(*(s.at(sample) for s in streams))
             if out is GAP:
@@ -470,3 +528,36 @@ class TestSliftAbsWalk:
     def test_needs_a_stream(self):
         with pytest.raises(OperatorError, match="slift_abs needs at least one stream"):
             A.slift_abs(sum_off_threes_abs)
+
+
+def cut(s, prog):
+    """s with its progress lowered to prog (where prog is the lower)."""
+    prog = s.progress.min(prog)
+    return AbstractEventStream.of(s.stream.truncated(prog), s.gaps)
+
+
+def is_abstract_prefix(a, b):
+    """a decides nothing beyond b's progress, and agrees with b where it decides."""
+    return (a.stream.is_prefix(b.stream)
+            and b.gaps.intersect(covered_span(a.progress)) == a.gaps)
+
+
+class TestDelayWalk:
+    """The delays decide each atom from the inputs up to it, so cut inputs give prefixes."""
+
+    @given(gapped_half_grid_streams(
+               values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
+           gapped_half_grid_streams(values=st.just(UNIT)),
+           st.sampled_from(HALF_GRID), st.booleans())
+    @settings(max_examples=800, deadline=None)
+    def test_cut_inputs_give_a_prefix(self, d, r, at, inclusive):
+        prog = Pinc(at) if inclusive else Progress.exclusive(at)
+        for delay in (A.delay_abs, A.delay_abs_fin):
+            assert is_abstract_prefix(delay(cut(d, prog), cut(r, prog)), delay(d, r))
+
+    def test_fin_promotes_past_the_last_feature(self):
+        # the timeout at 7/2 of the source at 3/2 lies after every input feature
+        r = astream([], gaps=[Span(F(0), False, INF, False)])
+        for p in (4, 10):
+            d = astream([(F(3, 2), F(3, 2)), (3, F(2))], prog=Progress.exclusive(p))
+            assert A.delay_abs_fin(d, r).at(F(7, 2)) is GAP
