@@ -18,7 +18,7 @@ off one cursor over its marks (_marks: ticks, gap boundaries and progress),
 with UNKNOWN past the argument's own progress.  lift_abs lifts a function
 over those cells.  The signal lift slift_abs carries each argument's latest
 value through the walk instead of building the paper's synchronization,
-merge_abs(x, last_abs(x, others)) (ops.synchronized); that composition is
+merge_abs(x, last_abs(x, others)) (encoded.synchronized); that composition is
 kept only for the encoded signal lift and as the test oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
 atoms at the pending timeouts.  last_abs moves one pointer through the value
@@ -355,12 +355,13 @@ def _tmerge_time_aware(x_times: AbstractEventStream,
 # -- signal lift -----------------------------------------------------------
 
 def _synchronized_atoms(atoms, n: int):
-    """The atoms with the cells of synchronized(streams, merge_abs, last_abs).
+    """The atoms with the cells of the synchronized streams.
 
     Synchronized stream i is merge_abs(x_i, last_abs(x_i, trigger_i)), where
-    trigger_i merges the other streams.  The walk carries, per stream, its
-    latest event value, whether a gap came after that event (or before any
-    event), and whether it has started: had an event or a gap.  On a point
+    trigger_i merges the other streams (encoded.synchronized).  The walk
+    carries, per stream, its latest event value, whether a gap came after
+    that event (or before any event), and whether it has started: had an
+    event or a gap.  On a point
     where x_i has no event of its own, its cell is
       - where x_i is in a gap: TOP if another stream has an event and x_i
         an earlier one, else GAP;

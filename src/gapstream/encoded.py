@@ -18,16 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import ops
 from .abstract import AbstractEventStream, covered_span
 from .absops import _delay_amount, _tmerge_cells, merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
-from .evaluator import sweep_until_stable
+from .evaluator import _run_plan, sweep_plan
 from .functions import strict_cells
-from .speclang import OPERATORS, SpecGraph, longest_chain
+from .speclang import OPERATORS, Nodes, SpecGraph, unguarded_walk
 from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
 
@@ -69,8 +69,12 @@ class EncodedGraph:
         self.nodes.append(EncodedNode(name, tuple(deps), fn, frozenset(guarded)))
         return name
 
+    def node_deps(self) -> Nodes:
+        """Each node's argument names and guarded positions, as SpecGraph.nodes."""
+        return {n.name: (n.deps, n.guarded) for n in self.nodes}
+
     def depth(self) -> int:
-        return longest_chain({n.name: (n.deps, n.guarded) for n in self.nodes})
+        return unguarded_walk(self.node_deps())[1]
 
 
 CLOCK = "%clock"
@@ -267,9 +271,29 @@ def _enc_time(g: EncodedGraph, xp) -> Tuple[str, str]:
     return tv, k
 
 
+def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
+    """Each stream merged with its last value at the other streams' events.
+
+    Stream i becomes merge(x_i, last(x_i, trigger_i)), where trigger_i is
+    the merge of every other stream; a single stream stays as it is.  This
+    is the synchronization behind the signal lift, built from whichever
+    merge and last the caller passes.  Only the encoded signal lift
+    (_enc_slift) builds it; ops.slift and absops.slift_abs are one walk
+    each, and this composition is their specification and test oracle.
+    """
+    if len(streams) < 2:
+        return list(streams)
+    synced = []
+    for i, x in enumerate(streams):
+        others = [s for j, s in enumerate(streams) if j != i]
+        trigger = merge(*others) if len(others) > 1 else others[0]
+        synced.append(merge(x, last(x, trigger)))
+    return synced
+
+
 def _enc_slift(g: EncodedGraph, cell_fn, *pairs) -> Tuple[str, str]:
-    synced = ops.synchronized(pairs, lambda *ps: _enc_merge(g, *ps),
-                              lambda vp, rp: _enc_last(g, vp, rp))
+    synced = synchronized(pairs, lambda *ps: _enc_merge(g, *ps),
+                          lambda vp, rp: _enc_last(g, vp, rp))
     return _enc_lift(g, strict_cells(cell_fn), *synced)
 
 
@@ -475,12 +499,11 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
     grid_len = int(horizon / g.epsilon) + 2
     bound = max(32, 3 * grid_len + len(g.nodes))
 
-    def step(node):
-        return (node.name, node.deps, node.guarded,
-                lambda: node.fn(*(env[d] for d in node.deps)))
+    def compute(node):
+        return lambda: node.fn(*(env[d] for d in node.deps))
 
-    sweep_until_stable(env, [step(node) for node in g.nodes], bound,
-                       "encoded evaluation did not stabilize")
+    _run_plan(env, {node.name: compute(node) for node in g.nodes},
+              sweep_plan(g.node_deps()), bound, "encoded evaluation did not stabilize")
 
     out = {}
     for name in g.outputs:

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import count
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream
 from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
-from .speclang import OPERATORS, RESERVED_NAME, Apply, SpecGraph
+from .speclang import OPERATORS, RESERVED_NAME, Apply, Nodes, SpecGraph
 from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet, as_time
+from .timeline import INF, Span, TimeSet, as_time, t_lt
 
 
 def _eval_concrete(app: Apply, get):
@@ -87,53 +87,32 @@ def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
     return max(16, (events + 4) * (len(graph.equations) + 2))
 
 
-Step = Tuple[str, Sequence[str], Collection[int], Callable[[], object]]
-Plan = List[Tuple[List[int], Optional[Dict[int, List[int]]]]]
+Plan = List[Tuple[List[str], Optional[Dict[str, List[str]]]]]
 
 
-def sweep_until_stable(env: Dict[str, object], steps: Sequence[Step],
-                       max_sweeps: int, failure: str) -> int:
-    """Evaluate the steps component by component until each is stable.
+def sweep_plan(nodes: Nodes) -> Plan:
+    """The schedule of a fixed point over the nodes, in component order.
 
-    A step is (name, deps, guarded, compute): compute() reads env at the
-    names in deps and its result replaces env[name]; guarded holds the
-    positions in deps that break cycles.  The strongly connected components
-    of the steps' dependencies run dependencies first.  A step alone in its
-    component that does not read itself is evaluated once.  A recursive
-    component is swept until a sweep changes nothing, each sweep in the
-    order of its unguarded internal edges (declaration order when an
-    unguarded cycle leaves no such order); its first sweep evaluates every
-    member, later ones only the members with an argument that changed since
-    their last evaluation.
-
-    Returns the largest sweep count of any component, the unchanged sweep
-    included, a step evaluated once counting as one sweep.  A component
-    still changing after max_sweeps sweeps raises NonTermination with
-    `failure` and the names changed in its last sweep.
+    One (order, readers) per strongly connected component of the nodes'
+    arguments, dependencies first.  A node alone in its component that does
+    not read itself is ([name], None) and is evaluated once.  A recursive
+    component lists its members in the order of its unguarded internal
+    edges (declaration order when an unguarded cycle leaves no such order),
+    and readers maps each member to the members that read it.
     """
-    return _run_plan(env, steps, sweep_plan(steps), max_sweeps, failure)
-
-
-def sweep_plan(steps: Sequence[Tuple]) -> Plan:
-    """The schedule sweep_until_stable follows, from the steps' first three fields.
-
-    One (order, readers) per strongly connected component, dependencies
-    first, holding positions in steps.  A step evaluated once is ([i],
-    None).  A recursive component lists its members in sweep order, and
-    readers maps each member to the members that read it.
-    """
-    pos = {step[0]: i for i, step in enumerate(steps)}
-    reads = [[pos[d] for d in step[1] if d in pos] for step in steps]
+    names = list(nodes)
+    pos = {name: i for i, name in enumerate(names)}
+    reads = [[pos[d] for d in deps if d in pos] for deps, _ in nodes.values()]
     plan: Plan = []
     for members in _components(reads):
         if len(members) == 1 and members[0] not in reads[members[0]]:
-            plan.append((members, None))
+            plan.append(([names[members[0]]], None))
             continue
         inside = set(members)
         readers: Dict[int, List[int]] = {i: [] for i in members}
         needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
         for i in members:
-            _, deps, guarded = steps[i][:3]
+            deps, guarded = nodes[names[i]]
             for k, d in enumerate(deps):
                 j = pos.get(d)
                 if j in inside:
@@ -144,20 +123,32 @@ def sweep_plan(steps: Sequence[Tuple]) -> Plan:
             order = list(TopologicalSorter(needs).static_order())
         except CycleError:
             order = members
-        plan.append((order, readers))
+        plan.append(([names[i] for i in order],
+                     {names[i]: [names[j] for j in r] for i, r in readers.items()}))
     return plan
 
 
-def _run_plan(env: Dict[str, object], steps: Sequence[Step], plan: Plan,
-              max_sweeps: int, failure: str) -> int:
+def _run_plan(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
+              plan: Plan, max_sweeps: int, failure: str) -> int:
+    """Evaluate the plan component by component until each is stable.
+
+    compute[name]() reads env and its result replaces env[name].  A
+    recursive component is swept until a sweep changes nothing; its first
+    sweep evaluates every member, later ones only the members with an
+    argument that changed since their last evaluation.
+
+    Returns the largest sweep count of any component, the unchanged sweep
+    included, a node evaluated once counting as one sweep.  A component
+    still changing after max_sweeps sweeps raises NonTermination with
+    `failure` and the names changed in its last sweep.
+    """
     sweeps = 0
     for order, readers in plan:
         if readers is None:
-            name, _, _, compute = steps[order[0]]
-            env[name] = compute()
+            env[order[0]] = compute[order[0]]()
             sweeps = max(sweeps, 1)
         else:
-            sweeps = max(sweeps, _sweep_component(env, steps, order, readers,
+            sweeps = max(sweeps, _sweep_component(env, compute, order, readers,
                                                   max_sweeps, failure))
     return sweeps
 
@@ -206,34 +197,27 @@ def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
-def _sweep_component(env: Dict[str, object], steps: Sequence[Step],
-                     order: List[int], readers: Dict[int, List[int]],
+def _sweep_component(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
+                     order: List[str], readers: Dict[str, List[str]],
                      max_sweeps: int, failure: str) -> int:
     """Sweep one recursive component until a sweep changes nothing."""
     dirty = set(order)
     changing: List[str] = []
     for sweep in range(max_sweeps):
         changing = []
-        for i in order:
-            if i not in dirty:
+        for name in order:
+            if name not in dirty:
                 continue
-            dirty.discard(i)
-            name, _, _, compute = steps[i]
-            new = compute()
+            dirty.discard(name)
+            new = compute[name]()
             if new != env[name]:
                 env[name] = new
                 changing.append(name)
-                dirty.update(readers[i])
+                dirty.update(readers[name])
         if not changing:
             return sweep + 1
     raise NonTermination(
         f"{failure}; still changing in the last sweep: {', '.join(changing)}")
-
-
-def _graph_plan(graph: SpecGraph) -> Plan:
-    """The sweep plan of the graph's equations, in declaration order."""
-    return sweep_plan([(name, [a.name for a in app.args], OPERATORS[app.op].guarded)
-                       for name, app in graph.equations])
 
 
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
@@ -245,8 +229,9 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     The iteration starts from empty streams, or from `start`'s stream for
     each equation it names.  A start must lie below the least fixed point
     over `inputs`, as the fixed point over a prefix of these inputs does;
-    the result is then the same as from empty streams.  `_plan` is the
-    graph's `_graph_plan`, for a caller that evaluates one graph many times.
+    the result is then the same as from empty streams.  `_plan` is
+    `sweep_plan(graph.nodes)`, for a caller that evaluates one graph many
+    times.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
@@ -258,15 +243,14 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
         env[name] = seed[name] if name in seed else _empty(mode)
     bound = max_sweeps if max_sweeps is not None else iteration_bound(graph, inputs)
     evaluator = _eval_abstract if mode == "abstract" else _eval_concrete
+    nodes = graph.nodes
 
-    def step(name, app):
-        names = [a.name for a in app.args]
-        return (name, names, OPERATORS[app.op].guarded,
-                lambda: evaluator(app, lambda i: env[names[i]]))
+    def compute(app, names):
+        return lambda: evaluator(app, lambda i: env[names[i]])
 
-    steps = [step(name, app) for name, app in graph.equations]
     env[RESERVED_NAME] = _run_plan(
-        env, steps, _plan if _plan is not None else _graph_plan(graph), bound + 1,
+        env, {name: compute(app, nodes[name][0]) for name, app in graph.equations},
+        _plan if _plan is not None else sweep_plan(nodes), bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env
@@ -346,6 +330,17 @@ class _InputState:
         return AbstractEventStream.of(base, TimeSet(spans))
 
 
+def _gap_ended(sp: Span, progress: Progress) -> bool:
+    """Whether progress decides the first time after the gap span sp.
+
+    That time is hi for a span open at hi and the times just above hi for
+    one closed there, so a gap cut off only by the progress is still open.
+    """
+    if sp.hi_closed:
+        return t_lt(sp.hi, progress.time)
+    return sp.hi is not INF and progress.covers(sp.hi)
+
+
 class OnlineEvaluator:
     """Incremental evaluation: feed ordered messages, collect output messages."""
 
@@ -358,7 +353,7 @@ class OnlineEvaluator:
         self.emitted_prog: Dict[str, Progress] = {
             n: Progress.exclusive(0) for n in graph.outputs}
         self.env: Optional[Dict[str, object]] = None
-        self._plan = _graph_plan(graph)  # the graph never changes
+        self._plan = sweep_plan(graph.nodes)  # the graph never changes
 
     def feed(self, msg: Message) -> List[Message]:
         st = self.state.get(msg.stream)
@@ -413,7 +408,7 @@ class OnlineEvaluator:
                 if key not in self.emitted_gaps[name]:
                     self.emitted_gaps[name].add(key)
                     out.append(Message.gap_start(name, sp.lo))
-                if sp.hi is not INF and stream.progress.covers(sp.hi):
+                if _gap_ended(sp, stream.progress):
                     ekey = ("e", sp.hi)
                     if ekey not in self.emitted_gaps[name]:
                         self.emitted_gaps[name].add(ekey)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ArityMismatch, OperatorError, UnknownIdentifier
-from .values import BOTTOM, GAP, TOP, Interval, NEG_INF
+from .values import BOTTOM, GAP, TOP, Interval, NEG_INF, _ext_le
 from .timeline import INF
 from .abstract import value_join
 
@@ -172,7 +172,7 @@ def _cmp_abstract(a, b, lt_true, lt_false):
 def abs_leq(a, b):
     return _cmp_abstract(
         a, b,
-        lambda x, y: _le(x.hi, y.lo),
+        lambda x, y: _ext_le(x.hi, y.lo),
         lambda x, y: _lt(y.hi, x.lo),
     )
 
@@ -181,22 +181,14 @@ def abs_lt(a, b):
     return _cmp_abstract(
         a, b,
         lambda x, y: _lt(x.hi, y.lo),
-        lambda x, y: _le(y.hi, x.lo),
+        lambda x, y: _ext_le(y.hi, x.lo),
     )
-
-
-def _le(x, y):
-    if x is NEG_INF or y is INF:
-        return True
-    if x is INF or y is NEG_INF:
-        return False
-    return x <= y
 
 
 def _lt(x, y):
     if x == y:
         return False
-    return _le(x, y)
+    return _ext_le(x, y)
 
 
 def abs_eq(a, b):

@@ -3,12 +3,12 @@
 The six primitives are nil, unit, time, lift, last and delay; const and
 merge are derived from them.  The signal lift slift is one time-ordered walk
 over its arguments' ticks, as is its abstract counterpart absops.slift_abs
-over their atoms.  The paper's composition, lift over synchronized(streams,
-merge, last), is the specification and test oracle of both walks; only the
-encoded signal lift builds it.  Every operator returns the longest prefix
-of its semantic result that is decided by the inputs' progress, so outputs
-grow monotonically as inputs grow, which is what fixed-point evaluation
-needs.
+over their atoms.  The paper's composition, lift over
+encoded.synchronized(streams, merge, last), is the specification and test
+oracle of both walks; only the encoded signal lift builds it.  Every
+operator returns the longest prefix of its semantic result that is decided
+by the inputs' progress, so outputs grow monotonically as inputs grow,
+which is what fixed-point evaluation needs.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -227,35 +227,15 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
     return EventStream.of(events, prog)
 
 
-def synchronized(streams: Sequence, merge: Callable, last: Callable) -> list:
-    """Each stream merged with its last value at the other streams' events.
-
-    Stream i becomes merge(x_i, last(x_i, trigger_i)), where trigger_i is
-    the merge of every other stream; a single stream stays as it is.  This
-    is the synchronization behind the signal lift, built from whichever
-    merge and last the caller passes.  Only the encoded signal lift
-    (encoded._enc_slift) builds it; the concrete slift and absops.slift_abs
-    are one walk each, and this composition is their specification and test
-    oracle.
-    """
-    if len(streams) < 2:
-        return list(streams)
-    synced = []
-    for i, x in enumerate(streams):
-        others = [s for j, s in enumerate(streams) if j != i]
-        trigger = merge(*others) if len(others) > 1 else others[0]
-        synced.append(merge(x, last(x, trigger)))
-    return synced
-
-
 def slift(f: Callable, *streams: EventStream) -> EventStream:
     """Signal lift: apply f to every argument's latest value at each tick.
 
     One walk, in time order, over the arguments' ticks that the output
     progress covers carries each argument's latest value.  Once every
     argument has one, each tick yields f of them, and no event where f gives
-    BOTTOM.  This equals lift of the strict f over synchronized(streams,
-    merge, last), the paper's definition, without building those streams.
+    BOTTOM.  This equals lift of the strict f over
+    encoded.synchronized(streams, merge, last), the paper's definition,
+    without building those streams.
 
     That composition's progress is the least of the arguments' progress p_i.
     Synchronized stream i is decided up to min(p_i, max(m_i, v)), where v is

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -234,7 +235,7 @@ def _parse_literal(toks, pos, lineno):
     if pos < len(toks):
         kind, val = toks[pos]
         if kind == "num":
-            return _parse_number(val), pos + 1
+            return _parse_number(val, lineno), pos + 1
         if (kind, val) == ("sym", "(") and pos + 1 < len(toks) and toks[pos + 1] == ("sym", ")"):
             return UNIT, pos + 2
         if kind == "name" and val in _LITERALS:
@@ -245,12 +246,18 @@ def _parse_literal(toks, pos, lineno):
             pos = _expect(toks, pos, ",", lineno)
             hi, pos = _parse_literal(toks, pos, lineno)
             pos = _expect(toks, pos, "]", lineno)
-            return Interval.of(lo, hi), pos
+            try:
+                return Interval.of(lo, hi), pos
+            except (TypeError, ValueError) as e:
+                raise SpecSyntaxError(f"bad interval literal: {e}", lineno)
     raise SpecSyntaxError("expected a literal", lineno)
 
 
-def _parse_number(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_number(text: str, lineno: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SpecSyntaxError(f"bad number '{text}'", lineno)
 
 
 def _parse_expr(toks, pos, lineno):
@@ -313,6 +320,9 @@ def _parse_fnref(toks, pos, lineno):
         arity = ref.resolve().arity
     except (UnknownIdentifier, ArityMismatch) as e:
         raise type(e)(str(e), lineno)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        # a parameter of the wrong kind, such as top for a count
+        raise SpecSyntaxError(f"bad parameters for function '{ref}': {e}", lineno)
     return ref, arity, pos
 
 
@@ -399,6 +409,10 @@ def format_spec(ast: SpecAst) -> str:
 
 # -- dependency graph --------------------------------------------------------
 
+# name -> (argument names, guarded argument positions), in declaration order
+Nodes = Dict[str, Tuple[Sequence[str], Collection[int]]]
+
+
 @dataclass
 class SpecGraph:
     """Flattened spec: every definition is a single operator application."""
@@ -408,14 +422,11 @@ class SpecGraph:
     equations: Tuple[Tuple[str, Apply], ...]  # args are all Refs
     outputs: Tuple[str, ...]
 
-    def dependencies(self):
-        """Edges name -> (dep name, guarded)."""
-        edges = []
-        for name, app in self.equations:
-            guarded = OPERATORS[app.op].guarded
-            for i, a in enumerate(app.args):
-                edges.append((name, a.name, i in guarded))
-        return edges
+    @cached_property
+    def nodes(self) -> Nodes:
+        """Each equation's argument names and guarded argument positions."""
+        return {name: (tuple([a.name for a in app.args]), OPERATORS[app.op].guarded)
+                for name, app in self.equations}
 
 
 def flatten(ast: SpecAst) -> SpecGraph:
@@ -470,58 +481,33 @@ class CycleReport:
 
 def check_well_formed(g: SpecGraph) -> Optional[CycleReport]:
     """None when fine; otherwise one cycle that crosses no guarded edge."""
-    adj: Dict[str, list] = {}
-    for src, dst, guarded in g.dependencies():
-        if not guarded and dst not in g.inputs:
-            adj.setdefault(src, []).append(dst)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    for root, _ in g.equations:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        # depth-first with an explicit stack: path holds the gray nodes,
-        # work the unvisited successors of each
-        color[root] = GRAY
-        path = [root]
-        work = [iter(adj.get(root, ()))]
-        while work:
-            m = next(work[-1], None)
-            if m is None:
-                work.pop()
-                color[path.pop()] = BLACK
-                continue
-            c = color.get(m, WHITE)
-            if c == GRAY:
-                return CycleReport(tuple(path[path.index(m):]))
-            if c == WHITE:
-                color[m] = GRAY
-                path.append(m)
-                work.append(iter(adj.get(m, ())))
-    return None
+    cycle, _ = unguarded_walk(g.nodes)
+    return None if cycle is None else CycleReport(cycle)
 
 
 def computation_depth(g: SpecGraph) -> int:
     """Longest operator chain, guarded edges not counted as dependencies."""
-    return longest_chain({name: ([a.name for a in app.args], OPERATORS[app.op].guarded)
-                          for name, app in g.equations})
+    return unguarded_walk(g.nodes)[1]
 
 
-def longest_chain(nodes: Dict[str, Tuple[Sequence[str], Collection[int]]]) -> int:
-    """Most nodes on a chain linked through unguarded arguments.
+def unguarded_walk(nodes: Nodes) -> Tuple[Optional[Tuple[str, ...]], int]:
+    """One depth-first walk over the unguarded arguments of the nodes.
 
-    nodes maps a name to its argument names and guarded argument positions;
-    an argument that is not a node (an input) ends the chain.  A cycle,
-    which well-formedness allows only through guarded positions, counts from
-    zero where it closes.
+    An argument that is not a node (an input) ends a chain.  Returns the
+    first cycle met that crosses no guarded position (None when there is
+    none) and the most nodes on a chain linked through unguarded arguments,
+    a cycle counting from zero where it closes.
     """
-    memo: Dict[str, int] = {}
+    memo: Dict[str, int] = {}   # chain length; 0 while the node is on the stack
+    cycle: Optional[Tuple[str, ...]] = None
 
     def enter(name) -> list:
         # [name, unguarded arguments still to visit, longest of those visited]
         memo[name] = 0
         args, guarded = nodes[name]
-        return [name, iter([a for i, a in enumerate(args) if i not in guarded]), 0]
+        if guarded:
+            args = [a for i, a in enumerate(args) if i not in guarded]
+        return [name, iter(args), 0]
 
     for root in nodes:
         if root in memo:
@@ -532,14 +518,19 @@ def longest_chain(nodes: Dict[str, Tuple[Sequence[str], Collection[int]]]) -> in
             a = next(frame[1], None)
             if a is None:
                 work.pop()
-                memo[frame[0]] = 1 + frame[2]
-                if work:
-                    work[-1][2] = max(work[-1][2], memo[frame[0]])
-            elif a in memo or a not in nodes:
-                frame[2] = max(frame[2], memo.get(a, 0))
-            else:
+                d = memo[frame[0]] = 1 + frame[2]
+                if work and work[-1][2] < d:
+                    work[-1][2] = d
+            elif a in memo:
+                d = memo[a]
+                if d == 0 and cycle is None:
+                    path = [f[0] for f in work]
+                    cycle = tuple(path[path.index(a):])
+                elif frame[2] < d:
+                    frame[2] = d
+            elif a in nodes:
                 work.append(enter(a))
-    return max(memo.values(), default=0)
+    return cycle, max(memo.values(), default=0)
 
 
 # -- transformations ---------------------------------------------------------
@@ -618,7 +609,7 @@ def _unroll_one(g: SpecGraph, target: str, cycle: set, step: int) -> SpecGraph:
 
     # clone set: definitions on a path from target back to v, excluding other
     # guard-family operators, which keep referencing the final streams
-    deps_of: Dict[str, set] = {n: {a.name for a in e.args} for n, e in g.equations}
+    deps_of: Dict[str, set] = {n: set(deps) for n, (deps, _) in g.nodes.items()}
     users_of: Dict[str, set] = {}
     for n, ds in deps_of.items():
         for d in ds:

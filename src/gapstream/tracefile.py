@@ -83,8 +83,11 @@ def _parse_value(text: str, ty: str, lineno: int):
     if ty == "Interval":
         m = re.fullmatch(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]", text)
         if m:
-            return Interval.of(_parse_bound(m.group(1), lineno),
-                               _parse_bound(m.group(2), lineno))
+            lo, hi = _parse_bound(m.group(1), lineno), _parse_bound(m.group(2), lineno)
+            try:
+                return Interval.of(lo, hi)
+            except ValueError as e:
+                raise TraceError(f"line {lineno}: bad interval '{text}': {e}")
         return Interval.single(_parse_number(text, lineno))
     if ty in ("Int", "Real"):
         v = _parse_number(text, lineno)
@@ -118,6 +121,7 @@ class _Builder:
     gap_spans: List[Span] = field(default_factory=list)
     open_gap: Optional[Tuple[Fraction, bool]] = None  # (time, start closed)
     last_time: Optional[Fraction] = None
+    last_event_line: int = 0
     saw_abstract: bool = False
 
     def check_order(self, t, lineno):
@@ -136,6 +140,7 @@ class _Builder:
                     self.gap_spans.append(Span(start, closed, t, False))
                 self.open_gap = (t, False)
         self.events.append((t, v))
+        self.last_event_line = lineno
         if v is TOP or isinstance(v, Interval) and not v.is_single():
             self.saw_abstract = True
 
@@ -156,6 +161,10 @@ class _Builder:
         self.open_gap = None
 
     def finish(self, progress: Progress, abstract_type: bool):
+        if self.events and not progress.covers(self.events[-1][0]):
+            raise TraceError(f"line {self.last_event_line}: event at "
+                             f"{format_time(self.events[-1][0])} lies beyond "
+                             f"progress {format_time(progress.time)}")
         if self.open_gap is not None:
             start, closed = self.open_gap
             self.gap_spans.append(Span(start, closed, INF, False))
@@ -198,7 +207,10 @@ def parse_trace(text: str) -> Trace:
                 raise TraceError(f"line {lineno}: epsilon must be positive")
             continue
         if line.startswith("progress"):
-            arg = line.split(None, 1)[1].strip()
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise TraceError(f"line {lineno}: expected 'progress <time>' or 'progress inf'")
+            arg = parts[1].strip()
             progress = (Progress.infinite() if arg == "inf"
                         else Progress.inclusive_at(_parse_time(arg, lineno)))
             continue

@@ -12,6 +12,7 @@ from gapstream import absops as A
 from gapstream import ops
 from gapstream.abstract import (AbstractEventStream, FiniteUniverse,
                                 covered_span, refinement_leq)
+from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
 from gapstream.functions import lookup, strict_cells
 from gapstream.streams import EventStream, Progress
@@ -483,7 +484,7 @@ def per_atom_lift_abs(f_abs, *streams):
 def synchronized_slift_abs(f_abs, *streams):
     """The paper's abstract signal lift: lift_abs over the synchronized streams."""
     return A.lift_abs(strict_cells(f_abs),
-                      *ops.synchronized(streams, A.merge_abs, A.last_abs))
+                      *synchronized(streams, A.merge_abs, A.last_abs))
 
 
 class TestSliftAbsWalk:

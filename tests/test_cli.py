@@ -85,6 +85,20 @@ class TestRun:
         assert got.returncode == 1
         assert "__sweeps__" in got.stderr and "Traceback" not in got.stderr
 
+    @pytest.mark.parametrize("body, event, code", [
+        ("const(1/0)(x)", "1", 1),
+        ("lift(enq_bounded(top))(x, x, x)", "1", 1),
+        ("merge(x)", "[3, 1]", 2),
+    ])
+    def test_bad_input_is_typed(self, tmp_path, body, event, code):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"in x : Events[Interval]\ndef z := {body}\nout z\n")
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"stream x : Interval\n1: x = {event}\nprogress 2\n")
+        got = run_cli("run", str(spec), str(trace))
+        assert got.returncode == code
+        assert "line 2" in got.stderr and "Traceback" not in got.stderr
+
     @pytest.mark.parametrize("stream_type, value, body", [
         ("Unit", "()", "lift(inc)(x)"),
         ("Int", "3", "lift(div)(x, const(0)(x))"),

@@ -188,9 +188,10 @@ class TestSchedule:
         n = 5000
         env = {f"s{i}": None for i in range(n)}
         calls = []
-        steps = [(f"s{i}", [f"s{i + 1}"] if i + 1 < n else [], (),
-                  lambda i=i: calls.append(i) or i) for i in range(n)]
-        assert evaluator.sweep_until_stable(env, steps, 3, "unused") == 1
+        nodes = {f"s{i}": ([f"s{i + 1}"] if i + 1 < n else [], ()) for i in range(n)}
+        compute = {f"s{i}": lambda i=i: calls.append(i) or i for i in range(n)}
+        plan = evaluator.sweep_plan(nodes)
+        assert evaluator._run_plan(env, compute, plan, 3, "unused") == 1
         assert calls == list(reversed(range(n)))
         assert env["s0"] == 0
 
@@ -282,6 +283,20 @@ class TestOnline:
             ev.feed(Message.gap_end("values", 3))
         ev.feed(Message.gap_end("values", 4))
         assert ev.env["values"].gaps == TimeSet.of(Span(F(2), True, F(4), False))
+
+    def test_gap_end_waits_for_the_gap_to_end(self):
+        # progress inside an open gap cuts the gap's span off at the
+        # watermark; that is not where the gap ends
+        g = flatten(abstractify(parse_spec(
+            "in x : Events[Int]\ndef y := lift(inc)(x)\nout y\n")))
+        ev = OnlineEvaluator(g)
+        out = []
+        for m in (Message.event("x", 1, F(1)), Message.gap_start("x", 2),
+                  Message.progress("x", 3), Message.progress("x", 4),
+                  Message.gap_end("x", 5), Message.event("x", 6, F(2))):
+            out += ev.feed(m)
+        assert [(m.kind, m.time) for m in out if m.kind.startswith("gap")] == [
+            ("gap_start", F(2)), ("gap_end", F(5))]
 
     def test_schedule_built_once(self, monkeypatch):
         built = []
@@ -400,10 +415,13 @@ class TestWarmStart:
         msgs = data.draw(reset_sum_messages(gaps=mode == "abstract"))
         ev = OnlineEvaluator(g)
         emitted = {n: [] for n in g.outputs}
+        gap_ends = {n: set() for n in g.outputs}
         for k, msg in enumerate(msgs):
             for m in ev.feed(msg):
                 if m.kind == "event":
                     emitted[m.stream].append((m.time, m.value))
+                elif m.kind == "gap_end":
+                    gap_ends[m.stream].add(m.time)
             offline = evaluate_fixpoint(g, _received(msgs[:k + 1], mode))
             for name, _ in g.equations:
                 assert ev.env[name] == offline[name], (k, name)
@@ -411,6 +429,10 @@ class TestWarmStart:
                 stream = offline[name]
                 stream = stream.stream if mode == "abstract" else stream
                 assert emitted[name] == list(stream.events), (k, name)
+        if mode == "abstract" and msgs:
+            # a gap end is emitted only once the gap has really ended
+            for name in g.outputs:
+                assert gap_ends[name] <= {sp.hi for sp in offline[name].gaps.spans}, name
 
 
 class TestSelfUpdatingWindow:

@@ -111,9 +111,9 @@ def test_synchronized_builds_each_stream_once_against_the_others():
     def last(x, r):
         return f"l({x},{r})"
 
-    assert ops.synchronized(["a"], merge, last) == ["a"]
-    assert ops.synchronized(["a", "b"], merge, last) == ["m(a,l(a,b))", "m(b,l(b,a))"]
-    assert ops.synchronized(["a", "b", "c"], merge, last) == [
+    assert encoded.synchronized(["a"], merge, last) == ["a"]
+    assert encoded.synchronized(["a", "b"], merge, last) == ["m(a,l(a,b))", "m(b,l(b,a))"]
+    assert encoded.synchronized(["a", "b", "c"], merge, last) == [
         "m(a,l(a,m(b,c)))", "m(b,l(b,m(a,c)))", "m(c,l(c,m(a,b)))"]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (check_against_oracle, event_streams, oracle_delay,
                       oracle_last, unit_streams)
 from gapstream import ops
+from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF
@@ -210,7 +211,7 @@ def synchronized_slift(f, *streams):
     def strict(*vals):
         return BOTTOM if any(v is BOTTOM for v in vals) else f(*vals)
 
-    return ops.lift(strict, *ops.synchronized(streams, ops.merge, ops.last))
+    return ops.lift(strict, *synchronized(streams, ops.merge, ops.last))
 
 
 def sum_off_threes(*vals):

@@ -48,6 +48,15 @@ class TestParsing:
         with pytest.raises(UnknownIdentifier):
             parse_spec("in y : Events[Int]\ndef x := time(zz)\nout x\n")
 
+    @pytest.mark.parametrize("expr", [
+        "const(1/0)(y)", "lift(window_strip(1/0))(y, y)", "const([3, 1])(y)",
+        "lift(enq_bounded(top))(y, y, y)",
+    ])
+    def test_bad_literal_is_typed(self, expr):
+        with pytest.raises(SpecSyntaxError) as e:
+            parse_spec(f"in y : Events[Int]\ndef x := {expr}\nout x\n")
+        assert "line 2" in str(e.value)
+
     def test_syntax_error_carries_line(self):
         with pytest.raises(SpecSyntaxError) as e:
             parse_spec("in y : Events[Int]\ndef x := time(y\nout x\n")
@@ -98,8 +107,8 @@ class TestAbstractify:
             ab = abstractify(ast)
             g1, g2 = flatten(ast), flatten(ab)
             assert len(g1.equations) == len(g2.equations)
-            deps1 = sorted((a, b) for a, b, _ in g1.dependencies())
-            deps2 = sorted((a, b) for a, b, _ in g2.dependencies())
+            deps1 = sorted((a, b) for a, (deps, _) in g1.nodes.items() for b in deps)
+            deps2 = sorted((a, b) for a, (deps, _) in g2.nodes.items() for b in deps)
             assert deps1 == deps2
 
     def test_operator_mapping(self):

@@ -65,6 +65,16 @@ class TestParse:
         with pytest.raises(OutOfOrderInput):
             parse_trace("stream s : Int\n3: s = 1\n1: s = 2\nprogress 5\n")
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("stream s : Interval\n1: s = [3, 1]\nprogress 5\n", 2),
+        ("stream s : Int\n1: s = 1\nprogress\n", 3),
+        ("stream s : Int\nprogress 3\n5: s = 1\n", 3),
+    ])
+    def test_bad_line_is_typed(self, text, lineno):
+        with pytest.raises(TraceError) as e:
+            parse_trace(text)
+        assert str(e.value).startswith(f"line {lineno}: ")
+
     def test_type_checking(self):
         with pytest.raises(TraceError):
             parse_trace("stream s : Int\n1: s = 1.5\nprogress 5\n")
