@@ -37,9 +37,9 @@ from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
-from .ops import _prog_max, _prog_min_all
+from .ops import _vbot_extent
 from .streams import EventStream, Progress
-from .timeline import INF, ExtTime, Span, TimeSet, t_lt, t_min
+from .timeline import INF, Span, TimeSet
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 from .abstract import AbstractEventStream, covered_span
 
@@ -138,9 +138,7 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
     if prev is None:
         yield _ZERO, None, region
         prev = _ZERO
-    if horizon.is_infinite():
-        yield prev, INF, region
-    elif prev < horizon.time:
+    if prev < horizon.time:
         yield prev, horizon.time, region
 
 
@@ -153,7 +151,7 @@ def _split(atoms, taus: list):
     atom it is consuming.
     """
     for lo, hi, cells in atoms:
-        while taus and (taus[0] <= lo if hi is None else t_lt(taus[0], hi)):
+        while taus and (taus[0] <= lo if hi is None else taus[0] < hi):
             tau = heappop(taus)
             if lo < tau:
                 yield lo, tau, cells
@@ -187,7 +185,7 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress) -> AbstractEventStream:
 def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
-    prog = _prog_min_all([s.progress for s in streams])
+    prog = min(s.progress for s in streams)
     return _lift_atoms(f_abs, _walk(streams, prog), prog)
 
 
@@ -225,23 +223,6 @@ def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
 
 # -- last ------------------------------------------------------------------
 
-def _vstart_bound(v: AbstractEventStream) -> ExtTime:
-    """Infimum s such that "some event or gap strictly before t" holds iff t > s."""
-    first_tick = v.stream.events[0][0] if v.stream.events else INF
-    first_gap = v.gaps.first_point()
-    return t_min(first_tick, first_gap)
-
-
-def _vbot_extent_abs(v: AbstractEventStream) -> Progress:
-    """Region where "no event and no gap strictly before t" is known to hold."""
-    limit = _vstart_bound(v)
-    if not v.progress.is_infinite():
-        limit = t_min(limit, v.progress.time)
-    if limit is INF:
-        return Progress.infinite()
-    return Progress.inclusive_at(limit)
-
-
 def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Abstract last: TOP after a gap-tainted history, gaps inherited from r."""
     main = r.progress
@@ -254,7 +235,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
     latest, tainted = BOTTOM, False
     for t in r.stream.ticks():
         if not v.progress.covers_below(t):
-            main = main.min(Progress.exclusive(t))
+            main = min(main, Progress.exclusive(t))
             break
         while j < len(marks) and marks[j][0] < t:
             _, cell, above = marks[j]
@@ -269,13 +250,20 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
         elif tainted:
             point_gaps.append(Span(t, True, t, True))
 
-    vstart = _vstart_bound(v)
-    if vstart is INF:
-        inherited = TimeSet.empty()
-    else:
-        inherited = r.gaps.intersect(TimeSet.of(Span(vstart, False, INF, False)))
+    # the output inherits r's gaps strictly after v's start, the infimum of
+    # v's ticks and gaps; a v with neither by a finite progress may still
+    # start there or later, so r's next gap after that stays undecided
+    first_gap = v.gaps.first_point()
+    vstart = min(v.stream.events[0][0] if v.stream.events else INF, first_gap)
+    start = min(vstart, v.progress.time)
+    inherited = TimeSet.empty()
+    if start is not INF:
+        inherited = r.gaps.intersect(TimeSet.of(Span(start, False, INF, False)))
+        if vstart is INF and inherited.spans:
+            first = inherited.spans[0]
+            main = min(main, Progress(first.lo, not first.lo_closed))
 
-    prog = _prog_max(main, _vbot_extent_abs(v))
+    prog = max(main, _vbot_extent(v.stream, first_gap))
     gaps = inherited.intersect(covered_span(main)).union(TimeSet(point_gaps))
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
@@ -294,7 +282,7 @@ def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
 
 def _gap_half(z: AbstractEventStream, d: AbstractEventStream) -> AbstractEventStream:
     """d's events, with z's gaps everywhere except at d's ticks."""
-    prog = z.progress.min(d.progress)
+    prog = min(z.progress, d.progress)
     events = tuple((t, val) for t, val in d.stream.events if prog.covers(t))
     gaps = z.gaps.minus(_points(d.stream.ticks()))
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
@@ -418,7 +406,7 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventSt
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
-    prog = _prog_min_all([s.progress for s in streams])
+    prog = min(s.progress for s in streams)
     atoms = _synchronized_atoms(_walk(streams, prog), len(streams))
     return _lift_atoms(strict_cells(f_abs), atoms, prog)
 
@@ -492,7 +480,7 @@ class _DelaySweep:
         d, r = self.d, self.r
         for t, val in d.stream.events:
             _delay_amount(val, t)  # validate early
-        horizon = _prog_max(d.progress, r.progress)
+        horizon = max(d.progress, r.progress)
         for lo, hi, cells in _split(_walk((d, r), horizon), self.taus):
             if not self._atom(lo, hi, *cells):
                 break
@@ -595,7 +583,7 @@ class _DelaySweep:
         return True
 
     def _finish(self, horizon: Progress) -> AbstractEventStream:
-        prog = horizon if self.cap is None else horizon.min(self.cap)
+        prog = horizon if self.cap is None else min(horizon, self.cap)
         events = [(t, UNIT) for t in self.fires if prog.covers(t)]
         gaps = TimeSet(self.gap_spans).minus(_points(t for t, _ in events))
         return AbstractEventStream.of(EventStream.of(events, prog), gaps)

@@ -25,9 +25,9 @@ from .abstract import AbstractEventStream, covered_span
 from .absops import _delay_amount, _tmerge_cells, merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
-from .evaluator import _run_plan, sweep_plan
+from .evaluator import _run_plan
 from .functions import strict_cells
-from .speclang import OPERATORS, Nodes, SpecGraph, unguarded_walk
+from .speclang import OPERATORS, Nodes, SpecGraph, sweep_plan, unguarded_walk
 from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
 
@@ -474,7 +474,7 @@ def encode_input(s: AbstractEventStream, epsilon) -> Tuple[EventStream, EventStr
 
 
 def decode_output(v: EventStream, k: EventStream, epsilon) -> AbstractEventStream:
-    prog = v.progress.min(k.progress)
+    prog = min(v.progress, k.progress)
     known = decode_delta(DeltaEncoding(k, Fraction(epsilon)))
     gaps = covered_span(prog).minus(known)
     return AbstractEventStream.of(v.truncated(prog), gaps)

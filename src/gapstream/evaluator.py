@@ -8,29 +8,29 @@ equations whose arguments changed.  Operator monotonicity and
 future-independence make the iteration converge to the least fixed point,
 with each variable growing by prefix extension.  Online evaluation feeds
 timestamped messages one at a time and, on every message, re-runs the fixed
-point over the inputs received so far, following a schedule computed once
-from the graph, and emits newly decided output events, gap boundaries and
-watermarks.  Each
-online fixed point starts from the previous one rather than from empty
-streams: every accepted message extends its input by prefix extension, so
-the previous fixed point lies below the new least one and the iteration
-climbs from there to the same result.
+point over the inputs received so far, following the schedule the graph
+caches (SpecGraph.plan), and emits newly decided output events, gap
+boundaries and watermarks.  Each online fixed point starts from the previous
+one rather than from empty streams: every accepted message extends its input
+by prefix extension, so the previous fixed point lies below the new least
+one and the iteration climbs from there to the same result.  Each input
+keeps one Progress, which a message may only raise in the Progress order; a
+message that would lower it, or write at a time it already decides, is
+rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
-from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from . import absops, ops
 from .abstract import AbstractEventStream
 from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
-from .speclang import OPERATORS, RESERVED_NAME, Apply, Nodes, SpecGraph
-from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet, as_time, t_lt
+from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
+from .streams import ZERO_PROGRESS, EventStream, Progress
+from .timeline import INF, Span, TimeSet, as_time
 
 
 def _eval_concrete(app: Apply, get):
@@ -87,47 +87,6 @@ def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
     return max(16, (events + 4) * (len(graph.equations) + 2))
 
 
-Plan = List[Tuple[List[str], Optional[Dict[str, List[str]]]]]
-
-
-def sweep_plan(nodes: Nodes) -> Plan:
-    """The schedule of a fixed point over the nodes, in component order.
-
-    One (order, readers) per strongly connected component of the nodes'
-    arguments, dependencies first.  A node alone in its component that does
-    not read itself is ([name], None) and is evaluated once.  A recursive
-    component lists its members in the order of its unguarded internal
-    edges (declaration order when an unguarded cycle leaves no such order),
-    and readers maps each member to the members that read it.
-    """
-    names = list(nodes)
-    pos = {name: i for i, name in enumerate(names)}
-    reads = [[pos[d] for d in deps if d in pos] for deps, _ in nodes.values()]
-    plan: Plan = []
-    for members in _components(reads):
-        if len(members) == 1 and members[0] not in reads[members[0]]:
-            plan.append(([names[members[0]]], None))
-            continue
-        inside = set(members)
-        readers: Dict[int, List[int]] = {i: [] for i in members}
-        needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
-        for i in members:
-            deps, guarded = nodes[names[i]]
-            for k, d in enumerate(deps):
-                j = pos.get(d)
-                if j in inside:
-                    readers[j].append(i)
-                    if k not in guarded:
-                        needs[i].append(j)
-        try:
-            order = list(TopologicalSorter(needs).static_order())
-        except CycleError:
-            order = members
-        plan.append(([names[i] for i in order],
-                     {names[i]: [names[j] for j in r] for i, r in readers.items()}))
-    return plan
-
-
 def _run_plan(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
               plan: Plan, max_sweeps: int, failure: str) -> int:
     """Evaluate the plan component by component until each is stable.
@@ -151,50 +110,6 @@ def _run_plan(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
             sweeps = max(sweeps, _sweep_component(env, compute, order, readers,
                                                   max_sweeps, failure))
     return sweeps
-
-
-def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Strongly connected components, each after every component it reads.
-
-    Tarjan's algorithm with an explicit stack, so long dependency chains do
-    not meet the recursion limit.  Members are listed in declaration order.
-    """
-    index = [-1] * len(reads)
-    low = [0] * len(reads)
-    on_stack = [False] * len(reads)
-    stack: List[int] = []
-    out: List[List[int]] = []
-    visits = count()
-
-    def enter(v):
-        index[v] = low[v] = next(visits)
-        stack.append(v)
-        on_stack[v] = True
-        return v, iter(reads[v])
-
-    for root in range(len(reads)):
-        if index[root] >= 0:
-            continue
-        work = [enter(root)]
-        while work:
-            v, pending = work[-1]
-            w = next(pending, None)
-            if w is None:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        on_stack[members[-1]] = False
-                    out.append(sorted(members))
-            elif index[w] < 0:
-                work.append(enter(w))
-            elif on_stack[w]:
-                low[v] = min(low[v], index[w])
-    return out
 
 
 def _sweep_component(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
@@ -222,16 +137,13 @@ def _sweep_component(env: Dict[str, object], compute: Dict[str, Callable[[], obj
 
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
                       max_sweeps: Optional[int] = None, *,
-                      start: Optional[Dict[str, object]] = None,
-                      _plan: Optional[Plan] = None) -> Dict[str, object]:
+                      start: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     """Least fixed point of the equations over the given input streams.
 
     The iteration starts from empty streams, or from `start`'s stream for
     each equation it names.  A start must lie below the least fixed point
     over `inputs`, as the fixed point over a prefix of these inputs does;
-    the result is then the same as from empty streams.  `_plan` is
-    `sweep_plan(graph.nodes)`, for a caller that evaluates one graph many
-    times.
+    the result is then the same as from empty streams.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
@@ -250,7 +162,7 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
 
     env[RESERVED_NAME] = _run_plan(
         env, {name: compute(app, nodes[name][0]) for name, app in graph.equations},
-        _plan if _plan is not None else sweep_plan(nodes), bound + 1,
+        graph.plan, bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env
@@ -297,31 +209,15 @@ class _InputState:
     events: list = field(default_factory=list)
     gap_spans: list = field(default_factory=list)
     open_gap: Optional[Fraction] = None
-    watermark: Fraction = Fraction(0)
-    watermark_inclusive: bool = False
-    infinite: bool = False
+    progress: Progress = ZERO_PROGRESS
 
     def advance(self, t, inclusive=True):
-        if self.infinite:
-            return
-        if t is INF:
-            self.infinite = True
-            return
-        if t < self.watermark:
+        if t < self.progress.time:
             raise OutOfOrderInput(f"watermark moved backwards to {t}")
-        if t > self.watermark:
-            self.watermark = t
-            self.watermark_inclusive = inclusive
-        else:
-            self.watermark_inclusive = self.watermark_inclusive or inclusive
-
-    def progress(self) -> Progress:
-        if self.infinite:
-            return Progress.infinite()
-        return Progress(self.watermark, self.watermark_inclusive)
+        self.progress = max(self.progress, Progress(t, inclusive and t is not INF))
 
     def stream(self, mode: str):
-        base = EventStream.of(self.events, self.progress())
+        base = EventStream.of(self.events, self.progress)
         if mode != "abstract":
             return base
         spans = list(self.gap_spans)
@@ -337,7 +233,7 @@ def _gap_ended(sp: Span, progress: Progress) -> bool:
     one closed there, so a gap cut off only by the progress is still open.
     """
     if sp.hi_closed:
-        return t_lt(sp.hi, progress.time)
+        return sp.hi < progress.time
     return sp.hi is not INF and progress.covers(sp.hi)
 
 
@@ -353,19 +249,18 @@ class OnlineEvaluator:
         self.emitted_prog: Dict[str, Progress] = {
             n: Progress.exclusive(0) for n in graph.outputs}
         self.env: Optional[Dict[str, object]] = None
-        self._plan = sweep_plan(graph.nodes)  # the graph never changes
 
     def feed(self, msg: Message) -> List[Message]:
         st = self.state.get(msg.stream)
         if st is None:
             raise OutOfOrderInput(f"unknown input stream '{msg.stream}'")
         msg = replace(msg, time=_message_time(msg.kind, msg.stream, msg.time))
-        if msg.kind in ("event", "gap_start", "gap_end") and st.progress().covers(msg.time):
+        if msg.kind in ("event", "gap_start", "gap_end") and st.progress.covers(msg.time):
             # a decided timestamp never changes: the warm-started fixed
             # point relies on inputs growing by prefix extension only
             raise OutOfOrderInput(
                 f"{msg.kind} at {msg.time} on '{msg.stream}' is out of order: "
-                f"its progress {st.progress()} already decides that time")
+                f"its progress {st.progress} already decides that time")
         if msg.kind == "event":
             if st.open_gap is not None:
                 raise OutOfOrderInput(
@@ -393,7 +288,7 @@ class OnlineEvaluator:
 
     def _refresh(self) -> List[Message]:
         inputs = {n: s.stream(self.mode) for n, s in self.state.items()}
-        env = evaluate_fixpoint(self.graph, inputs, start=self.env, _plan=self._plan)
+        env = evaluate_fixpoint(self.graph, inputs, start=self.env)
         self.env = env
         out: List[Message] = []
         for name in self.graph.outputs:
@@ -413,10 +308,9 @@ class OnlineEvaluator:
                     if ekey not in self.emitted_gaps[name]:
                         self.emitted_gaps[name].add(ekey)
                         out.append(Message.gap_end(name, sp.hi))
-            if not stream.progress.leq(self.emitted_prog[name]):
+            if stream.progress > self.emitted_prog[name]:
                 self.emitted_prog[name] = stream.progress
                 out.append(Message.progress(name, stream.progress.time))
-        out.sort(key=lambda m: (m.time is INF, m.time if m.time is not INF else 0,
-                                m.stream, m.kind))
+        out.sort(key=lambda m: (m.time, m.stream, m.kind))
         return out
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ArityMismatch, OperatorError, UnknownIdentifier
-from .values import BOTTOM, GAP, TOP, Interval, NEG_INF, _ext_le
-from .timeline import INF
+from .values import BOTTOM, GAP, TOP, Interval
+from .timeline import INF, NEG_INF
 from .abstract import value_join
 
 
@@ -118,26 +118,17 @@ def abs_sub(a, b):
 
 
 def _ext_mul_pairs(ia: Interval, ib: Interval):
+    def sign(x):
+        return (x > 0) - (x < 0)
+
     def m(x, y):
-        infs = {INF, NEG_INF}
-        if x in infs or y in infs:
-            sx = 0 if x == 0 else (1 if (x is INF or (x not in infs and x > 0)) else -1)
-            sy = 0 if y == 0 else (1 if (y is INF or (y not in infs and y > 0)) else -1)
-            if sx == 0 or sy == 0:
-                return Fraction(0)
-            return INF if sx * sy > 0 else NEG_INF
+        if x in (INF, NEG_INF) or y in (INF, NEG_INF):
+            s = sign(x) * sign(y)
+            return Fraction(0) if s == 0 else (INF if s > 0 else NEG_INF)
         return x * y
 
     vals = [m(ia.lo, ib.lo), m(ia.lo, ib.hi), m(ia.hi, ib.lo), m(ia.hi, ib.hi)]
-
-    def key(v):
-        if v is NEG_INF:
-            return (-1, 0)
-        if v is INF:
-            return (1, 0)
-        return (0, v)
-
-    return min(vals, key=key), max(vals, key=key)
+    return min(vals), max(vals)
 
 
 def abs_mul(a, b):
@@ -172,23 +163,17 @@ def _cmp_abstract(a, b, lt_true, lt_false):
 def abs_leq(a, b):
     return _cmp_abstract(
         a, b,
-        lambda x, y: _ext_le(x.hi, y.lo),
-        lambda x, y: _lt(y.hi, x.lo),
+        lambda x, y: x.hi <= y.lo,
+        lambda x, y: y.hi < x.lo,
     )
 
 
 def abs_lt(a, b):
     return _cmp_abstract(
         a, b,
-        lambda x, y: _lt(x.hi, y.lo),
-        lambda x, y: _ext_le(y.hi, x.lo),
+        lambda x, y: x.hi < y.lo,
+        lambda x, y: y.hi <= x.lo,
     )
-
-
-def _lt(x, y):
-    if x == y:
-        return False
-    return _ext_le(x, y)
 
 
 def abs_eq(a, b):
@@ -198,7 +183,7 @@ def abs_eq(a, b):
     if ia is not None and ib is not None:
         if ia.is_single() and ib.is_single():
             return ia.lo == ib.lo
-        if _lt(ia.hi, ib.lo) or _lt(ib.hi, ia.lo):
+        if ia.hi < ib.lo or ib.hi < ia.lo:
             return False
         return TOP
     return a == b

@@ -71,7 +71,7 @@ def _common_progress(streams: Sequence[EventStream]) -> Progress:
     for s in streams[1:]:
         if s.progress != prog:
             warnings.warn("streams have unequal progress; truncating to the minimum")
-            prog = prog.min(s.progress)
+            prog = min(prog, s.progress)
     return prog
 
 

@@ -21,23 +21,12 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import OperatorError
 from .streams import EventStream, Progress
-from .timeline import INF
+from .timeline import INF, ExtTime
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN
-
-
-def _prog_max(a: Progress, b: Progress) -> Progress:
-    return b if a.leq(b) else a
-
-
-def _prog_min_all(progs: Sequence[Progress]) -> Progress:
-    out = progs[0]
-    for p in progs[1:]:
-        out = out.min(p)
-    return out
 
 
 def nil() -> EventStream:
@@ -54,17 +43,14 @@ def time(s: EventStream) -> EventStream:
 
 def _covered_count(s: EventStream, prog: Progress) -> int:
     """How many of s's events prog covers."""
-    ticks = s.ticks()
-    if prog.is_infinite():
-        return len(ticks)
     cut = bisect_right if prog.inclusive else bisect_left
-    return cut(ticks, prog.time)
+    return cut(s.ticks(), prog.time)
 
 
 def lift(f: Callable, *streams: EventStream) -> EventStream:
     if not streams:
         raise OperatorError("lift needs at least one stream")
-    prog = _prog_min_all([s.progress for s in streams])
+    prog = min(s.progress for s in streams)
     times = sorted({t for s in streams for t in s.ticks()[:_covered_count(s, prog)]})
     events = []
     for t in times:
@@ -96,20 +82,15 @@ def merge(*streams: EventStream) -> EventStream:
     return lift(_merge_values, *streams)
 
 
-def _vbot_extent(v: EventStream) -> Progress:
+def _vbot_extent(v: EventStream, first_gap: ExtTime = INF) -> Progress:
     """Progress of the region where "no value event strictly before t" is known.
 
     The last operator outputs BOTTOM there regardless of the trigger stream,
-    which lets its result extend beyond the trigger's progress.
+    which lets its result extend beyond the trigger's progress.  An abstract
+    value stream passes its first gap point, before which it is gap-free.
     """
-    if v.progress.is_infinite():
-        if not v.events:
-            return Progress.infinite()
-        return Progress.inclusive_at(v.events[0][0])
-    limit = v.progress.time
-    if v.events:
-        limit = min(limit, v.events[0][0])
-    return Progress.inclusive_at(limit)
+    limit = min(v.progress.time, v.events[0][0] if v.events else INF, first_gap)
+    return Progress.infinite() if limit is INF else Progress.inclusive_at(limit)
 
 
 def last(v: EventStream, r: EventStream) -> EventStream:
@@ -125,7 +106,7 @@ def last(v: EventStream, r: EventStream) -> EventStream:
     k = None        # how many of v's events lie strictly before t
     for t in r.ticks():
         if not v.progress.covers_below(t):
-            main = main.min(Progress.exclusive(t))
+            main = min(main, Progress.exclusive(t))
             break
         if k is None:
             prev = v.last_event_before(t)
@@ -136,7 +117,7 @@ def last(v: EventStream, r: EventStream) -> EventStream:
             prev = v.events[k - 1] if k else None
         if prev is not None:
             events.append((t, prev[1]))
-    return EventStream.of(events, _prog_max(main, _vbot_extent(v)))
+    return EventStream.of(events, max(main, _vbot_extent(v)))
 
 
 def _delay_value_ok(val) -> bool:
@@ -221,8 +202,7 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
             bads.append(max(d.progress.time, r.progress.time))
         prog = Progress.inclusive_at(min(bads)) if bads else Progress.infinite()
 
-    for c in caps:
-        prog = prog.min(c)
+    prog = min([prog, *caps])
     events = [(t, UNIT) for t in fires if prog.covers(t)]
     return EventStream.of(events, prog)
 
@@ -246,7 +226,7 @@ def slift(f: Callable, *streams: EventStream) -> EventStream:
     """
     if not streams:
         raise OperatorError("slift needs at least one stream")
-    prog = _prog_min_all([s.progress for s in streams])
+    prog = min(s.progress for s in streams)
     ticks = sorted([(t, i, v) for i, s in enumerate(streams)
                     for t, v in s.events[:_covered_count(s, prog)]],
                    key=itemgetter(0))

@@ -18,8 +18,8 @@ from .errors import OperatorError
 from .functions import (LiftedFunction, _from_interval, _to_interval, abs_add,
                         abs_mul, register, register_parametric, strict,
                         strict_cells)
-from .timeline import INF, ExtTime, t_lt, t_min
-from .values import TOP, Interval, _ext_le
+from .timeline import INF, ExtTime
+from .values import TOP, Interval
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ def data_timeout(q: TimedQueue) -> ExtTime:
 
 def limit(a, b, d):
     """Clamp d into [a, b]; d may be infinite."""
-    if not _ext_le(a, d):
+    if d < a:
         return a
-    if not _ext_le(d, b):
+    if d > b:
         return b
     return d
 
@@ -131,14 +131,14 @@ def enq_abs(t: Fraction, d, q: AbstractTimedQueue) -> AbstractTimedQueue:
 
 def rem_older_abs(k: Fraction, t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
     stripped = rem_older(k, t, TimedQueue(q.entries)).entries
-    if t_lt(t - k, q.unknown_before):
+    if t - k < q.unknown_before:
         return AbstractTimedQueue(q.unknown_before, stripped)
     return AbstractTimedQueue(Fraction(0), stripped)
 
 
 def rem_newer_abs(t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
     return AbstractTimedQueue(
-        t_min(q.unknown_before, t), rem_newer(t, TimedQueue(q.entries)).entries
+        min(q.unknown_before, t), rem_newer(t, TimedQueue(q.entries)).entries
     )
 
 

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
+from itertools import count
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ArityMismatch, SpecSyntaxError, UnknownIdentifier,
@@ -411,6 +413,8 @@ def format_spec(ast: SpecAst) -> str:
 
 # name -> (argument names, guarded argument positions), in declaration order
 Nodes = Dict[str, Tuple[Sequence[str], Collection[int]]]
+# (order, readers) per strongly connected component; see sweep_plan
+Plan = List[Tuple[List[str], Optional[Dict[str, List[str]]]]]
 
 
 @dataclass
@@ -427,6 +431,11 @@ class SpecGraph:
         """Each equation's argument names and guarded argument positions."""
         return {name: (tuple([a.name for a in app.args]), OPERATORS[app.op].guarded)
                 for name, app in self.equations}
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The fixed point's schedule, sweep_plan of the nodes."""
+        return sweep_plan(self.nodes)
 
 
 def flatten(ast: SpecAst) -> SpecGraph:
@@ -531,6 +540,88 @@ def unguarded_walk(nodes: Nodes) -> Tuple[Optional[Tuple[str, ...]], int]:
             elif a in nodes:
                 work.append(enter(a))
     return cycle, max(memo.values(), default=0)
+
+
+def sweep_plan(nodes: Nodes) -> Plan:
+    """The schedule of a fixed point over the nodes, in component order.
+
+    One (order, readers) per strongly connected component of the nodes'
+    arguments, dependencies first.  A node alone in its component that does
+    not read itself is ([name], None) and is evaluated once.  A recursive
+    component lists its members in the order of its unguarded internal
+    edges (declaration order when an unguarded cycle leaves no such order),
+    and readers maps each member to the members that read it.
+    """
+    names = list(nodes)
+    pos = {name: i for i, name in enumerate(names)}
+    reads = [[pos[d] for d in deps if d in pos] for deps, _ in nodes.values()]
+    plan: Plan = []
+    for members in _components(reads):
+        if len(members) == 1 and members[0] not in reads[members[0]]:
+            plan.append(([names[members[0]]], None))
+            continue
+        inside = set(members)
+        readers: Dict[int, List[int]] = {i: [] for i in members}
+        needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
+        for i in members:
+            deps, guarded = nodes[names[i]]
+            for k, d in enumerate(deps):
+                j = pos.get(d)
+                if j in inside:
+                    readers[j].append(i)
+                    if k not in guarded:
+                        needs[i].append(j)
+        try:
+            order = list(TopologicalSorter(needs).static_order())
+        except CycleError:
+            order = members
+        plan.append(([names[i] for i in order],
+                     {names[i]: [names[j] for j in r] for i, r in readers.items()}))
+    return plan
+
+
+def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Strongly connected components, each after every component it reads.
+
+    Tarjan's algorithm with an explicit stack, so long dependency chains do
+    not meet the recursion limit.  Members are listed in declaration order.
+    """
+    index = [-1] * len(reads)
+    low = [0] * len(reads)
+    on_stack = [False] * len(reads)
+    stack: List[int] = []
+    out: List[List[int]] = []
+    visits = count()
+
+    def enter(v):
+        index[v] = low[v] = next(visits)
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(reads[v])
+
+    for root in range(len(reads)):
+        if index[root] >= 0:
+            continue
+        work = [enter(root)]
+        while work:
+            v, pending = work[-1]
+            w = next(pending, None)
+            if w is None:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        on_stack[members[-1]] = False
+                    out.append(sorted(members))
+            elif index[w] < 0:
+                work.append(enter(w))
+            elif on_stack[w]:
+                low[v] = min(low[v], index[w])
+    return out
 
 
 # -- transformations ---------------------------------------------------------

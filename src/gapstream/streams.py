@@ -5,7 +5,9 @@ together with a progress marker saying how far its contents are decided:
 exclusive at t (everything strictly below t is known), inclusive at t, or
 infinite.  Viewed as a function of time, a stream yields the event value at
 event timestamps, BOTTOM at covered non-event timestamps and UNKNOWN beyond
-its progress.
+its progress.  Progress is totally ordered, with the ordinary operators:
+exclusive at t below inclusive at t, and infinity above both, so a prefix of
+a stream has the smaller progress.
 
 Streams are immutable; operators build new ones.  Fixed-point evaluation
 relies on comparing successive prefixes, so equality is structural.  The
@@ -22,13 +24,19 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .timeline import INF, ExtTime, as_time, t_le
+from .timeline import INF, ExtTime, as_time
 from .values import BOTTOM, UNKNOWN, value_eq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Progress:
-    """How far a stream's contents are decided."""
+    """How far a stream's contents are decided.
+
+    Progress is ordered by (time, inclusive): exclusive at t lies below
+    inclusive at t, and the infinite progress above every finite one, so a
+    larger progress decides more and min and max of progress work as they
+    are.  Infinite progress is never inclusive.
+    """
 
     time: ExtTime
     inclusive: bool
@@ -57,17 +65,7 @@ class Progress:
         """True if every timestamp strictly below t is covered."""
         if self.time is INF:
             return True
-        return t_le(t, self.time)
-
-    def key(self):
-        # exclusive at t sorts below inclusive at t
-        return (1, 0, False) if self.time is INF else (0, self.time, self.inclusive)
-
-    def min(self, other: "Progress") -> "Progress":
-        return self if self.key() <= other.key() else other
-
-    def leq(self, other: "Progress") -> bool:
-        return self.key() <= other.key()
+        return t <= self.time
 
     def __repr__(self):
         if self.time is INF:
@@ -138,7 +136,7 @@ class EventStream:
 
     def is_prefix(self, other: "EventStream") -> bool:
         """True iff self agrees with other wherever self is decided."""
-        if not self.progress.leq(other.progress):
+        if self.progress > other.progress:
             return False
         mine = [(t, v) for t, v in self.events]
         theirs = [(t, v) for t, v in other.events if self.progress.covers(t)]

@@ -1,8 +1,12 @@
 """Exact time arithmetic and finite unions of time intervals.
 
-Timestamps are non-negative exact rationals with a single distinguished
-infinity.  All ordering and arithmetic is exact; floats never enter the
-engine (decimal literals are parsed into Fractions).
+Timestamps are non-negative exact rationals, extended by the infinity INF
+above them all; NEG_INF, below every rational, bounds value intervals.  The
+two infinities compare with rationals through the ordinary operators, and
+that one order is the order of time everywhere: min, max, sorted and the
+progress order of streams.Progress all use it.  All ordering and arithmetic
+is exact; floats never enter the engine (decimal literals are parsed into
+Fractions).
 
 A TimeSet is a finite union of disjoint intervals over [0, oo) with
 inclusive or exclusive endpoints.  It represents the set of timestamps at
@@ -28,38 +32,47 @@ from typing import Iterable, Union
 
 
 class _Infinity:
-    """Positive time infinity, strictly greater than every rational."""
+    """A time infinity: INF lies above every rational, NEG_INF below.
 
-    _instance = None
+    Both compare with rationals and with each other through the ordinary
+    operators, so min, max and sorted take them as they are.  They have no
+    arithmetic.  There are exactly two instances; copies and unpickled ones
+    are the same objects, so `t is INF` is a sound test.
+    """
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("_above", "_name")
+
+    def __init__(self, above: bool, name: str):
+        self._above = above
+        self._name = name
 
     def __repr__(self):
-        return "inf"
+        return "inf" if self._above else "-inf"
+
+    def __reduce__(self):
+        return self._name
 
     def __eq__(self, other):
         return other is self
 
     def __hash__(self):
-        return hash("gapstream-inf")
+        return hash("gapstream-inf" if self._above else "gapstream-neg-inf")
 
     def __lt__(self, other):
-        return False
+        return not self._above and other is not self
 
     def __le__(self, other):
-        return other is self
+        return not self._above or other is self
 
     def __gt__(self, other):
-        return other is not self
+        return self._above and other is not self
 
     def __ge__(self, other):
-        return True
+        return self._above or other is self
 
 
-INF = _Infinity()
+INF = _Infinity(True, "INF")
+NEG_INF = _Infinity(False, "NEG_INF")
 
 Time = Fraction
 TimeLike = Union[Fraction, int, str]
@@ -72,22 +85,6 @@ def as_time(value: TimeLike) -> Fraction:
     if t.numerator < 0:
         raise ValueError(f"timestamps must be non-negative, got {t}")
     return t
-
-
-def t_lt(a: ExtTime, b: ExtTime) -> bool:
-    if a is INF:
-        return False
-    if b is INF:
-        return True
-    return a < b
-
-
-def t_le(a: ExtTime, b: ExtTime) -> bool:
-    return a == b or t_lt(a, b)
-
-
-def t_min(a: ExtTime, b: ExtTime) -> ExtTime:
-    return a if t_le(a, b) else b
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ class TimeSet:
         i = bisect_left(self.spans, t, key=_lo)
         if i == 0:
             return Fraction(0)
-        return t_min(self.spans[i - 1].hi, t)
+        return min(self.spans[i - 1].hi, t)
 
     def grid_points(self, epsilon: Fraction, limit: ExtTime) -> list:
         """All multiples of epsilon inside the set, up to and including limit."""
@@ -216,10 +213,10 @@ class TimeSet:
         out = []
         for s in self.spans:
             start = _ceil_grid(s.lo, s.lo_closed, epsilon)
-            stop = limit if s.hi is INF else t_min(s.hi, limit)
+            stop = min(s.hi, limit)
             g = start
-            while t_le(g, stop):
-                if s.contains(g) and t_le(g, limit):
+            while g <= stop:
+                if s.contains(g):
                     out.append(g)
                 g = g + epsilon
         return sorted(set(out))

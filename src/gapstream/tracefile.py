@@ -30,7 +30,7 @@ from .encoding import grid_canonical
 from .errors import OutOfOrderInput, TraceError, UndeclaredStream
 from .speclang import STREAM_TYPES
 from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet, as_time
+from .timeline import INF, NEG_INF, Span, TimeSet, as_time
 from .values import TOP, UNIT, Interval
 
 
@@ -106,7 +106,6 @@ def _parse_number(text: str, lineno: int) -> Fraction:
 
 def _parse_bound(text: str, lineno: int):
     text = text.strip()
-    from .values import NEG_INF
     if text == "-inf":
         return NEG_INF
     if text == "inf":
@@ -317,7 +316,7 @@ def serialize_trace(declarations, streams: Dict[str, object], epsilon,
             stream, gaps = s.stream, s.gaps
         else:
             stream, gaps = s, TimeSet.empty()
-        stream = stream.truncated(stream.progress.min(progress))
+        stream = stream.truncated(min(stream.progress, progress))
         for t, v in stream.events:
             directives.append((t, 1, f"{format_time(t)}: {name} = {format_value(v)}"))
         end = horizon if horizon is not None else _last_feature(stream, gaps)

@@ -3,7 +3,9 @@
 Concrete event payloads are plain Python values: bool, int, Fraction, the
 UNIT marker, or domain extensions registered elsewhere (timed queues).
 Abstract payloads additionally use TOP (any value of the base domain) and
-closed Intervals over rationals.
+closed Intervals over rationals.  An unbounded Interval ends at NEG_INF or
+INF, the infinities of timeline; they order with rationals through the
+ordinary operators, so Interval bounds are compared like numbers.
 
 Three sentinels describe per-timestamp stream cells:
   BOTTOM  no event at this covered timestamp
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .timeline import INF, _Infinity
+from .timeline import INF, NEG_INF, _Infinity
 
 
 class _Marker:
@@ -42,29 +44,15 @@ UNKNOWN = _Marker("unknown")
 GAP = _Marker("gap")
 TOP = _Marker("top")
 
-NEG_INF = _Marker("-inf")
-
-
-def _ext_le(a, b) -> bool:
-    """Order on Fraction extended with NEG_INF and INF."""
-    if a is NEG_INF or b is INF:
-        return True
-    if a is INF:
-        return b is INF
-    if b is NEG_INF:
-        return a is NEG_INF
-    return a <= b
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval, possibly unbounded; top is [-inf, inf]."""
 
-    lo: Union[Fraction, _Marker]
-    hi: Union[Fraction, _Marker, _Infinity]
+    lo: Union[Fraction, _Infinity]
+    hi: Union[Fraction, _Infinity]
 
     def __post_init__(self):
-        if not _ext_le(self.lo, self.hi):
+        if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
     @staticmethod
@@ -89,15 +77,13 @@ class Interval:
         return self.lo is NEG_INF and self.hi is INF
 
     def hull(self, other: "Interval") -> "Interval":
-        lo = self.lo if _ext_le(self.lo, other.lo) else other.lo
-        hi = other.hi if _ext_le(self.hi, other.hi) else self.hi
-        return Interval(lo, hi)
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def contains_value(self, x: Fraction) -> bool:
-        return _ext_le(self.lo, x) and _ext_le(x, self.hi)
+        return self.lo <= x <= self.hi
 
     def within(self, other: "Interval") -> bool:
-        return _ext_le(other.lo, self.lo) and _ext_le(self.hi, other.hi)
+        return other.lo <= self.lo and self.hi <= other.hi
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"

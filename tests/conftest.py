@@ -361,7 +361,7 @@ def member_of_gamma(concrete: EventStream, abstract: AbstractEventStream) -> boo
     Checked on the abstract stream's covered span; the concrete stream may
     extend further.
     """
-    if not abstract.progress.leq(concrete.progress):
+    if abstract.progress > concrete.progress:
         return False
     c = concrete.truncated(abstract.progress)
     a_ticks = dict(abstract.stream.events)

@@ -42,7 +42,7 @@ def image_streams(op_concrete, abs_inputs, universe):
 def check_sound(op_abstract, op_concrete, abs_inputs, universe) -> None:
     lhs = op_abstract(*abs_inputs)
     for combo_out in image_streams(op_concrete, abs_inputs, universe):
-        assert lhs.progress.leq(combo_out.progress), \
+        assert lhs.progress <= combo_out.progress, \
             f"abstract progress {lhs.progress} exceeds concrete {combo_out.progress}"
         assert member_of_gamma(combo_out, lhs), \
             f"{combo_out!r} escapes gamma of {lhs!r}"

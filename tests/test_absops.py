@@ -465,7 +465,7 @@ def _atoms(points, prog):
 
 def per_atom_lift_abs(f_abs, *streams):
     """lift_abs as defined atom by atom: each cell looked up at the atom's sample."""
-    prog = ops._prog_min_all([s.progress for s in streams])
+    prog = min(s.progress for s in streams)
     events, gap_spans = [], []
     for lo, hi, sample, is_point in _atoms(_atom_points(streams), prog):
         if is_point:
@@ -533,7 +533,7 @@ class TestSliftAbsWalk:
 
 def cut(s, prog):
     """s with its progress lowered to prog (where prog is the lower)."""
-    prog = s.progress.min(prog)
+    prog = min(s.progress, prog)
     return AbstractEventStream.of(s.stream.truncated(prog), s.gaps)
 
 
@@ -543,18 +543,52 @@ def is_abstract_prefix(a, b):
             and b.gaps.intersect(covered_span(a.progress)) == a.gaps)
 
 
+def first_cell(a, b):
+    return a
+
+
+PREFIX_OPERATORS = {
+    "delay_abs": A.delay_abs,
+    "delay_abs_fin": A.delay_abs_fin,
+    "last_abs": A.last_abs,
+    "last_time_abs": A.last_time_abs,
+    "lift_abs": lambda a, b: A.lift_abs(gap_wins, a, b),
+    "merge_abs": A.merge_abs,
+    "slift_abs": lambda a, b: A.slift_abs(first_cell, a, b),
+}
+
+
 class TestDelayWalk:
-    """The delays decide each atom from the inputs up to it, so cut inputs give prefixes."""
+    """The operators decide each atom from the inputs up to it, so cut inputs give prefixes."""
 
     @given(gapped_half_grid_streams(
                values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
            gapped_half_grid_streams(values=st.just(UNIT)),
+           st.sampled_from(HALF_GRID), st.booleans(),
            st.sampled_from(HALF_GRID), st.booleans())
     @settings(max_examples=800, deadline=None)
-    def test_cut_inputs_give_a_prefix(self, d, r, at, inclusive):
+    def test_cut_inputs_give_a_prefix(self, d, r, at, inclusive, r_at, r_inclusive):
+        # each input is cut at its own progress, and either may be the value
+        # or the trigger stream of last
         prog = Pinc(at) if inclusive else Progress.exclusive(at)
-        for delay in (A.delay_abs, A.delay_abs_fin):
-            assert is_abstract_prefix(delay(cut(d, prog), cut(r, prog)), delay(d, r))
+        r_prog = Pinc(r_at) if r_inclusive else Progress.exclusive(r_at)
+        for name, op in PREFIX_OPERATORS.items():
+            for a, b in ((d, r), (r, d)):
+                if name.startswith("delay") and a is r:
+                    continue    # a delay takes durations only
+                assert is_abstract_prefix(op(cut(a, prog), cut(b, r_prog)), op(a, b)), name
+
+    def test_last_waits_for_an_unstarted_value(self):
+        # v has not started by its progress, so it may yet start before r's
+        # gap [2, 3) and inherit it: the output decides no more than up to 2
+        r = astream([(1, F(1))], gaps=[sp(2, 3, True, False)], prog=Pinc(4))
+        v = astream([], prog=Progress.exclusive(1))
+        later = astream([(1, F(1))], prog=Pinc(4))
+        for last in (A.last_abs, A.last_time_abs):
+            z = last(v, r)
+            assert z.progress == Progress.exclusive(2) and z.gaps.is_empty()
+            assert last(later, r).gaps == TimeSet.of(sp(2, 3, True, False))
+            assert is_abstract_prefix(z, last(later, r))
 
     def test_fin_promotes_past_the_last_feature(self):
         # the timeout at 7/2 of the source at 3/2 lies after every input feature

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapstream import evaluator, ops
-from gapstream.abstract import AbstractEventStream
+from gapstream import evaluator, ops, speclang
+from gapstream.abstract import AbstractEventStream, covered_span
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
 from gapstream.errors import NonTermination, OutOfOrderInput, TraceError
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
@@ -162,6 +162,29 @@ def _bundled_runs():
                                tr.streams, id=f"{key}-abstract")
 
 
+def _every_bundled_mode():
+    """(graph, inputs) of every bundled pair: concrete where the trace has no
+    gaps, and abstract and unrolled, with and without the time-aware rewrites."""
+    for spec, keys in _TRACE_KEYS.items():
+        ast = parse_spec(spec_text(spec))
+        for key in keys:
+            tr = parse_trace(trace_text(key))
+            if not tr.is_abstract():
+                yield pytest.param(flatten(ast), tr.streams, id=f"{key}-concrete")
+            for time_aware in (False, True):
+                graph = flatten(unroll(abstractify(ast, time_aware=time_aware)))
+                yield pytest.param(graph, tr.streams,
+                                   id=f"{key}-abstract{'-time-aware' * time_aware}")
+
+
+def _extends(old, new) -> bool:
+    """new agrees with old wherever old is decided, gaps included."""
+    if isinstance(old, EventStream):
+        return old.is_prefix(new)
+    return (old.stream.is_prefix(new.stream)
+            and new.gaps.intersect(covered_span(old.progress)) == old.gaps)
+
+
 class TestSchedule:
     def test_non_recursive_equations_evaluated_once(self, monkeypatch):
         calls = {"time": 0, "cond": 0, "sum": 0}
@@ -190,10 +213,34 @@ class TestSchedule:
         calls = []
         nodes = {f"s{i}": ([f"s{i + 1}"] if i + 1 < n else [], ()) for i in range(n)}
         compute = {f"s{i}": lambda i=i: calls.append(i) or i for i in range(n)}
-        plan = evaluator.sweep_plan(nodes)
+        plan = speclang.sweep_plan(nodes)
         assert evaluator._run_plan(env, compute, plan, 3, "unused") == 1
         assert calls == list(reversed(range(n)))
         assert env["s0"] == 0
+
+    @pytest.mark.parametrize("graph, inputs", list(_every_bundled_mode()))
+    def test_reevaluations_extend_the_previous_value(self, graph, inputs, monkeypatch):
+        # change detection that compares only sizes and progress is sound
+        # only if every iterate of a recursive component extends the last
+        sweep = evaluator._sweep_component
+        failures = []
+
+        def checked(env, compute, name):
+            def run():
+                old, new = env[name], compute[name]()
+                if not _extends(old, new):
+                    failures.append((name, old, new))
+                return new
+            return run
+
+        def checking_sweep(env, compute, order, *rest):
+            wrapped = dict(compute)
+            wrapped.update({name: checked(env, compute, name) for name in order})
+            return sweep(env, wrapped, order, *rest)
+
+        monkeypatch.setattr(evaluator, "_sweep_component", checking_sweep)
+        evaluate_fixpoint(graph, inputs)
+        assert failures == []
 
     @pytest.mark.parametrize("graph, inputs", list(_bundled_runs()))
     def test_matches_unscheduled_iteration(self, graph, inputs):
@@ -246,6 +293,16 @@ class TestOnline:
         got = ev.feed(Message.progress("x", 9))
         kinds = {m.kind for m in got}
         assert kinds <= {"progress", "event"}
+
+    @pytest.mark.parametrize("first", [F(10), INF])
+    def test_progress_moving_backwards_rejected(self, first):
+        ev = OnlineEvaluator(flatten(APP_A))
+        ev.feed(Message.progress("x", first))
+        with pytest.raises(OutOfOrderInput, match="watermark moved backwards"):
+            ev.feed(Message.progress("x", 5))
+        assert ev.state["x"].progress == (Progress.infinite() if first is INF
+                                          else Progress.inclusive_at(first))
+        ev.feed(Message.progress("x", first))   # repeating it is no move
 
     def test_out_of_order_rejected(self):
         g = flatten(APP_A)
@@ -300,10 +357,10 @@ class TestOnline:
 
     def test_schedule_built_once(self, monkeypatch):
         built = []
-        components = evaluator._components
-        monkeypatch.setattr(evaluator, "_components",
+        components = speclang._components
+        monkeypatch.setattr(speclang, "_components",
                             lambda reads: built.append(reads) or components(reads))
-        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        ev = OnlineEvaluator(flatten(RESET_SUM))
         for m in (Message.event("resets", 1, UNIT), Message.event("values", 1, F(3)),
                   Message.progress("values", 4), Message.progress("resets", 4)):
             ev.feed(m)

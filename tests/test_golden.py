@@ -5,7 +5,9 @@ The files were generated once and are never regenerated to make a change
 pass: they pin the native path's output independently of the encoded path,
 which the native == encoded acceptance check cannot do when a change
 touches both.  Gap-free traces run plain; every trace also runs abstract
-and unrolled, with and without the time-aware rewrites.
+and unrolled, with and without the time-aware rewrites.  Each bundled
+ignorance setup also runs `gapstream ignorance`, pinning the exact optimal
+and abstract ignorance it prints.
 """
 
 from importlib import resources
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from gapstream import cli
+from gapstream.builtin_specs import IGNORANCE_SETUPS
+from gapstream.values import UNIT
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,8 +57,35 @@ def golden_runs():
 RUNS = dict(golden_runs())
 
 
+def _universe_value(v) -> str:
+    return "()" if v is UNIT else str(v)
+
+
+def ignorance_runs():
+    """(file name, CLI arguments) of one ignorance run per bundled setup."""
+    bundled = resources.files("gapstream") / "bundled"
+    for name, setup in sorted(IGNORANCE_SETUPS.items()):
+        args = ["ignorance", str(bundled / f"{name}.spec"),
+                str(bundled / f"{setup.trace_key}.trace"),
+                "--universe-grid", ",".join(map(str, setup.grid)),
+                "--universe-values", ",".join(map(_universe_value, setup.values)),
+                "--output", setup.output]
+        for stream, values in setup.per_stream:
+            args += ["--universe-values",
+                     f"{stream}:{','.join(map(_universe_value, values))}"]
+        if setup.measure != "set":
+            _, lo, hi = setup.measure
+            args += ["--measure", f"interval:{lo},{hi}"]
+        if setup.time_aware:
+            args.append("--time-aware")
+        yield f"ignorance__{name}.out", tuple(args)
+
+
+IGNORANCE_RUNS = dict(ignorance_runs())
+
+
 def test_every_golden_file_is_used():
-    assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted(RUNS)
+    assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted({**RUNS, **IGNORANCE_RUNS})
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -63,3 +94,10 @@ def test_golden_output(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert cli.main([*RUNS[name], "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(IGNORANCE_RUNS))
+def test_golden_ignorance(name, capsys, monkeypatch):
+    monkeypatch.delenv("GAPSTREAM_BUDGET", raising=False)
+    assert cli.main(list(IGNORANCE_RUNS[name])) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -247,7 +247,7 @@ class TestSliftWalk:
 
 
 def truncate(s: EventStream, prog: Progress) -> EventStream:
-    return s.truncated(s.progress.min(prog))
+    return s.truncated(min(s.progress, prog))
 
 
 UNARY = [("time", lambda s: ops.time(s)),

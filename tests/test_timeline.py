@@ -1,4 +1,4 @@
-"""TimeSet against a point-sampling oracle.
+"""TimeSet against a point-sampling oracle; the order of times and progress.
 
 Spans are drawn on a half-unit grid, so every boundary is a multiple of 1/2
 and sampling at every quarter unit visits each boundary point and the open
@@ -6,12 +6,15 @@ stretch on either side of it.  The oracle reads the raw span tuples with its
 own comparisons; it shares no code with the edge sweep.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapstream.timeline import INF, Span, TimeSet
+from gapstream.streams import Progress
+from gapstream.timeline import INF, NEG_INF, Span, TimeSet
 
 F = Fraction
 
@@ -120,3 +123,62 @@ class TestStructuralEquality:
         assert a.intersect(b) == b.intersect(a)
         assert a.minus(b).union(a.intersect(b)) == a
         assert hash(a.complement().complement()) == hash(a)
+
+
+# -- the order of times --------------------------------------------------------
+
+ext_values = st.one_of(st.sampled_from([INF, NEG_INF]),
+                       st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def rank(x):
+    """The intended order, written out: NEG_INF, then the rationals, then INF."""
+    if x is NEG_INF:
+        return (0, 0)
+    if x is INF:
+        return (2, 0)
+    return (1, x)
+
+
+class TestOrder:
+    @given(ext_values, ext_values)
+    @settings(max_examples=200, deadline=None)
+    def test_comparisons_agree_with_rank(self, a, b):
+        assert (a < b) == (rank(a) < rank(b))
+        assert (a <= b) == (rank(a) <= rank(b))
+        assert (a > b) == (rank(a) > rank(b))
+        assert (a >= b) == (rank(a) >= rank(b))
+        assert (a == b) == (rank(a) == rank(b))
+        assert (a != b) == (rank(a) != rank(b))
+
+    @given(st.lists(ext_values, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_min_max_sorted_agree_with_rank(self, xs):
+        assert rank(min(xs)) == min(map(rank, xs))
+        assert rank(max(xs)) == max(map(rank, xs))
+        assert [rank(x) for x in sorted(xs)] == sorted(map(rank, xs))
+
+    @given(st.sampled_from([INF, F(0), F(1, 2), F(3)]), st.booleans(),
+           st.sampled_from([INF, F(0), F(1, 2), F(3)]), st.booleans())
+    def test_progress_order_is_the_old_key(self, t, inc, u, inc2):
+        def key(p):
+            # exclusive at t sorts below inclusive at t
+            return (1, 0, False) if p.time is INF else (0, p.time, p.inclusive)
+
+        # infinite progress is never inclusive
+        p = Progress(t, inc and t is not INF)
+        q = Progress(u, inc2 and u is not INF)
+        assert (p <= q) == (key(p) <= key(q))
+        assert (p < q) == (key(p) < key(q))
+        assert min(p, q) == (p if key(p) <= key(q) else q)
+        assert max(p, q) == (q if key(p) <= key(q) else p)
+
+    def test_copies_keep_identity(self):
+        for inf in (INF, NEG_INF):
+            assert copy.copy(inf) is inf
+            assert copy.deepcopy(inf) is inf
+            assert copy.deepcopy([inf, (inf,)])[1][0] is inf
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(inf, protocol)) is inf
+        assert repr(INF) == "inf" and repr(NEG_INF) == "-inf"
