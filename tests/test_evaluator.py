@@ -150,8 +150,9 @@ def _unscheduled_fixpoint(graph, inputs):
 
 
 def _bundled_runs():
-    """(graph, inputs) of every bundled pair: abstract, time-aware and
-    unrolled, and also concrete where the trace has no gaps."""
+    """(graph, inputs) of every bundled pair: abstract and unrolled, with
+    and without the time-aware rewrites, and concrete where the trace has
+    no gaps."""
     for spec, keys in _TRACE_KEYS.items():
         ast = parse_spec(spec_text(spec))
         for key in keys:
@@ -160,21 +161,8 @@ def _bundled_runs():
                 yield pytest.param(flatten(ast), tr.streams, id=f"{key}-concrete")
             yield pytest.param(flatten(unroll(abstractify(ast, time_aware=True))),
                                tr.streams, id=f"{key}-abstract")
-
-
-def _every_bundled_mode():
-    """(graph, inputs) of every bundled pair: concrete where the trace has no
-    gaps, and abstract and unrolled, with and without the time-aware rewrites."""
-    for spec, keys in _TRACE_KEYS.items():
-        ast = parse_spec(spec_text(spec))
-        for key in keys:
-            tr = parse_trace(trace_text(key))
-            if not tr.is_abstract():
-                yield pytest.param(flatten(ast), tr.streams, id=f"{key}-concrete")
-            for time_aware in (False, True):
-                graph = flatten(unroll(abstractify(ast, time_aware=time_aware)))
-                yield pytest.param(graph, tr.streams,
-                                   id=f"{key}-abstract{'-time-aware' * time_aware}")
+            yield pytest.param(flatten(unroll(abstractify(ast))),
+                               tr.streams, id=f"{key}-abstract-untimed")
 
 
 def _extends(old, new) -> bool:
@@ -218,7 +206,7 @@ class TestSchedule:
         assert calls == list(reversed(range(n)))
         assert env["s0"] == 0
 
-    @pytest.mark.parametrize("graph, inputs", list(_every_bundled_mode()))
+    @pytest.mark.parametrize("graph, inputs", list(_bundled_runs()))
     def test_reevaluations_extend_the_previous_value(self, graph, inputs, monkeypatch):
         # change detection that compares only sizes and progress is sound
         # only if every iterate of a recursive component extends the last
