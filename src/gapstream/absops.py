@@ -9,7 +9,8 @@ progress instead truncates the output, because a gap is final whereas
 progress still grows.
 
 All operators restricted to gap-free, TOP-free inputs coincide with their
-concrete counterparts; randomized tests assert that embedding.
+concrete counterparts, events and progress alike, whatever each input's
+progress; tests/test_absops.py TestEmbedding asserts that embedding.
 
 Every operator that decides its output atom by atom walks the same atoms,
 those _walk yields: the points (0, ticks, gap boundaries, progress) and the
@@ -21,8 +22,9 @@ value through the walk instead of building the paper's synchronization,
 merge_abs(x, last_abs(x, others)) (encoded.synchronized); that composition is
 kept only for the encoded signal lift and as the test oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
-atoms at the pending timeouts.  last_abs moves one pointer through the value
-stream's marks as the trigger ticks ascend.
+atoms at the pending timeouts; delay_abs is one forward pass, like ops.delay,
+and shares its amount check ops._delay_amount.  last_abs moves one pointer
+through the value stream's marks as the trigger ticks ascend.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
-from .ops import _vbot_extent
+from .ops import _delay_amount, _vbot_extent
 from .streams import EventStream, Progress
 from .timeline import INF, Span, TimeSet
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
@@ -434,26 +436,7 @@ class _ExactSource:
     tau: Fraction
     definite_set: bool
     vulnerable: bool = False      # a reset gap appeared strictly inside (start, tau)
-    undecidable: bool = False     # the reset span entered the unknown region
-
-
-def _delay_amount(val, where):
-    if val is TOP:
-        return "any"
-    if val is INF:
-        return None
-    if isinstance(val, Interval):
-        if val.is_single():
-            val = val.lo
-        else:
-            return "any"
-    if isinstance(val, bool):
-        raise OperatorError(f"delay amount at {where} must be a duration, got {val!r}")
-    if isinstance(val, int):
-        val = Fraction(val)
-    if not isinstance(val, Fraction) or val <= 0:
-        raise OperatorError(f"delay amount at {where} must be positive, got {val!r}")
-    return val
+    undecidable: bool = False     # a reset may lie past r's progress before tau
 
 
 class _DelaySweep:
@@ -462,45 +445,24 @@ class _DelaySweep:
     Keeps the set of pending potential timeouts: exact ones from concrete
     delay amounts and an "anything from here on" flag armed by top-valued
     or gapped delay amounts.  A definite reset event kills pending sources;
-    reset gaps merely make them uncertain.
+    reset gaps merely make them uncertain, and reset data past r's progress
+    makes them undecidable.
     """
 
-    def __init__(self, d: AbstractEventStream, r: AbstractEventStream):
-        self.d = d
-        self.r = r
+    def __init__(self):
         self.exact: List[_ExactSource] = []
         self.taus: List[Fraction] = []    # heap of the exact sources' timeouts
         self.any_alive = False
         self.fires: List[Fraction] = []
         self.gap_spans: List[Span] = []
-        self.cap: Optional[Progress] = None
-        self.unknown_source_seen = False
 
-    def run(self) -> AbstractEventStream:
-        d, r = self.d, self.r
-        for t, val in d.stream.events:
-            _delay_amount(val, t)  # validate early
-        horizon = max(d.progress, r.progress)
-        for lo, hi, cells in _split(_walk((d, r), horizon), self.taus):
-            if not self._atom(lo, hi, *cells):
-                break
-        return self._finish(horizon)
-
-    def _stop(self, prog: Progress) -> bool:
-        self.cap = prog
-        return False
-
-    def _atom(self, lo, hi, d_cell, r_cell) -> bool:
-        """Decide the atom at lo (a point if hi is None); False stops the sweep.
+    def atom(self, lo, hi, d_cell, r_cell) -> Optional[Progress]:
+        """Decide the atom at lo (a point if hi is None), or return the progress to stop at.
 
         No timeout or source start lies inside an open atom, so its cells and
         sources are those at any of its times; lo stands for them.
         """
         is_point = hi is None
-        if self.unknown_source_seen:
-            return self._stop(Progress.inclusive_at(lo) if not is_point
-                              else Progress.exclusive(lo))
-
         if not is_point:
             # inside a region, sources arming at interior points affect later
             # interior points, so undetermined arming data blocks the region;
@@ -511,21 +473,19 @@ class _DelaySweep:
                              and r_cell is not BOTTOM)
             r_unknown_src = r_cell is UNKNOWN and d_cell is not BOTTOM
             if d_unknown_src or r_unknown_src:
-                return self._stop(Progress.inclusive_at(lo))
+                return Progress.inclusive_at(lo)
 
         # 1. decide z on this atom from sources created strictly earlier,
         #    plus region self-arming (a delay gap inside a reset gap)
         hit_exact = [s for s in self.exact if is_point and s.tau == lo]
-        for s in hit_exact:
-            if s.undecidable:
-                return self._stop(Progress.exclusive(lo))
+        if any(s.undecidable for s in hit_exact):
+            return Progress.exclusive(lo)
         forced = any(s.definite_set and not s.vulnerable for s in hit_exact)
         self_arming = (not is_point and d_cell is GAP and r_cell is GAP)
         possible = bool(hit_exact) or self.any_alive or self_arming
         if r_cell is UNKNOWN and self.any_alive:
             # gap-versus-bottom depends on unseen reset data
-            return self._stop(Progress.exclusive(lo) if is_point
-                              else Progress.inclusive_at(lo))
+            return Progress.exclusive(lo) if is_point else Progress.inclusive_at(lo)
 
         cell = BOTTOM
         if forced:
@@ -540,7 +500,8 @@ class _DelaySweep:
         self.exact = [s for s in self.exact if lo < s.tau]
 
         # 2. apply reset effects of this atom to pre-existing sources
-        if is_point and r_cell not in (BOTTOM, GAP, UNKNOWN):
+        reset = r_cell not in (BOTTOM, GAP, UNKNOWN)    # only on a point
+        if reset:
             self.exact = [s for s in self.exact if not s.start < lo]
             self.any_alive = False
         elif r_cell is GAP:
@@ -551,47 +512,56 @@ class _DelaySweep:
             for s in self.exact:
                 s.undecidable = True
 
-        # 3. new sources from this atom's delay-stream features
+        # 3. new sources from this atom's delay-stream features; where unknown
+        #    data may arm one, the sweep stops right after this atom
+        definite = reset or forced
+        settable = definite or r_cell is GAP or cell is GAP
+        unknown_source = False
         if d_cell is UNKNOWN:
-            settable = (r_cell not in (BOTTOM, UNKNOWN)) or cell in (GAP,) or forced
-            if self.any_alive:
-                # gap persists whatever the unknown delay data holds, but a
-                # definite reset both ends it and might re-arm unknowably
-                if r_cell not in (BOTTOM, GAP, UNKNOWN):
-                    self.unknown_source_seen = True
-            elif settable or r_cell is UNKNOWN:
-                self.unknown_source_seen = True
+            # while any_alive the gap persists whatever the delay data holds,
+            # but a definite reset both ends it and might re-arm unknowably
+            unknown_source = reset if self.any_alive else settable or r_cell is UNKNOWN
         elif d_cell is GAP:
-            settable = (r_cell not in (BOTTOM, UNKNOWN)) or cell is GAP or forced
-            if settable:
+            self.any_alive = self.any_alive or settable
+            unknown_source = not settable and r_cell is UNKNOWN
+        elif d_cell is not BOTTOM and (settable or r_cell is UNKNOWN):
+            # a proper delay event; one that r's unknown cell may arm has its
+            # timeout stop the sweep, as ops.delay caps its progress there
+            amount = _delay_amount(d_cell, lo)
+            if amount == "any":
                 self.any_alive = True
-            elif r_cell is UNKNOWN:
-                self.unknown_source_seen = True
-        elif d_cell is not BOTTOM:
-            # a proper delay event
-            if r_cell is UNKNOWN:
-                self.unknown_source_seen = True
-            else:
-                amount = _delay_amount(d_cell, lo)
-                definite = (r_cell not in (BOTTOM, GAP)) or forced
-                possible_set = definite or r_cell is GAP or cell is GAP
-                if possible_set and amount == "any":
-                    self.any_alive = True
-                elif possible_set and amount is not None:
-                    self.exact.append(_ExactSource(lo, lo + amount, definite))
-                    heappush(self.taus, lo + amount)
-        return True
-
-    def _finish(self, horizon: Progress) -> AbstractEventStream:
-        prog = horizon if self.cap is None else min(horizon, self.cap)
-        events = [(t, UNIT) for t in self.fires if prog.covers(t)]
-        gaps = TimeSet(self.gap_spans).minus(_points(t for t, _ in events))
-        return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+                unknown_source = r_cell is UNKNOWN
+            elif amount is not None:
+                self.exact.append(_ExactSource(lo, lo + amount, definite,
+                                               undecidable=r_cell is UNKNOWN))
+                heappush(self.taus, lo + amount)
+        if unknown_source:
+            return Progress.inclusive_at(lo) if is_point else Progress(hi, False)
+        return None
 
 
 def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
-    """Abstract delay: gaps where an output event is possible but not certain."""
-    return _DelaySweep(d, r).run()
+    """Abstract delay: gaps where an output event is possible but not certain.
+
+    One forward pass of _DelaySweep over the atoms of d and r, split at the
+    pending timeouts.  The output at t reads only the inputs strictly below
+    t, so the walk runs past both inputs' progress, where their cells are
+    UNKNOWN, and the sweep stops at the first atom that unknown data leaves
+    undecided, as ops.delay caps its progress.
+    """
+    for t, val in d.stream.events:
+        _delay_amount(val, t)  # validate early
+    sweep = _DelaySweep()
+    prog = Progress.infinite()
+    for lo, hi, cells in _split(_walk((d, r), prog), sweep.taus):
+        stop = sweep.atom(lo, hi, *cells)
+        if stop is not None:
+            prog = stop
+            break
+    # each atom holds a fire, a gap or neither, and the sweep stops before an
+    # atom or right after it, so prog covers every fire
+    return AbstractEventStream.of(EventStream.of(((t, UNIT) for t in sweep.fires), prog),
+                                  TimeSet(sweep.gap_spans))
 
 
 def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:

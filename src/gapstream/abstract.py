@@ -111,17 +111,6 @@ def value_join(a, b):
     return TOP
 
 
-def gamma_contains(abstract_value, concrete_value) -> bool:
-    """Membership of a concrete value in the concretization of an abstract one."""
-    if abstract_value is TOP:
-        return True
-    if isinstance(abstract_value, Interval):
-        if isinstance(concrete_value, (int, Fraction)) and not isinstance(concrete_value, bool):
-            return abstract_value.contains_value(Fraction(concrete_value))
-        return False
-    return value_eq(abstract_value, concrete_value)
-
-
 def gamma_values(abstract_value, universe_values: tuple) -> tuple:
     """Concretization of an event payload restricted to a finite value set.
 
@@ -129,7 +118,7 @@ def gamma_values(abstract_value, universe_values: tuple) -> tuple:
     hull of the enumerated values always covers the interval: comparisons
     based on hull measures stay sound under coarse universes.
     """
-    out = [v for v in universe_values if gamma_contains(abstract_value, v)]
+    out = [v for v in universe_values if value_leq(v, abstract_value)]
     if isinstance(abstract_value, Interval):
         for b in (abstract_value.lo, abstract_value.hi):
             if isinstance(b, Fraction) and not any(

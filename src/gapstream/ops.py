@@ -17,8 +17,9 @@ decided by the available input prefixes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable
@@ -26,7 +27,7 @@ from typing import Callable
 from .errors import OperatorError
 from .streams import EventStream, Progress
 from .timeline import INF, ExtTime
-from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN
+from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 
 
 def nil() -> EventStream:
@@ -120,10 +121,28 @@ def last(v: EventStream, r: EventStream) -> EventStream:
     return EventStream.of(events, max(main, _vbot_extent(v)))
 
 
-def _delay_value_ok(val) -> bool:
+def _delay_amount(val, where):
+    """The delay amount val: a positive Fraction, None for INF, or "any".
+
+    "any" stands for an amount only known abstractly, TOP or an interval
+    wider than a point; the concrete delay rejects it.
+    """
+    if val is TOP:
+        return "any"
     if val is INF:
-        return True
-    return isinstance(val, Fraction) and val > 0
+        return None
+    if isinstance(val, Interval):
+        if val.is_single():
+            val = val.lo
+        else:
+            return "any"
+    if isinstance(val, bool):
+        raise OperatorError(f"delay amount at {where} must be a duration, got {val!r}")
+    if isinstance(val, int):
+        val = Fraction(val)
+    if not isinstance(val, Fraction) or val <= 0:
+        raise OperatorError(f"delay amount at {where} must be positive, got {val!r}")
+    return val
 
 
 def delay(d: EventStream, r: EventStream) -> EventStream:
@@ -131,79 +150,54 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
 
     A delay amount on d arms only if its timestamp carries a reset event or
     an emitted output event; any reset event cancels a pending delay.
+
+    One forward pass pops, in time order, d's ticks, r's ticks and the
+    pending timeout off one heap, and caps the progress at the first time
+    the inputs leave undecided: a timeout whose quiet run r does not cover
+    (exclusive), a reset or fire whose amount d does not cover (inclusive),
+    a delay event whose arming r does not decide (exclusive at its
+    timeout), and, with both progresses finite, the later of the two.
     """
+    amounts = {}
     for t, val in d.events:
-        if val is TOP:
-            raise OperatorError("concrete delay cannot take top-valued amounts")
-        if isinstance(val, int) and not isinstance(val, bool):
-            val = Fraction(val)
-        if not _delay_value_ok(val):
-            raise OperatorError(f"delay amount at {t} must be positive or inf, got {val!r}")
-
-    d_vals = {t: (Fraction(val) if isinstance(val, int) and not isinstance(val, bool) else val)
-              for t, val in d.events}
-    r_sorted = r.ticks()
-    r_ticks = set(r_sorted)
-
-    fires = []
-    pending = None  # timeout timestamp of the armed delay, or None
-    caps = []
-
-    i = 0
-    agenda = sorted(set(d_vals) | r_ticks)
-    seen = set(agenda)
-    while i < len(agenda):
-        t = agenda[i]
-        i += 1
-        fired = False
-        if pending is not None and pending == t:
-            if r.progress.covers_below(t):
-                fires.append(t)
-                fired = True
+        amount = _delay_amount(val, t)
+        if amount == "any":
+            raise OperatorError(f"concrete delay amount at {t} must be known, got {val!r}")
+        amounts[t] = amount
+    resets = set(r.ticks())
+    prog = Progress.infinite()
+    if not d.progress.is_infinite() and not r.progress.is_infinite():
+        prog = Progress.inclusive_at(max(d.progress.time, r.progress.time))
+    ticks = amounts.keys() | resets
+    agenda = list(ticks)
+    heapify(agenda)
+    events = []
+    pending = None      # timeout of the armed delay
+    while agenda:
+        t = heappop(agenda)
+        if not prog.covers(t):
+            break
+        arm = t in resets
+        if t == pending:
+            if not r.progress.covers_below(t):
+                prog = Progress.exclusive(t)
+                break
+            events.append((t, UNIT))
+            arm = True
+        if arm:
             pending = None
-        if t in r_ticks:
-            pending = None
-        if t in d_vals and (fired or t in r_ticks):
-            val = d_vals[t]
-            if val is not INF:
-                pending = t + val
-                if pending not in seen:
-                    insort(agenda, pending)  # lands after t: amounts are positive
-                    seen.add(pending)
-
-    # The output is bottom at t when, for every earlier point, either no
-    # delay amount hits t exactly, or that point was decidedly unarmed, or
-    # a reset event decidedly follows it.  Each unfired hit point whose
-    # arming or resetting is not decided caps the progress there.
-    fire_set = set(fires)
-    for t, val in d_vals.items():
-        if val is INF:
+            if not d.progress.covers(t):
+                prog = Progress.inclusive_at(t)
+                break
+        amount = amounts.get(t)
+        if amount is None:
             continue
-        tau = t + val
-        if tau in fire_set:
-            continue
-        armed = t in r_ticks or t in fire_set
-        if armed:
-            k = bisect_right(r_sorted, t)
-            canceled = k < len(r_sorted) and r_sorted[k] < tau
-            if not canceled and not r.progress.covers_below(tau):
-                caps.append(Progress.exclusive(tau))
-        elif not r.progress.covers(t):
-            caps.append(Progress.exclusive(tau))
-
-    # Points with unknown delay data stay bottom while decidedly unarmed;
-    # the first reset event, fired output, or end of reset knowledge beyond
-    # the delay stream's coverage ends that.
-    if d.progress.is_infinite():
-        prog = Progress.infinite()
-    else:
-        bads = [u for u in (r_ticks | fire_set) if not d.progress.covers(u)]
-        if not r.progress.is_infinite():
-            bads.append(max(d.progress.time, r.progress.time))
-        prog = Progress.inclusive_at(min(bads)) if bads else Progress.infinite()
-
-    prog = min([prog, *caps])
-    events = [(t, UNIT) for t in fires if prog.covers(t)]
+        if not r.progress.covers(t):
+            prog = min(prog, Progress.exclusive(t + amount))
+        if arm:
+            pending = t + amount
+            if pending not in ticks:
+                heappush(agenda, pending)
     return EventStream.of(events, prog)
 
 

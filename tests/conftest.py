@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gapstream.abstract import AbstractEventStream, gamma_contains
+from gapstream.abstract import AbstractEventStream, value_leq
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
 from gapstream.values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, value_eq
@@ -319,12 +319,22 @@ def unit_streams(draw, max_events=4):
     times = draw(st.lists(st.sampled_from(GRID), unique=True, max_size=max_events))
     times.sort()
     evs = [(t, UNIT) for t in times]
-    if draw(st.booleans()):
-        prog = Progress.infinite()
-    else:
-        last = times[-1] if times else F(0)
-        prog = Progress.inclusive_at(last + draw(st.sampled_from([F(0), F(2)])))
-    return EventStream.of(evs, prog)
+    return EventStream.of(evs, draw(progress_after(times)))
+
+
+@st.composite
+def progress_after(draw, times):
+    """Infinite progress, or progress a little past the last of the ascending times.
+
+    Inclusive at the last time or 2 beyond it, or exclusive 1 or 2 beyond it.
+    """
+    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    if kind == "inf":
+        return Progress.infinite()
+    last = times[-1] if times else F(0)
+    if kind == "incl":
+        return Progress.inclusive_at(last + draw(st.sampled_from([F(0), F(2)])))
+    return Progress.exclusive(last + draw(st.sampled_from([F(1), F(2)])))
 
 
 @st.composite
@@ -367,7 +377,7 @@ def member_of_gamma(concrete: EventStream, abstract: AbstractEventStream) -> boo
     a_ticks = dict(abstract.stream.events)
     for t, val in a_ticks.items():
         got = c.at(t)
-        if got in (BOTTOM, UNKNOWN) or not gamma_contains(val, got):
+        if got in (BOTTOM, UNKNOWN) or not value_leq(got, val):
             return False
     for t, _ in c.events:
         if t not in a_ticks and not abstract.gaps.contains(t):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (check_against_oracle, event_streams, oracle_delay,
-                      oracle_last, unit_streams)
+                      oracle_last, progress_after, unit_streams)
 from gapstream import ops
 from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
@@ -118,12 +118,7 @@ def delay_streams(draw):
                           unique=True, max_size=3))
     times.sort()
     evs = [(t, draw(st.sampled_from([F(1), F(2), F(3), INF]))) for t in times]
-    if draw(st.booleans()):
-        prog = Progress.infinite()
-    else:
-        last = times[-1] if times else F(0)
-        prog = Progress.inclusive_at(last + draw(st.sampled_from([F(0), F(2)])))
-    return EventStream.of(evs, prog)
+    return EventStream.of(evs, draw(progress_after(times)))
 
 
 class TestDelay:
