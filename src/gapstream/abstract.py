@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import BudgetExceeded, OperatorError
 from .streams import EventStream, Progress
 from .timeline import Span, TimeSet, as_time
-from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval, value_eq
+from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval, _to_interval, value_eq
 
 
 def covered_span(progress: Progress) -> TimeSet:
@@ -89,23 +89,13 @@ def value_leq(a, b) -> bool:
     return value_eq(a, b)
 
 
-def _as_interval(v) -> Optional[Interval]:
-    if isinstance(v, Interval):
-        return v
-    if isinstance(v, bool):
-        return None
-    if isinstance(v, (int, Fraction)):
-        return Interval.single(v)
-    return None
-
-
 def value_join(a, b):
     """Smallest abstract value covering both; TOP when no structured join exists."""
     if value_eq(a, b):
         return a
     if a is TOP or b is TOP:
         return TOP
-    ia, ib = _as_interval(a), _as_interval(b)
+    ia, ib = _to_interval(a), _to_interval(b)
     if ia is not None and ib is not None:
         return ia.hull(ib)
     return TOP
@@ -226,7 +216,6 @@ def refinement_leq(a: AbstractEventStream, b: AbstractEventStream) -> bool:
     known_b = b.known()
     if not known_b.minus(a.known()).is_empty():
         return False
-    b_ticks = b.stream.tick_set()
     for t, vb in b.stream.events:
         va = a.stream.at(t)
         if va in (BOTTOM, UNKNOWN):
@@ -234,7 +223,7 @@ def refinement_leq(a: AbstractEventStream, b: AbstractEventStream) -> bool:
         if not value_leq(va, vb):
             return False
     for t, _ in a.stream.events:
-        if known_b.contains(t) and t not in b_ticks:
+        if b.at(t) is BOTTOM:
             return False
     # where b is known and event-free, a must be covered (checked above via
     # known-set inclusion) and event-free (checked just now)

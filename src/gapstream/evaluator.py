@@ -245,7 +245,10 @@ class OnlineEvaluator:
         self.mode = graph.ast.mode
         self.state: Dict[str, _InputState] = {n: _InputState() for n in graph.inputs}
         self.emitted_events: Dict[str, int] = {n: 0 for n in graph.outputs}
-        self.emitted_gaps: Dict[str, set] = {n: set() for n in graph.outputs}
+        # gap spans whose start, and whose end, are emitted: outputs grow by
+        # prefix extension, so only the last span can still grow, and the
+        # ended spans form a prefix of the spans
+        self.emitted_gaps: Dict[str, List[int]] = {n: [0, 0] for n in graph.outputs}
         self.emitted_prog: Dict[str, Progress] = {
             n: Progress.exclusive(0) for n in graph.outputs}
         self.env: Optional[Dict[str, object]] = None
@@ -298,16 +301,15 @@ class OnlineEvaluator:
             for t, v in stream.events[self.emitted_events[name]:]:
                 out.append(Message.event(name, t, v))
             self.emitted_events[name] = len(stream.events)
-            for sp in gaps.spans:
-                key = ("s", sp.lo)
-                if key not in self.emitted_gaps[name]:
-                    self.emitted_gaps[name].add(key)
-                    out.append(Message.gap_start(name, sp.lo))
-                if _gap_ended(sp, stream.progress):
-                    ekey = ("e", sp.hi)
-                    if ekey not in self.emitted_gaps[name]:
-                        self.emitted_gaps[name].add(ekey)
-                        out.append(Message.gap_end(name, sp.hi))
+            cursor = self.emitted_gaps[name]
+            for sp in gaps.spans[cursor[0]:]:
+                out.append(Message.gap_start(name, sp.lo))
+            cursor[0] = len(gaps.spans)
+            for sp in gaps.spans[cursor[1]:]:
+                if not _gap_ended(sp, stream.progress):
+                    break
+                out.append(Message.gap_end(name, sp.hi))
+                cursor[1] += 1
             if stream.progress > self.emitted_prog[name]:
                 self.emitted_prog[name] = stream.progress
                 out.append(Message.progress(name, stream.progress.time))

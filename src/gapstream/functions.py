@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import ArityMismatch, OperatorError, UnknownIdentifier
-from .values import BOTTOM, GAP, TOP, Interval
+from .values import BOTTOM, GAP, TOP, Interval, _to_interval
 from .timeline import INF, NEG_INF
 from .abstract import value_join
 
@@ -50,18 +50,6 @@ def strict_cells(f_abs: Callable) -> Callable:
         return f_abs(*cells)
 
     return wrapped
-
-
-def _to_interval(x) -> Optional[Interval]:
-    if x is TOP:
-        return Interval.top()
-    if isinstance(x, Interval):
-        return x
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, (int, Fraction)):
-        return Interval.single(x)
-    return None
 
 
 def _numeric_pair(a, b):

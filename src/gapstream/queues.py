@@ -15,11 +15,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import OperatorError
-from .functions import (LiftedFunction, _from_interval, _to_interval, abs_add,
-                        abs_mul, register, register_parametric, strict,
-                        strict_cells)
+from .functions import (LiftedFunction, _from_interval, abs_add, abs_mul,
+                        register, register_parametric, strict, strict_cells)
 from .timeline import INF, ExtTime
-from .values import TOP, Interval
+from .values import TOP, Interval, _to_interval
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,13 @@ def _enq_abstract(t, d, q):
 
 
 def _enq_bounded_abstract(n):
+    # the shrink step of enq_bounded keeps the entries from the second on
+    if not isinstance(n, (int, Fraction)) or n % 1 or n < 2:
+        raise ValueError(f"the bound must be a whole number of at least 2, got {n}")
+    bound = int(n)
+
     def f(t, d, q):
-        return enq_bounded(t, d, as_abstract_queue(q), n)
+        return enq_bounded(t, d, as_abstract_queue(q), bound)
 
     return f
 
@@ -279,6 +283,6 @@ register_parametric(
     lambda n: LiftedFunction(
         f"enq_bounded({n})", 3,
         strict(_enq_concrete),
-        strict_cells(_enq_bounded_abstract(int(n))),
+        strict_cells(_enq_bounded_abstract(n)),
     ),
 )

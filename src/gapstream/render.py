@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .abstract import AbstractEventStream
 from .tracefile import Trace, format_time, format_value
-from .values import TOP, Interval
+from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval
 
 MAX_COLUMNS = 100
 
@@ -30,23 +30,8 @@ def render_trace(trace: Trace) -> str:
     lines.append(f"{'t'.rjust(width)} |{axis}|")
     for name, _ty in trace.declarations:
         s = trace.streams[name]
-        if isinstance(s, AbstractEventStream):
-            stream, gaps = s.stream, s.gaps
-        else:
-            stream, gaps = s, None
-        row = []
-        for t in shown:
-            if not stream.progress.covers(t):
-                row.append(" ")
-            elif t in stream.tick_set():
-                v = stream.value_at_tick(t)
-                row.append("T" if v is TOP or (isinstance(v, Interval) and v.is_top())
-                           else "o")
-            elif gaps is not None and gaps.contains(t):
-                row.append("~")
-            else:
-                row.append("-")
-        body = "".join(row)
+        stream = s.stream if isinstance(s, AbstractEventStream) else s
+        body = "".join(_cell_char(s.at(t)) for t in shown)
         if elide:
             half = MAX_COLUMNS // 2
             body = body[:half] + ".." + body[half:]
@@ -59,6 +44,16 @@ def render_trace(trace: Trace) -> str:
                  + ("inf" if trace.progress.is_infinite()
                     else format_time(trace.progress.time)))
     return "\n".join(lines) + "\n"
+
+
+def _cell_char(cell) -> str:
+    if cell is UNKNOWN:
+        return " "
+    if cell is GAP:
+        return "~"
+    if cell is BOTTOM:
+        return "-"
+    return "T" if cell is TOP or (isinstance(cell, Interval) and cell.is_top()) else "o"
 
 
 def _axis_char(t: Fraction) -> str:

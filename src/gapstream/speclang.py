@@ -657,93 +657,81 @@ def abstractify(ast: SpecAst, time_aware: bool = False) -> SpecAst:
     )
 
 
-def unroll(ast: SpecAst, max_steps: int = 8) -> SpecAst:
+def unroll(ast: SpecAst) -> SpecAst:
     """Split recursive abstract last/delay into value and gap halves.
 
     Each rewrite replaces x = last_abs(v, r) on an unguarded cycle by
 
         x_bot = last_bot(v, r)        # guarded in v
-        v'    = f(x_bot, ...)         # clone of the cycle body
+        v'    = f(x_bot, ...)         # clone of the value chain
         x     = last_gap(v', r, x_bot)
 
-    and analogously for delay_abs.  Repeats until the graph is well-formed
-    or the step ceiling trips (mutual recursion may need several rounds).
+    and analogously for delay_abs.  It repeats while the graph has an
+    unguarded cycle, and it ends: each rewrite replaces one last_abs or
+    delay_abs by halves that have no unroll row, and a clone never copies
+    a history operator, so no rewrite adds a last_abs or delay_abs.  Once
+    none is left on a cycle, the cycle cannot be unrolled and is reported.
     """
     g = flatten(ast)
-    for step in range(max_steps):
-        report = check_well_formed(g)
-        if report is None:
-            return ast if step == 0 else _graph_to_ast(g, ast)
-        cycle = set(report.cycle)
+    step = 0
+    while (report := check_well_formed(g)) is not None:
         defs = dict(g.equations)
-        target = None
-        for name in report.cycle:
-            app = defs.get(name)
-            if app is not None and OPERATORS[app.op].unroll:
-                target = name
-                break
+        target = next((name for name in report.cycle
+                       if OPERATORS[defs[name].op].unroll), None)
         if target is None:
             raise UnsupportedRecursionShape(
                 f"cycle without last/delay cannot be unrolled: {report}")
-        g = _unroll_one(g, target, cycle, step)
-    if check_well_formed(g) is None:
-        return _graph_to_ast(g, ast)
-    raise UnsupportedRecursionShape(
-        f"still ill-formed after {max_steps} unrolling steps")
+        g = _unroll_one(g, target, step)
+        step += 1
+    return ast if step == 0 else _graph_to_ast(g, ast)
 
 
-def _unroll_one(g: SpecGraph, target: str, cycle: set, step: int) -> SpecGraph:
+def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:
+    """Rewrite target into its halves, cloning what its value input reads.
+
+    The clone set is the closure of the value input over its arguments,
+    kept inside the non-history equations that read target; the clones read
+    the value half where the originals read target.
+    """
     defs = dict(g.equations)
     app = defs[target]
     bot_op, gap_op = OPERATORS[app.op].unroll
     v_ref, r_ref = app.args[0], app.args[1]
 
-    # clone set: definitions on a path from target back to v, excluding other
-    # guard-family operators, which keep referencing the final streams
-    deps_of: Dict[str, set] = {n: set(deps) for n, (deps, _) in g.nodes.items()}
-    users_of: Dict[str, set] = {}
-    for n, ds in deps_of.items():
-        for d in ds:
-            users_of.setdefault(d, set()).add(n)
-
-    reaches_from_target = _closure({target}, users_of)   # nodes depending on target
-    feeds_v = _closure({v_ref.name}, deps_of)            # nodes v depends on, plus v
-    clone_set = {
-        n for n in reaches_from_target & feeds_v
-        if n != target and n in defs and not OPERATORS[defs[n].op].history
-    }
-    if v_ref.name not in clone_set:
-        # the value input is the target itself or a guard node: nothing to clone
-        clone_set = set()
+    users_of: Dict[str, List[str]] = {}
+    for n, (deps, _) in g.nodes.items():
+        for d in deps:
+            users_of.setdefault(d, []).append(n)
+    inside = {n for n in _closure({target}, users_of)
+              if n != target and not OPERATORS[defs[n].op].history}
+    clone_set = _closure({v_ref.name} & inside,
+                         {n: [d for d in g.nodes[n][0] if d in inside] for n in inside})
 
     suffix = "" if step == 0 else str(step + 1)
     bot_name = f"{target}__bot{suffix}"
     prime = {n: f"{n}__pre{suffix}" for n in clone_set}
+    prime[target] = bot_name
 
     def remap(ref: Ref) -> Ref:
-        if ref.name == target:
-            return Ref(bot_name)
         return Ref(prime.get(ref.name, ref.name))
 
     new_equations: List[Tuple[str, Apply]] = []
     for name, e in g.equations:
-        if name == target:
-            new_equations.append((bot_name, Apply(bot_op, (v_ref, r_ref))))
-            for cn, ce in g.equations:
-                if cn in clone_set:
-                    new_equations.append(
-                        (prime[cn], Apply(ce.op, tuple(remap(a) for a in ce.args),
-                                          fn=ce.fn, lit=ce.lit)))
-            v_prime = Ref(prime.get(v_ref.name, bot_name if v_ref.name == target else v_ref.name))
-            new_equations.append(
-                (name, Apply(gap_op, (v_prime, r_ref, Ref(bot_name)))))
-        else:
+        if name != target:
             new_equations.append((name, e))
+            continue
+        new_equations.append((bot_name, Apply(bot_op, (v_ref, r_ref))))
+        for cn, ce in g.equations:
+            if cn in clone_set:
+                new_equations.append(
+                    (prime[cn], Apply(ce.op, tuple(remap(a) for a in ce.args),
+                                      fn=ce.fn, lit=ce.lit)))
+        new_equations.append((name, Apply(gap_op, (remap(v_ref), r_ref, Ref(bot_name)))))
     return SpecGraph(ast=g.ast, inputs=g.inputs,
                      equations=tuple(new_equations), outputs=g.outputs)
 
 
-def _closure(seed: set, edges: Dict[str, set]) -> set:
+def _closure(seed: set, edges: Dict[str, Sequence[str]]) -> set:
     out = set(seed)
     todo = list(seed)
     while todo:

@@ -115,12 +115,6 @@ class EventStream:
     def ticks(self) -> tuple:
         return self._ticks
 
-    def tick_set(self) -> set:
-        return {t for t, _ in self.events}
-
-    def value_at_tick(self, t) -> object:
-        return self._values[t]
-
     def last_event_before(self, t) -> tuple | None:
         """Latest (timestamp, value) strictly before t, or None."""
         i = bisect_left(self._ticks, t)

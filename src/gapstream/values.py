@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .timeline import INF, NEG_INF, _Infinity
 
@@ -87,6 +87,20 @@ class Interval:
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def _to_interval(x) -> Optional[Interval]:
+    """x as an Interval: TOP as the top interval, a rational as a point,
+    None for a value that is not numeric."""
+    if x is TOP:
+        return Interval.top()
+    if isinstance(x, Interval):
+        return x
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, (int, Fraction)):
+        return Interval.single(x)
+    return None
 
 
 def value_eq(a, b) -> bool:

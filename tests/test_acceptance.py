@@ -83,8 +83,8 @@ def test_criterion_3_gapped_rows_and_time_aware():
                   (F(7), F(5)), (F(9), F(0)), (F(11), TOP), (F(12), F(0)),
                   (F(13), F(1))]
     ok2 = (list(sa.stream.events) == want_aware
-           and ca.stream.value_at_tick(F(6)) is True
-           and ca.stream.value_at_tick(F(9)) is True
+           and ca.stream.at(F(6)) is True
+           and ca.stream.at(F(9)) is True
            and sa.at(5) is GAP)
     report(3, ok1 and ok2,
            "gapped sum row exact; time-aware recovers 0@6, 5@7, 0@9, keeps top@11")

@@ -99,6 +99,15 @@ class TestRun:
         assert got.returncode == code
         assert "line 2" in got.stderr and "Traceback" not in got.stderr
 
+    def test_queue_bound_below_two_is_typed(self, tmp_path):
+        spec = tmp_path / "bounded.spec"
+        spec.write_text(spec_text("finite-queue").replace("enq_bounded(3)", "enq_bounded(0)"))
+        trace = tmp_path / "fig.trace"
+        trace.write_text(trace_text("finite-queue-fig"))
+        got = run_cli("run", "--abstract", "--unroll", str(spec), str(trace))
+        assert got.returncode == 1
+        assert "line 6" in got.stderr and "Traceback" not in got.stderr
+
     @pytest.mark.parametrize("stream_type, value, body", [
         ("Unit", "()", "lift(inc)(x)"),
         ("Int", "3", "lift(div)(x, const(0)(x))"),

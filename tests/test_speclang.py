@@ -1,14 +1,19 @@
 """Spec language: parsing, graphs, well-formedness, transformations."""
 
 from dataclasses import replace
+from fractions import Fraction as F
 import pytest
 
+from gapstream.abstract import AbstractEventStream
 from gapstream.builtin_specs import SPEC_NAMES, spec_text
 from gapstream.errors import (ArityMismatch, SpecSyntaxError, UnknownIdentifier,
                               UnsupportedRecursionShape)
+from gapstream.evaluator import evaluate_fixpoint
 from gapstream.speclang import (abstractify, check_well_formed,
                                 computation_depth, flatten, format_spec,
                                 parse_spec, unroll)
+from gapstream.streams import EventStream, Progress
+from gapstream.values import UNIT
 
 from conftest import reverse_chain_spec
 
@@ -50,7 +55,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("expr", [
         "const(1/0)(y)", "lift(window_strip(1/0))(y, y)", "const([3, 1])(y)",
-        "lift(enq_bounded(top))(y, y, y)",
+        "lift(enq_bounded(top))(y, y, y)", "lift(enq_bounded(0))(y, y, y)",
+        "lift(enq_bounded(1))(y, y, y)", "lift(enq_bounded(5/2))(y, y, y)",
     ])
     def test_bad_literal_is_typed(self, expr):
         with pytest.raises(SpecSyntaxError) as e:
@@ -144,6 +150,34 @@ class TestUnroll:
         un = unroll(ab)
         assert check_well_formed(flatten(un)) is None
         assert "delay_bot(" in format_spec(un)
+
+    def test_no_limit_on_recursive_operators(self):
+        # nine independent counters: one rewrite each, eight equations each
+        ast = parse_spec("in y : Events[Unit]\n" + "".join(
+            f"def c{i} := merge(lift(inc)(last(c{i}, y)), const(0)(unit()))\n"
+            f"out c{i}\n" for i in range(9)))
+        graph = flatten(unroll(abstractify(ast)))
+        assert check_well_formed(graph) is None
+        assert len(graph.equations) == 72
+        y = EventStream.of([(F(t), UNIT) for t in (1, 2, 7, F(15, 2))],
+                           Progress.inclusive_at(9))
+        concrete = evaluate_fixpoint(flatten(ast), {"y": y})
+        abstract = evaluate_fixpoint(graph, {"y": AbstractEventStream.of(y)})
+        for i in range(9):
+            assert abstract[f"c{i}"] == AbstractEventStream.of(concrete[f"c{i}"])
+
+    @pytest.mark.parametrize("time_aware", [False, True])
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_every_equation_is_read_by_an_output(self, name, time_aware):
+        graph = flatten(unroll(abstractify(parse_spec(spec_text(name)),
+                                           time_aware=time_aware)))
+        read, todo = set(), list(graph.outputs)
+        while todo:
+            n = todo.pop()
+            if n in graph.nodes and n not in read:
+                read.add(n)
+                todo.extend(graph.nodes[n][0])
+        assert read == set(graph.nodes)
 
 
 class TestDepth:

@@ -39,14 +39,14 @@ class TestStreamAt:
 class TestTicks:
     def test_fig_values_prefix(self):
         s = ev((1, F(3)), (F("2.3"), F(2)))
-        assert s.tick_set() == {F(1), F("2.3")}
+        assert s.ticks() == (F(1), F("2.3"))
 
     def test_empty(self):
-        assert EventStream.empty().tick_set() == set()
+        assert EventStream.empty().ticks() == ()
 
     def test_nil_has_none(self):
         from gapstream.ops import nil
-        assert nil().tick_set() == set()
+        assert nil().ticks() == ()
 
 
 def _linear_at(s, t):
@@ -83,11 +83,6 @@ class TestIndexedLookups:
             probe = int(t) if as_int and t.denominator == 1 else t
             assert s.at(probe) == _linear_at(s, t)
             assert s.last_event_before(probe) == _linear_before(s, t)
-            if t in ticks:
-                assert s.value_at_tick(probe) == dict(s.events)[t]
-            else:
-                with pytest.raises(KeyError):
-                    s.value_at_tick(probe)
         assert s.last_event_before(INF) == (s.events[-1] if s.events else None)
 
     def test_indexes_are_not_fields(self):
