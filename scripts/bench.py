@@ -1,6 +1,6 @@
-"""Doubling runs of one offline workload, each checked against an independent result.
+"""Doubling runs of one workload, each checked against an independent result.
 
-Three workloads are measured:
+Four workloads are measured:
 
 - `reset-sum` (the default): concrete reset-sum offline on
   `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
@@ -11,17 +11,23 @@ Three workloads are measured:
   the full trace must refine every abstract output (`refinement_leq`).
 - `period-gapped`: the same for the bundled `variable-period` spec on the
   gapped trace of `perfbench/gen.py` `period`.
+- `reset-sum-online`: concrete reset-sum online, replaying
+  `perfbench/gen.py` `online_messages` of the `reset_sum` trace through
+  `OnlineEvaluator.feed`, one message at a time; the events emitted by the
+  last message must equal the oracle.  Besides the total feed time it
+  reports the median feed latency and the median over the last 10% of the
+  messages, whose history is the longest.
 
-For every n it generates the seeded trace, times `evaluate_fixpoint` in
-wall seconds and checks the output.  It prints the times and the doubling
-exponent fitted to them: the least-squares slope of log(time) against
-log(n), so 1 is linear and 2 quadratic.  A run whose output fails its
-check makes the script exit 1.
+For every n it generates the seeded trace, times `evaluate_fixpoint` (or
+every `feed`) in wall seconds and checks the output.  It prints the times
+and the doubling exponent fitted to them: the least-squares slope of
+log(time) against log(n), so 1 is linear and 2 quadratic.  A run whose
+output fails its check makes the script exit 1.
 
-With --out the results are stored in a JSON file under --label, next to the
-results already there under other labels.  The engine evaluated is the
-gapstream that PYTHONPATH selects, so two versions can be recorded side by
-side:
+With --out the results are stored in a JSON file under the workload's name
+and --label, next to the results already there under other workloads and
+labels.  The engine evaluated is the gapstream that PYTHONPATH selects, so
+two versions can be recorded side by side:
 
     PYTHONPATH=src python scripts/bench.py --label change --out BENCH.json
     PYTHONPATH=../other/src python scripts/bench.py --label parent --out BENCH.json
@@ -34,6 +40,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 from functools import partial
 from pathlib import Path
@@ -65,7 +72,7 @@ def machine() -> str:
 
 
 def reset_sum_run(n: int):
-    """Concrete reset-sum offline at n: (wall seconds, sweeps, oracle agrees)."""
+    """Concrete reset-sum offline at n: (wall seconds, sweeps, oracle agrees, {})."""
     import gen
     import oracle
     from gapstream.builtin_specs import spec_text
@@ -82,11 +89,42 @@ def reset_sum_run(n: int):
     want_cond, want_sum = oracle.reset_sum(text)
     ok = (list(env["cond"].events) == want_cond
           and list(env["sum"].events) == want_sum)
-    return wall, env["__sweeps__"], ok
+    return wall, env["__sweeps__"], ok, {}
+
+
+def reset_sum_online_run(n: int):
+    """Concrete reset-sum online at n: (total feed seconds, sweeps of the
+    last feed, oracle agrees, feed latency medians in ms)."""
+    import gen
+    import oracle
+    from gapstream.builtin_specs import spec_text
+    from gapstream.evaluator import Message, OnlineEvaluator
+    from gapstream.speclang import flatten, parse_spec
+    from gapstream.tracefile import parse_trace
+
+    graph = flatten(parse_spec(spec_text("reset-sum")))
+    text = gen.reset_sum(SEED, n)
+    msgs = gen.online_messages(parse_trace(text), Message)
+    monitor = OnlineEvaluator(graph)
+    emitted = {name: [] for name in graph.outputs}
+    latencies = []
+    for msg in msgs:
+        start = perf_counter()
+        out = monitor.feed(msg)
+        latencies.append(perf_counter() - start)
+        for m in out:
+            if m.kind == "event":
+                emitted[m.stream].append((m.time, m.value))
+    ok = [emitted["cond"], emitted["sum"]] == list(oracle.reset_sum(text))
+    late = latencies[len(latencies) - max(1, len(latencies) // 10):]
+    return sum(latencies), monitor.env["__sweeps__"], ok, {
+        "messages": len(msgs),
+        "feed_p50_ms": round(1000 * statistics.median(latencies), 4),
+        "late_p50_ms": round(1000 * statistics.median(late), 4)}
 
 
 def gapped_run(spec: str, generator: str, n: int):
-    """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps, refined)."""
+    """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps, refined, {})."""
     import gen
     from gapstream.abstract import AbstractEventStream, refinement_leq
     from gapstream.builtin_specs import spec_text
@@ -104,7 +142,7 @@ def gapped_run(spec: str, generator: str, n: int):
     wall = perf_counter() - start
     ok = all(refinement_leq(AbstractEventStream.of(concrete[name]), env[name])
              for name in graph.outputs)
-    return wall, env["__sweeps__"], ok
+    return wall, env["__sweeps__"], ok, {}
 
 
 def _gapped(spec: str, generator: str, sizes: list):
@@ -122,6 +160,12 @@ WORKLOADS = {
                   "against perfbench/oracle.py"),
     "window-gapped": _gapped("queue", "window", [30, 60, 120, 240]),
     "period-gapped": _gapped("variable-period", "period", [8, 16, 32, 64]),
+    "reset-sum-online": (reset_sum_online_run, [40, 80, 160, 320], "oracle",
+                         "concrete reset-sum online: wall seconds of all "
+                         "OnlineEvaluator.feed calls replaying perfbench/gen.py "
+                         "online_messages of reset_sum(seed, n), with the median "
+                         "feed latency and that of the last 10% of messages; the "
+                         "emitted events checked against perfbench/oracle.py"),
 }
 
 
@@ -131,7 +175,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     help="trace sizes n (default: 100 200 400 800 for reset-sum, "
                          "30 60 120 240 for window-gapped, 8 16 32 64 for "
-                         "period-gapped)")
+                         "period-gapped, 40 80 160 320 for reset-sum-online)")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to record the results in")
     args = ap.parse_args(argv)
@@ -141,15 +185,18 @@ def main(argv=None) -> int:
         ap.error("give at least two sizes to fit an exponent")
 
     sys.path.insert(0, str(ROOT / "perfbench"))
-    times, sweeps, wrong = [], [], []
+    times, sweeps, wrong, extras = [], [], [], {}
     for n in sizes:
-        wall, swept, ok = run(n)
+        wall, swept, ok, extra = run(n)
         times.append(wall)
         sweeps.append(swept)
         if not ok:
             wrong.append(n)
+        for key, value in extra.items():
+            extras.setdefault(key, []).append(value)
         print(f"n={n:5d}  wall {wall:8.3f} s  sweeps {swept:5d}  "
-              f"{check + ' ok' if ok else check.upper() + ' FAILS'}", flush=True)
+              + "".join(f"{key} {value}  " for key, value in extra.items())
+              + f"{check + ' ok' if ok else check.upper() + ' FAILS'}", flush=True)
     exponent = fitted_exponent(sizes, times)
     steps = [math.log2(b / a) for a, b in zip(times, times[1:])]
     print(f"fitted exponent {exponent:.2f}; per doubling "
@@ -157,13 +204,14 @@ def main(argv=None) -> int:
 
     if args.out:
         path = Path(args.out)
-        record = json.loads(path.read_text()) if path.exists() else {
-            "benchmark": benchmark, "runs": {}}
-        record["runs"][args.label] = {
+        record = json.loads(path.read_text()) if path.exists() else {}
+        entry = record.setdefault(args.workload, {"benchmark": benchmark, "runs": {}})
+        entry["runs"][args.label] = {
             "seed": SEED,
             "sizes": sizes,
             "wall_s": [round(t, 4) for t in times],
             "sweeps": sweeps,
+            **extras,
             "fitted_exponent": round(exponent, 3),
             "doubling_exponents": [round(e, 3) for e in steps],
             f"{check}_ok": not wrong,

@@ -41,11 +41,9 @@ from .errors import OperatorError
 from .functions import strict_cells
 from .ops import _delay_amount, _vbot_extent
 from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet
+from .timeline import INF, Span, Time, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 from .abstract import AbstractEventStream, covered_span
-
-_ZERO = Fraction(0)
 
 
 def nil_abs() -> AbstractEventStream:
@@ -54,12 +52,13 @@ def nil_abs() -> AbstractEventStream:
 
 def unit_abs() -> AbstractEventStream:
     return AbstractEventStream.of(
-        EventStream.of(((Fraction(0), UNIT),), Progress.infinite())
+        EventStream.of(((0, UNIT),), Progress.infinite())
     )
 
 
 def time_abs(s: AbstractEventStream) -> AbstractEventStream:
-    mapped = EventStream.of(((t, t) for t, _ in s.stream.events), s.progress)
+    """Each event's timestamp as its payload, a Fraction as in ops.time."""
+    mapped = EventStream.of(((t, Fraction(t)) for t, _ in s.stream.events), s.progress)
     return AbstractEventStream.of(mapped, s.gaps)
 
 
@@ -114,7 +113,7 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
     One pass over the streams' merged marks tracks each stream's cell, so no
     cell is looked up.
     """
-    if not horizon.covers(_ZERO):
+    if not horizon.covers(0):
         return
     marks = [(t, i, cell, above) for i, s in enumerate(streams)
              for t, cell, above in _marks(s)]
@@ -128,8 +127,8 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
         if prev is not None:
             yield prev, t, region
         elif t:
-            yield _ZERO, None, region
-            yield _ZERO, t, region
+            yield 0, None, region
+            yield 0, t, region
         cells, after = list(region), list(region)
         for _, i, cell, above in group:
             cells[i] = cell
@@ -138,8 +137,8 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
         region = tuple(after)
         prev = t
     if prev is None:
-        yield _ZERO, None, region
-        prev = _ZERO
+        yield 0, None, region
+        prev = 0
     if prev < horizon.time:
         yield prev, horizon.time, region
 
@@ -432,8 +431,8 @@ def slift_time_abs(f_abs: Callable, x: AbstractEventStream,
 
 @dataclass
 class _ExactSource:
-    start: Fraction
-    tau: Fraction
+    start: Time
+    tau: Time
     definite_set: bool
     vulnerable: bool = False      # a reset gap appeared strictly inside (start, tau)
     undecidable: bool = False     # a reset may lie past r's progress before tau
@@ -451,9 +450,9 @@ class _DelaySweep:
 
     def __init__(self):
         self.exact: List[_ExactSource] = []
-        self.taus: List[Fraction] = []    # heap of the exact sources' timeouts
+        self.taus: List[Time] = []    # heap of the exact sources' timeouts
         self.any_alive = False
-        self.fires: List[Fraction] = []
+        self.fires: List[Time] = []
         self.gap_spans: List[Span] = []
 
     def atom(self, lo, hi, d_cell, r_cell) -> Optional[Progress]:
@@ -532,9 +531,10 @@ class _DelaySweep:
                 self.any_alive = True
                 unknown_source = r_cell is UNKNOWN
             elif amount is not None:
-                self.exact.append(_ExactSource(lo, lo + amount, definite,
+                tau = as_time(lo + amount)
+                self.exact.append(_ExactSource(lo, tau, definite,
                                                undecidable=r_cell is UNKNOWN))
-                heappush(self.taus, lo + amount)
+                heappush(self.taus, tau)
         if unknown_source:
             return Progress.inclusive_at(lo) if is_point else Progress(hi, False)
         return None
@@ -589,7 +589,7 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
     for t, val in d.stream.events:
         amount = _delay_amount(val, t)
         if amount not in (None, "any") and r.at(t) is GAP:
-            sources.append((t, t + amount))
+            sources.append((t, as_time(t + amount)))
     if not sources:
         return z
     # a source promotes from its timeout on while z stays in a gap and no

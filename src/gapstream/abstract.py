@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, OperatorError
 from .streams import EventStream, Progress
-from .timeline import Span, TimeSet, as_time
+from .timeline import Span, Time, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval, _to_interval, value_eq
 
 
@@ -27,10 +27,10 @@ def covered_span(progress: Progress) -> TimeSet:
     if progress.is_infinite():
         return TimeSet.full()
     if progress.inclusive:
-        return TimeSet.of(Span(Fraction(0), True, progress.time, True))
+        return TimeSet.of(Span(0, True, progress.time, True))
     if progress.time == 0:
         return TimeSet.empty()
-    return TimeSet.of(Span(Fraction(0), True, progress.time, False))
+    return TimeSet.of(Span(0, True, progress.time, False))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def gamma_values(abstract_value, universe_values: tuple) -> tuple:
 class FiniteUniverse:
     """Finite timestamp grid and value sets that make concretization enumerable."""
 
-    grid: Tuple[Fraction, ...]
+    grid: Tuple[Time, ...]
     values: Tuple[object, ...]
     per_stream: Tuple[Tuple[str, Tuple[object, ...]], ...] = ()
     budget: int = 200_000

@@ -330,7 +330,7 @@ def _delay_verdict(state, t):
 def _delay_step(eps):
     def amount_of(val, t):
         amount = ops._delay_amount(val, t)
-        if isinstance(amount, Fraction) and (amount / eps).denominator != 1:
+        if amount not in (None, "any") and (amount / eps).denominator != 1:
             raise OperatorError(f"delay amount {amount} off the epsilon grid")
         return amount
 
@@ -496,7 +496,7 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
     for node in g.nodes:
         env.setdefault(node.name, EventStream.empty())
 
-    grid_len = int(horizon / g.epsilon) + 2
+    grid_len = horizon // g.epsilon + 2
     bound = max(32, 3 * grid_len + len(g.nodes))
 
     def compute(node):

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 from .errors import EpsilonTooCoarse
 from .streams import EventStream, Progress
-from .timeline import INF, Span, TimeSet
+from .timeline import INF, Span, Time, TimeSet, as_time
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def encode_delta(known: TimeSet, epsilon, progress: Progress = None) -> DeltaEnc
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise EpsilonTooCoarse("epsilon must be positive")
-    switches: List[Tuple[Fraction, bool]] = []
+    switches: List[Tuple[Time, bool]] = []
 
     def add(t, val):
         if switches and switches[-1][0] == t:
@@ -47,15 +47,14 @@ def encode_delta(known: TimeSet, epsilon, progress: Progress = None) -> DeltaEnc
                 f"boundary at {t} overtaken after epsilon shifting")
         switches.append((t, val))
 
-    cursor = Fraction(0)
-    add(Fraction(0), known.contains(0))
+    add(0, known.contains(0))
     for sp in known.spans:
-        start = sp.lo if sp.lo_closed else sp.lo + epsilon
+        start = sp.lo if sp.lo_closed else as_time(sp.lo + epsilon)
         if start > 0:
             add(start, True)
         if sp.hi is INF:
             break
-        end = sp.hi + epsilon if sp.hi_closed else sp.hi
+        end = as_time(sp.hi + epsilon) if sp.hi_closed else sp.hi
         add(end, False)
     marker = EventStream.of(
         [(t, v) for t, v in switches],
@@ -72,7 +71,7 @@ def decode_delta(enc: DeltaEncoding) -> TimeSet:
     for t, v in enc.marker.events:
         if first and t != 0:
             # knowledge state before the first marker defaults to known
-            open_at = Fraction(0)
+            open_at = 0
         first = False
         if v is True or v == True:  # noqa: E712 - accepts plain bools only
             if open_at is None:
@@ -83,7 +82,7 @@ def decode_delta(enc: DeltaEncoding) -> TimeSet:
                     spans.append(Span(open_at, True, t, False))
                 open_at = None
     if first:
-        open_at = Fraction(0)
+        open_at = 0
     if open_at is not None:
         spans.append(Span(open_at, True, INF, False))
     return TimeSet(spans)
@@ -100,9 +99,9 @@ def grid_canonical(ts: TimeSet, epsilon, horizon) -> TimeSet:
         if run_start is None:
             run_start = g
         elif g != prev + epsilon:
-            spans.append(Span(run_start, True, prev + epsilon, False))
+            spans.append(Span(run_start, True, as_time(prev + epsilon), False))
             run_start = g
         prev = g
     if run_start is not None:
-        spans.append(Span(run_start, True, prev + epsilon, False))
+        spans.append(Span(run_start, True, as_time(prev + epsilon), False))
     return TimeSet(spans)

@@ -22,7 +22,6 @@ rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import absops, ops
@@ -30,7 +29,7 @@ from .abstract import AbstractEventStream
 from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
 from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
 from .streams import ZERO_PROGRESS, EventStream, Progress
-from .timeline import INF, Span, TimeSet, as_time
+from .timeline import INF, Span, Time, TimeSet, as_time
 
 
 def _eval_concrete(app: Apply, get):
@@ -174,7 +173,7 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
 class Message:
     kind: str          # event | progress | gap_start | gap_end
     stream: str
-    time: Fraction
+    time: Time
     value: object = None
 
     @staticmethod
@@ -208,7 +207,7 @@ def _message_time(kind: str, stream: str, time):
 class _InputState:
     events: list = field(default_factory=list)
     gap_spans: list = field(default_factory=list)
-    open_gap: Optional[Fraction] = None
+    open_gap: Optional[Time] = None
     progress: Progress = ZERO_PROGRESS
 
     def advance(self, t, inclusive=True):

@@ -252,7 +252,7 @@ def register_simple(name, arity, concrete_vals, abstract_vals=None):
 register_simple("add", 2, lambda a, b: a + b, abs_add)
 register_simple("sub", 2, lambda a, b: a - b, abs_sub)
 register_simple("mul", 2, lambda a, b: a * b, abs_mul)
-register_simple("div", 2, lambda a, b: a / b, abs_div)
+register_simple("div", 2, lambda a, b: Fraction(a, b), abs_div)
 register_simple("neg", 1, lambda a: -a, abs_neg)
 register_simple("inc", 1, lambda a: a + 1, lambda a: abs_add(a, Fraction(1)))
 register_simple("leq", 2, lambda a, b: a <= b, abs_leq)

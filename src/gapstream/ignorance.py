@@ -30,6 +30,7 @@ from .errors import BudgetExceeded, UnequalProgress
 from .evaluator import evaluate_fixpoint
 from .speclang import SpecGraph
 from .streams import EventStream, Progress
+from .timeline import Time
 from .values import BOTTOM, Interval, value_eq
 
 
@@ -62,8 +63,8 @@ class BoundedIntervalSpace:
 class IgnoranceRepresentation:
     """Piece-wise constant disagreement sets over [0, T]."""
 
-    pieces: Tuple[Tuple[Fraction, Fraction, frozenset], ...]
-    horizon: Fraction
+    pieces: Tuple[Tuple[Time, Time, frozenset], ...]
+    horizon: Time
 
 
 def _common_progress(streams: Sequence[EventStream]) -> Progress:
@@ -85,9 +86,9 @@ def ignorance_repr(streams: Sequence[EventStream]) -> IgnoranceRepresentation:
     horizon = prog.time
     streams = [s.truncated(prog) for s in streams]
 
-    cuts = sorted({Fraction(0), horizon}
+    cuts = sorted({0, horizon}
                   | {t for s in streams for t in s.ticks() if t <= horizon})
-    pieces: List[Tuple[Fraction, Fraction, frozenset]] = []
+    pieces: List[Tuple[Time, Time, frozenset]] = []
     for lo, hi in zip(cuts, cuts[1:]):
         vals = [s.signal_value(_mid(lo, hi)) for s in streams]
         distinct = _distinct(vals)
@@ -100,8 +101,8 @@ def ignorance_repr(streams: Sequence[EventStream]) -> IgnoranceRepresentation:
     return IgnoranceRepresentation(kept, horizon)
 
 
-def _mid(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
+def _mid(lo: Time, hi: Time) -> Fraction:
+    return Fraction(lo + hi, 2)
 
 
 def _distinct(vals) -> list:
@@ -119,7 +120,7 @@ def iota(streams: Sequence[EventStream], space) -> Fraction:
         return Fraction(0)
     total = sum(((hi - lo) * space.measure(dis) for lo, hi, dis in rep.pieces),
                 Fraction(0))
-    return total / rep.horizon
+    return Fraction(total, rep.horizon)
 
 
 def compare_ignorance(concrete: SpecGraph, abstract: SpecGraph,

@@ -26,7 +26,7 @@ from typing import Callable
 
 from .errors import OperatorError
 from .streams import EventStream, Progress
-from .timeline import INF, ExtTime
+from .timeline import INF, ExtTime, as_time
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 
 
@@ -35,11 +35,12 @@ def nil() -> EventStream:
 
 
 def unit() -> EventStream:
-    return EventStream.of(((Fraction(0), UNIT),), Progress.infinite())
+    return EventStream.of(((0, UNIT),), Progress.infinite())
 
 
 def time(s: EventStream) -> EventStream:
-    return EventStream.of(((t, t) for t, _ in s.events), s.progress)
+    """Each event's timestamp as its payload, a Fraction like every parsed number."""
+    return EventStream.of(((t, Fraction(t)) for t, _ in s.events), s.progress)
 
 
 def _covered_count(s: EventStream, prog: Progress) -> int:
@@ -122,7 +123,7 @@ def last(v: EventStream, r: EventStream) -> EventStream:
 
 
 def _delay_amount(val, where):
-    """The delay amount val: a positive Fraction, None for INF, or "any".
+    """The delay amount val: a positive canonical time, None for INF, or "any".
 
     "any" stands for an amount only known abstractly, TOP or an interval
     wider than a point; the concrete delay rejects it.
@@ -138,11 +139,9 @@ def _delay_amount(val, where):
             return "any"
     if isinstance(val, bool):
         raise OperatorError(f"delay amount at {where} must be a duration, got {val!r}")
-    if isinstance(val, int):
-        val = Fraction(val)
-    if not isinstance(val, Fraction) or val <= 0:
+    if not isinstance(val, (int, Fraction)) or val <= 0:
         raise OperatorError(f"delay amount at {where} must be positive, got {val!r}")
-    return val
+    return as_time(val)
 
 
 def delay(d: EventStream, r: EventStream) -> EventStream:
@@ -192,10 +191,11 @@ def delay(d: EventStream, r: EventStream) -> EventStream:
         amount = amounts.get(t)
         if amount is None:
             continue
+        timeout = as_time(t + amount)
         if not r.progress.covers(t):
-            prog = min(prog, Progress.exclusive(t + amount))
+            prog = min(prog, Progress.exclusive(timeout))
         if arm:
-            pending = t + amount
+            pending = timeout
             if pending not in ticks:
                 heappush(agenda, pending)
     return EventStream.of(events, prog)

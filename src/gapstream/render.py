@@ -19,7 +19,7 @@ MAX_COLUMNS = 100
 def render_trace(trace: Trace) -> str:
     eps = trace.epsilon
     horizon = trace.horizon()
-    cols = int(horizon / eps) + 1
+    cols = horizon // eps + 1
     times = [i * eps for i in range(cols)]
     elide = cols > MAX_COLUMNS
     shown = times if not elide else times[: MAX_COLUMNS // 2] + times[-MAX_COLUMNS // 2:]

@@ -21,10 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .timeline import INF, ExtTime, as_time
+from .timeline import INF, ExtTime, Time, as_time
 from .values import BOTTOM, UNKNOWN, value_eq
 
 
@@ -56,12 +55,12 @@ class Progress:
     def is_infinite(self) -> bool:
         return self.time is INF
 
-    def covers(self, t: Fraction) -> bool:
+    def covers(self, t: Time) -> bool:
         if self.time is INF:
             return True
         return t < self.time or (self.inclusive and t == self.time)
 
-    def covers_below(self, t: Fraction) -> bool:
+    def covers_below(self, t: Time) -> bool:
         """True if every timestamp strictly below t is covered."""
         if self.time is INF:
             return True
@@ -73,12 +72,12 @@ class Progress:
         return f"prog({'<=' if self.inclusive else '<'}{self.time})"
 
 
-ZERO_PROGRESS = Progress(Fraction(0), False)
+ZERO_PROGRESS = Progress(0, False)
 
 
 @dataclass(frozen=True)
 class EventStream:
-    events: Tuple[Tuple[Fraction, object], ...]
+    events: Tuple[Tuple[Time, object], ...]
     progress: Progress
 
     @staticmethod

@@ -6,7 +6,9 @@ two infinities compare with rationals through the ordinary operators, and
 that one order is the order of time everywhere: min, max, sorted and the
 progress order of streams.Progress all use it.  All ordering and arithmetic
 is exact; floats never enter the engine (decimal literals are parsed into
-Fractions).
+Fractions).  A time is held in one canonical form, which as_time gives: an
+int when it is integral and a Fraction otherwise, so that the common
+integral times compare at the speed of ints.
 
 A TimeSet is a finite union of disjoint intervals over [0, oo) with
 inclusive or exclusive endpoints.  It represents the set of timestamps at
@@ -74,24 +76,35 @@ class _Infinity:
 INF = _Infinity(True, "INF")
 NEG_INF = _Infinity(False, "NEG_INF")
 
-Time = Fraction
-TimeLike = Union[Fraction, int, str]
-ExtTime = Union[Fraction, _Infinity]
+Time = Union[int, Fraction]
+TimeLike = Union[int, Fraction, str]
+ExtTime = Union[int, Fraction, _Infinity]
 
 
-def as_time(value: TimeLike) -> Fraction:
-    # Fractions are immutable, so an exact one is returned as is
+def as_time(value: TimeLike) -> Time:
+    """value as a canonical time: an int if integral, else a Fraction.
+
+    Every new time goes through here, so an integral time is never a
+    Fraction with denominator 1.  int and Fraction compare, hash and add
+    exactly with each other; a sum of times is canonicalized again.
+    Anything Fraction accepts is taken (decimal strings such as "2.3").
+    """
+    if type(value) is int:
+        if value < 0:
+            raise ValueError(f"timestamps must be non-negative, got {value}")
+        return value
+    # Fractions are immutable, so a non-integral one is returned as is
     t = value if type(value) is Fraction else Fraction(value)
     if t.numerator < 0:
         raise ValueError(f"timestamps must be non-negative, got {t}")
-    return t
+    return t.numerator if t.denominator == 1 else t
 
 
 @dataclass(frozen=True)
 class Span:
     """One interval piece of a TimeSet.  hi may be INF (then hi_closed is False)."""
 
-    lo: Fraction
+    lo: Time
     lo_closed: bool
     hi: ExtTime
     hi_closed: bool
@@ -106,7 +119,7 @@ class Span:
             if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
                 raise ValueError("degenerate interval must be closed on both ends")
 
-    def contains(self, t: Fraction) -> bool:
+    def contains(self, t: Time) -> bool:
         if t < self.lo or (t == self.lo and not self.lo_closed):
             return False
         if self.hi is INF:
@@ -199,11 +212,11 @@ class TimeSet:
             return INF
         return self.spans[0].lo
 
-    def free_since(self, t: Fraction) -> Fraction:
+    def free_since(self, t: Time) -> Time:
         """Infimum u <= t such that the open interval (u, t) misses the set."""
         i = bisect_left(self.spans, t, key=_lo)
         if i == 0:
-            return Fraction(0)
+            return 0
         return min(self.spans[i - 1].hi, t)
 
     def grid_points(self, epsilon: Fraction, limit: ExtTime) -> list:
@@ -218,7 +231,7 @@ class TimeSet:
             while g <= stop:
                 if s.contains(g):
                     out.append(g)
-                g = g + epsilon
+                g = as_time(g + epsilon)
         return sorted(set(out))
 
     def boundaries(self) -> list:
@@ -241,12 +254,12 @@ class TimeSet:
         return "TimeSet(" + " u ".join(repr(s) for s in self.spans) + ")"
 
 
-def _ceil_grid(lo: Fraction, lo_closed: bool, epsilon: Fraction) -> Fraction:
+def _ceil_grid(lo: Time, lo_closed: bool, epsilon: Fraction) -> Time:
     q, r = divmod(lo, epsilon)
     g = q * epsilon if r == 0 else (q + 1) * epsilon
     if g == lo and not lo_closed:
         g = g + epsilon
-    return g
+    return as_time(g)
 
 
 _lo = attrgetter("lo")
@@ -289,4 +302,4 @@ def _sweep(edges: list, need: int) -> TimeSet:
 
 
 _EMPTY = TimeSet()
-_FULL = TimeSet.of(Span(Fraction(0), True, INF, False))
+_FULL = TimeSet.of(Span(0, True, INF, False))

@@ -30,7 +30,7 @@ from .encoding import grid_canonical
 from .errors import OutOfOrderInput, TraceError, UndeclaredStream
 from .speclang import STREAM_TYPES
 from .streams import EventStream, Progress
-from .timeline import INF, NEG_INF, Span, TimeSet, as_time
+from .timeline import INF, NEG_INF, Span, Time, TimeSet, as_time
 from .values import TOP, UNIT, Interval
 
 
@@ -48,9 +48,9 @@ class Trace:
         return any(isinstance(s, AbstractEventStream) and not s.is_concrete()
                    for s in self.streams.values())
 
-    def horizon(self) -> Fraction:
+    def horizon(self) -> Time:
         if self.progress.is_infinite():
-            best = Fraction(0)
+            best = 0
             for s in self.streams.values():
                 ev = s.stream.events if isinstance(s, AbstractEventStream) else s.events
                 if ev:
@@ -59,9 +59,9 @@ class Trace:
         return self.progress.time
 
 
-def _parse_time(text: str, lineno: int) -> Fraction:
+def _parse_time(text: str, lineno: int) -> Time:
     try:
-        return as_time(Fraction(text))
+        return as_time(text)
     except (ValueError, ZeroDivisionError):
         raise TraceError(f"line {lineno}: bad timestamp '{text}'")
 
@@ -116,10 +116,10 @@ def _parse_bound(text: str, lineno: int):
 @dataclass
 class _Builder:
     ty: str
-    events: List[Tuple[Fraction, object]] = field(default_factory=list)
+    events: List[Tuple[Time, object]] = field(default_factory=list)
     gap_spans: List[Span] = field(default_factory=list)
-    open_gap: Optional[Tuple[Fraction, bool]] = None  # (time, start closed)
-    last_time: Optional[Fraction] = None
+    open_gap: Optional[Tuple[Time, bool]] = None  # (time, start closed)
+    last_time: Optional[Time] = None
     last_event_line: int = 0
     saw_abstract: bool = False
 
@@ -285,7 +285,7 @@ def format_value(v) -> str:
     raise TraceError(f"value {v!r} has no trace representation")
 
 
-def format_time(t: Fraction) -> str:
+def format_time(t: Time) -> str:
     if t.denominator == 1:
         return str(t.numerator)
     scaled = t
@@ -331,8 +331,8 @@ def serialize_trace(declarations, streams: Dict[str, object], epsilon,
     return "\n".join(lines) + "\n"
 
 
-def _last_feature(stream: EventStream, gaps: TimeSet) -> Fraction:
-    best = Fraction(0)
+def _last_feature(stream: EventStream, gaps: TimeSet) -> Time:
+    best = 0
     if stream.events:
         best = stream.events[-1][0]
     for b in gaps.boundaries():

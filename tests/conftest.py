@@ -73,7 +73,7 @@ def sample_points(*streams, extra=()):
     feats = feature_points(*streams, extra=extra)
     out = list(feats)
     for a, b in zip(feats, feats[1:]):
-        out.append((a + b) / 2)
+        out.append(F(a + b, 2))
     return sorted(set(out))
 
 
@@ -84,7 +84,7 @@ def points_below(feats, t):
     out = set(fs)
     for a, b in zip(seq, seq[1:]):
         if b > a:
-            out.add((a + b) / 2)
+            out.add(F(a + b, 2))
     return sorted(out)
 
 
@@ -95,7 +95,7 @@ def points_between(feats, lo, hi):
     out = set(fs)
     for a, b in zip(seq, seq[1:]):
         if b > a:
-            out.add((a + b) / 2)
+            out.add(F(a + b, 2))
     return sorted(out)
 
 
@@ -117,7 +117,7 @@ class RegionMap:
         his = [f for f in self.feats if f > t]
         if not his:
             return self.cells.get(self.feats[-1], ("unknown",))
-        mid = (lo + his[0]) / 2
+        mid = F(lo + his[0], 2)
         return self.cells.get(mid, ("unknown",))
 
 

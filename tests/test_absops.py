@@ -473,7 +473,7 @@ def _atoms(points, prog):
         if not prog.covers(p):
             break
         if last is not None:
-            yield (last, p, (last + p) / 2, False)
+            yield (last, p, F(last + p, 2), False)
         yield (p, p, p, True)
         last = p
     if last is None:
@@ -481,7 +481,7 @@ def _atoms(points, prog):
     if prog.is_infinite():
         yield (last, INF, last + 1, False)
     elif last < prog.time:
-        yield (last, prog.time, (last + prog.time) / 2, False)
+        yield (last, prog.time, F(last + prog.time, 2), False)
 
 
 def per_atom_lift_abs(f_abs, *streams):

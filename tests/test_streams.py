@@ -76,11 +76,11 @@ class TestIndexedLookups:
         horizon = s.progress.time if s.progress.time is not INF else F(8)
         probes = {F(0), horizon, horizon + 1, horizon + F(1, 3)}
         probes.update(ticks)
-        probes.update((a + b) / 2 for a, b in zip(ticks, ticks[1:]))
+        probes.update(F(a + b, 2) for a, b in zip(ticks, ticks[1:]))
         probes.update(t + F(1, 7) for t in ticks)
         assert s.ticks() == tuple(ticks)
         for t in sorted(probes):
-            probe = int(t) if as_int and t.denominator == 1 else t
+            probe = int(t) if as_int and t.denominator == 1 else F(t)
             assert s.at(probe) == _linear_at(s, t)
             assert s.last_event_before(probe) == _linear_before(s, t)
         assert s.last_event_before(INF) == (s.events[-1] if s.events else None)
