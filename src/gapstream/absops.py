@@ -191,12 +191,12 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStr
 
 
 def merge_cell(a, b):
-    if a not in (GAP, BOTTOM):
+    if a is not GAP and a is not BOTTOM:
         return a
     if a is BOTTOM:
         return b
     # a is GAP
-    return GAP if b in (GAP, BOTTOM) else TOP
+    return GAP if b is GAP or b is BOTTOM else TOP
 
 
 def merge_cells(*cells):
@@ -212,7 +212,7 @@ def merge_abs(*streams: AbstractEventStream) -> AbstractEventStream:
 
 def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
     def cell(v):
-        if v in (BOTTOM, GAP):
+        if v is BOTTOM or v is GAP:
             return v
         return c
 
@@ -498,8 +498,8 @@ class _DelaySweep:
         # expired exact sources
         self.exact = [s for s in self.exact if lo < s.tau]
 
-        # 2. apply reset effects of this atom to pre-existing sources
-        reset = r_cell not in (BOTTOM, GAP, UNKNOWN)    # only on a point
+        # 2. apply reset effects of this atom (an event: a point) to pre-existing sources
+        reset = r_cell is not BOTTOM and r_cell is not GAP and r_cell is not UNKNOWN
         if reset:
             self.exact = [s for s in self.exact if not s.start < lo]
             self.any_alive = False
@@ -607,7 +607,8 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
         elif z_cell is not GAP:
             # the gap chain breaks: sources whose timeout passed die
             live = [ok and not out for ok, out in zip(live, timed_out)]
-        if hi is None and r_cell not in (BOTTOM, GAP, UNKNOWN):
+        if (hi is None and r_cell is not BOTTOM and r_cell is not GAP
+                and r_cell is not UNKNOWN):
             live = [ok and not t < lo for ok, (t, _) in zip(live, sources)]
     if not extra:
         return z

@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, OperatorError
+from .errors import BudgetExceeded, OperatorError, OutOfOrderInput
 from .streams import EventStream, Progress
-from .timeline import Span, Time, TimeSet, as_time
+from .timeline import INF, ExtTime, Span, Time, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval, _to_interval, value_eq
 
 
@@ -74,6 +74,79 @@ class AbstractEventStream:
 
     def __repr__(self):
         return f"Abs({self.stream!r}, gaps={self.gaps!r})"
+
+
+class InputBuilder:
+    """One input stream built from timed directives, in the order received.
+
+    Trace files and online messages both build their inputs here, by one
+    rule.  A directive at t is accepted only where the progress does not
+    yet decide t.  An event or a gap start decides t, a gap end everything
+    below t, and advance raises the progress to a given one.  An event
+    inside an open gap punches a known point into it, and the gap stays
+    open after the event.  A gap start inside an open gap is an error, and
+    so is a gap end with no open gap.  Times must be canonical (as_time).
+    Errors name no line or stream; the caller adds that context.
+    """
+
+    def __init__(self):
+        self.events: List[Tuple[Time, object]] = []
+        self.gap_spans: List[Span] = []
+        self.open_gap: Optional[Tuple[Time, bool]] = None   # (start, start closed)
+        # the progress, unpacked: every directive compares against it
+        self._time: ExtTime = 0
+        self._inclusive = False
+
+    @property
+    def progress(self) -> Progress:
+        return Progress(self._time, self._inclusive)
+
+    @property
+    def gapped(self) -> bool:
+        return bool(self.gap_spans) or self.open_gap is not None
+
+    def _decide(self, kind: str, t: Time, inclusive: bool) -> None:
+        if t < self._time or t == self._time and self._inclusive:
+            raise OutOfOrderInput(f"{kind} at {t} is out of order: the progress "
+                                  f"{self.progress} already decides that time")
+        self._time, self._inclusive = t, inclusive
+
+    def event(self, t: Time, v) -> None:
+        self._decide("event", t, True)
+        if self.open_gap is not None:
+            self.gap_spans.append(Span(*self.open_gap, t, False))
+            self.open_gap = (t, False)
+        self.events.append((t, v))
+
+    def gap_start(self, t: Time) -> None:
+        if self.open_gap is not None:
+            raise OutOfOrderInput(f"gap start at {t}: a gap is already open")
+        self._decide("gap start", t, True)
+        self.open_gap = (t, True)
+
+    def gap_end(self, t: Time) -> None:
+        if self.open_gap is None:
+            raise OutOfOrderInput(f"gap end at {t}: no open gap")
+        self._decide("gap end", t, False)
+        self.gap_spans.append(Span(*self.open_gap, t, False))
+        self.open_gap = None
+
+    def advance(self, progress: Progress) -> None:
+        if progress < self.progress:
+            raise OutOfOrderInput(
+                f"watermark moved backwards to {progress} from {self.progress}")
+        self._time, self._inclusive = progress.time, progress.inclusive
+
+    def stream(self, abstract: bool):
+        """The stream received so far: an EventStream, or with `abstract`
+        an AbstractEventStream whose open gap runs to the progress."""
+        base = EventStream(tuple(self.events), self.progress)
+        if not abstract:
+            return base
+        spans = self.gap_spans
+        if self.open_gap is not None:
+            spans = spans + [Span(*self.open_gap, INF, False)]
+        return AbstractEventStream.of(base, TimeSet(spans))
 
 
 def value_leq(a, b) -> bool:
@@ -218,7 +291,7 @@ def refinement_leq(a: AbstractEventStream, b: AbstractEventStream) -> bool:
         return False
     for t, vb in b.stream.events:
         va = a.stream.at(t)
-        if va in (BOTTOM, UNKNOWN):
+        if va is BOTTOM or va is UNKNOWN:
             return False
         if not value_leq(va, vb):
             return False

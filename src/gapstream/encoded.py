@@ -105,7 +105,7 @@ def _strip(g: EncodedGraph, zc: str) -> str:
         if c is BOTTOM:
             return BOTTOM
         p = c.payload
-        return BOTTOM if p in (BOTTOM, GAP) else p
+        return BOTTOM if p is BOTTOM or p is GAP else p
 
     return g.add("val", (zc,), lambda s: ops.lift(f, s))
 
@@ -159,7 +159,7 @@ def _enc_merge(g: EncodedGraph, *pairs) -> Tuple[str, str]:
 
 
 def _enc_const(g: EncodedGraph, lit, xp) -> Tuple[str, str]:
-    return _enc_lift(g, lambda v: v if v in (BOTTOM, GAP) else lit, xp)
+    return _enc_lift(g, lambda v: v if v is BOTTOM or v is GAP else lit, xp)
 
 
 # -- last ---------------------------------------------------------------------
@@ -260,7 +260,7 @@ def _enc_last_time(g: EncodedGraph, vp, rp) -> Tuple[str, str]:
         g, _last_time_step(g.epsilon), _LT_INIT, [vc, tc])
     zc = g.add("ltz", (prev, rc, tc),
                lambda p, r, t: ops.lift(
-                   lambda pv, rv, tv: BOTTOM if BOTTOM in (pv, rv, tv)
+                   lambda pv, rv, tv: BOTTOM if pv is BOTTOM or rv is BOTTOM or tv is BOTTOM
                    else _last_time_decide(pv, rv, tv), p, r, t))
     return _pair_from_cells(g, zc)
 
@@ -340,13 +340,13 @@ def _delay_step(eps):
         z = _delay_verdict(state, t)
 
         pending = tuple(p for p in pending if p[1] > t)
-        if rv not in (BOTTOM, GAP):
+        if rv is not BOTTOM and rv is not GAP:
             pending = ()
             any_alive = False
         elif rv is GAP:
             pending = tuple((s0, tau, defi, True) for (s0, tau, defi, _) in pending)
 
-        set_def = (rv not in (BOTTOM, GAP)) or z is UNIT
+        set_def = rv is not BOTTOM and rv is not GAP or z is UNIT
         set_pos = set_def or rv is GAP or z is GAP
         if dv is GAP:
             if set_pos:
@@ -386,9 +386,9 @@ def _enc_gap_half(g: EncodedGraph, z_pair, d_pair) -> Tuple[str, str]:
     dc = _cells(g, d_pair)
 
     def f(cz, cd):
-        if BOTTOM in (cz, cd):
+        if cz is BOTTOM or cd is BOTTOM:
             return BOTTOM
-        if cd.payload not in (BOTTOM, GAP):
+        if cd.payload is not BOTTOM and cd.payload is not GAP:
             return cd
         return _G if cz.payload is GAP else _B
 

@@ -14,21 +14,21 @@ boundaries and watermarks.  Each online fixed point starts from the previous
 one rather than from empty streams: every accepted message extends its input
 by prefix extension, so the previous fixed point lies below the new least
 one and the iteration climbs from there to the same result.  Each input
-keeps one Progress, which a message may only raise in the Progress order; a
-message that would lower it, or write at a time it already decides, is
-rejected.
+is built by an abstract.InputBuilder, by the rule trace files follow too:
+its progress only rises, and a message that would lower it, or write at a
+time it already decides, is rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from . import absops, ops
-from .abstract import AbstractEventStream
+from .abstract import AbstractEventStream, InputBuilder
 from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
 from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
-from .streams import ZERO_PROGRESS, EventStream, Progress
+from .streams import EventStream, Progress
 from .timeline import INF, Span, Time, TimeSet, as_time
 
 
@@ -203,28 +203,6 @@ def _message_time(kind: str, stream: str, time):
         raise TraceError(f"{kind} on '{stream}' has a bad time {time!r}: {e}") from e
 
 
-@dataclass
-class _InputState:
-    events: list = field(default_factory=list)
-    gap_spans: list = field(default_factory=list)
-    open_gap: Optional[Time] = None
-    progress: Progress = ZERO_PROGRESS
-
-    def advance(self, t, inclusive=True):
-        if t < self.progress.time:
-            raise OutOfOrderInput(f"watermark moved backwards to {t}")
-        self.progress = max(self.progress, Progress(t, inclusive and t is not INF))
-
-    def stream(self, mode: str):
-        base = EventStream.of(self.events, self.progress)
-        if mode != "abstract":
-            return base
-        spans = list(self.gap_spans)
-        if self.open_gap is not None:
-            spans.append(Span(self.open_gap, True, INF, False))
-        return AbstractEventStream.of(base, TimeSet(spans))
-
-
 def _gap_ended(sp: Span, progress: Progress) -> bool:
     """Whether progress decides the first time after the gap span sp.
 
@@ -241,8 +219,8 @@ class OnlineEvaluator:
 
     def __init__(self, graph: SpecGraph):
         self.graph = graph
-        self.mode = graph.ast.mode
-        self.state: Dict[str, _InputState] = {n: _InputState() for n in graph.inputs}
+        self.abstract = graph.ast.mode == "abstract"
+        self.state: Dict[str, InputBuilder] = {n: InputBuilder() for n in graph.inputs}
         self.emitted_events: Dict[str, int] = {n: 0 for n in graph.outputs}
         # gap spans whose start, and whose end, are emitted: outputs grow by
         # prefix extension, so only the last span can still grow, and the
@@ -253,43 +231,27 @@ class OnlineEvaluator:
         self.env: Optional[Dict[str, object]] = None
 
     def feed(self, msg: Message) -> List[Message]:
-        st = self.state.get(msg.stream)
-        if st is None:
+        b = self.state.get(msg.stream)
+        if b is None:
             raise OutOfOrderInput(f"unknown input stream '{msg.stream}'")
-        msg = replace(msg, time=_message_time(msg.kind, msg.stream, msg.time))
-        if msg.kind in ("event", "gap_start", "gap_end") and st.progress.covers(msg.time):
-            # a decided timestamp never changes: the warm-started fixed
-            # point relies on inputs growing by prefix extension only
-            raise OutOfOrderInput(
-                f"{msg.kind} at {msg.time} on '{msg.stream}' is out of order: "
-                f"its progress {st.progress} already decides that time")
-        if msg.kind == "event":
-            if st.open_gap is not None:
-                raise OutOfOrderInput(
-                    f"event inside an open gap on '{msg.stream}'; "
-                    f"close the gap first (gap_end, event, gap_start)")
-            st.events.append((msg.time, msg.value))
-            st.advance(msg.time)
-        elif msg.kind == "progress":
-            st.advance(msg.time)
-        elif msg.kind == "gap_start":
-            if self.mode != "abstract":
+        t = _message_time(msg.kind, msg.stream, msg.time)
+        try:
+            if msg.kind == "event":
+                b.event(t, msg.value)
+            elif msg.kind == "progress":
+                b.advance(Progress(t, t is not INF))
+            elif msg.kind not in ("gap_start", "gap_end"):
+                raise OutOfOrderInput(f"unknown message kind '{msg.kind}'")
+            elif not self.abstract:
                 raise OutOfOrderInput("gaps need abstract evaluation mode")
-            st.advance(msg.time, inclusive=True)
-            if st.open_gap is None:
-                st.open_gap = msg.time
-        elif msg.kind == "gap_end":
-            if st.open_gap is None:
-                raise OutOfOrderInput(f"no open gap on '{msg.stream}'")
-            st.advance(msg.time, inclusive=False)
-            st.gap_spans.append(Span(st.open_gap, True, msg.time, False))
-            st.open_gap = None
-        else:
-            raise OutOfOrderInput(f"unknown message kind '{msg.kind}'")
+            else:
+                getattr(b, msg.kind)(t)
+        except TraceError as e:
+            raise type(e)(f"input '{msg.stream}': {e}") from None
         return self._refresh()
 
     def _refresh(self) -> List[Message]:
-        inputs = {n: s.stream(self.mode) for n, s in self.state.items()}
+        inputs = {n: b.stream(self.abstract) for n, b in self.state.items()}
         env = evaluate_fixpoint(self.graph, inputs, start=self.env)
         self.env = env
         out: List[Message] = []

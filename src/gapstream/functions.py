@@ -110,7 +110,7 @@ def _ext_mul_pairs(ia: Interval, ib: Interval):
         return (x > 0) - (x < 0)
 
     def m(x, y):
-        if x in (INF, NEG_INF) or y in (INF, NEG_INF):
+        if x is INF or x is NEG_INF or y is INF or y is NEG_INF:
             s = sign(x) * sign(y)
             return Fraction(0) if s == 0 else (INF if s > 0 else NEG_INF)
         return x * y
@@ -132,8 +132,8 @@ def abs_div(a, b):
             raise OperatorError("division by zero")
         return TOP
     inv = Interval(
-        Fraction(1, 1) / ib.hi if ib.hi not in (INF, NEG_INF) else Fraction(0),
-        Fraction(1, 1) / ib.lo if ib.lo not in (INF, NEG_INF) else Fraction(0),
+        Fraction(1, 1) / ib.hi if ib.hi is not INF and ib.hi is not NEG_INF else Fraction(0),
+        Fraction(1, 1) / ib.lo if ib.lo is not INF and ib.lo is not NEG_INF else Fraction(0),
     )
     lo, hi = _ext_mul_pairs(ia, inv)
     return _from_interval(Interval(lo, hi))

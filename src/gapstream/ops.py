@@ -59,7 +59,7 @@ def lift(f: Callable, *streams: EventStream) -> EventStream:
         out = f(*(s.at(t) for s in streams))
         if out is BOTTOM:
             continue
-        if out in (UNKNOWN, GAP):
+        if out is UNKNOWN or out is GAP:
             raise OperatorError(f"lifted function produced {out!r} on concrete streams")
         events.append((t, out))
     return EventStream.of(events, prog)
@@ -237,7 +237,7 @@ def slift(f: Callable, *streams: EventStream) -> EventStream:
         out = f(*latest)
         if out is BOTTOM:
             continue
-        if out in (UNKNOWN, GAP):
+        if out is UNKNOWN or out is GAP:
             raise OperatorError(f"lifted function produced {out!r} on concrete streams")
         events.append((t, out))
     return EventStream.of(events, prog)

@@ -12,7 +12,16 @@
 Gap directives follow the boolean-marker convention: `t: gap s` opens an
 unknown region at t inclusive, `t: known s` closes it at t exclusive, so a
 point-sized loss on an integer-grid trace is `t: gap s` + `t+1: known s`.
-An event line inside an open gap punches a known point into it.
+
+Each stream is built by abstract.InputBuilder, the rule online messages
+follow too.  A directive at t is accepted only where the stream's progress
+does not yet decide t: an event or a gap start decides t, a `known` every
+time below t, and the progress footer must not lie below what the
+directives decided.  An event line inside an open gap punches a known
+point into it, and the gap stays open after it.  A `gap` inside an open
+gap is an error, and so is a `known` with no open gap.  So `t: known s`
+may be followed by an event or a gap at t, but nothing may follow an
+event or a gap start at its own time.
 
 Serialization is grid-canonical: gap boundaries are sampled on the epsilon
 grid, so parse and serialize are mutually inverse on canonical files.
@@ -21,16 +30,16 @@ grid, so parse and serialize are mutually inverse on canonical files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .abstract import AbstractEventStream
+from .abstract import AbstractEventStream, InputBuilder
 from .encoding import grid_canonical
-from .errors import OutOfOrderInput, TraceError, UndeclaredStream
+from .errors import TraceError, UndeclaredStream
 from .speclang import STREAM_TYPES
 from .streams import EventStream, Progress
-from .timeline import INF, NEG_INF, Span, Time, TimeSet, as_time
+from .timeline import INF, NEG_INF, Time, TimeSet, as_time
 from .values import TOP, UNIT, Interval
 
 
@@ -113,70 +122,11 @@ def _parse_bound(text: str, lineno: int):
     return _parse_number(text, lineno)
 
 
-@dataclass
-class _Builder:
-    ty: str
-    events: List[Tuple[Time, object]] = field(default_factory=list)
-    gap_spans: List[Span] = field(default_factory=list)
-    open_gap: Optional[Tuple[Time, bool]] = None  # (time, start closed)
-    last_time: Optional[Time] = None
-    last_event_line: int = 0
-    saw_abstract: bool = False
-
-    def check_order(self, t, lineno):
-        if self.last_time is not None and t < self.last_time:
-            raise OutOfOrderInput(f"line {lineno}: directive at {t} out of order")
-        self.last_time = t
-
-    def event(self, t, v, lineno):
-        self.check_order(t, lineno)
-        if self.events and t <= self.events[-1][0]:
-            raise OutOfOrderInput(f"line {lineno}: event at {t} out of order")
-        if self.open_gap is not None:
-            start, closed = self.open_gap
-            if t > start or (t == start and closed):
-                if t > start:
-                    self.gap_spans.append(Span(start, closed, t, False))
-                self.open_gap = (t, False)
-        self.events.append((t, v))
-        self.last_event_line = lineno
-        if v is TOP or isinstance(v, Interval) and not v.is_single():
-            self.saw_abstract = True
-
-    def gap(self, t, lineno):
-        self.check_order(t, lineno)
-        if self.open_gap is not None:
-            raise TraceError(f"line {lineno}: gap already open")
-        self.open_gap = (t, True)
-        self.saw_abstract = True
-
-    def known(self, t, lineno):
-        self.check_order(t, lineno)
-        if self.open_gap is None:
-            raise TraceError(f"line {lineno}: no gap to close")
-        start, closed = self.open_gap
-        if t > start:
-            self.gap_spans.append(Span(start, closed, t, False))
-        self.open_gap = None
-
-    def finish(self, progress: Progress, abstract_type: bool):
-        if self.events and not progress.covers(self.events[-1][0]):
-            raise TraceError(f"line {self.last_event_line}: event at "
-                             f"{format_time(self.events[-1][0])} lies beyond "
-                             f"progress {format_time(progress.time)}")
-        if self.open_gap is not None:
-            start, closed = self.open_gap
-            self.gap_spans.append(Span(start, closed, INF, False))
-            self.open_gap = None
-        stream = EventStream.of(self.events, progress)
-        if self.gap_spans or self.saw_abstract or abstract_type:
-            return AbstractEventStream.of(stream, TimeSet(self.gap_spans))
-        return stream
-
-
 def parse_trace(text: str) -> Trace:
     declarations: List[Tuple[str, str]] = []
-    builders: Dict[str, _Builder] = {}
+    types: Dict[str, str] = {}
+    builders: Dict[str, InputBuilder] = {}
+    last_line: Dict[str, int] = {}   # stream -> line of its last directive
     epsilon = Fraction(1)
     progress: Optional[Progress] = None
     saw_body = False
@@ -196,7 +146,8 @@ def parse_trace(text: str) -> Trace:
             if name in builders:
                 raise TraceError(f"line {lineno}: duplicate stream '{name}'")
             declarations.append((name, ty))
-            builders[name] = _Builder(ty)
+            types[name] = ty
+            builders[name] = InputBuilder()
             continue
         if line.startswith("epsilon "):
             if saw_body:
@@ -220,28 +171,33 @@ def parse_trace(text: str) -> Trace:
         t = _parse_time(m.group(1).strip(), lineno)
         body = m.group(2).strip()
         gm = re.fullmatch(r"(gap|known)\s+(\w+)", body)
-        if gm:
-            kind, name = gm.group(1), gm.group(2)
-            b = builders.get(name)
-            if b is None:
-                raise UndeclaredStream(f"line {lineno}: undeclared stream '{name}'")
-            (b.gap if kind == "gap" else b.known)(t, lineno)
-            continue
-        em = re.fullmatch(r"(\w+)\s*=\s*(.+)", body)
-        if not em:
+        em = None if gm else re.fullmatch(r"(\w+)\s*=\s*(.+)", body)
+        if not (gm or em):
             raise TraceError(f"line {lineno}: unrecognized directive '{body}'")
-        name, lit = em.group(1), em.group(2)
+        name = gm.group(2) if gm else em.group(1)
         b = builders.get(name)
         if b is None:
             raise UndeclaredStream(f"line {lineno}: undeclared stream '{name}'")
-        b.event(t, _parse_value(lit, b.ty, lineno), lineno)
+        if gm:
+            apply, args = (b.gap_start if gm.group(1) == "gap" else b.gap_end), (t,)
+        else:
+            apply, args = b.event, (t, _parse_value(em.group(2), types[name], lineno))
+        last_line[name] = lineno
+        try:
+            apply(*args)
+        except TraceError as e:
+            raise type(e)(f"line {lineno}: {e}") from None
 
     if progress is None:
         raise TraceError("missing progress directive")
-    streams = {
-        name: b.finish(progress, abstract_type=b.ty in ("AbsBool", "Interval"))
-        for name, b in builders.items()
-    }
+    streams = {}
+    for name, b in builders.items():
+        try:
+            b.advance(progress)
+        except TraceError as e:
+            raise type(e)(f"line {last_line[name]}: {e}") from None
+        streams[name] = b.stream(types[name] in ("AbsBool", "Interval") or b.gapped
+                                 or any(v is TOP for _, v in b.events))
     return Trace(tuple(declarations), epsilon, progress, streams)
 
 

@@ -57,8 +57,8 @@ class Interval:
 
     @staticmethod
     def of(lo, hi) -> "Interval":
-        lo = lo if lo in (NEG_INF, INF) else Fraction(lo)
-        hi = hi if hi in (NEG_INF, INF) else Fraction(hi)
+        lo = lo if lo is NEG_INF or lo is INF else Fraction(lo)
+        hi = hi if hi is NEG_INF or hi is INF else Fraction(hi)
         return Interval(lo, hi)
 
     @staticmethod

@@ -1,6 +1,7 @@
 """Fixed-point and online evaluation."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +15,8 @@ from gapstream.errors import NonTermination, OutOfOrderInput, TraceError
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
-from gapstream.timeline import INF, Span, TimeSet
-from gapstream.tracefile import parse_trace
+from gapstream.timeline import INF, Span, TimeSet, as_time
+from gapstream.tracefile import format_time, parse_trace
 from gapstream.values import TOP, UNIT
 
 APP_A = parse_spec(spec_text("running-count"))
@@ -379,6 +380,33 @@ class TestOnline:
         with pytest.raises(OutOfOrderInput):
             ev.feed(Message.event("zz", 1, UNIT))
 
+    def test_gap_end_without_gap_rejected(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["abstract"])
+        ev.feed(Message.event("values", 1, F(1)))
+        with pytest.raises(OutOfOrderInput) as e:
+            ev.feed(Message.gap_end("values", 2))
+        assert "'values'" in str(e.value) and "no open gap" in str(e.value)
+
+    def test_second_gap_start_rejected(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["abstract"])
+        ev.feed(Message.gap_start("values", 1))
+        with pytest.raises(OutOfOrderInput) as e:
+            ev.feed(Message.gap_start("values", 2))
+        assert "'values'" in str(e.value) and "already open" in str(e.value)
+        # the rejected message left no trace: the gap still runs from 1
+        ev.feed(Message.gap_end("values", 3))
+        assert ev.env["values"].gaps == TimeSet.of(Span(1, True, 3, False))
+
+    def test_event_punches_open_gap(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["abstract"])
+        for m in (Message.gap_start("values", 8), Message.event("values", 9, TOP),
+                  Message.gap_end("values", 10), Message.progress("values", 12)):
+            ev.feed(m)
+        want = parse_trace("stream values : Int\n8: gap values\n9: values = #top\n"
+                           "10: known values\nprogress 12\n").streams["values"]
+        assert ev.env["values"] == want
+        assert want.gaps == TimeSet([Span(8, True, 9, False), Span(9, False, 10, False)])
+
     def test_abstract_gap_messages(self):
         ast = abstractify(parse_spec(spec_text("reset-sum")))
         g = flatten(unroll(ast))
@@ -478,6 +506,138 @@ class TestWarmStart:
             # a gap end is emitted only once the gap has really ended
             for name in g.outputs:
                 assert gap_ends[name] <= {sp.hi for sp in offline[name].gaps.spans}, name
+
+
+def _as_text(directives, footer) -> str:
+    """A trace file with the directives, in order, and the progress footer."""
+    lines = ["stream x : Int", "stream y : Int"]
+    for name, kind, t, v in directives:
+        at = format_time(t)
+        if kind == "event":
+            lines.append(f"{at}: {name} = {'#top' if v is TOP else format_time(v)}")
+        else:
+            lines.append(f"{at}: {'gap' if kind == 'gap_start' else 'known'} {name}")
+    lines.append(f"progress {'inf' if footer is INF else format_time(footer)}")
+    return "\n".join(lines) + "\n"
+
+
+def _as_messages(directives, footer) -> list:
+    """The same directives as online messages; the footer as progress."""
+    make = {"event": Message.event, "gap_start": Message.gap_start,
+            "gap_end": Message.gap_end}
+    msgs = [make[kind](name, t, v) if kind == "event" else make[kind](name, t)
+            for name, kind, t, v in directives]
+    return msgs + [Message.progress(name, footer) for name in ("x", "y")]
+
+
+@st.composite
+def directive_runs(draw):
+    """Interleaved directives on x and y with int and half-unit times,
+    punches and same-time orders, and a progress footer.  Mostly valid: one
+    draw in ten takes any kind at a nearby time, and footers may lie below
+    the last directive."""
+    clock = {"x": F(0), "y": F(0)}
+    in_gap = {"x": False, "y": False}
+    free = {"x": True, "y": True}   # whether the clock's time is undecided
+    directives = []
+    for _ in range(draw(st.integers(0, 10))):
+        name = draw(st.sampled_from(["x", "y"]))
+        if draw(st.integers(0, 9)) == 0:
+            kind = draw(st.sampled_from(["event", "gap_start", "gap_end"]))
+            step = draw(st.sampled_from([F(-1, 2), F(0), F(1, 2)]))
+        else:
+            kind = draw(st.sampled_from(["event", "gap_end"] if in_gap[name]
+                                        else ["event", "event", "gap_start"]))
+            step = draw(st.sampled_from([F(0), F(1, 2), F(1)] if free[name]
+                                        else [F(1, 2), F(1), F(3, 2)]))
+        clock[name] = max(F(0), clock[name] + step)
+        in_gap[name] = kind == "gap_start" or in_gap[name] and kind == "event"
+        free[name] = kind == "gap_end"
+        value = draw(st.sampled_from([TOP, F(0), F(1), F(2)]))
+        directives.append((name, kind, clock[name], value))
+    top = max(clock.values())
+    footer = draw(st.sampled_from([INF, top, top + F(1, 2), top + 2,
+                                   max(F(0), top - F(1, 2))]))
+    return directives, footer
+
+
+class TestOneInputRule:
+    """Trace files and online messages build inputs by one rule."""
+
+    GRAPH = flatten(abstractify(parse_spec(
+        "in x : Events[Int]\nin y : Events[Int]\ndef z := merge(x, y)\nout z\n")))
+
+    @given(run=directive_runs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_file_and_messages_agree(self, run):
+        directives, footer = run
+        try:
+            trace, file_error = parse_trace(_as_text(directives, footer)), None
+        except TraceError as e:
+            trace, file_error = None, e
+        ev = OnlineEvaluator(self.GRAPH)
+        online_error = None
+        for m in _as_messages(directives, footer):
+            try:
+                ev.feed(m)
+            except TraceError as e:
+                online_error = e
+                break
+        assert type(file_error) is type(online_error), (file_error, online_error)
+        if trace is not None:
+            for name in ("x", "y"):
+                want = evaluator._embed(trace.streams[name], "abstract")
+                assert ev.env[name] == want, name
+
+
+def _bundled_gapped():
+    """(spec, trace) of every bundled trace with a gap."""
+    for spec, keys in sorted(_TRACE_KEYS.items()):
+        for key in keys:
+            streams = parse_trace(trace_text(key)).streams.values()
+            if any(isinstance(s, AbstractEventStream) and not s.gaps.is_empty()
+                   for s in streams):
+                yield spec, key
+
+
+def _directive_messages(text: str):
+    """The parsed trace, and its directives as messages in file order, then
+    its footer as a progress message on every stream."""
+    trace = parse_trace(text)
+    msgs = []
+    for line in text.splitlines():
+        m = re.fullmatch(r"\s*([^:#]+):\s*(?:(gap|known)\s+(\w+)|(\w+)\s*=.*)", line)
+        if m is None:
+            continue
+        t = as_time(m.group(1).strip())
+        if m.group(2):
+            make = Message.gap_start if m.group(2) == "gap" else Message.gap_end
+            msgs.append(make(m.group(3), t))
+        else:
+            msgs.append(Message.event(m.group(4), t, trace.streams[m.group(4)].at(t)))
+    return trace, msgs + [Message.progress(n, trace.progress.time) for n in trace.streams]
+
+
+class TestGappedReplay:
+    """Online == offline on every bundled gapped trace, message by message."""
+
+    @pytest.mark.parametrize("time_aware", [False, True])
+    @pytest.mark.parametrize("spec, key", list(_bundled_gapped()))
+    def test_replay_in_directive_order(self, spec, key, time_aware):
+        ast = abstractify(parse_spec(spec_text(spec)), time_aware=time_aware)
+        g = flatten(unroll(ast))
+        trace, msgs = _directive_messages(trace_text(key))
+        ev = OnlineEvaluator(g)
+        names = [n for n, _ in g.equations] + list(g.inputs)
+        for k, msg in enumerate(msgs):
+            ev.feed(msg)
+            received = {n: b.stream(True) for n, b in ev.state.items()}
+            offline = evaluate_fixpoint(g, received)
+            for name in names:
+                assert ev.env[name] == offline[name], (k, name)
+        offline = evaluate_fixpoint(g, trace.streams)
+        for name in names:
+            assert ev.env[name] == offline[name], name
 
 
 class TestSelfUpdatingWindow:

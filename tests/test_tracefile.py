@@ -82,6 +82,54 @@ class TestParse:
             parse_trace("stream s : Bool\n1: s = 7\nprogress 5\n")
 
 
+class TestInputRule:
+    """A directive at t is accepted only where the stream's progress does
+    not yet decide t; errors name the offending line."""
+
+    @staticmethod
+    def rejected(body, progress="9"):
+        with pytest.raises(OutOfOrderInput) as e:
+            parse_trace(f"stream x : Int\n{body}progress {progress}\n")
+        return str(e.value)
+
+    def test_gap_already_open(self):
+        msg = self.rejected("1: gap x\n3: gap x\n")
+        assert msg.startswith("line 3: ") and "already open" in msg
+
+    def test_no_gap_to_close(self):
+        msg = self.rejected("1: x = 1\n3: known x\n")
+        assert msg.startswith("line 3: ") and "no open gap" in msg
+
+    def test_event_then_gap_at_the_same_time(self):
+        # the event decides 2, so no gap may start there
+        assert self.rejected("2: x = 1\n2: gap x\n").startswith("line 3: ")
+
+    @pytest.mark.parametrize("second", ["2: x = 1", "2: known x"])
+    def test_gap_then_directive_at_the_same_time(self, second):
+        # the gap start decides 2: no event is punched in at its start,
+        # and no empty gap ends there
+        assert self.rejected(f"2: gap x\n{second}\n").startswith("line 3: ")
+
+    @pytest.mark.parametrize("body, line", [
+        ("1: gap x\n12: known x\n", 3),
+        ("1: x = 1\n12: gap x\n", 3),
+        ("12: x = 1\n", 2),
+    ])
+    def test_directive_past_the_progress_footer(self, body, line):
+        assert self.rejected(body, progress="10").startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("second, events, gaps", [
+        ("2: x = 1", ((2, F(1)),), [Span(1, True, 2, False)]),
+        ("2: gap x", (), [Span(1, True, 3, True)]),
+    ])
+    def test_known_then_directive_at_the_same_time(self, second, events, gaps):
+        # a gap end decides only the times below it
+        s = parse_trace(f"stream x : Int\n1: gap x\n2: known x\n{second}\n"
+                        "progress 3\n").streams["x"]
+        assert s.stream.events == events
+        assert s.gaps == TimeSet(gaps)
+
+
 class TestSerialize:
     def test_round_trip_canonical_file(self):
         tr = parse_trace(GOOD)
