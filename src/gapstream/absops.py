@@ -498,7 +498,8 @@ class _DelaySweep:
         # expired exact sources
         self.exact = [s for s in self.exact if lo < s.tau]
 
-        # 2. apply reset effects of this atom (an event: a point) to pre-existing sources
+        # 2. apply reset effects of this atom to pre-existing sources (an
+        # r event, so only on a point)
         reset = r_cell is not BOTTOM and r_cell is not GAP and r_cell is not UNKNOWN
         if reset:
             self.exact = [s for s in self.exact if not s.start < lo]
