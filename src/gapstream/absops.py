@@ -25,6 +25,19 @@ and delay_abs_fin walk their inputs through _split, which also splits the
 atoms at the pending timeouts; delay_abs is one forward pass, like ops.delay,
 and shares its amount check ops._delay_amount.  last_abs moves one pointer
 through the value stream's marks as the trigger ticks ascend.
+
+lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
+previous output (the empty stream by default, which is a full evaluation).
+The walk still starts at 0, so slift_abs's carried state needs no rebuild,
+but the lifted function is applied only to the atoms prev's progress does
+not decide: a point it does not cover, or an open atom whose upper end it
+does not cover from below.  The output starts from prev's events and gap
+spans; if the progress has not moved, it is prev itself.  This is sound
+when prev is the same operator's output on prefixes of the arguments:
+every operator here is prefix-monotone (tests/test_absops.py TestDelayWalk),
+so prev is a prefix of the new output, and f_abs is pure.  An open atom
+that straddles prev's progress gives the same cell on prev's part of it,
+and TimeSet joins the two gap spans.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import dropwhile, groupby
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
 
@@ -161,11 +174,24 @@ def _split(atoms, taus: list):
         yield lo, hi, cells
 
 
-def _lift_atoms(f_abs: Callable, atoms, prog: Progress) -> AbstractEventStream:
-    """The stream with f_abs of each atom's cells on it, up to prog."""
-    events = []
-    gap_spans = []
-    for lo, hi, cells in atoms:
+def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
+                prev: AbstractEventStream) -> AbstractEventStream:
+    """prev extended by f_abs of each atom's cells, from prev's progress up to prog.
+
+    The atoms prev decides come first and are only passed over; the walk
+    is lazy, so an unchanged progress costs no walk at all.
+    """
+    done = prev.progress
+    if prog == done:
+        return prev
+
+    def decided(atom) -> bool:
+        lo, hi, _ = atom
+        return done.covers(lo) if hi is None else done.covers_below(hi)
+
+    events = list(prev.stream.events)
+    gap_spans = list(prev.gaps.spans)
+    for lo, hi, cells in dropwhile(decided, atoms):
         out = f_abs(*cells)
         if hi is None:
             if out is GAP:
@@ -183,11 +209,15 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress) -> AbstractEventStream:
     return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
 
 
-def lift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
+_NOTHING = AbstractEventStream.of(EventStream.empty())
+
+
+def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
+             prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
-    return _lift_atoms(f_abs, _walk(streams, prog), prog)
+    return _lift_atoms(f_abs, _walk(streams, prog), prog, prev)
 
 
 def merge_cell(a, b):
@@ -206,8 +236,9 @@ def merge_cells(*cells):
     return out
 
 
-def merge_abs(*streams: AbstractEventStream) -> AbstractEventStream:
-    return lift_abs(merge_cells, *streams)
+def merge_abs(*streams: AbstractEventStream,
+              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    return lift_abs(merge_cells, *streams, prev=prev)
 
 
 def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
@@ -216,8 +247,9 @@ def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
             return v
         return c
 
-    def apply(a: AbstractEventStream) -> AbstractEventStream:
-        return lift_abs(cell, a)
+    def apply(a: AbstractEventStream,
+              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+        return lift_abs(cell, a, prev=prev)
 
     return apply
 
@@ -394,7 +426,8 @@ def _synchronized_atoms(atoms, n: int):
         yield lo, hi, synced
 
 
-def slift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventStream:
+def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
+              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """Abstract signal lift: the strict f_abs over the synchronized streams.
 
     One walk over the arguments' atoms computes the cells of
@@ -409,7 +442,7 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream) -> AbstractEventSt
         raise OperatorError("slift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
     atoms = _synchronized_atoms(_walk(streams, prog), len(streams))
-    return _lift_atoms(strict_cells(f_abs), atoms, prog)
+    return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
 
 
 def slift_time_abs(f_abs: Callable, x: AbstractEventStream,

@@ -32,16 +32,20 @@ from .streams import EventStream, Progress
 from .timeline import INF, Span, Time, TimeSet, as_time
 
 
-def _eval_concrete(app: Apply, get):
-    return _apply(app, get, concrete=True)
+def _eval_concrete(app: Apply, get, prev=None):
+    return _apply(app, get, concrete=True, prev=prev)
 
 
-def _eval_abstract(app: Apply, get):
-    return _apply(app, get, concrete=False)
+def _eval_abstract(app: Apply, get, prev=None):
+    return _apply(app, get, concrete=False, prev=prev)
 
 
-def _apply(app: Apply, get, concrete: bool):
-    """Evaluate one operator application through the operator table."""
+def _apply(app: Apply, get, concrete: bool, prev=None):
+    """Evaluate one operator application through the operator table.
+
+    prev, the equation's current value, reaches only the rows that resume
+    (Operator.resumes); without it they evaluate from empty.
+    """
     row = OPERATORS.get(app.op)
     if row is None or row.concrete != concrete:
         raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
@@ -54,6 +58,8 @@ def _apply(app: Apply, get, concrete: bool):
         f = app.fn.resolve()
         args.insert(0, f.concrete if concrete else f.abstract_cells)
     try:
+        if row.resumes and prev is not None:
+            return impl(*args, prev=prev)
         return impl(*args)
     except (TypeError, ArithmeticError) as e:
         # a value function met payloads it cannot take (a type mismatch the
@@ -143,6 +149,13 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     each equation it names.  A start must lie below the least fixed point
     over `inputs`, as the fixed point over a prefix of these inputs does;
     the result is then the same as from empty streams.
+
+    Each evaluation gets the equation's current value, and the operators
+    that resume (speclang.Operator.resumes) extend it past its progress
+    instead of starting from empty.  That value was computed by the same
+    operator on prefixes of the current arguments: env values only grow in
+    a sweep, and a start lies below the new fixed point.  The operator is
+    prefix-monotone, so the value is a prefix of the new output.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
@@ -156,11 +169,11 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     evaluator = _eval_abstract if mode == "abstract" else _eval_concrete
     nodes = graph.nodes
 
-    def compute(app, names):
-        return lambda: evaluator(app, lambda i: env[names[i]])
+    def compute(name, app, names):
+        return lambda: evaluator(app, lambda i: env[names[i]], env[name])
 
     env[RESERVED_NAME] = _run_plan(
-        env, {name: compute(app, nodes[name][0]) for name, app in graph.equations},
+        env, {name: compute(name, app, nodes[name][0]) for name, app in graph.equations},
         graph.plan, bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
         f"ill-formed (an unguarded cycle keeps growing or oscillating)")

@@ -84,6 +84,11 @@ class Operator:
     unroll: Optional[Tuple[str, str]] = None  # value and gap halves
     history: bool = False       # last/delay family: unroll never clones it
     encode: Optional[str] = None    # encoded function of an abstract row
+    # The evaluator passes the equation's current value as prev=.  The
+    # implementation must then return prev extended to its new output,
+    # which is sound because the fixed point calls it on growing prefixes
+    # of its arguments and it is prefix-monotone (see absops).
+    resumes: bool = False
 
     @property
     def concrete(self) -> bool:
@@ -113,10 +118,13 @@ OPERATORS: Dict[str, Operator] = {
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
                           history=True, encode="_enc_delay"),
     "delay_fin": Operator("delay_abs_fin", 2, 2),
-    "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge"),
-    "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift"),
-    "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift"),
-    "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const"),
+    "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge", resumes=True),
+    "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift",
+                         resumes=True),
+    "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift",
+                          resumes=True),
+    "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const",
+                          resumes=True),
     "last_time": Operator("last_time_abs", 2, 2, history=True,
                           encode="_enc_last_time"),
     "slift_time": Operator("slift_time_abs", 2, 2, takes="fn",

@@ -17,7 +17,7 @@ Each stream is built by abstract.InputBuilder, the rule online messages
 follow too.  A directive at t is accepted only where the stream's progress
 does not yet decide t: an event or a gap start decides t, a `known` every
 time below t, and the progress footer must not lie below what the
-directives decided.  An event line inside an open gap punches a known
+directives decided.  A second progress line is an error.  An event line inside an open gap punches a known
 point into it, and the gap stays open after it.  A `gap` inside an open
 gap is an error, and so is a `known` with no open gap.  So `t: known s`
 may be followed by an event or a gap at t, but nothing may follow an
@@ -157,6 +157,8 @@ def parse_trace(text: str) -> Trace:
                 raise TraceError(f"line {lineno}: epsilon must be positive")
             continue
         if line.startswith("progress"):
+            if progress is not None:
+                raise TraceError(f"line {lineno}: duplicate progress directive")
             parts = line.split(None, 1)
             if len(parts) != 2:
                 raise TraceError(f"line {lineno}: expected 'progress <time>' or 'progress inf'")

@@ -579,8 +579,19 @@ PREFIX_OPERATORS = {
 }
 
 
+# the operators that resume from their output on prefixes of the arguments
+RESUMING_OPERATORS = {
+    "lift_abs": lambda a, b, **prev: A.lift_abs(gap_wins, a, b, **prev),
+    "merge_abs": A.merge_abs,
+    "const_abs": lambda a, b, **prev: A.const_abs(F(5))(a, **prev),
+    "slift_abs": lambda a, b, **prev: A.slift_abs(first_cell, a, b, **prev),
+}
+
+
 class TestDelayWalk:
-    """The operators decide each atom from the inputs up to it, so cut inputs give prefixes."""
+    """The operators decide each atom from the inputs up to it, so cut inputs
+    give prefixes, and the walk operators resumed from such a prefix give
+    the full output."""
 
     @given(gapped_half_grid_streams(
                values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
@@ -598,6 +609,11 @@ class TestDelayWalk:
                 if name.startswith("delay") and a is r:
                     continue    # a delay takes durations only
                 assert is_abstract_prefix(op(cut(a, prog), cut(b, r_prog)), op(a, b)), name
+        for name, op in RESUMING_OPERATORS.items():
+            for a, b in ((d, r), (r, d)):
+                full = op(a, b)
+                assert op(a, b, prev=op(cut(a, prog), cut(b, r_prog))) == full, name
+                assert op(a, b, prev=full) is full, name
 
     def test_last_waits_for_an_unstarted_value(self):
         # v has not started by its progress, so it may yet start before r's

@@ -57,6 +57,11 @@ class TestParse:
         with pytest.raises(TraceError):
             parse_trace("stream s : Int\n1: s = 1\n")
 
+    def test_duplicate_progress(self):
+        # a stray early footer is reported, not overridden by the last one
+        with pytest.raises(TraceError, match="^line 4: duplicate progress directive$"):
+            parse_trace("stream x : Int\nprogress 3\n1: x = 1\nprogress 10\n")
+
     def test_undeclared_stream(self):
         with pytest.raises(UndeclaredStream):
             parse_trace("stream s : Int\n1: zz = 1\nprogress 2\n")
