@@ -28,26 +28,32 @@ through the value stream's marks as the trigger ticks ascend.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation).
-The walk still starts at 0, so slift_abs's carried state needs no rebuild,
-but the lifted function is applied only to the atoms prev's progress does
-not decide: a point it does not cover, or an open atom whose upper end it
-does not cover from below.  The output starts from prev's events and gap
-spans; if the progress has not moved, it is prev itself.  This is sound
-when prev is the same operator's output on prefixes of the arguments:
-every operator here is prefix-monotone (tests/test_absops.py TestDelayWalk),
-so prev is a prefix of the new output, and f_abs is pure.  An open atom
-that straddles prev's progress gives the same cell on prev's part of it,
-and TimeSet joins the two gap spans.
+The lifted function is applied only to the atoms prev's progress does not
+decide: a point it does not cover, or an open atom whose upper end it does
+not cover from below.  lift_abs (and so merge_abs and const_abs) walks from
+prev's progress time, whose point atom holds each argument's cell there;
+the walk still starts at 0 only for slift_abs, which carries each
+argument's latest value through it.  The output starts from prev's events
+and gap spans; if the progress has not moved, it is prev itself.  This is
+sound when prev is the same operator's output on prefixes of the
+arguments: every operator here is prefix-monotone (tests/test_absops.py
+TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
+An open atom that straddles prev's progress gives the same cell on prev's
+part of it, and TimeSet joins the two gap spans.
+
+The value and gap halves of an unrolled last or delay get their base
+result through _shared, which reuses it when both halves read the same
+argument objects.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import dropwhile, groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
@@ -77,16 +83,20 @@ def time_abs(s: AbstractEventStream) -> AbstractEventStream:
 
 # -- lift ------------------------------------------------------------------
 
-def _marks(s: AbstractEventStream) -> list:
-    """(t, cell at t, cell just above t) at each tick, gap boundary and progress of s.
+def _marks(s: AbstractEventStream, since: Time = 0) -> list:
+    """(t, cell at t, cell just above t) at since and each later tick, gap boundary and progress of s.
 
     The cell at t is the event value, GAP or BOTTOM; the cell above is GAP
     or BOTTOM.  Between two marks s is constant, with the earlier mark's
     cell above.  A finite progress p ends the list: (p, cell at p, UNKNOWN)
-    if p is inclusive, (p, UNKNOWN, UNKNOWN) if exclusive.
+    if p is inclusive, (p, UNKNOWN, UNKNOWN) if exclusive.  The first mark
+    sits at since; inside a constant region it holds the region's cell
+    twice, BOTTOM before the first mark of s and UNKNOWN past its progress.
+    Only the ticks and gap spans at or above since are read.
     """
+    spans = s.gaps.spans
     marks = []
-    for sp in s.gaps.spans:
+    for sp in spans[bisect_left(spans, since, key=attrgetter("hi")):]:
         point = sp.is_point()
         if marks and marks[-1][0] == sp.lo:
             marks.pop()     # two open ends meet at sp.lo, which is no gap
@@ -97,7 +107,7 @@ def _marks(s: AbstractEventStream) -> list:
     # an event can only sit on an open gap end, and keeps that end's gap above
     ticks = s.stream.ticks()
     out = []
-    j = 0
+    j = bisect_left(ticks, since)
     for t, cell, above in marks:
         i = bisect_left(ticks, t, j)
         out.extend((u, v, BOTTOM) for u, v in events[j:i])
@@ -112,36 +122,43 @@ def _marks(s: AbstractEventStream) -> list:
         # gaps and events lie in the covered span, so only the last mark can sit on p
         cell = out.pop()[1] if out and out[-1][0] == prog.time else BOTTOM
         out.append((prog.time, cell if prog.inclusive else UNKNOWN, UNKNOWN))
+    # below since lie at most the lower end of a gap around since and, past
+    # the progress, the progress mark
+    below = 0
+    head = BOTTOM
+    while below < len(out) and out[below][0] < since:
+        head = out[below][2]
+        below += 1
+    del out[:below]
+    if not out or out[0][0] != since:
+        out.insert(0, (since, head, head))
     return out
 
 
-def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
-    """Yield (lo, hi, cells) for the atoms partitioning the span horizon covers.
+def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0):
+    """Yield (lo, hi, cells) for the atoms partitioning the span horizon covers from start on.
 
     Atoms come in time order.  The point atom at lo has hi None; the open
     atom (lo, hi) runs to the next point, or to INF.  cells holds each
     stream's cell on the atom: its event value, GAP, BOTTOM, or UNKNOWN past
-    the stream's own progress.  The points are 0 and the streams' ticks, gap
-    boundaries and finite progress times; horizon is one stream's progress.
-    One pass over the streams' merged marks tracks each stream's cell, so no
-    cell is looked up.
+    the stream's own progress.  The points are start and the streams' ticks,
+    gap boundaries and finite progress times above it; horizon is one
+    stream's progress.  One pass over the streams' merged marks tracks each
+    stream's cell, so no cell is looked up; every stream has a mark at start.
     """
-    if not horizon.covers(0):
+    if not horizon.covers(start):
         return
     marks = [(t, i, cell, above) for i, s in enumerate(streams)
-             for t, cell, above in _marks(s)]
+             for t, cell, above in _marks(s, start)]
     if len(streams) > 1:
         marks.sort(key=itemgetter(0))
     region = (BOTTOM,) * len(streams)
-    prev = None
+    prev = start
     for t, group in groupby(marks, itemgetter(0)):
         if not horizon.covers(t):
             break
-        if prev is not None:
+        if t != start:
             yield prev, t, region
-        elif t:
-            yield 0, None, region
-            yield 0, t, region
         cells, after = list(region), list(region)
         for _, i, cell, above in group:
             cells[i] = cell
@@ -149,9 +166,6 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress):
         yield t, None, tuple(cells)
         region = tuple(after)
         prev = t
-    if prev is None:
-        yield 0, None, region
-        prev = 0
     if prev < horizon.time:
         yield prev, horizon.time, region
 
@@ -217,7 +231,7 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
-    return _lift_atoms(f_abs, _walk(streams, prog), prog, prev)
+    return _lift_atoms(f_abs, _walk(streams, prog, prev.progress.time), prog, prev)
 
 
 def merge_cell(a, b):
@@ -301,16 +315,38 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
+_SHARED: dict = {}
+
+
+def _shared(base: Callable, a: AbstractEventStream,
+            b: AbstractEventStream) -> AbstractEventStream:
+    """base(a, b), shared by the value and gap halves of one unrolled operator.
+
+    Keeps the last (a, b, result) for each base function, so after a run it
+    holds at most one entry per base function.  The entry is reused only
+    for the same argument objects (is), never for merely equal ones; the
+    arguments are immutable and the base operators pure, so a stale entry
+    can only miss.  base is the function looked up where the half is
+    called, so a wrapped or patched operator gets its own entry.
+    """
+    hit = _SHARED.get(base)
+    if hit is not None and hit[0] is a and hit[1] is b:
+        return hit[2]
+    z = base(a, b)
+    _SHARED[base] = (a, b, z)
+    return z
+
+
 def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Value half of the unrolled abstract last: gaps demoted to no-event."""
-    z = last_abs(v, r)
+    z = _shared(last_abs, v, r)
     return AbstractEventStream.of(z.stream)
 
 
 def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
                  d: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract last: d's events plus recomputed gaps."""
-    return _gap_half(last_abs(v, r), d)
+    return _gap_half(_shared(last_abs, v, r), d)
 
 
 def _gap_half(z: AbstractEventStream, d: AbstractEventStream) -> AbstractEventStream:
@@ -492,9 +528,13 @@ class _DelaySweep:
         """Decide the atom at lo (a point if hi is None), or return the progress to stop at.
 
         No timeout or source start lies inside an open atom, so its cells and
-        sources are those at any of its times; lo stands for them.
+        sources are those at any of its times; lo stands for them.  A proper
+        delay event has its amount checked before anything else, so every
+        event the sweep meets is checked once, in time order.
         """
         is_point = hi is None
+        proper = d_cell is not BOTTOM and d_cell is not GAP and d_cell is not UNKNOWN
+        amount = _delay_amount(d_cell, lo) if proper else None
         if not is_point:
             # inside a region, sources arming at interior points affect later
             # interior points, so undetermined arming data blocks the region;
@@ -557,10 +597,9 @@ class _DelaySweep:
         elif d_cell is GAP:
             self.any_alive = self.any_alive or settable
             unknown_source = not settable and r_cell is UNKNOWN
-        elif d_cell is not BOTTOM and (settable or r_cell is UNKNOWN):
+        elif proper and (settable or r_cell is UNKNOWN):
             # a proper delay event; one that r's unknown cell may arm has its
             # timeout stop the sweep, as ops.delay caps its progress there
-            amount = _delay_amount(d_cell, lo)
             if amount == "any":
                 self.any_alive = True
                 unknown_source = r_cell is UNKNOWN
@@ -581,16 +620,17 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
     pending timeouts.  The output at t reads only the inputs strictly below
     t, so the walk runs past both inputs' progress, where their cells are
     UNKNOWN, and the sweep stops at the first atom that unknown data leaves
-    undecided, as ops.delay caps its progress.
+    undecided, as ops.delay caps its progress.  The sweep checks the delay
+    amounts it meets; those past the atom it stops at are checked after it.
     """
-    for t, val in d.stream.events:
-        _delay_amount(val, t)  # validate early
     sweep = _DelaySweep()
     prog = Progress.infinite()
     for lo, hi, cells in _split(_walk((d, r), prog), sweep.taus):
         stop = sweep.atom(lo, hi, *cells)
         if stop is not None:
             prog = stop
+            for t, val in d.stream.events[bisect_right(d.stream.ticks(), lo):]:
+                _delay_amount(val, t)
             break
     # each atom holds a fire, a gap or neither, and the sweep stops before an
     # atom or right after it, so prog covers every fire
@@ -600,14 +640,14 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
 
 def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Value half of the unrolled abstract delay: gaps demoted to no-event."""
-    z = delay_abs(d, r)
+    z = _shared(delay_abs, d, r)
     return AbstractEventStream.of(z.stream)
 
 
 def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
                   p: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract delay: p's events plus recomputed gaps."""
-    return _gap_half(delay_abs(d, r), p)
+    return _gap_half(_shared(delay_abs, d, r), p)
 
 
 def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:

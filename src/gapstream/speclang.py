@@ -698,8 +698,11 @@ def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:
     """Rewrite target into its halves, cloning what its value input reads.
 
     The clone set is the closure of the value input over its arguments,
-    kept inside the non-history equations that read target; the clones read
-    the value half where the originals read target.
+    kept inside the equations that read target through non-history users
+    only; the clones read the value half where the originals read target.
+    An equation that reaches target only through a history operator is not
+    cloned: it reads neither target nor a clone that differs, so its clone
+    would be the same equation with the same least fixed point.
     """
     defs = dict(g.equations)
     app = defs[target]
@@ -708,10 +711,10 @@ def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:
 
     users_of: Dict[str, List[str]] = {}
     for n, (deps, _) in g.nodes.items():
-        for d in deps:
-            users_of.setdefault(d, []).append(n)
-    inside = {n for n in _closure({target}, users_of)
-              if n != target and not OPERATORS[defs[n].op].history}
+        if not OPERATORS[defs[n].op].history:
+            for d in deps:
+                users_of.setdefault(d, []).append(n)
+    inside = _closure({target}, users_of) - {target}
     clone_set = _closure({v_ref.name} & inside,
                          {n: [d for d in g.nodes[n][0] if d in inside] for n in inside})
 

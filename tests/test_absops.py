@@ -14,10 +14,14 @@ from gapstream import ops
 from gapstream.abstract import (AbstractEventStream, FiniteUniverse,
                                 covered_span, refinement_leq)
 from gapstream.encoded import synchronized
+from gapstream.builtin_specs import spec_text, trace_text
 from gapstream.errors import OperatorError
+from gapstream.evaluator import evaluate_fixpoint
 from gapstream.functions import lookup, strict_cells
+from gapstream.speclang import abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
+from gapstream.tracefile import parse_trace
 from gapstream.values import BOTTOM, GAP, TOP, UNIT, Interval
 
 Pinc = Progress.inclusive_at
@@ -185,6 +189,49 @@ class TestDelayAbs:
         z_gap = A.delay_abs_gap(d, r, z_bot)
         assert z_gap.gaps == z.gaps
         assert z_gap.stream.events == z.stream.events
+
+    def test_amounts_past_the_stop_are_checked(self):
+        # r's progress ends at its reset at 1, so the source armed there is
+        # undecidable and the sweep stops at its timeout 2, before the bad
+        # amounts at 5 and 6
+        d = astream([(1, F(1)), (5, F(-1)), (6, F(0))], prog=Pinc(7))
+        r = astream([(1, UNIT)], prog=Pinc(1))
+        assert A.delay_abs(cut(d, Pinc(4)), r).progress == Progress.exclusive(2)
+        with pytest.raises(OperatorError, match="delay amount at 5 must be positive"):
+            A.delay_abs(d, r)
+
+
+class TestSharedBase:
+    """The value and gap halves of an unrolled last or delay share one base call."""
+
+    def halves(self, a, b):
+        return (A.last_abs_bot(a, b), A.last_abs_gap(a, b, A.last_abs_bot(a, b)),
+                A.delay_abs_bot(a, b), A.delay_abs_gap(a, b, A.delay_abs_bot(a, b)))
+
+    def test_equal_arguments_never_hit(self):
+        d, r = TestDelayAbs().make_b2()
+        d2 = astream(d.stream.events, gaps=d.gaps.spans, prog=d.progress)
+        other = astream(d.stream.events[:2], prog=Pinc(17))
+        assert d2 == d and d2 is not d
+        for a in (d, d2, d, other, d):
+            got = self.halves(a, r)
+            assert len(A._SHARED) <= 2
+            assert all(entry[0] is a for entry in A._SHARED.values())
+            A._SHARED.clear()
+            assert got == self.halves(a, r)
+
+    def test_unrolled_period_calls_delay_once_per_pair(self, monkeypatch):
+        calls = {}
+        for name in ("delay_abs", "delay_abs_bot", "delay_abs_gap"):
+            def counting(*args, _name=name, _original=getattr(A, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(A, name, counting)
+        ast = unroll(abstractify(parse_spec(spec_text("variable-period"))))
+        tr = parse_trace(trace_text("variable-period-gapped"))
+        evaluate_fixpoint(flatten(ast), tr.streams)
+        assert calls["delay_abs_bot"] == calls["delay_abs_gap"] > 1
+        assert calls["delay_abs"] == calls["delay_abs_bot"]
 
 
 class TestDelayFin:
@@ -614,6 +661,13 @@ class TestDelayWalk:
                 full = op(a, b)
                 assert op(a, b, prev=op(cut(a, prog), cut(b, r_prog))) == full, name
                 assert op(a, b, prev=full) is full, name
+        # a walk from a mark gives the full walk's atoms from that point on
+        full = list(A._walk((d, r), prog))
+        starts = {lo: i for i, (lo, hi, _) in enumerate(full) if hi is None}
+        for t in {t for s in (d, r) for t, _, _ in A._marks(s)}:
+            assert prog.covers(t) == (t in starts)
+            want = full[starts[t]:] if t in starts else []
+            assert list(A._walk((d, r), prog, t)) == want
 
     def test_last_waits_for_an_unstarted_value(self):
         # v has not started by its progress, so it may yet start before r's

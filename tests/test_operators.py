@@ -84,11 +84,11 @@ ENCODED_SIZES = {
     "reset-count": ((34, 206), (34, 214), (35, 349), (35, 357)),
     "reset-sum": ((34, 206), (34, 214), (35, 349), (35, 357)),
     "filter-example": ((26, 62), (26, 60), (26, 62), (26, 60)),
-    "variable-period": ((28, 98), (28, 98), (36, 193), (36, 193)),
+    "variable-period": ((28, 98), (28, 98), (36, 171), (36, 171)),
     "bursts": ((37, 163), (37, 161), (37, 254), (37, 252)),
     "queue": ((35, 121), (35, 121), (38, 226), (38, 226)),
     "finite-queue": ((35, 121), (35, 121), (38, 226), (38, 226)),
-    "self-updating-queue": ((50, 194), (50, 194), (53, 414), (53, 414)),
+    "self-updating-queue": ((50, 194), (50, 194), (53, 375), (53, 375)),
 }
 
 

@@ -145,6 +145,20 @@ class TestUnroll:
         ast = abstractify(parse_spec(spec_text("filter-example")))
         assert unroll(ast) == ast
 
+    @pytest.mark.parametrize("time_aware", [False, True])
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_no_clone_equals_its_original(self, name, time_aware):
+        # an equation that reaches the target only through a history half is
+        # not cloned: its clone would repeat it
+        ast = abstractify(parse_spec(spec_text(name)), time_aware=time_aware)
+        before = {n for n, _ in flatten(ast).equations}
+        equations = flatten(unroll(ast)).equations
+        for name_a, a in equations:
+            for name_b, b in equations:
+                if name_a not in before and name_a != name_b:
+                    assert (a.op, a.args, a.fn, a.lit) != (b.op, b.args, b.fn, b.lit), \
+                        (name_a, name_b)
+
     def test_mutual_recursion_self_updating_queue(self):
         ab = abstractify(parse_spec(spec_text("self-updating-queue")))
         un = unroll(ab)
