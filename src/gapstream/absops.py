@@ -41,15 +41,21 @@ TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
 part of it, and TimeSet joins the two gap spans.
 
-The value and gap halves of an unrolled last or delay get their base
-result through _shared, which reuses it when both halves read the same
-argument objects.
+The history operators of an unrolled recursion resume too.  last_abs (and
+its value half last_abs_bot) takes prev's events and walks only the
+trigger ticks past prev's progress; its progress and gaps, all the gap half
+last_abs_gap needs, come from _last_frame by bisects, without a walk.
+delay_abs keeps its last call in _LAST_DELAY: the same argument objects get
+its result, so both halves of an unrolled delay share one sweep, and other
+arguments resume the sweep from the kept checkpoint when their events and
+gaps below it are the kept ones.  The memo sees unrelated calls too, so the
+agreement is checked, never assumed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import dropwhile, groupby
@@ -270,38 +276,32 @@ def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
 
 # -- last ------------------------------------------------------------------
 
-def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
-    """Abstract last: TOP after a gap-tainted history, gaps inherited from r."""
+def _covered(ticks: Sequence[Time], prog: Progress) -> int:
+    """How many of the ascending ticks prog covers."""
+    return (bisect_right if prog.inclusive else bisect_left)(ticks, prog.time)
+
+
+def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
+    """(progress, gaps, cut) of last_abs(v, r), found without walking the events.
+
+    cut counts the trigger ticks v's progress covers from below; the first
+    one past it cuts the progress.  The point gaps are the trigger ticks
+    after v's first gap point, up to and including v's first event: a gap
+    came before them, and no value.
+    """
+    ticks = r.stream.ticks()
     main = r.progress
-    events = []
-    point_gaps = []
-    # one pointer into v's marks carries v's latest value before the trigger
-    # tick and whether a gap came since it (or, with no value, at all)
-    marks = _marks(v)
-    j = 0
-    latest, tainted = BOTTOM, False
-    for t in r.stream.ticks():
-        if not v.progress.covers_below(t):
-            main = min(main, Progress.exclusive(t))
-            break
-        while j < len(marks) and marks[j][0] < t:
-            _, cell, above = marks[j]
-            if cell is GAP:
-                tainted = True
-            elif cell is not BOTTOM:
-                latest, tainted = cell, False
-            tainted = tainted or above is GAP
-            j += 1
-        if latest is not BOTTOM:
-            events.append((t, TOP if tainted else latest))
-        elif tainted:
-            point_gaps.append(Span(t, True, t, True))
+    cut = bisect_right(ticks, v.progress.time)
+    if cut < len(ticks):
+        main = min(main, Progress.exclusive(ticks[cut]))
+    first_gap = v.gaps.first_point()
+    first_event = v.stream.events[0][0] if v.stream.events else INF
+    point_gaps = ticks[bisect_right(ticks, first_gap):min(cut, bisect_right(ticks, first_event))]
 
     # the output inherits r's gaps strictly after v's start, the infimum of
     # v's ticks and gaps; a v with neither by a finite progress may still
     # start there or later, so r's next gap after that stays undecided
-    first_gap = v.gaps.first_point()
-    vstart = min(v.stream.events[0][0] if v.stream.events else INF, first_gap)
+    vstart = min(first_event, first_gap)
     start = min(vstart, v.progress.time)
     inherited = TimeSet.empty()
     if start is not INF:
@@ -311,49 +311,81 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStr
             main = min(main, Progress(first.lo, not first.lo_closed))
 
     prog = max(main, _vbot_extent(v.stream, first_gap))
-    gaps = inherited.intersect(covered_span(main)).union(TimeSet(point_gaps))
+    gaps = inherited.intersect(covered_span(main)).union(_points(point_gaps))
+    return prog, gaps, cut
+
+
+def last_abs(v: AbstractEventStream, r: AbstractEventStream,
+             prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """Abstract last: TOP after a gap-tainted history, gaps inherited from r.
+
+    Progress and gaps come from _last_frame.  prev, the output of last_abs
+    or last_abs_bot on prefixes of the arguments (empty by default), gives
+    the events at the trigger ticks its progress covers, so only the later
+    ticks are walked.
+    One bisect into v's ticks and gap spans finds v's latest value before
+    the first of them and whether a gap came since it; from there one
+    pointer into v's marks follows the ascending ticks.
+    """
+    prog, gaps, cut = _last_frame(v, r)
+    if prog == prev.progress:
+        return prev if prev.gaps == gaps else AbstractEventStream.of(prev.stream, gaps)
+    ticks = r.stream.ticks()
+    events = list(prev.stream.events)
+    todo = ticks[_covered(ticks, prev.progress):cut]
+    if todo:
+        since = todo[0]
+        v_ticks = v.stream.ticks()
+        spans = v.gaps.spans
+        j = bisect_left(v_ticks, since)
+        k = bisect_left(spans, since, key=attrgetter("lo"))
+        latest = v.stream.events[j - 1][1] if j else BOTTOM
+        # a gap came since the latest value (or at all) if the last gap
+        # starting before since reaches past that value
+        tainted = k > 0 and (not j or v_ticks[j - 1] < spans[k - 1].hi)
+        marks = _marks(v, since)
+        j = 0
+        for t in todo:
+            while j < len(marks) and marks[j][0] < t:
+                _, cell, above = marks[j]
+                if cell is GAP:
+                    tainted = True
+                elif cell is not BOTTOM:
+                    latest, tainted = cell, False
+                tainted = tainted or above is GAP
+                j += 1
+            if latest is not BOTTOM:
+                events.append((t, TOP if tainted else latest))
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
-_SHARED: dict = {}
+def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream,
+                 prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """Value half of the unrolled abstract last: gaps demoted to no-event.
 
-
-def _shared(base: Callable, a: AbstractEventStream,
-            b: AbstractEventStream) -> AbstractEventStream:
-    """base(a, b), shared by the value and gap halves of one unrolled operator.
-
-    Keeps the last (a, b, result) for each base function, so after a run it
-    holds at most one entry per base function.  The entry is reused only
-    for the same argument objects (is), never for merely equal ones; the
-    arguments are immutable and the base operators pure, so a stale entry
-    can only miss.  base is the function looked up where the half is
-    called, so a wrapped or patched operator gets its own entry.
+    Resumes like last_abs, which reads only prev's events and progress.
     """
-    hit = _SHARED.get(base)
-    if hit is not None and hit[0] is a and hit[1] is b:
-        return hit[2]
-    z = base(a, b)
-    _SHARED[base] = (a, b, z)
-    return z
-
-
-def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
-    """Value half of the unrolled abstract last: gaps demoted to no-event."""
-    z = _shared(last_abs, v, r)
-    return AbstractEventStream.of(z.stream)
+    z = last_abs(v, r, prev=prev)
+    return prev if z.stream is prev.stream else AbstractEventStream.of(z.stream)
 
 
 def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
                  d: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract last: d's events plus recomputed gaps."""
-    return _gap_half(_shared(last_abs, v, r), d)
+    prog, gaps, _ = _last_frame(v, r)
+    return _gap_half(prog, gaps, d)
 
 
-def _gap_half(z: AbstractEventStream, d: AbstractEventStream) -> AbstractEventStream:
-    """d's events, with z's gaps everywhere except at d's ticks."""
-    prog = min(z.progress, d.progress)
-    events = tuple((t, val) for t, val in d.stream.events if prog.covers(t))
-    gaps = z.gaps.minus(_points(d.stream.ticks()))
+def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream) -> AbstractEventStream:
+    """d's events up to prog, with the gaps everywhere except at d's ticks."""
+    prog = min(prog, d.progress)
+    ticks = d.stream.ticks()
+    inside = [t for sp in gaps.spans
+              for t in ticks[bisect_left(ticks, sp.lo):bisect_right(ticks, sp.hi)]
+              if sp.contains(t)]
+    if inside:
+        gaps = gaps.minus(_points(inside))
+    events = d.stream.events[:_covered(ticks, prog)]
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
 
@@ -524,6 +556,28 @@ class _DelaySweep:
         self.fires: List[Time] = []
         self.gap_spans: List[Span] = []
 
+    def snapshot(self) -> tuple:
+        """The state before the next atom, for resumed.
+
+        It holds copies of the pending sources, the timeout heap, any_alive
+        and how many fires and gap spans came so far.
+        """
+        return (tuple(replace(s) for s in self.exact), tuple(self.taus), self.any_alive,
+                len(self.fires), len(self.gap_spans))
+
+    @classmethod
+    def resumed(cls, state: tuple, fires: List[Time],
+                gap_spans: List[Span]) -> "_DelaySweep":
+        """A sweep in the snapshot state, fires and gap_spans cut to its counts."""
+        exact, taus, any_alive, n_fires, n_gaps = state
+        sweep = cls()
+        sweep.exact = [replace(s) for s in exact]
+        sweep.taus = list(taus)
+        sweep.any_alive = any_alive
+        sweep.fires = fires[:n_fires]
+        sweep.gap_spans = gap_spans[:n_gaps]
+        return sweep
+
     def atom(self, lo, hi, d_cell, r_cell) -> Optional[Progress]:
         """Decide the atom at lo (a point if hi is None), or return the progress to stop at.
 
@@ -613,6 +667,55 @@ class _DelaySweep:
         return None
 
 
+@dataclass
+class _DelayCall:
+    """One delay_abs call: its arguments, its result and its sweep's checkpoint.
+
+    The checkpoint is the sweep's snapshot before the point atom at time
+    at, which both arguments' progress covers from below, so the state
+    there depends only on the arguments' events and gaps strictly below at.
+    fires and gap_spans are the sweep's output lists, which the snapshot
+    counts into.
+    """
+
+    d: AbstractEventStream
+    r: AbstractEventStream
+    z: AbstractEventStream
+    at: Optional[Time]
+    state: Optional[tuple]
+    fires: List[Time]
+    gap_spans: List[Span]
+
+
+_LAST_DELAY: Optional[_DelayCall] = None
+
+
+def _history(s: AbstractEventStream, t: Time) -> tuple:
+    """s's events, their payload types and its gap spans strictly below t.
+
+    The last span is cut at t.  The types keep apart payloads that compare
+    equal but differ as delay amounts, such as 1 and True.
+    """
+    events = s.stream.events[:bisect_left(s.stream.ticks(), t)]
+    spans = list(s.gaps.spans[:bisect_left(s.gaps.spans, t, key=attrgetter("lo"))])
+    if spans and spans[-1].hi >= t:
+        spans[-1] = Span(spans[-1].lo, spans[-1].lo_closed, t, False)
+    return events, list(map(type, map(itemgetter(1), events))), spans
+
+
+def _resumes(call: _DelayCall, d: AbstractEventStream, r: AbstractEventStream) -> bool:
+    """True if the sweep over d and r passes through call's checkpoint.
+
+    Both arguments' progress must cover the checkpoint from below, and
+    their events and gaps below it must be call's.
+    """
+    at = call.at
+    return (at is not None
+            and d.progress.covers_below(at) and r.progress.covers_below(at)
+            and _history(d, at) == _history(call.d, at)
+            and _history(r, at) == _history(call.r, at))
+
+
 def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Abstract delay: gaps where an output event is possible but not certain.
 
@@ -622,10 +725,29 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
     UNKNOWN, and the sweep stops at the first atom that unknown data leaves
     undecided, as ops.delay caps its progress.  The sweep checks the delay
     amounts it meets; those past the atom it stops at are checked after it.
+
+    The last call is kept in _LAST_DELAY.  The same argument objects get its
+    result back, so the two halves of an unrolled delay share one sweep.
+    Other arguments resume the sweep from its checkpoint if _resumes finds
+    they agree with the kept ones below it, and start it at 0 otherwise; a
+    call takes its own checkpoint at the least of the arguments' progress
+    times, where the walk always has a point atom.
     """
-    sweep = _DelaySweep()
+    global _LAST_DELAY
+    last = _LAST_DELAY
+    if last is not None and last.d is d and last.r is r:
+        return last.z
+    if last is not None and _resumes(last, d, r):
+        start, at, state = last.at, last.at, last.state
+        sweep = _DelaySweep.resumed(state, last.fires, last.gap_spans)
+    else:
+        start, at, state = 0, None, None
+        sweep = _DelaySweep()
+    mark = min(d.progress.time, r.progress.time)
     prog = Progress.infinite()
-    for lo, hi, cells in _split(_walk((d, r), prog), sweep.taus):
+    for lo, hi, cells in _split(_walk((d, r), prog, start), sweep.taus):
+        if hi is None and lo == mark:
+            at, state = lo, sweep.snapshot()
         stop = sweep.atom(lo, hi, *cells)
         if stop is not None:
             prog = stop
@@ -634,20 +756,22 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
             break
     # each atom holds a fire, a gap or neither, and the sweep stops before an
     # atom or right after it, so prog covers every fire
-    return AbstractEventStream.of(EventStream.of(((t, UNIT) for t in sweep.fires), prog),
-                                  TimeSet(sweep.gap_spans))
+    z = AbstractEventStream.of(EventStream.of(((t, UNIT) for t in sweep.fires), prog),
+                               TimeSet(sweep.gap_spans))
+    _LAST_DELAY = _DelayCall(d, r, z, at, state, sweep.fires, sweep.gap_spans)
+    return z
 
 
 def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
     """Value half of the unrolled abstract delay: gaps demoted to no-event."""
-    z = _shared(delay_abs, d, r)
-    return AbstractEventStream.of(z.stream)
+    return AbstractEventStream.of(delay_abs(d, r).stream)
 
 
 def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
                   p: AbstractEventStream) -> AbstractEventStream:
     """Gap half of the unrolled abstract delay: p's events plus recomputed gaps."""
-    return _gap_half(_shared(delay_abs, d, r), p)
+    z = delay_abs(d, r)
+    return _gap_half(z.progress, z.gaps, p)
 
 
 def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:

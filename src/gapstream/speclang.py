@@ -129,7 +129,8 @@ OPERATORS: Dict[str, Operator] = {
                           encode="_enc_last_time"),
     "slift_time": Operator("slift_time_abs", 2, 2, takes="fn",
                            encode="_enc_slift_time"),
-    "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True),
+    "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True,
+                         resumes=True),
     "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
     "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True),
     "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True),

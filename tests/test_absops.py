@@ -202,36 +202,99 @@ class TestDelayAbs:
 
 
 class TestSharedBase:
-    """The value and gap halves of an unrolled last or delay share one base call."""
+    """The value and gap halves of an unrolled delay share one sweep: delay_abs
+    keeps its last call and gives the same argument objects its result."""
 
     def halves(self, a, b):
         return (A.last_abs_bot(a, b), A.last_abs_gap(a, b, A.last_abs_bot(a, b)),
                 A.delay_abs_bot(a, b), A.delay_abs_gap(a, b, A.delay_abs_bot(a, b)))
 
-    def test_equal_arguments_never_hit(self):
+    def test_equal_arguments_never_hit(self, monkeypatch):
         d, r = TestDelayAbs().make_b2()
         d2 = astream(d.stream.events, gaps=d.gaps.spans, prog=d.progress)
         other = astream(d.stream.events[:2], prog=Pinc(17))
         assert d2 == d and d2 is not d
         for a in (d, d2, d, other, d):
             got = self.halves(a, r)
-            assert len(A._SHARED) <= 2
-            assert all(entry[0] is a for entry in A._SHARED.values())
-            A._SHARED.clear()
+            kept = A._LAST_DELAY
+            assert kept.d is a and kept.r is r
+            assert A.delay_abs(a, r) is kept.z
+            monkeypatch.setattr(A, "_LAST_DELAY", None)
             assert got == self.halves(a, r)
+            z = A.delay_abs(a, r)
+            assert z == kept.z and z is not kept.z
 
-    def test_unrolled_period_calls_delay_once_per_pair(self, monkeypatch):
+    def test_unrolled_period_sweeps_once_per_pair(self, monkeypatch):
         calls = {}
         for name in ("delay_abs", "delay_abs_bot", "delay_abs_gap"):
             def counting(*args, _name=name, _original=getattr(A, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args)
             monkeypatch.setattr(A, name, counting)
+        sweeps = []
+        init = A._DelaySweep.__init__
+        monkeypatch.setattr(A._DelaySweep, "__init__",
+                            lambda self: (sweeps.append(self), init(self))[1])
         ast = unroll(abstractify(parse_spec(spec_text("variable-period"))))
         tr = parse_trace(trace_text("variable-period-gapped"))
         evaluate_fixpoint(flatten(ast), tr.streams)
         assert calls["delay_abs_bot"] == calls["delay_abs_gap"] > 1
-        assert calls["delay_abs"] == calls["delay_abs_bot"]
+        assert calls["delay_abs"] == 2 * calls["delay_abs_bot"]
+        assert len(sweeps) == calls["delay_abs_bot"]
+
+    def test_resume_tells_equal_payloads_apart(self, monkeypatch):
+        # True == 1, but only 1 is a delay amount
+        monkeypatch.setattr(A, "_LAST_DELAY", None)
+        r = astream([], prog=Pinc(9))
+        A.delay_abs(astream([(1, 1), (5, F(1))], prog=Pinc(6)), r)
+        assert A._LAST_DELAY.at == 6
+        with pytest.raises(OperatorError, match="must be a duration"):
+            A.delay_abs(astream([(1, True), (5, F(1))], prog=Pinc(9)), r)
+
+    def test_resumed_sweep_leaves_the_checkpoint_alone(self, monkeypatch):
+        # the call on complete arguments takes no checkpoint of its own and
+        # keeps the one it resumed from; the r gap at (2, 3) makes the source
+        # at 1 vulnerable in its sweep, but not in the kept state
+        monkeypatch.setattr(A, "_LAST_DELAY", None)
+        d = astream([(1, F(4))])
+        r = astream([(1, UNIT)], gaps=[sp(2, 3, False, False)])
+        r2 = astream([(1, UNIT)])
+        A.delay_abs(cut(d, Progress.exclusive(F(3, 2))), r)
+        assert A.delay_abs(d, r).gaps == TimeSet.of(sp(5))
+        assert A._LAST_DELAY.at == F(3, 2)
+        assert A.delay_abs(d, r2).stream.events == ((5, UNIT),)
+
+
+def period_trace(n: int) -> str:
+    """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap."""
+    lines = ["stream period : Int"]
+    t = 1
+    for i in range(n):
+        v = 2 + i % 4
+        if i % 5 == 2:
+            lines += [f"{t}: gap period", f"{t + 1}: known period"]
+        else:
+            lines.append(f"{t}: period = {v}")
+        t += 3 * v + 1
+    return "\n".join(lines + [f"progress {t}"]) + "\n"
+
+
+class TestDelaySweepCount:
+    """The unrolled delay resumes its sweep, so the atoms it decides grow with
+    the trace, not with the trace times the sweeps of the fixed point."""
+
+    def test_atoms_grow_about_linearly(self, monkeypatch):
+        atoms = []
+        atom = A._DelaySweep.atom
+        monkeypatch.setattr(A._DelaySweep, "atom",
+                            lambda self, *cells: (atoms.append(1), atom(self, *cells))[1])
+        graph = flatten(unroll(abstractify(parse_spec(spec_text("variable-period")))))
+        counts = []
+        for n in (8, 16):
+            atoms.clear()
+            evaluate_fixpoint(graph, parse_trace(period_trace(n)).streams)
+            counts.append(len(atoms))
+        assert counts[1] <= 2.5 * counts[0], counts
 
 
 class TestDelayFin:
@@ -632,6 +695,8 @@ RESUMING_OPERATORS = {
     "merge_abs": A.merge_abs,
     "const_abs": lambda a, b, **prev: A.const_abs(F(5))(a, **prev),
     "slift_abs": lambda a, b, **prev: A.slift_abs(first_cell, a, b, **prev),
+    "last_abs": A.last_abs,
+    "last_abs_bot": A.last_abs_bot,
 }
 
 
@@ -661,6 +726,25 @@ class TestDelayWalk:
                 full = op(a, b)
                 assert op(a, b, prev=op(cut(a, prog), cut(b, r_prog))) == full, name
                 assert op(a, b, prev=full) is full, name
+        # the gap half of last finds last_abs's progress and gaps without its walk
+        for a, b in ((d, r), (r, d), (cut(d, prog), cut(r, r_prog)), (cut(r, prog), d)):
+            z = A.last_abs(a, b)
+            for x in (A.last_abs_bot(a, b), a, b):
+                half = A.last_abs_gap(a, b, x)
+                assert half.progress == min(z.progress, x.progress)
+                assert half.gaps == z.gaps.minus(TimeSet(
+                    Span(t, True, t, True) for t in x.ticks())).intersect(
+                        covered_span(half.progress))
+                assert half.stream.events == x.stream.truncated(half.progress).events
+        # delay resumes its sweep only where the arguments agree with the kept call
+        A._LAST_DELAY = None
+        fresh = A.delay_abs(d, r)
+        A.delay_abs(cut(d, prog), cut(r, r_prog))
+        assert A.delay_abs(d, r) == fresh
+        A.delay_abs(cut(d, prog), cut(r, r_prog))
+        A.delay_abs(cut(d, r_prog), A.nil_abs())    # an unrelated call in between
+        A.delay_abs(cut(d, max(prog, r_prog)), cut(r, r_prog))
+        assert A.delay_abs(d, r) == fresh
         # a walk from a mark gives the full walk's atoms from that point on
         full = list(A._walk((d, r), prog))
         starts = {lo: i for i, (lo, hi, _) in enumerate(full) if hi is None}
