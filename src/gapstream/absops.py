@@ -16,11 +16,13 @@ Every operator that decides its output atom by atom walks the same atoms,
 those _walk yields: the points (0, ticks, gap boundaries, progress) and the
 open intervals between them.  _walk reads each argument's cell on each atom
 off one cursor over its marks (_marks: ticks, gap boundaries and progress),
-with UNKNOWN past the argument's own progress.  lift_abs lifts a function
-over those cells.  The signal lift slift_abs carries each argument's latest
-value through the walk instead of building the paper's synchronization,
-merge_abs(x, last_abs(x, others)) (encoded.synchronized); that composition is
-kept only for the encoded signal lift and as the test oracle.  delay_abs
+with UNKNOWN past the argument's own progress; it reads the marks only up
+to the walk's horizon, so an argument known far beyond it costs nothing
+there.  lift_abs lifts a function over those cells.  The signal lift
+slift_abs carries each argument's latest value through the walk instead
+of building the paper's synchronization, merge_abs(x, last_abs(x,
+others)) (encoded.synchronized); that composition is kept only for the
+encoded signal lift and as the test oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
 atoms at the pending timeouts; delay_abs is one forward pass, like ops.delay,
 and shares its amount check ops._delay_amount.  last_abs moves one pointer
@@ -28,18 +30,20 @@ through the value stream's marks as the trigger ticks ascend.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation).
+They walk from prev's progress time, whose point atom holds each
+argument's cell there; slift_abs starts from each argument's latest value,
+taint and start below that time, which _carried recovers by two bisects.
 The lifted function is applied only to the atoms prev's progress does not
 decide: a point it does not cover, or an open atom whose upper end it does
-not cover from below.  lift_abs (and so merge_abs and const_abs) walks from
-prev's progress time, whose point atom holds each argument's cell there;
-the walk still starts at 0 only for slift_abs, which carries each
-argument's latest value through it.  The output starts from prev's events
-and gap spans; if the progress has not moved, it is prev itself.  This is
-sound when prev is the same operator's output on prefixes of the
-arguments: every operator here is prefix-monotone (tests/test_absops.py
+not cover from below.  The output is prev extended by what those atoms
+give; if the progress has not moved, it is prev itself.  This is sound
+when prev is the same operator's output on prefixes of the arguments:
+every operator here is prefix-monotone (tests/test_absops.py
 TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
-part of it, and TimeSet joins the two gap spans.
+part of it, and TimeSet joins the two gap spans.  _extended builds that
+output and checks only what is appended, as AbstractEventStream.of would:
+prev was checked when it was built.
 
 The history operators of an unrolled recursion resume too.  last_abs (and
 its value half last_abs_bot) takes prev's events and walks only the
@@ -66,7 +70,7 @@ from .errors import OperatorError
 from .functions import strict_cells
 from .ops import _delay_amount, _vbot_extent
 from .streams import EventStream, Progress
-from .timeline import INF, Span, Time, TimeSet, as_time
+from .timeline import INF, ExtTime, Span, Time, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 from .abstract import AbstractEventStream, covered_span
 
@@ -89,8 +93,8 @@ def time_abs(s: AbstractEventStream) -> AbstractEventStream:
 
 # -- lift ------------------------------------------------------------------
 
-def _marks(s: AbstractEventStream, since: Time = 0) -> list:
-    """(t, cell at t, cell just above t) at since and each later tick, gap boundary and progress of s.
+def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF) -> list:
+    """(t, cell at t, cell just above t) at since and each later tick, gap boundary and progress of s up to until.
 
     The cell at t is the event value, GAP or BOTTOM; the cell above is GAP
     or BOTTOM.  Between two marks s is constant, with the earlier mark's
@@ -98,11 +102,14 @@ def _marks(s: AbstractEventStream, since: Time = 0) -> list:
     if p is inclusive, (p, UNKNOWN, UNKNOWN) if exclusive.  The first mark
     sits at since; inside a constant region it holds the region's cell
     twice, BOTTOM before the first mark of s and UNKNOWN past its progress.
-    Only the ticks and gap spans at or above since are read.
+    Only the ticks and gap spans from since up to until are read, and no
+    mark lies past until.
     """
     spans = s.gaps.spans
     marks = []
     for sp in spans[bisect_left(spans, since, key=attrgetter("hi")):]:
+        if sp.lo > until:
+            break
         point = sp.is_point()
         if marks and marks[-1][0] == sp.lo:
             marks.pop()     # two open ends meet at sp.lo, which is no gap
@@ -112,22 +119,26 @@ def _marks(s: AbstractEventStream, since: Time = 0) -> list:
     events = s.stream.events
     # an event can only sit on an open gap end, and keeps that end's gap above
     ticks = s.stream.ticks()
+    end = bisect_right(ticks, until)
     out = []
-    j = bisect_left(ticks, since)
+    j = bisect_left(ticks, since, 0, end)
     for t, cell, above in marks:
-        i = bisect_left(ticks, t, j)
+        i = bisect_left(ticks, t, j, end)
         out.extend((u, v, BOTTOM) for u, v in events[j:i])
-        if i < len(ticks) and ticks[i] == t:
+        if i < end and ticks[i] == t:
             cell = events[i][1]
             i += 1
         out.append((t, cell, above))
         j = i
-    out.extend((u, v, BOTTOM) for u, v in events[j:])
+    out.extend((u, v, BOTTOM) for u, v in events[j:end])
     prog = s.progress
     if not prog.is_infinite():
         # gaps and events lie in the covered span, so only the last mark can sit on p
         cell = out.pop()[1] if out and out[-1][0] == prog.time else BOTTOM
         out.append((prog.time, cell if prog.inclusive else UNKNOWN, UNKNOWN))
+    # a gap's upper end or the progress may lie past until
+    while out and out[-1][0] > until:
+        out.pop()
     # below since lie at most the lower end of a gap around since and, past
     # the progress, the progress mark
     below = 0
@@ -141,6 +152,25 @@ def _marks(s: AbstractEventStream, since: Time = 0) -> list:
     return out
 
 
+def _carried(s: AbstractEventStream, since: Time) -> tuple:
+    """(latest, tainted, started) of s strictly below since, by two bisects.
+
+    latest is the value of s's last event below since, BOTTOM if none;
+    tainted holds if a gap came after that event, or before since with no
+    event; started holds if s has an event or a gap below since.  These are
+    what _synchronized_atoms carries into the point atom at since.
+    """
+    ticks = s.stream.ticks()
+    spans = s.gaps.spans
+    j = bisect_left(ticks, since)
+    k = bisect_left(spans, since, key=attrgetter("lo"))
+    latest = s.stream.events[j - 1][1] if j else BOTTOM
+    # the last gap starting below since reaches past the latest event, if
+    # it comes after it; an earlier one ends at or before that event
+    tainted = k > 0 and (not j or ticks[j - 1] < spans[k - 1].hi)
+    return latest, tainted, bool(j or k)
+
+
 def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0):
     """Yield (lo, hi, cells) for the atoms partitioning the span horizon covers from start on.
 
@@ -149,13 +179,14 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time
     stream's cell on the atom: its event value, GAP, BOTTOM, or UNKNOWN past
     the stream's own progress.  The points are start and the streams' ticks,
     gap boundaries and finite progress times above it; horizon is one
-    stream's progress.  One pass over the streams' merged marks tracks each
-    stream's cell, so no cell is looked up; every stream has a mark at start.
+    stream's progress.  One pass over the streams' merged marks up to the
+    horizon tracks each stream's cell, so no cell is looked up; every stream
+    has a mark at start.
     """
     if not horizon.covers(start):
         return
     marks = [(t, i, cell, above) for i, s in enumerate(streams)
-             for t, cell, above in _marks(s, start)]
+             for t, cell, above in _marks(s, start, horizon.time)]
     if len(streams) > 1:
         marks.sort(key=itemgetter(0))
     region = (BOTTOM,) * len(streams)
@@ -209,8 +240,8 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
         lo, hi, _ = atom
         return done.covers(lo) if hi is None else done.covers_below(hi)
 
-    events = list(prev.stream.events)
-    gap_spans = list(prev.gaps.spans)
+    events = []
+    gap_spans = []
     for lo, hi, cells in dropwhile(decided, atoms):
         out = f_abs(*cells)
         if hi is None:
@@ -226,7 +257,35 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
             raise OperatorError(
                 "abstract lifted function produced an event over a region"
             )
-    return AbstractEventStream.of(EventStream.of(events, prog), TimeSet(gap_spans))
+    return _extended(prev, events, gap_spans, prog)
+
+
+def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
+              prog: Progress) -> AbstractEventStream:
+    """prev with the events and gap spans appended, and progress prog.
+
+    Only what is appended is checked, as AbstractEventStream.of checks a
+    whole stream: the events ascend from prev's last tick and lie under
+    prog, no gap span reaches back over prev's last event, and no appended
+    event lies in a gap.  prev's own events were checked when it was built.
+    The caller keeps every span under prog, so the gaps are not cut to it.
+    """
+    old = prev.stream.events
+    last = old[-1][0] if old else -1      # times are non-negative
+    for sp in gap_spans:
+        if sp.lo < last or sp.lo == last and sp.lo_closed:
+            raise OperatorError(f"gap {sp} reaches over the event at {last}")
+    for t, _ in events:
+        if not last < t:
+            raise OperatorError(f"event timestamps must strictly increase: {last} then {t}")
+        last = t
+    if events and not prog.covers(last):
+        raise OperatorError(f"event at {last} lies beyond progress {prog}")
+    gaps = TimeSet(prev.gaps.spans + tuple(gap_spans)) if gap_spans else prev.gaps
+    for t, _ in events:
+        if gaps.contains(t):
+            raise OperatorError(f"event at {t} lies inside a gap")
+    return AbstractEventStream(EventStream(old + tuple(events), prog), gaps)
 
 
 _NOTHING = AbstractEventStream.of(EventStream.empty())
@@ -323,9 +382,9 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     or last_abs_bot on prefixes of the arguments (empty by default), gives
     the events at the trigger ticks its progress covers, so only the later
     ticks are walked.
-    One bisect into v's ticks and gap spans finds v's latest value before
-    the first of them and whether a gap came since it; from there one
-    pointer into v's marks follows the ascending ticks.
+    _carried finds v's latest value before the first of them and whether a
+    gap came since it; from there one pointer into v's marks follows the
+    ascending ticks.
     """
     prog, gaps, cut = _last_frame(v, r)
     if prog == prev.progress:
@@ -335,14 +394,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     todo = ticks[_covered(ticks, prev.progress):cut]
     if todo:
         since = todo[0]
-        v_ticks = v.stream.ticks()
-        spans = v.gaps.spans
-        j = bisect_left(v_ticks, since)
-        k = bisect_left(spans, since, key=attrgetter("lo"))
-        latest = v.stream.events[j - 1][1] if j else BOTTOM
-        # a gap came since the latest value (or at all) if the last gap
-        # starting before since reaches past that value
-        tainted = k > 0 and (not j or v_ticks[j - 1] < spans[k - 1].hi)
+        latest, tainted, _ = _carried(v, since)
         marks = _marks(v, since)
         j = 0
         for t in todo:
@@ -443,14 +495,15 @@ def _tmerge_time_aware(x_times: AbstractEventStream,
 
 # -- signal lift -----------------------------------------------------------
 
-def _synchronized_atoms(atoms, n: int):
+def _synchronized_atoms(atoms, state):
     """The atoms with the cells of the synchronized streams.
 
     Synchronized stream i is merge_abs(x_i, last_abs(x_i, trigger_i)), where
     trigger_i merges the other streams (encoded.synchronized).  The walk
     carries, per stream, its latest event value, whether a gap came after
     that event (or before any event), and whether it has started: had an
-    event or a gap.  On a point
+    event or a gap.  state holds the three lists it starts from and updates
+    in place, as _carried gives them at the walk's first atom.  On a point
     where x_i has no event of its own, its cell is
       - where x_i is in a gap: TOP if another stream has an event and x_i
         an earlier one, else GAP;
@@ -458,11 +511,12 @@ def _synchronized_atoms(atoms, n: int):
         came after it; with no earlier value, GAP if a gap came before;
       - where another stream is in a gap: GAP if x_i has started;
     and BOTTOM otherwise.  On an open atom the cell is GAP where x_i is in
-    a gap, or has started while another stream is.
+    a gap, or has started while another stream is.  A point inside a
+    constant region, where a resumed walk may start, has no event, so it
+    gets the region's cells and leaves the state as the region does.
     """
-    latest = [BOTTOM] * n
-    tainted = [False] * n
-    started = [False] * n
+    latest, tainted, started = state
+    n = len(latest)
     for lo, hi, cells in atoms:
         gapped = sum(c is GAP for c in cells)
         if hi is not None:
@@ -504,12 +558,15 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
     for the concrete slift, the output progress is the least of the
     arguments' progress: last_abs cuts its progress at a trigger tick above
     x_i's own progress, so every synchronized stream's progress lies between
-    the least and x_i's.
+    the least and x_i's.  Like lift_abs, the walk starts at prev's progress
+    time, with each argument's state there taken from _carried.
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
-    atoms = _synchronized_atoms(_walk(streams, prog), len(streams))
+    since = prev.progress.time
+    state = [list(column) for column in zip(*(_carried(s, since) for s in streams))]
+    atoms = _synchronized_atoms(_walk(streams, prog, since), state)
     return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
 
 
@@ -781,12 +838,24 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
     during a reset gap would each contribute a point gap, the bottoms in
     between are promoted to gap as well, so only the earliest and latest
     pending timeout need to be remembered.
+
+    A source is a delay event with a finite amount at a reset gap.  Where
+    r is not yet known at such an event, it may still become one and
+    promote the region after it, so the output is decided only up to it.
     """
     z = delay_abs(d, r)
     sources = []
     for t, val in d.stream.events:
         amount = _delay_amount(val, t)
-        if amount not in (None, "any") and r.at(t) is GAP:
+        if amount in (None, "any"):
+            continue
+        cell = r.at(t)
+        if cell is UNKNOWN:
+            cap = Progress.inclusive_at(t)
+            if cap < z.progress:
+                z = AbstractEventStream.of(z.stream.truncated(cap), z.gaps)
+            break
+        if cell is GAP:
             sources.append((t, as_time(t + amount)))
     if not sources:
         return z

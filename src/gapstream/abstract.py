@@ -42,6 +42,14 @@ class AbstractEventStream:
 
     @staticmethod
     def of(stream: EventStream, gaps: TimeSet = None) -> "AbstractEventStream":
+        """The stream with its gaps cut to its progress, checked whole.
+
+        This is the validator at the public boundary: inputs, parsed traces,
+        online messages, user code and the operators that rebuild their
+        output.  No event may lie in a gap.  The resumed walk operators
+        extend their previous output through absops._extended instead,
+        which checks only what they append.
+        """
         gaps = (gaps or TimeSet.empty()).intersect(covered_span(stream.progress))
         for t, _ in stream.events:
             if gaps.contains(t):

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (abstract_streams, event_streams, flat_join, member_of_gamma,
@@ -711,6 +711,15 @@ class TestDelayWalk:
            st.sampled_from(HALF_GRID), st.booleans(),
            st.sampled_from(HALF_GRID), st.booleans())
     @settings(max_examples=800, deadline=None)
+    # r is unknown at a delay event in the cut inputs, and its gap there
+    # makes that event a source in the full ones: delay_abs_fin must not
+    # decide the region after it
+    @example(d=astream([(0, F(1, 2)), (F(1, 2), F(1, 2))]),
+             r=astream([], gaps=[sp(0, F(1, 2))]),
+             at=F(1), inclusive=False, r_at=F(1, 2), r_inclusive=False)
+    @example(d=astream([(F(1, 2), F(1, 2)), (1, F(1, 2))]),
+             r=astream([], gaps=[sp(0, 1, False, True)]),
+             at=F(8), inclusive=True, r_at=F(1), r_inclusive=False)
     def test_cut_inputs_give_a_prefix(self, d, r, at, inclusive, r_at, r_inclusive):
         # each input is cut at its own progress, and either may be the value
         # or the trigger stream of last
@@ -745,13 +754,33 @@ class TestDelayWalk:
         A.delay_abs(cut(d, r_prog), A.nil_abs())    # an unrelated call in between
         A.delay_abs(cut(d, max(prog, r_prog)), cut(r, r_prog))
         assert A.delay_abs(d, r) == fresh
-        # a walk from a mark gives the full walk's atoms from that point on
+        # up to the least progress, where slift_abs walks, its walk carries
+        # into each point atom the state _carried recovers there, so a walk
+        # resumed there starts in that state
+        state = [[BOTTOM] * 2, [False] * 2, [False] * 2]
+        carried = {}
+
+        def spy(atoms):
+            for lo, hi, cells in atoms:
+                if hi is None:
+                    carried[lo] = tuple(map(tuple, state))
+                yield lo, hi, cells
+
+        least = min(d.progress, r.progress)
+        for _ in A._synchronized_atoms(spy(A._walk((d, r), least)), state):
+            pass
+        for t, want in carried.items():
+            assert tuple(zip(*(A._carried(s, t) for s in (d, r)))) == want, t
+        # a walk from a mark gives the full walk's atoms from that point on,
+        # and the marks up to a time are the full marks' head
         full = list(A._walk((d, r), prog))
         starts = {lo: i for i, (lo, hi, _) in enumerate(full) if hi is None}
         for t in {t for s in (d, r) for t, _, _ in A._marks(s)}:
             assert prog.covers(t) == (t in starts)
             want = full[starts[t]:] if t in starts else []
             assert list(A._walk((d, r), prog, t)) == want
+            for s in (d, r):
+                assert A._marks(s, 0, t) == [m for m in A._marks(s) if m[0] <= t]
 
     def test_last_waits_for_an_unstarted_value(self):
         # v has not started by its progress, so it may yet start before r's
@@ -771,6 +800,78 @@ class TestDelayWalk:
         for p in (4, 10):
             d = astream([(F(3, 2), F(3, 2)), (3, F(2))], prog=Progress.exclusive(p))
             assert A.delay_abs_fin(d, r).at(F(7, 2)) is GAP
+
+
+class TestExtended:
+    """_extended, the checked extension the resumed lifts build their output
+    with, checks what it appends as AbstractEventStream.of would."""
+
+    prev = astream([(1, F(1))], gaps=[sp(2, 3, True, False)], prog=Pinc(3))
+
+    def test_appends_events_and_gaps(self):
+        got = A._extended(self.prev, [(4, F(2))], [sp(1, 2, False, False), sp(5, 6)], Pinc(6))
+        assert got == astream([(1, F(1)), (4, F(2))],
+                              gaps=[sp(1, 3, False, False), sp(5, 6)], prog=Pinc(6))
+
+    @pytest.mark.parametrize("events, spans", [
+        ([(F(5, 2), F(2))], []),            # in one of prev's gaps
+        ([(5, F(2))], [sp(4, 6)]),          # in an appended gap
+    ])
+    def test_event_inside_a_gap(self, events, spans):
+        with pytest.raises(OperatorError, match="inside a gap"):
+            A._extended(self.prev, events, spans, Pinc(6))
+
+    @pytest.mark.parametrize("events", [
+        [(1, F(2))],                        # at prev's last tick
+        [(5, F(2)), (4, F(2))],
+    ])
+    def test_event_out_of_order(self, events):
+        with pytest.raises(OperatorError, match="strictly increase"):
+            A._extended(self.prev, events, [], Pinc(6))
+
+    def test_event_beyond_the_progress(self):
+        with pytest.raises(OperatorError, match="beyond progress"):
+            A._extended(self.prev, [(7, F(2))], [], Pinc(6))
+
+    @pytest.mark.parametrize("span", [sp(1, 4, True, False), sp(0, 4)])
+    def test_gap_over_an_earlier_event(self, span):
+        with pytest.raises(OperatorError, match="reaches over the event at 1"):
+            A._extended(self.prev, [], [span], Pinc(6))
+
+
+def window_trace(n: int) -> str:
+    """A queue trace of n loads, one every three time units, every fifth lost to a gap."""
+    lines = ["stream load : Real"]
+    for i in range(n):
+        t = 3 * i + 1
+        if i % 5 == 2:
+            lines += [f"{t}: gap load", f"{t + 1}: known load"]
+        else:
+            lines.append(f"{t}: load = 0.{1 + i % 9}")
+    return "\n".join(lines + [f"progress {3 * n + 2}"]) + "\n"
+
+
+class TestSliftAtomCount:
+    """slift_abs walks from its previous output's progress, so the atoms it
+    synchronizes grow with the trace, not with the trace times the sweeps."""
+
+    def test_atoms_grow_about_linearly(self, monkeypatch):
+        atoms = []
+        synchronized_atoms = A._synchronized_atoms
+
+        def counting(*args):
+            for atom in synchronized_atoms(*args):
+                atoms.append(1)
+                yield atom
+
+        monkeypatch.setattr(A, "_synchronized_atoms", counting)
+        graph = flatten(unroll(abstractify(parse_spec(spec_text("queue")))))
+        counts = []
+        for n in (10, 20):
+            atoms.clear()
+            evaluate_fixpoint(graph, parse_trace(window_trace(n)).streams)
+            counts.append(len(atoms))
+        assert counts[1] <= 2.5 * counts[0], counts
 
 
 SHORT_GRID = HALF_GRID[:7]      # 0 to 3
