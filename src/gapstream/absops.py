@@ -49,11 +49,13 @@ The history operators of an unrolled recursion resume too.  last_abs (and
 its value half last_abs_bot) takes prev's events and walks only the
 trigger ticks past prev's progress; its progress and gaps, all the gap half
 last_abs_gap needs, come from _last_frame by bisects, without a walk.
-delay_abs keeps its last call in _LAST_DELAY: the same argument objects get
-its result, so both halves of an unrolled delay share one sweep, and other
-arguments resume the sweep from the kept checkpoint when their events and
-gaps below it are the kept ones.  The memo sees unrelated calls too, so the
-agreement is checked, never assumed.
+The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
+its sweep state lives in a holder its caller passes, one per pair of
+argument streams (speclang.Operator.stateful).  The same argument objects
+get the kept result, so both halves of an unrolled delay share one sweep,
+and later arguments resume the sweep from the kept checkpoint.  A holder
+sees only growing prefixes of its two streams, the contract prev relies
+on, so their history below the checkpoint is the kept one.
 """
 
 from __future__ import annotations
@@ -622,17 +624,15 @@ class _DelaySweep:
         return (tuple(replace(s) for s in self.exact), tuple(self.taus), self.any_alive,
                 len(self.fires), len(self.gap_spans))
 
-    @classmethod
-    def resumed(cls, state: tuple, fires: List[Time],
-                gap_spans: List[Span]) -> "_DelaySweep":
-        """A sweep in the snapshot state, fires and gap_spans cut to its counts."""
-        exact, taus, any_alive, n_fires, n_gaps = state
-        sweep = cls()
+    def resumed(self, snapshot: tuple) -> "_DelaySweep":
+        """A new sweep in the snapshot state, with this sweep's outputs cut to its counts."""
+        exact, taus, any_alive, n_fires, n_gaps = snapshot
+        sweep = _DelaySweep()
         sweep.exact = [replace(s) for s in exact]
         sweep.taus = list(taus)
         sweep.any_alive = any_alive
-        sweep.fires = fires[:n_fires]
-        sweep.gap_spans = gap_spans[:n_gaps]
+        sweep.fires = self.fires[:n_fires]
+        sweep.gap_spans = self.gap_spans[:n_gaps]
         return sweep
 
     def atom(self, lo, hi, d_cell, r_cell) -> Optional[Progress]:
@@ -724,56 +724,8 @@ class _DelaySweep:
         return None
 
 
-@dataclass
-class _DelayCall:
-    """One delay_abs call: its arguments, its result and its sweep's checkpoint.
-
-    The checkpoint is the sweep's snapshot before the point atom at time
-    at, which both arguments' progress covers from below, so the state
-    there depends only on the arguments' events and gaps strictly below at.
-    fires and gap_spans are the sweep's output lists, which the snapshot
-    counts into.
-    """
-
-    d: AbstractEventStream
-    r: AbstractEventStream
-    z: AbstractEventStream
-    at: Optional[Time]
-    state: Optional[tuple]
-    fires: List[Time]
-    gap_spans: List[Span]
-
-
-_LAST_DELAY: Optional[_DelayCall] = None
-
-
-def _history(s: AbstractEventStream, t: Time) -> tuple:
-    """s's events, their payload types and its gap spans strictly below t.
-
-    The last span is cut at t.  The types keep apart payloads that compare
-    equal but differ as delay amounts, such as 1 and True.
-    """
-    events = s.stream.events[:bisect_left(s.stream.ticks(), t)]
-    spans = list(s.gaps.spans[:bisect_left(s.gaps.spans, t, key=attrgetter("lo"))])
-    if spans and spans[-1].hi >= t:
-        spans[-1] = Span(spans[-1].lo, spans[-1].lo_closed, t, False)
-    return events, list(map(type, map(itemgetter(1), events))), spans
-
-
-def _resumes(call: _DelayCall, d: AbstractEventStream, r: AbstractEventStream) -> bool:
-    """True if the sweep over d and r passes through call's checkpoint.
-
-    Both arguments' progress must cover the checkpoint from below, and
-    their events and gaps below it must be call's.
-    """
-    at = call.at
-    return (at is not None
-            and d.progress.covers_below(at) and r.progress.covers_below(at)
-            and _history(d, at) == _history(call.d, at)
-            and _history(r, at) == _history(call.r, at))
-
-
-def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
+def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
+              state: Optional[dict] = None) -> AbstractEventStream:
     """Abstract delay: gaps where an output event is possible but not certain.
 
     One forward pass of _DelaySweep over the atoms of d and r, split at the
@@ -783,28 +735,30 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
     undecided, as ops.delay caps its progress.  The sweep checks the delay
     amounts it meets; those past the atom it stops at are checked after it.
 
-    The last call is kept in _LAST_DELAY.  The same argument objects get its
-    result back, so the two halves of an unrolled delay share one sweep.
-    Other arguments resume the sweep from its checkpoint if _resumes finds
-    they agree with the kept ones below it, and start it at 0 otherwise; a
-    call takes its own checkpoint at the least of the arguments' progress
-    times, where the walk always has a point atom.
+    state, a holder the caller passes only with growing prefixes of the same
+    two streams, keeps the last call: its arguments d and r, its result z,
+    and its checkpoint (at, snapshot, sweep), the sweep's state before the
+    point atom at time at.  The same argument objects get z back, so the
+    two halves of an unrolled delay share one sweep.  Arguments whose
+    progress both cover at from below have the kept history below it, so
+    the sweep resumes there; others, and a call without a holder, start it
+    at 0.  A call takes its own checkpoint at the least of the arguments'
+    progress times, where the walk always has a point atom.
     """
-    global _LAST_DELAY
-    last = _LAST_DELAY
-    if last is not None and last.d is d and last.r is r:
-        return last.z
-    if last is not None and _resumes(last, d, r):
-        start, at, state = last.at, last.at, last.state
-        sweep = _DelaySweep.resumed(state, last.fires, last.gap_spans)
+    if state is None:
+        state = {}
+    if state.get("d") is d and state.get("r") is r:
+        return state["z"]
+    at, snapshot, kept = state.get("checkpoint", (None, None, None))
+    if at is not None and d.progress.covers_below(at) and r.progress.covers_below(at):
+        start, sweep = at, kept.resumed(snapshot)
     else:
-        start, at, state = 0, None, None
-        sweep = _DelaySweep()
+        start, at, snapshot, sweep = 0, None, None, _DelaySweep()
     mark = min(d.progress.time, r.progress.time)
     prog = Progress.infinite()
     for lo, hi, cells in _split(_walk((d, r), prog, start), sweep.taus):
         if hi is None and lo == mark:
-            at, state = lo, sweep.snapshot()
+            at, snapshot = lo, sweep.snapshot()
         stop = sweep.atom(lo, hi, *cells)
         if stop is not None:
             prog = stop
@@ -815,23 +769,25 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventSt
     # atom or right after it, so prog covers every fire
     z = AbstractEventStream.of(EventStream.of(((t, UNIT) for t in sweep.fires), prog),
                                TimeSet(sweep.gap_spans))
-    _LAST_DELAY = _DelayCall(d, r, z, at, state, sweep.fires, sweep.gap_spans)
+    state.update(d=d, r=r, z=z, checkpoint=(at, snapshot, sweep))
     return z
 
 
-def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
+def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream,
+                  state: Optional[dict] = None) -> AbstractEventStream:
     """Value half of the unrolled abstract delay: gaps demoted to no-event."""
-    return AbstractEventStream.of(delay_abs(d, r).stream)
+    return AbstractEventStream.of(delay_abs(d, r, state=state).stream)
 
 
 def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
-                  p: AbstractEventStream) -> AbstractEventStream:
+                  p: AbstractEventStream, state: Optional[dict] = None) -> AbstractEventStream:
     """Gap half of the unrolled abstract delay: p's events plus recomputed gaps."""
-    z = delay_abs(d, r)
+    z = delay_abs(d, r, state=state)
     return _gap_half(z.progress, z.gaps, p)
 
 
-def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
+def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream,
+                  state: Optional[dict] = None) -> AbstractEventStream:
     """Finite-memory abstract delay: runs of uncertain timeouts merge into one gap.
 
     Sound but coarser than delay_abs: where several pending delays armed
@@ -843,7 +799,7 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
     r is not yet known at such an event, it may still become one and
     promote the region after it, so the output is decided only up to it.
     """
-    z = delay_abs(d, r)
+    z = delay_abs(d, r, state=state)
     sources = []
     for t, val in d.stream.events:
         amount = _delay_amount(val, t)

@@ -22,7 +22,7 @@ time it already decides, is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream, InputBuilder
@@ -32,19 +32,21 @@ from .streams import EventStream, Progress
 from .timeline import INF, Span, Time, TimeSet, as_time
 
 
-def _eval_concrete(app: Apply, get, prev=None):
-    return _apply(app, get, concrete=True, prev=prev)
+def _eval_concrete(app: Apply, get, prev=None, state=None):
+    return _apply(app, get, concrete=True, prev=prev, state=state)
 
 
-def _eval_abstract(app: Apply, get, prev=None):
-    return _apply(app, get, concrete=False, prev=prev)
+def _eval_abstract(app: Apply, get, prev=None, state=None):
+    return _apply(app, get, concrete=False, prev=prev, state=state)
 
 
-def _apply(app: Apply, get, concrete: bool, prev=None):
+def _apply(app: Apply, get, concrete: bool, prev=None, state=None):
     """Evaluate one operator application through the operator table.
 
     prev, the equation's current value, reaches only the rows that resume
-    (Operator.resumes); without it they evaluate from empty.
+    (Operator.resumes); without it they evaluate from empty.  state, the
+    holder of the application's argument pair, reaches only the rows that
+    keep state (Operator.stateful); without it they keep none.
     """
     row = OPERATORS.get(app.op)
     if row is None or row.concrete != concrete:
@@ -60,6 +62,8 @@ def _apply(app: Apply, get, concrete: bool, prev=None):
     try:
         if row.resumes and prev is not None:
             return impl(*args, prev=prev)
+        if row.stateful and state is not None:
+            return impl(*args, state=state)
         return impl(*args)
     except (TypeError, ArithmeticError) as e:
         # a value function met payloads it cannot take (a type mismatch the
@@ -142,7 +146,9 @@ def _sweep_component(env: Dict[str, object], compute: Dict[str, Callable[[], obj
 
 def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
                       max_sweeps: Optional[int] = None, *,
-                      start: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+                      start: Optional[Dict[str, object]] = None,
+                      _states: Optional[Dict[Tuple[str, ...], dict]] = None
+                      ) -> Dict[str, object]:
     """Least fixed point of the equations over the given input streams.
 
     The iteration starts from empty streams, or from `start`'s stream for
@@ -156,6 +162,13 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     operator on prefixes of the current arguments: env values only grow in
     a sweep, and a start lies below the new fixed point.  The operator is
     prefix-monotone, so the value is a prefix of the new output.
+
+    The rows that keep state (speclang.Operator.stateful) get one holder
+    per pair of argument names, so a holder sees only growing prefixes of
+    two env entries; the halves of an unrolled delay that read the same
+    pair share it.  The holders start empty.  _states, private to
+    OnlineEvaluator, keeps them from one fixed point to the next, whose
+    start lies below the new one just as prev does.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
@@ -169,8 +182,11 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     evaluator = _eval_abstract if mode == "abstract" else _eval_concrete
     nodes = graph.nodes
 
+    states = {} if _states is None else _states
+
     def compute(name, app, names):
-        return lambda: evaluator(app, lambda i: env[names[i]], env[name])
+        state = states.setdefault(names[:2], {}) if OPERATORS[app.op].stateful else None
+        return lambda: evaluator(app, lambda i: env[names[i]], env[name], state)
 
     env[RESERVED_NAME] = _run_plan(
         env, {name: compute(name, app, nodes[name][0]) for name, app in graph.equations},
@@ -242,6 +258,7 @@ class OnlineEvaluator:
         self.emitted_prog: Dict[str, Progress] = {
             n: Progress.exclusive(0) for n in graph.outputs}
         self.env: Optional[Dict[str, object]] = None
+        self.delays: Dict[Tuple[str, ...], dict] = {}   # the stateful rows' holders
 
     def feed(self, msg: Message) -> List[Message]:
         b = self.state.get(msg.stream)
@@ -265,7 +282,7 @@ class OnlineEvaluator:
 
     def _refresh(self) -> List[Message]:
         inputs = {n: b.stream(self.abstract) for n, b in self.state.items()}
-        env = evaluate_fixpoint(self.graph, inputs, start=self.env)
+        env = evaluate_fixpoint(self.graph, inputs, start=self.env, _states=self.delays)
         self.env = env
         out: List[Message] = []
         for name in self.graph.outputs:

@@ -89,6 +89,10 @@ class Operator:
     # which is sound because the fixed point calls it on growing prefixes
     # of its arguments and it is prefix-monotone (see absops).
     resumes: bool = False
+    # The evaluator passes state=, a holder it keeps per pair of argument
+    # names and the implementation fills; the holder sees only growing
+    # prefixes of those two streams, as prev does.  No row does both.
+    stateful: bool = False
 
     @property
     def concrete(self) -> bool:
@@ -116,8 +120,8 @@ OPERATORS: Dict[str, Operator] = {
     "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
                          history=True, encode="_enc_last"),
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
-                          history=True, encode="_enc_delay"),
-    "delay_fin": Operator("delay_abs_fin", 2, 2),
+                          history=True, encode="_enc_delay", stateful=True),
+    "delay_fin": Operator("delay_abs_fin", 2, 2, stateful=True),
     "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge", resumes=True),
     "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift",
                          resumes=True),
@@ -132,8 +136,10 @@ OPERATORS: Dict[str, Operator] = {
     "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True,
                          resumes=True),
     "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
-    "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True),
-    "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True),
+    "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True,
+                          stateful=True),
+    "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True,
+                          stateful=True),
 }
 
 # Holds the evaluator's sweep count in the environment it returns.

@@ -29,6 +29,20 @@ def reverse_chain_spec(n: int, base: str = "lift(inc)(x)") -> str:
     return "\n".join(lines) + "\n"
 
 
+def period_trace(n: int) -> str:
+    """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap."""
+    lines = ["stream period : Int"]
+    t = 1
+    for i in range(n):
+        v = 2 + i % 4
+        if i % 5 == 2:
+            lines += [f"{t}: gap period", f"{t + 1}: known period"]
+        else:
+            lines.append(f"{t}: period = {v}")
+        t += 3 * v + 1
+    return "\n".join(lines + [f"progress {t}"]) + "\n"
+
+
 # -- three-valued helpers -----------------------------------------------------
 
 def t_and(*vals):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (abstract_streams, event_streams, flat_join, member_of_gamma,
-                      unit_streams)
+                      period_trace, unit_streams)
 from enumeration import check_perfect, check_sound, image_streams
 from gapstream import absops as A
 from gapstream import ops
@@ -202,34 +202,34 @@ class TestDelayAbs:
 
 
 class TestSharedBase:
-    """The value and gap halves of an unrolled delay share one sweep: delay_abs
-    keeps its last call and gives the same argument objects its result."""
+    """The value and gap halves of an unrolled delay share one sweep: the
+    holder a delay_abs call is given keeps that call, and gives the same
+    argument objects its result."""
 
-    def halves(self, a, b):
-        return (A.last_abs_bot(a, b), A.last_abs_gap(a, b, A.last_abs_bot(a, b)),
-                A.delay_abs_bot(a, b), A.delay_abs_gap(a, b, A.delay_abs_bot(a, b)))
+    def halves(self, a, b, state=None):
+        bot = A.delay_abs_bot(a, b, state=state)
+        return bot, A.delay_abs_gap(a, b, bot, state=state)
 
-    def test_equal_arguments_never_hit(self, monkeypatch):
+    def test_equal_arguments_never_hit(self):
         d, r = TestDelayAbs().make_b2()
         d2 = astream(d.stream.events, gaps=d.gaps.spans, prog=d.progress)
-        other = astream(d.stream.events[:2], prog=Pinc(17))
         assert d2 == d and d2 is not d
-        for a in (d, d2, d, other, d):
-            got = self.halves(a, r)
-            kept = A._LAST_DELAY
-            assert kept.d is a and kept.r is r
-            assert A.delay_abs(a, r) is kept.z
-            monkeypatch.setattr(A, "_LAST_DELAY", None)
+        state = {}
+        for a in (d, d2, d):
+            got = self.halves(a, r, state)
+            kept = state["z"]
+            assert state["d"] is a and state["r"] is r
+            assert A.delay_abs(a, r, state=state) is kept
             assert got == self.halves(a, r)
             z = A.delay_abs(a, r)
-            assert z == kept.z and z is not kept.z
+            assert z == kept and z is not kept
 
     def test_unrolled_period_sweeps_once_per_pair(self, monkeypatch):
         calls = {}
         for name in ("delay_abs", "delay_abs_bot", "delay_abs_gap"):
-            def counting(*args, _name=name, _original=getattr(A, name)):
+            def counting(*args, _name=name, _original=getattr(A, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args)
+                return _original(*args, **kwargs)
             monkeypatch.setattr(A, name, counting)
         sweeps = []
         init = A._DelaySweep.__init__
@@ -242,41 +242,36 @@ class TestSharedBase:
         assert calls["delay_abs"] == 2 * calls["delay_abs_bot"]
         assert len(sweeps) == calls["delay_abs_bot"]
 
-    def test_resume_tells_equal_payloads_apart(self, monkeypatch):
-        # True == 1, but only 1 is a delay amount
-        monkeypatch.setattr(A, "_LAST_DELAY", None)
-        r = astream([], prog=Pinc(9))
-        A.delay_abs(astream([(1, 1), (5, F(1))], prog=Pinc(6)), r)
-        assert A._LAST_DELAY.at == 6
-        with pytest.raises(OperatorError, match="must be a duration"):
-            A.delay_abs(astream([(1, True), (5, F(1))], prog=Pinc(9)), r)
-
-    def test_resumed_sweep_leaves_the_checkpoint_alone(self, monkeypatch):
+    def test_resumed_sweep_leaves_the_checkpoint_alone(self):
         # the call on complete arguments takes no checkpoint of its own and
         # keeps the one it resumed from; the r gap at (2, 3) makes the source
-        # at 1 vulnerable in its sweep, but not in the kept state
-        monkeypatch.setattr(A, "_LAST_DELAY", None)
+        # at 1 vulnerable in its sweep, but not in the kept state.  r2 agrees
+        # with r below the checkpoint, which is all a resume reads of it
         d = astream([(1, F(4))])
         r = astream([(1, UNIT)], gaps=[sp(2, 3, False, False)])
         r2 = astream([(1, UNIT)])
-        A.delay_abs(cut(d, Progress.exclusive(F(3, 2))), r)
-        assert A.delay_abs(d, r).gaps == TimeSet.of(sp(5))
-        assert A._LAST_DELAY.at == F(3, 2)
-        assert A.delay_abs(d, r2).stream.events == ((5, UNIT),)
+        state = {}
+        A.delay_abs(cut(d, Progress.exclusive(F(3, 2))), r, state=state)
+        assert A.delay_abs(d, r, state=state).gaps == TimeSet.of(sp(5))
+        assert state["checkpoint"][0] == F(3, 2)
+        assert A.delay_abs(d, r2, state=state).stream.events == ((5, UNIT),)
+        assert state["checkpoint"][0] == F(3, 2)
 
 
-def period_trace(n: int) -> str:
-    """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap."""
-    lines = ["stream period : Int"]
-    t = 1
-    for i in range(n):
-        v = 2 + i % 4
-        if i % 5 == 2:
-            lines += [f"{t}: gap period", f"{t + 1}: known period"]
-        else:
-            lines.append(f"{t}: period = {v}")
-        t += 3 * v + 1
-    return "\n".join(lines + [f"progress {t}"]) + "\n"
+# variable-period twice, each copy's cur triggered by the other copy's tick,
+# so both delays sit in one recursive component
+TWO_DELAYS = """\
+in period : Events[Int]
+def seed := const(5)(unit())
+def arm := merge(unit(), period)
+def cur := merge(period, merge(last(cur, tick2), seed))
+def tick := merge(unit(), delay(cur, arm))
+def seed2 := const(7)(unit())
+def cur2 := merge(period, merge(last(cur2, tick), seed2))
+def tick2 := merge(unit(), delay(cur2, arm))
+out tick
+out tick2
+"""
 
 
 class TestDelaySweepCount:
@@ -289,6 +284,20 @@ class TestDelaySweepCount:
         monkeypatch.setattr(A._DelaySweep, "atom",
                             lambda self, *cells: (atoms.append(1), atom(self, *cells))[1])
         graph = flatten(unroll(abstractify(parse_spec(spec_text("variable-period")))))
+        counts = []
+        for n in (8, 16):
+            atoms.clear()
+            evaluate_fixpoint(graph, parse_trace(period_trace(n)).streams)
+            counts.append(len(atoms))
+        assert counts[1] <= 2.5 * counts[0], counts
+
+    def test_two_delays_in_one_component_keep_their_own_sweeps(self, monkeypatch):
+        # each delay has its own holder, so neither evicts the other's sweep
+        atoms = []
+        atom = A._DelaySweep.atom
+        monkeypatch.setattr(A._DelaySweep, "atom",
+                            lambda self, *cells: (atoms.append(1), atom(self, *cells))[1])
+        graph = flatten(unroll(abstractify(parse_spec(TWO_DELAYS))))
         counts = []
         for n in (8, 16):
             atoms.clear()
@@ -745,15 +754,6 @@ class TestDelayWalk:
                     Span(t, True, t, True) for t in x.ticks())).intersect(
                         covered_span(half.progress))
                 assert half.stream.events == x.stream.truncated(half.progress).events
-        # delay resumes its sweep only where the arguments agree with the kept call
-        A._LAST_DELAY = None
-        fresh = A.delay_abs(d, r)
-        A.delay_abs(cut(d, prog), cut(r, r_prog))
-        assert A.delay_abs(d, r) == fresh
-        A.delay_abs(cut(d, prog), cut(r, r_prog))
-        A.delay_abs(cut(d, r_prog), A.nil_abs())    # an unrelated call in between
-        A.delay_abs(cut(d, max(prog, r_prog)), cut(r, r_prog))
-        assert A.delay_abs(d, r) == fresh
         # up to the least progress, where slift_abs walks, its walk carries
         # into each point atom the state _carried recovers there, so a walk
         # resumed there starts in that state
@@ -781,6 +781,30 @@ class TestDelayWalk:
             assert list(A._walk((d, r), prog, t)) == want
             for s in (d, r):
                 assert A._marks(s, 0, t) == [m for m in A._marks(s) if m[0] <= t]
+
+    @given(gapped_half_grid_streams(
+               values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
+           gapped_half_grid_streams(values=st.just(UNIT)),
+           st.sampled_from(HALF_GRID), st.booleans(),
+           st.sampled_from(HALF_GRID), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    # the fourth call takes its checkpoint at 4, where the cut r turns
+    # unknown and its sweep goes on to mark the source armed at 7/2
+    # undecidable; the last call resumes there and must see that source as
+    # it was at the checkpoint
+    @example(d=astream([(F(7, 2), F(1))], gaps=[sp(0)]), r=astream([(F(7, 2), UNIT)]),
+             at=F(0), inclusive=False, r_at=F(4), r_inclusive=False)
+    def test_delay_resumes_through_its_holder(self, d, r, at, inclusive, r_at, r_inclusive):
+        # a holder fed cuts of the same arguments resumes its sweep where the
+        # kept checkpoint allows, and every call gives what a call without a
+        # holder gives; an unrelated call on another holder changes nothing
+        prog = Pinc(at) if inclusive else Progress.exclusive(at)
+        r_prog = Pinc(r_at) if r_inclusive else Progress.exclusive(r_at)
+        state, other = {}, {}
+        for a, b in ((cut(d, prog), cut(r, r_prog)), (d, r), (cut(d, prog), cut(r, r_prog)),
+                     (cut(d, max(prog, r_prog)), cut(r, r_prog)), (d, r)):
+            assert A.delay_abs(a, b, state=state) == A.delay_abs(a, b)
+            A.delay_abs(cut(d, r_prog), A.nil_abs(), state=other)
 
     def test_last_waits_for_an_unstarted_value(self):
         # v has not started by its progress, so it may yet start before r's

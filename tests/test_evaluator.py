@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import period_trace
 from gapstream import evaluator, ops, speclang
 from gapstream.abstract import AbstractEventStream, covered_span
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
@@ -638,6 +639,26 @@ class TestGappedReplay:
         offline = evaluate_fixpoint(g, trace.streams)
         for name in names:
             assert ev.env[name] == offline[name], name
+
+
+class TestTwoMonitors:
+    def test_alternating_feeds_emit_what_each_emits_alone(self):
+        # the delay state lives in each evaluator, so two monitors fed in
+        # turn in one process do not see each other's sweeps
+        g = flatten(unroll(abstractify(parse_spec(spec_text("variable-period")))))
+        runs = [_directive_messages(trace_text("variable-period-gapped"))[1],
+                _directive_messages(period_trace(6))[1]]
+        alone = []
+        for run in runs:
+            ev = OnlineEvaluator(g)
+            alone.append([ev.feed(m) for m in run])
+        evs = [OnlineEvaluator(g), OnlineEvaluator(g)]
+        together = [[], []]
+        for k in range(max(map(len, runs))):
+            for i, run in enumerate(runs):
+                if k < len(run):
+                    together[i].append(evs[i].feed(run[k]))
+        assert together == alone
 
 
 class TestSelfUpdatingWindow:

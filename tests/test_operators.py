@@ -34,6 +34,7 @@ def tiny_graph(name):
 def test_row_is_consistent(name):
     row = OPERATORS[name]
     assert callable(getattr(ops if row.concrete else absops, row.impl))
+    assert not (row.resumes and row.stateful)   # the evaluator passes one or the other
     if row.concrete:
         assert not OPERATORS[row.abstract].concrete
     for half in row.unroll or ():
@@ -123,9 +124,9 @@ def test_evaluator_calls_patched_implementation(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     env = evaluate_fixpoint(tiny_graph(name), INPUTS)
