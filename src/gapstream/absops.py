@@ -41,9 +41,7 @@ when prev is the same operator's output on prefixes of the arguments:
 every operator here is prefix-monotone (tests/test_absops.py
 TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
-part of it, and TimeSet joins the two gap spans.  _extended builds that
-output and checks only what is appended, as AbstractEventStream.of would:
-prev was checked when it was built.
+part of it, and TimeSet joins the two gap spans.
 
 The history operators of an unrolled recursion resume too.  last_abs (and
 its value half last_abs_bot) takes prev's events and walks only the
@@ -56,6 +54,14 @@ get the kept result, so both halves of an unrolled delay share one sweep,
 and later arguments resume the sweep from the kept checkpoint.  A holder
 sees only growing prefixes of its two streams, the contract prev relies
 on, so their history below the checkpoint is the kept one.
+
+No operator checks its whole output: AbstractEventStream.of and
+EventStream.of validate at the public boundary only, inputs and user
+code.  Each operator checks only what it adds to streams already checked
+(_extended, _appended, and last_abs against its recomputed gaps), or
+builds an output valid by construction, as its docstring or comments argue.
+Each output carries its tick tuple, extended or sliced from an input's or
+prev's (EventStream._with_ticks), so no new version pays for an index.
 """
 
 from __future__ import annotations
@@ -88,9 +94,13 @@ def unit_abs() -> AbstractEventStream:
 
 
 def time_abs(s: AbstractEventStream) -> AbstractEventStream:
-    """Each event's timestamp as its payload, a Fraction as in ops.time."""
-    mapped = EventStream.of(((t, Fraction(t)) for t, _ in s.stream.events), s.progress)
-    return AbstractEventStream.of(mapped, s.gaps)
+    """Each event's timestamp as its payload, a Fraction as in ops.time.
+
+    s's ticks, progress and gaps stay, so the output is valid as s is.
+    """
+    ticks = s.stream.ticks()
+    mapped = tuple((t, Fraction(t)) for t in ticks)
+    return AbstractEventStream(EventStream._with_ticks(mapped, s.progress, ticks), s.gaps)
 
 
 # -- lift ------------------------------------------------------------------
@@ -262,32 +272,48 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
     return _extended(prev, events, gap_spans, prog)
 
 
-def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
-              prog: Progress) -> AbstractEventStream:
-    """prev with the events and gap spans appended, and progress prog.
+def _appended(prev: AbstractEventStream, events: list, prog: Progress) -> EventStream:
+    """prev's stream with the events appended and progress prog, its ticks carried.
 
-    Only what is appended is checked, as AbstractEventStream.of checks a
-    whole stream: the events ascend from prev's last tick and lie under
-    prog, no gap span reaches back over prev's last event, and no appended
-    event lies in a gap.  prev's own events were checked when it was built.
-    The caller keeps every span under prog, so the gaps are not cut to it.
+    Only the events are checked, as EventStream.of checks a whole stream:
+    they ascend from prev's last tick and prog covers them.  prev's own
+    events were checked when it was built.  With nothing appended and
+    prev's progress, it is prev's stream itself.
     """
     old = prev.stream.events
+    if not events and prog == prev.progress:
+        return prev.stream
     last = old[-1][0] if old else -1      # times are non-negative
-    for sp in gap_spans:
-        if sp.lo < last or sp.lo == last and sp.lo_closed:
-            raise OperatorError(f"gap {sp} reaches over the event at {last}")
     for t, _ in events:
         if not last < t:
             raise OperatorError(f"event timestamps must strictly increase: {last} then {t}")
         last = t
     if events and not prog.covers(last):
         raise OperatorError(f"event at {last} lies beyond progress {prog}")
+    ticks = prev.stream.ticks() + tuple(t for t, _ in events)
+    return EventStream._with_ticks(old + tuple(events), prog, ticks)
+
+
+def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
+              prog: Progress) -> AbstractEventStream:
+    """prev with the events and gap spans appended, and progress prog.
+
+    Only what is appended is checked, as AbstractEventStream.of checks a
+    whole stream: _appended checks the events, no gap span reaches back
+    over prev's last event, and no appended event lies in a gap.  The
+    caller keeps every span under prog, so the gaps are not cut to it.
+    """
+    old = prev.stream.events
+    last = old[-1][0] if old else -1      # times are non-negative
+    for sp in gap_spans:
+        if sp.lo < last or sp.lo == last and sp.lo_closed:
+            raise OperatorError(f"gap {sp} reaches over the event at {last}")
+    stream = _appended(prev, events, prog)
     gaps = TimeSet(prev.gaps.spans + tuple(gap_spans)) if gap_spans else prev.gaps
     for t, _ in events:
         if gaps.contains(t):
             raise OperatorError(f"event at {t} lies inside a gap")
-    return AbstractEventStream(EventStream(old + tuple(events), prog), gaps)
+    return AbstractEventStream(stream, gaps)
 
 
 _NOTHING = AbstractEventStream.of(EventStream.empty())
@@ -387,12 +413,17 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     _carried finds v's latest value before the first of them and whether a
     gap came since it; from there one pointer into v's marks follows the
     ascending ticks.
+
+    _appended checks the new events.  The gaps are recomputed, not
+    appended, so every event, prev's too, is checked against them: only
+    the ticks at a gap span's two ends can lie outside it, so one pair of
+    bisects per span finds the few ticks to test.
     """
     prog, gaps, cut = _last_frame(v, r)
-    if prog == prev.progress:
-        return prev if prev.gaps == gaps else AbstractEventStream.of(prev.stream, gaps)
+    if prog == prev.progress and prev.gaps == gaps:
+        return prev
     ticks = r.stream.ticks()
-    events = list(prev.stream.events)
+    events = []
     todo = ticks[_covered(ticks, prev.progress):cut]
     if todo:
         since = todo[0]
@@ -410,7 +441,13 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
                 j += 1
             if latest is not BOTTOM:
                 events.append((t, TOP if tainted else latest))
-    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+    stream = _appended(prev, events, prog)
+    out = stream.ticks()
+    for sp in gaps.spans:
+        for t in out[bisect_left(out, sp.lo):bisect_right(out, sp.hi)]:
+            if sp.contains(t):
+                raise OperatorError(f"event at {t} lies inside a gap")
+    return AbstractEventStream(stream, gaps)
 
 
 def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream,
@@ -418,9 +455,10 @@ def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream,
     """Value half of the unrolled abstract last: gaps demoted to no-event.
 
     Resumes like last_abs, which reads only prev's events and progress.
+    It keeps last_abs's checked stream and takes no gaps, so it is valid.
     """
     z = last_abs(v, r, prev=prev)
-    return prev if z.stream is prev.stream else AbstractEventStream.of(z.stream)
+    return prev if z.stream is prev.stream else AbstractEventStream(z.stream, TimeSet.empty())
 
 
 def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
@@ -431,16 +469,26 @@ def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
 
 
 def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream) -> AbstractEventStream:
-    """d's events up to prog, with the gaps everywhere except at d's ticks."""
-    prog = min(prog, d.progress)
+    """d's events up to prog, with the gaps everywhere except at d's ticks.
+
+    The gaps lie under prog, and are cut where d's progress is the lower.
+    The output is valid by construction: its events and ticks are a prefix
+    of d's, and its gaps leave out every tick of d.
+    """
+    if d.progress < prog:
+        prog = d.progress
+        gaps = gaps.intersect(covered_span(prog))
     ticks = d.stream.ticks()
     inside = [t for sp in gaps.spans
               for t in ticks[bisect_left(ticks, sp.lo):bisect_right(ticks, sp.hi)]
               if sp.contains(t)]
     if inside:
         gaps = gaps.minus(_points(inside))
-    events = d.stream.events[:_covered(ticks, prog)]
-    return AbstractEventStream.of(EventStream.of(events, prog), gaps)
+    n = _covered(ticks, prog)
+    stream = d.stream
+    if prog != d.progress:
+        stream = EventStream._with_ticks(stream.events[:n], prog, ticks[:n])
+    return AbstractEventStream(stream, gaps)
 
 
 def _points(times) -> TimeSet:
@@ -456,7 +504,8 @@ def last_time_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
     Where the plain composition of time and last would yield TOP, the output
     carries the interval from the last known event of v to the end of the
     trailing gap; elsewhere it behaves like last over event timestamps, with
-    payloads as degenerate intervals.
+    payloads as degenerate intervals.  The output keeps the ticks,
+    progress and gaps of z = last_abs(time_abs(v), r), so it is valid as z is.
     """
     z = last_abs(time_abs(v), r)
     events = []
@@ -468,13 +517,15 @@ def last_time_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEve
             events.append((t, Interval.of(lo, max(lo, hi))))
         else:
             events.append((t, Interval.single(val)))
-    return AbstractEventStream.of(EventStream.of(events, z.progress), z.gaps)
+    stream = EventStream._with_ticks(tuple(events), z.progress, z.stream.ticks())
+    return AbstractEventStream(stream, z.gaps)
 
 
 def _time_as_intervals(s: AbstractEventStream) -> AbstractEventStream:
-    mapped = EventStream.of(((t, Interval.single(t)) for t, _ in s.stream.events),
-                            s.progress)
-    return AbstractEventStream.of(mapped, s.gaps)
+    """time_abs with each timestamp as a degenerate interval."""
+    ticks = s.stream.ticks()
+    mapped = tuple((t, Interval.single(t)) for t in ticks)
+    return AbstractEventStream(EventStream._with_ticks(mapped, s.progress, ticks), s.gaps)
 
 
 def _tmerge_cells(a, b, t):
@@ -765,18 +816,25 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
             for t, val in d.stream.events[bisect_right(d.stream.ticks(), lo):]:
                 _delay_amount(val, t)
             break
-    # each atom holds a fire, a gap or neither, and the sweep stops before an
-    # atom or right after it, so prog covers every fire
-    z = AbstractEventStream.of(EventStream.of(((t, UNIT) for t in sweep.fires), prog),
-                               TimeSet(sweep.gap_spans))
+    # each atom holds a fire, a gap or neither, so no fire lies in a gap; the
+    # fires ascend with the atoms, and the sweep stops before an atom or
+    # right after it, so prog covers every fire and gap, and the gaps need
+    # no cut
+    fires = tuple(sweep.fires)
+    z = AbstractEventStream(
+        EventStream._with_ticks(tuple((t, UNIT) for t in fires), prog, fires),
+        TimeSet(sweep.gap_spans))
     state.update(d=d, r=r, z=z, checkpoint=(at, snapshot, sweep))
     return z
 
 
 def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream,
                   state: Optional[dict] = None) -> AbstractEventStream:
-    """Value half of the unrolled abstract delay: gaps demoted to no-event."""
-    return AbstractEventStream.of(delay_abs(d, r, state=state).stream)
+    """Value half of the unrolled abstract delay: gaps demoted to no-event.
+
+    It keeps delay_abs's stream and takes no gaps, so it is valid.
+    """
+    return AbstractEventStream(delay_abs(d, r, state=state).stream, TimeSet.empty())
 
 
 def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
@@ -809,7 +867,8 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream,
         if cell is UNKNOWN:
             cap = Progress.inclusive_at(t)
             if cap < z.progress:
-                z = AbstractEventStream.of(z.stream.truncated(cap), z.gaps)
+                # z cut to cap: no tick of z lies in its gaps
+                z = _gap_half(cap, z.gaps.intersect(covered_span(cap)), z)
             break
         if cell is GAP:
             sources.append((t, as_time(t + amount)))
@@ -835,4 +894,5 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream,
             live = [ok and not t < lo for ok, (t, _) in zip(live, sources)]
     if not extra:
         return z
-    return AbstractEventStream.of(z.stream, z.gaps.union(TimeSet(extra)))
+    # the extra gaps lie on atoms where z has no event, under its progress
+    return AbstractEventStream(z.stream, z.gaps.union(TimeSet(extra)))

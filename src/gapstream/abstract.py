@@ -44,11 +44,11 @@ class AbstractEventStream:
     def of(stream: EventStream, gaps: TimeSet = None) -> "AbstractEventStream":
         """The stream with its gaps cut to its progress, checked whole.
 
-        This is the validator at the public boundary: inputs, parsed traces,
-        online messages, user code and the operators that rebuild their
-        output.  No event may lie in a gap.  The resumed walk operators
-        extend their previous output through absops._extended instead,
-        which checks only what they append.
+        This is the validator at the public boundary only: inputs, parsed
+        traces, online messages and user code.  No event may lie in a gap.
+        The absops operators do not call it on their output: each checks
+        only what it adds to streams already checked (absops._extended and
+        absops._appended), or builds an output valid by construction.
         """
         gaps = (gaps or TimeSet.empty()).intersect(covered_span(stream.progress))
         for t, _ in stream.events:

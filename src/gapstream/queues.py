@@ -41,9 +41,25 @@ class TimedQueue:
 EMPTY_QUEUE = TimedQueue()
 
 
+def _ordered(entries: tuple) -> TimedQueue:
+    """The TimedQueue of entries known to ascend, built without the check.
+
+    The operations below build their results here: they take a queue
+    already checked, or an AbstractTimedQueue's entries, which ascend as
+    well, and keep the order.
+    """
+    q = object.__new__(TimedQueue)
+    object.__setattr__(q, "entries", entries)
+    return q
+
+
 @dataclass(frozen=True)
 class AbstractTimedQueue:
-    """Queue with contents unknown before `unknown_before`; interval values."""
+    """Queue with contents unknown before `unknown_before`; interval values.
+
+    Its entries ascend, as a TimedQueue's do; the operations below keep
+    that order and do not check it again.
+    """
 
     unknown_before: ExtTime
     entries: Tuple[Tuple[Fraction, object], ...] = ()
@@ -60,7 +76,7 @@ class AbstractTimedQueue:
 def enq(t: Fraction, d, q: TimedQueue) -> TimedQueue:
     if q.entries and not q.entries[-1][0] < t:
         raise OperatorError(f"enqueue at {t} not after queue end")
-    return TimedQueue(q.entries + ((t, d),))
+    return _ordered(q.entries + ((t, d),))
 
 
 def rem_older(k: Fraction, t: Fraction, q: TimedQueue) -> TimedQueue:
@@ -71,15 +87,15 @@ def rem_older(k: Fraction, t: Fraction, q: TimedQueue) -> TimedQueue:
         entries.pop(0)
     if entries:
         t0, d0 = entries[0]
-        entries[0] = (max(cutoff, t0), d0)
-    return TimedQueue(tuple(entries))
+        entries[0] = (max(cutoff, t0), d0)     # still below the next entry
+    return _ordered(tuple(entries))
 
 
 def rem_newer(t: Fraction, q: TimedQueue) -> TimedQueue:
     entries = list(q.entries)
     while entries and entries[-1][0] > t:
         entries.pop()
-    return TimedQueue(tuple(entries))
+    return _ordered(tuple(entries))
 
 
 def fold(f, q: TimedQueue, acc, until: Fraction):
@@ -124,12 +140,11 @@ def as_abstract_queue(cell) -> AbstractTimedQueue:
 
 def enq_abs(t: Fraction, d, q: AbstractTimedQueue) -> AbstractTimedQueue:
     iv = Interval.top() if d is TOP else (_to_interval(d) or d)
-    base = TimedQueue(q.entries)
-    return AbstractTimedQueue(q.unknown_before, enq(t, iv, base).entries)
+    return AbstractTimedQueue(q.unknown_before, enq(t, iv, _ordered(q.entries)).entries)
 
 
 def rem_older_abs(k: Fraction, t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
-    stripped = rem_older(k, t, TimedQueue(q.entries)).entries
+    stripped = rem_older(k, t, _ordered(q.entries)).entries
     if t - k < q.unknown_before:
         return AbstractTimedQueue(q.unknown_before, stripped)
     return AbstractTimedQueue(Fraction(0), stripped)
@@ -137,18 +152,18 @@ def rem_older_abs(k: Fraction, t: Fraction, q: AbstractTimedQueue) -> AbstractTi
 
 def rem_newer_abs(t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
     return AbstractTimedQueue(
-        min(q.unknown_before, t), rem_newer(t, TimedQueue(q.entries)).entries
+        min(q.unknown_before, t), rem_newer(t, _ordered(q.entries)).entries
     )
 
 
 def fold_abs(f, q: AbstractTimedQueue, acc, until: Fraction):
     start = acc if q.unknown_before == 0 else TOP
-    return fold(f, TimedQueue(q.entries), start, until)
+    return fold(f, _ordered(q.entries), start, until)
 
 
 def data_timeout_abs(q: AbstractTimedQueue) -> ExtTime:
     if q.unknown_before == 0:
-        return data_timeout(TimedQueue(q.entries))
+        return data_timeout(_ordered(q.entries))
     return TOP
 
 

@@ -12,7 +12,8 @@ a stream has the smaller progress.
 Streams are immutable; operators build new ones.  Fixed-point evaluation
 relies on comparing successive prefixes, so equality is structural.  The
 lookup indexes (tick tuple, tick-to-value dict) are built on first use and
-cached on the instance; they are not fields, so equality and hashing ignore
+cached on the instance, or, for the tick tuple, handed over by the operator
+that built the stream; they are not fields, so equality and hashing ignore
 them.
 """
 
@@ -95,6 +96,19 @@ class EventStream:
     @staticmethod
     def empty(progress: Progress = None) -> "EventStream":
         return EventStream((), progress if progress is not None else ZERO_PROGRESS)
+
+    @staticmethod
+    def _with_ticks(events: tuple, progress: Progress, ticks: tuple) -> "EventStream":
+        """The stream of events the caller has checked, its tick tuple given.
+
+        ticks must be the events' timestamps, in order; they fill the cache
+        that ticks() would otherwise build, so they are not a field.  No
+        event is checked: callers build their output from streams already
+        checked, and check only what they add.
+        """
+        s = EventStream(events, progress)
+        s.__dict__["_ticks"] = ticks
+        return s
 
     @cached_property
     def _ticks(self) -> tuple:

@@ -195,7 +195,21 @@ class TimeSet:
             return self
         if not other.spans or self.spans == _FULL.spans:
             return other
-        return _sweep(_edges(self.spans, 1) + _edges(other.spans, 1), 2)
+        spans = self.spans
+        if len(other.spans) == 1 and len(spans) > 2:
+            # a window w: the spans strictly between the first and the last
+            # span that meet it lie inside it, so only those two are swept
+            w = other.spans[0]
+            i = bisect_left(spans, w.lo, key=_hi)
+            j = bisect_right(spans, w.hi, key=_lo)
+            if j - i > 2:
+                head = _sweep(_edges((spans[i], w), 1), 2).spans
+                tail = _sweep(_edges((spans[j - 1], w), 1), 2).spans
+                ts = object.__new__(TimeSet)
+                object.__setattr__(ts, "spans", head + spans[i + 1:j - 1] + tail)
+                return ts
+            spans = spans[i:j]
+        return _sweep(_edges(spans, 1) + _edges(other.spans, 1), 2)
 
     def minus(self, other: "TimeSet") -> "TimeSet":
         if not self.spans or not other.spans:
@@ -263,6 +277,7 @@ def _ceil_grid(lo: Time, lo_closed: bool, epsilon: Fraction) -> Time:
 
 
 _lo = attrgetter("lo")
+_hi = attrgetter("hi")
 
 
 def _edges(spans: Iterable[Span], weight: int) -> list:

@@ -1,6 +1,7 @@
 """Abstract operators: paper-diagram cases, embedding, soundness, perfection."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +110,18 @@ class TestLastAbs:
         v = astream([(5, F(1))], prog=Pinc(9))
         r = astream([(2, UNIT)], prog=Pinc(9))
         assert A.last_abs(v, r).at(2) is BOTTOM
+
+    def test_resumed_output_is_checked(self):
+        # prev is no output of last_abs on these arguments: its event at 2
+        # lies in the gap [1, 2] the output inherits from r, or, past its own
+        # progress, above the event appended at r's tick 3
+        v = astream([(0, F(1))])
+        r = astream([(3, UNIT)], gaps=[sp(1, 2)])
+        with pytest.raises(OperatorError, match="event at 2 lies inside a gap"):
+            A.last_abs(v, r, prev=astream([(2, F(1))], prog=Pinc(2)))
+        beyond = EventStream(((F(5), F(1)),), Progress.exclusive(1))
+        with pytest.raises(OperatorError, match="strictly increase: 5 then 3"):
+            A.last_abs(v, astream([(3, UNIT)]), prev=AbstractEventStream(beyond, TimeSet.empty()))
 
 
 class TestUnrolledLast:
@@ -516,8 +529,21 @@ def _hull(a, b):
 
 # -- the one-walk signal lift and atom walk against their definitions ---------
 
-HALF_GRID = [F(k, 2) for k in range(17)]
+HALF_GRID = tuple(F(k, 2) for k in range(17))
 SPAN_SHAPES = ["point", "closed", "open", "lo_open", "hi_open", "tail"]
+# built once: hypothesis validates and labels each new strategy object, which
+# costs more than the draw itself
+PROGRESS_KINDS = st.sampled_from(["inf", "incl", "excl"])
+SPAN_COUNTS = st.integers(0, 3)
+SHAPES = st.sampled_from(SPAN_SHAPES)
+WIDTHS = st.sampled_from([F(1, 2), F(1), F(2)])
+
+
+@lru_cache(maxsize=None)
+def grid_draws(grid: tuple) -> tuple:
+    """The strategies of one time and of up to five distinct times on grid."""
+    times = st.sampled_from(grid)
+    return times, st.lists(times, unique=True, max_size=5)
 
 
 @st.composite
@@ -528,17 +554,18 @@ def gapped_half_grid_streams(draw, values=st.sampled_from([F(0), F(1), F(2), TOP
     Gaps are points, spans open or closed at either end, and INF tails;
     progress is exclusive, inclusive or infinite.
     """
-    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    time, times = grid_draws(grid)
+    kind = draw(PROGRESS_KINDS)
     if kind == "inf":
         prog = Progress.infinite()
     else:
-        at = draw(st.sampled_from(grid))
+        at = draw(time)
         prog = Pinc(at) if kind == "incl" else Progress.exclusive(at)
     spans = []
-    for _ in range(draw(st.integers(0, 3))):
-        lo = draw(st.sampled_from(grid))
-        shape = draw(st.sampled_from(SPAN_SHAPES))
-        hi = lo + draw(st.sampled_from([F(1, 2), F(1), F(2)]))
+    for _ in range(draw(SPAN_COUNTS)):
+        lo = draw(time)
+        shape = draw(SHAPES)
+        hi = lo + draw(WIDTHS)
         if shape == "point":
             spans.append(Span(lo, True, lo, True))
         elif shape == "tail":
@@ -547,8 +574,7 @@ def gapped_half_grid_streams(draw, values=st.sampled_from([F(0), F(1), F(2), TOP
             spans.append(Span(lo, shape in ("closed", "hi_open"), hi,
                               shape in ("closed", "lo_open")))
     gaps = TimeSet(spans)
-    times = sorted(draw(st.lists(st.sampled_from(grid), unique=True, max_size=5)))
-    events = [(t, draw(values)) for t in times
+    events = [(t, draw(values)) for t in sorted(draw(times))
               if prog.covers(t) and not gaps.contains(t)]
     return AbstractEventStream.of(EventStream.of(events, prog), gaps)
 
@@ -709,11 +735,21 @@ RESUMING_OPERATORS = {
 }
 
 
+def assert_valid(z):
+    """z is what the whole-stream validators build from its parts, ticks and all."""
+    assert AbstractEventStream.of(z.stream, z.gaps) == z
+    assert EventStream.of(z.stream.events, z.progress) == z.stream
+    assert z.stream.ticks() == tuple(t for t, _ in z.stream.events)
+    return z
+
+
 class TestDelayWalk:
     """The operators decide each atom from the inputs up to it, so cut inputs
     give prefixes, and the walk operators resumed from such a prefix give
-    the full output."""
+    the full output.  Every output, resumed or not, is valid as a whole."""
 
+    # one draw feeds the three properties: hypothesis draws cost more than
+    # the checks on these small streams
     @given(gapped_half_grid_streams(
                values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
            gapped_half_grid_streams(values=st.just(UNIT)),
@@ -729,23 +765,43 @@ class TestDelayWalk:
     @example(d=astream([(F(1, 2), F(1, 2)), (1, F(1, 2))]),
              r=astream([], gaps=[sp(0, 1, False, True)]),
              at=F(8), inclusive=True, r_at=F(1), r_inclusive=False)
-    def test_cut_inputs_give_a_prefix(self, d, r, at, inclusive, r_at, r_inclusive):
+    # the fourth holder call takes its checkpoint at 4, where the cut r
+    # turns unknown and its sweep goes on to mark the source armed at 7/2
+    # undecidable; the last call resumes there and must see that source as
+    # it was at the checkpoint
+    @example(d=astream([(F(7, 2), F(1))], gaps=[sp(0)]), r=astream([(F(7, 2), UNIT)]),
+             at=F(0), inclusive=False, r_at=F(4), r_inclusive=False)
+    def test_prefixes_resumes_and_validity(self, d, r, at, inclusive, r_at, r_inclusive):
         # each input is cut at its own progress, and either may be the value
         # or the trigger stream of last
         prog = Pinc(at) if inclusive else Progress.exclusive(at)
         r_prog = Pinc(r_at) if r_inclusive else Progress.exclusive(r_at)
+        # each argument pair with its cuts: the first argument cut at prog,
+        # the second at r_prog
+        cd, cr = cut(d, prog), cut(r, r_prog)
+        dr = cut(d, r_prog)
+        pairs = (((d, r), (cd, cr)), ((r, d), (cut(r, prog), dr)))
+        # growing prefixes of d and r, as the evaluator feeds a holder
+        holder_calls = ((cd, cr), (d, r), (cd, cr), (cut(d, max(prog, r_prog)), cr), (d, r))
+        self.check_prefixes(d, r, prog, pairs)
+        self.check_holder(holder_calls, unrelated=dr)
+        self.check_validity(pairs, holder_calls)
+
+    @staticmethod
+    def check_prefixes(d, r, prog, pairs):
         for name, op in PREFIX_OPERATORS.items():
-            for a, b in ((d, r), (r, d)):
+            for (a, b), cuts in pairs:
                 if name.startswith("delay") and a is r:
                     continue    # a delay takes durations only
-                assert is_abstract_prefix(op(cut(a, prog), cut(b, r_prog)), op(a, b)), name
+                assert is_abstract_prefix(op(*cuts), op(a, b)), name
         for name, op in RESUMING_OPERATORS.items():
-            for a, b in ((d, r), (r, d)):
+            for (a, b), cuts in pairs:
                 full = op(a, b)
-                assert op(a, b, prev=op(cut(a, prog), cut(b, r_prog))) == full, name
+                assert op(a, b, prev=op(*cuts)) == full, name
                 assert op(a, b, prev=full) is full, name
         # the gap half of last finds last_abs's progress and gaps without its walk
-        for a, b in ((d, r), (r, d), (cut(d, prog), cut(r, r_prog)), (cut(r, prog), d)):
+        (cd, cr), (rd, _) = (cuts for _, cuts in pairs)
+        for a, b in ((d, r), (r, d), (cd, cr), (rd, d)):
             z = A.last_abs(a, b)
             for x in (A.last_abs_bot(a, b), a, b):
                 half = A.last_abs_gap(a, b, x)
@@ -782,29 +838,38 @@ class TestDelayWalk:
             for s in (d, r):
                 assert A._marks(s, 0, t) == [m for m in A._marks(s) if m[0] <= t]
 
-    @given(gapped_half_grid_streams(
-               values=st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), TOP, INF])),
-           gapped_half_grid_streams(values=st.just(UNIT)),
-           st.sampled_from(HALF_GRID), st.booleans(),
-           st.sampled_from(HALF_GRID), st.booleans())
-    @settings(max_examples=400, deadline=None)
-    # the fourth call takes its checkpoint at 4, where the cut r turns
-    # unknown and its sweep goes on to mark the source armed at 7/2
-    # undecidable; the last call resumes there and must see that source as
-    # it was at the checkpoint
-    @example(d=astream([(F(7, 2), F(1))], gaps=[sp(0)]), r=astream([(F(7, 2), UNIT)]),
-             at=F(0), inclusive=False, r_at=F(4), r_inclusive=False)
-    def test_delay_resumes_through_its_holder(self, d, r, at, inclusive, r_at, r_inclusive):
+    @staticmethod
+    def check_holder(holder_calls, unrelated):
         # a holder fed cuts of the same arguments resumes its sweep where the
         # kept checkpoint allows, and every call gives what a call without a
         # holder gives; an unrelated call on another holder changes nothing
-        prog = Pinc(at) if inclusive else Progress.exclusive(at)
-        r_prog = Pinc(r_at) if r_inclusive else Progress.exclusive(r_at)
         state, other = {}, {}
-        for a, b in ((cut(d, prog), cut(r, r_prog)), (d, r), (cut(d, prog), cut(r, r_prog)),
-                     (cut(d, max(prog, r_prog)), cut(r, r_prog)), (d, r)):
+        for a, b in holder_calls:
             assert A.delay_abs(a, b, state=state) == A.delay_abs(a, b)
-            A.delay_abs(cut(d, r_prog), A.nil_abs(), state=other)
+            A.delay_abs(unrelated, A.nil_abs(), state=other)
+
+    @staticmethod
+    def check_validity(pairs, holder_calls):
+        # the outputs, checked only where they are new, resumed through prev
+        # or a holder or not, are what the whole-stream validators accept
+        for (a, b), (ca, cb) in pairs:
+            for x in (a, ca):
+                assert_valid(A.time_abs(x))
+                assert_valid(A._time_as_intervals(x))
+            assert_valid(A.last_time_abs(a, b))
+            assert_valid(A.last_time_abs(ca, cb))
+            for op in RESUMING_OPERATORS.values():
+                assert_valid(op(a, b, prev=assert_valid(op(ca, cb))))
+            for x in (A.last_abs_bot(a, b), a, cb):
+                assert_valid(A.last_abs_gap(a, b, x))
+                assert_valid(A.last_abs_gap(ca, b, x))
+        state = {}
+        for a, b in holder_calls:
+            bot = assert_valid(A.delay_abs_bot(a, b, state=state))
+            for p in (bot, b):
+                assert_valid(A.delay_abs_gap(a, b, p, state=state))
+            assert_valid(A.delay_abs(a, b, state=state))
+            assert_valid(A.delay_abs_fin(a, b, state=state))
 
     def test_last_waits_for_an_unstarted_value(self):
         # v has not started by its progress, so it may yet start before r's

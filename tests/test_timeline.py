@@ -37,6 +37,18 @@ def raw_spans(draw):
 span_lists = st.lists(raw_spans(), max_size=6)
 
 
+@st.composite
+def separate_spans(draw):
+    """3 to 10 spans that stay apart: a point or a half-unit span at distinct whole units."""
+    out = []
+    for k in sorted(draw(st.lists(st.integers(0, 9), min_size=3, max_size=10, unique=True))):
+        if draw(st.booleans()):
+            out.append((F(k), True, F(k), True))
+        else:
+            out.append((F(k), draw(st.booleans()), k + F(1, 2), draw(st.booleans())))
+    return out
+
+
 def build(raw):
     return TimeSet(Span(*r) for r in raw)
 
@@ -88,6 +100,13 @@ class TestOracle:
         assert_samples(a.union(b), lambda t: member(ra, t) or member(rb, t))
         assert_samples(a.intersect(b), lambda t: member(ra, t) and member(rb, t))
         assert_samples(a.minus(b), lambda t: member(ra, t) and not member(rb, t))
+
+    @given(separate_spans(), raw_spans())
+    @settings(max_examples=200, deadline=None)
+    def test_intersect_with_one_span(self, ra, window):
+        # a single span cuts many: only the spans at its two ends are swept
+        w = build([window])
+        assert_samples(build(ra).intersect(w), lambda t: member(ra, t) and member([window], t))
 
     @given(span_lists)
     @settings(max_examples=200, deadline=None)
