@@ -8,6 +8,13 @@ switched to abstract semantics mechanically.
 
 Parameterized entries (window lengths, filter bounds) are instantiated at
 parse time from literal arguments.
+
+The abstract arithmetic and comparisons take a fast path when both operands
+are exact rationals (a Fraction, an int that is not a bool, or a degenerate
+Interval): one Fraction operation, with the result the interval path gives
+in value and type.  Every other operand goes through the interval path.
+The abstract `window_integral` (in queues) assumes that hidden and TOP loads
+lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -43,13 +50,35 @@ def strict(f: Callable) -> Callable:
 
 def strict_cells(f_abs: Callable) -> Callable:
     def wrapped(*cells):
-        if any(c is BOTTOM for c in cells):
-            return BOTTOM
-        if any(c is GAP for c in cells):
-            return GAP
-        return f_abs(*cells)
+        gap = False
+        for c in cells:
+            if c is BOTTOM:
+                return BOTTOM
+            if c is GAP:
+                gap = True
+        return GAP if gap else f_abs(*cells)
 
     return wrapped
+
+
+def _exact(x):
+    """x as a Fraction if it is an exact rational, else None.
+
+    An exact rational is a Fraction, an int that is not a bool, or a
+    degenerate Interval.  The abstract arithmetic below computes on two
+    exact operands with one Fraction operation, which gives what the
+    interval path gives (a degenerate result collapses to its Fraction).
+    """
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int:
+        return Fraction(x)
+    if t is Interval:
+        lo = x.lo
+        if type(lo) is Fraction and (lo is x.hi or lo == x.hi):
+            return lo
+    return None
 
 
 def _numeric_pair(a, b):
@@ -86,6 +115,9 @@ def _ext_neg(a):
 
 
 def abs_add(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x + y
     if a is TOP or b is TOP:
         return TOP
     ia, ib = _numeric_pair(a, b)
@@ -93,6 +125,9 @@ def abs_add(a, b):
 
 
 def abs_neg(a):
+    x = _exact(a)
+    if x is not None:
+        return -x
     if a is TOP:
         return TOP
     ia = _to_interval(a)
@@ -102,6 +137,9 @@ def abs_neg(a):
 
 
 def abs_sub(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x - y
     return abs_add(a, abs_neg(b))
 
 
@@ -120,12 +158,20 @@ def _ext_mul_pairs(ia: Interval, ib: Interval):
 
 
 def abs_mul(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x * y
     ia, ib = _numeric_pair(a, b)
     lo, hi = _ext_mul_pairs(ia, ib)
     return _from_interval(Interval(lo, hi))
 
 
 def abs_div(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        if not y:
+            raise OperatorError("division by zero")
+        return x / y
     ia, ib = _numeric_pair(a, b)
     if ib.contains_value(Fraction(0)):
         if ib.is_single():
@@ -149,6 +195,9 @@ def _cmp_abstract(a, b, lt_true, lt_false):
 
 
 def abs_leq(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x <= y
     return _cmp_abstract(
         a, b,
         lambda x, y: x.hi <= y.lo,
@@ -157,6 +206,9 @@ def abs_leq(a, b):
 
 
 def abs_lt(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x < y
     return _cmp_abstract(
         a, b,
         lambda x, y: x.hi < y.lo,
@@ -165,6 +217,9 @@ def abs_lt(a, b):
 
 
 def abs_eq(a, b):
+    x, y = _exact(a), _exact(b)
+    if x is not None and y is not None:
+        return x == y
     if a is TOP or b is TOP:
         return TOP
     ia, ib = _to_interval(a), _to_interval(b)

@@ -6,6 +6,14 @@ variant adds an "unknown before u" boundary: entries older than u are
 arbitrary, entries from u on are as stored (with interval values).  Queue
 values travel through streams like any other payload, so the registry
 entries below make them usable under lift and slift.
+
+The abstract `window_integral` folds a queue stripped to its window.  It
+keeps an exact accumulator as a plain Fraction, through the exact fast paths
+of the functions module, and never clamps it, so it equals the concrete
+integral on exact loads.  An unknown start (TOP) or an inexact load makes
+the accumulator an interval, which is clamped to [0, covered time / k] only
+while every load folded so far lies in [0, 1]: the clamp assumes that hidden
+and TOP loads lie in [0, 1] too.
 """
 
 from __future__ import annotations
@@ -201,21 +209,31 @@ def _integral_concrete(k):
     return f
 
 
+def _unit_load(v) -> bool:
+    """Is the queue value v a load in [0, 1], or TOP (assumed to be one)?"""
+    return isinstance(v, Interval) and (v.is_top() or (0 <= v.lo and v.hi <= 1))
+
+
 def _integral_abstract(k):
     def f(q, until):
         qa = as_abstract_queue(q)
+        folded = 0      # entries folded so far
+        unit = 0        # leading entries whose loads lie in [0, 1]
 
         def step(a, b, v, acc):
-            bound = (a - until + k) / k
-            acc_iv = Interval.top() if acc is TOP else _to_interval(acc)
-            clamped = limit_interval(Fraction(0), bound, acc_iv)
-            piece = abs_mul(v, Fraction(b - a) / k)
-            return abs_add(_from_interval(clamped), piece)
+            nonlocal folded, unit
+            if acc is TOP or isinstance(acc, Interval):
+                while unit < folded and _unit_load(qa.entries[unit][1]):
+                    unit += 1
+                if unit == folded:
+                    # acc integrates a - (until - k) time units of loads in
+                    # [0, 1], hidden and TOP ones assumed so
+                    bound = (a - until + k) / k
+                    acc = _from_interval(limit_interval(Fraction(0), bound, _to_interval(acc)))
+            folded += 1
+            return abs_add(acc, abs_mul(v, (b - a) / k))
 
-        out = fold_abs(step, qa, Fraction(0), until)
-        if out is TOP:
-            return TOP
-        return _from_interval(_to_interval(out))
+        return fold_abs(step, qa, Fraction(0), until)
 
     return f
 

@@ -52,6 +52,8 @@ class Interval:
     hi: Union[Fraction, _Infinity]
 
     def __post_init__(self):
+        if self.lo is INF or self.hi is NEG_INF:
+            raise ValueError(f"interval holds no rational: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
@@ -63,8 +65,13 @@ class Interval:
 
     @staticmethod
     def single(x) -> "Interval":
-        x = Fraction(x)
-        return Interval(x, x)
+        """The point [x, x], built without the check of its bounds' order."""
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        point = object.__new__(Interval)
+        object.__setattr__(point, "lo", x)
+        object.__setattr__(point, "hi", x)
+        return point
 
     @staticmethod
     def top() -> "Interval":

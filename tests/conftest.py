@@ -9,10 +9,13 @@ engine's interval-based algorithms, not a copy of them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from gapstream import functions
 from gapstream.abstract import AbstractEventStream, value_leq
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
@@ -41,6 +44,17 @@ def period_trace(n: int) -> str:
             lines.append(f"{t}: period = {v}")
         t += 3 * v + 1
     return "\n".join(lines + [f"progress {t}"]) + "\n"
+
+
+@contextmanager
+def interval_path():
+    """Abstract value functions compute on intervals, as without their fast paths."""
+    exact = functions._exact
+    functions._exact = lambda x: None
+    try:
+        yield
+    finally:
+        functions._exact = exact
 
 
 # -- three-valued helpers -----------------------------------------------------
@@ -310,18 +324,33 @@ def check_against_oracle(stream: EventStream, cells, pts):
 
 GRID = [F(k) for k in range(0, 7)]
 
+# built once: hypothesis validates and labels each new strategy object, which
+# costs more than the draw itself
+PROGRESS_KINDS = st.sampled_from(["inf", "incl", "excl"])
+_SLACK = st.sampled_from([F(0), F(1), F(2)])
+_INCL_SLACK = st.sampled_from([F(0), F(2)])
+_EXCL_SLACK = st.sampled_from([F(1), F(2)])
+_HALF_OR_ONE = st.sampled_from([F(1, 2), F(1)])
+_BOOLEANS = st.booleans()
+
+
+@lru_cache(maxsize=None)
+def grid_times(grid: tuple, max_size: int):
+    """Unique times drawn from the grid, at most max_size of them."""
+    return st.lists(st.sampled_from(grid), unique=True, max_size=max_size)
+
 
 @st.composite
-def event_streams(draw, values=st.integers(0, 3), max_events=4, dense=False):
-    times = draw(st.lists(st.sampled_from(GRID), unique=True, max_size=max_events))
+def event_streams(draw, values=st.integers(0, 3), max_events=4):
+    times = draw(grid_times(tuple(GRID), max_events))
     times.sort()
     evs = [(t, F(draw(values))) for t in times]
-    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    kind = draw(PROGRESS_KINDS)
     if kind == "inf":
         prog = Progress.infinite()
     else:
         last = times[-1] if times else F(0)
-        pt = last + draw(st.sampled_from([F(0), F(1), F(2)]))
+        pt = last + draw(_SLACK)
         if kind == "excl" and pt == (times[-1] if times else None):
             pt += 1
         prog = Progress.inclusive_at(pt) if kind == "incl" else Progress.exclusive(pt)
@@ -330,44 +359,43 @@ def event_streams(draw, values=st.integers(0, 3), max_events=4, dense=False):
 
 @st.composite
 def unit_streams(draw, max_events=4):
-    times = draw(st.lists(st.sampled_from(GRID), unique=True, max_size=max_events))
+    times = draw(grid_times(tuple(GRID), max_events))
     times.sort()
     evs = [(t, UNIT) for t in times]
-    return EventStream.of(evs, draw(progress_after(times)))
+    return EventStream.of(evs, progress_after(draw, times))
 
 
-@st.composite
 def progress_after(draw, times):
     """Infinite progress, or progress a little past the last of the ascending times.
 
     Inclusive at the last time or 2 beyond it, or exclusive 1 or 2 beyond it.
     """
-    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    kind = draw(PROGRESS_KINDS)
     if kind == "inf":
         return Progress.infinite()
     last = times[-1] if times else F(0)
     if kind == "incl":
-        return Progress.inclusive_at(last + draw(st.sampled_from([F(0), F(2)])))
-    return Progress.exclusive(last + draw(st.sampled_from([F(1), F(2)])))
+        return Progress.inclusive_at(last + draw(_INCL_SLACK))
+    return Progress.exclusive(last + draw(_EXCL_SLACK))
 
 
 @st.composite
 def abstract_streams(draw, values=st.sampled_from([F(0), F(1), TOP]),
                      grid=None, progress_at=None, point_gaps_only=False):
     grid = grid or GRID
-    times = draw(st.lists(st.sampled_from(grid), unique=True, max_size=3))
+    times = draw(grid_times(tuple(grid), 3))
     times.sort()
     evs = [(t, draw(values)) for t in times]
     horizon = progress_at if progress_at is not None else (grid[-1] + 1)
     prog = Progress.inclusive_at(horizon)
     free = [g for g in grid if g not in times]
-    gap_pts = draw(st.lists(st.sampled_from(free), unique=True, max_size=2)) if free else []
+    gap_pts = draw(grid_times(tuple(free), 2)) if free else []
     spans = []
     for gp in gap_pts:
-        if point_gaps_only or draw(st.booleans()):
+        if point_gaps_only or draw(_BOOLEANS):
             spans.append(Span(gp, True, gp, True))
         else:
-            hi = gp + draw(st.sampled_from([F(1, 2), F(1)]))
+            hi = gp + draw(_HALF_OR_ONE)
             nxt = [t for t in times if gp < t <= hi]
             hi = min([hi] + [t - F(1, 4) for t in nxt])
             if hi > gp:

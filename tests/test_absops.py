@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (abstract_streams, event_streams, flat_join, member_of_gamma,
-                      period_trace, unit_streams)
+from conftest import (PROGRESS_KINDS, abstract_streams, event_streams, flat_join,
+                      member_of_gamma, period_trace, unit_streams)
 from enumeration import check_perfect, check_sound, image_streams
 from gapstream import absops as A
 from gapstream import ops
@@ -361,16 +361,19 @@ class TestDelayFin:
 
 # -- embedding: gapless, top-free abstract inputs behave concretely ----------
 
+_AMOUNT_GRID = st.sampled_from([F(k, 2) for k in range(13)])
+_AMOUNT_TIMES = st.lists(_AMOUNT_GRID, unique=True, max_size=4)
+_AMOUNTS = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), INF])
+
+
 @st.composite
 def delay_amount_streams(draw):
     """Up to four delay amounts, INF among them, on a half-unit grid to 6."""
-    grid = [F(k, 2) for k in range(13)]
-    times = sorted(draw(st.lists(st.sampled_from(grid), unique=True, max_size=4)))
-    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
-    at = draw(st.sampled_from(grid))
+    times = sorted(draw(_AMOUNT_TIMES))
+    kind = draw(PROGRESS_KINDS)
+    at = draw(_AMOUNT_GRID)
     prog = Progress.infinite() if kind == "inf" else Progress(at, kind == "incl")
-    amounts = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), INF])
-    return EventStream.of([(t, draw(amounts)) for t in times if prog.covers(t)], prog)
+    return EventStream.of([(t, draw(_AMOUNTS)) for t in times if prog.covers(t)], prog)
 
 
 # name: (abstract operator, concrete operator, argument strategies)
@@ -443,14 +446,13 @@ OPERATORS = [
 ]
 
 
+_OP_INPUT = abstract_streams(values=st.sampled_from([F(0), F(1), TOP]),
+                             grid=[F(1), F(2), F(3)], progress_at=F(4))
+
+
 @st.composite
 def op_inputs(draw, arity):
-    vals = st.sampled_from([F(0), F(1), TOP])
-    return tuple(
-        draw(abstract_streams(values=vals, grid=[F(1), F(2), F(3)],
-                              progress_at=F(4)))
-        for _ in range(arity)
-    )
+    return tuple(draw(_OP_INPUT) for _ in range(arity))
 
 
 class TestSoundness:
@@ -533,7 +535,6 @@ HALF_GRID = tuple(F(k, 2) for k in range(17))
 SPAN_SHAPES = ["point", "closed", "open", "lo_open", "hi_open", "tail"]
 # built once: hypothesis validates and labels each new strategy object, which
 # costs more than the draw itself
-PROGRESS_KINDS = st.sampled_from(["inf", "incl", "excl"])
 SPAN_COUNTS = st.integers(0, 3)
 SHAPES = st.sampled_from(SPAN_SHAPES)
 WIDTHS = st.sampled_from([F(1, 2), F(1), F(2)])

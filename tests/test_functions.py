@@ -1,0 +1,92 @@
+"""Abstract value functions: the exact fast paths against the interval path."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import interval_path
+from gapstream.errors import OperatorError
+from gapstream.functions import (abs_add, abs_div, abs_eq, abs_leq, abs_lt,
+                                 abs_mul, abs_neg, abs_sub)
+from gapstream.timeline import INF, NEG_INF
+from gapstream.values import TOP, Interval
+
+BINARY = [abs_add, abs_sub, abs_mul, abs_div, abs_leq, abs_lt, abs_eq]
+
+RATIONALS = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+_BOUNDS = st.lists(RATIONALS, min_size=2, max_size=2, unique=True).map(sorted)
+OPERANDS = st.one_of(
+    RATIONALS,
+    st.integers(-4, 4),
+    RATIONALS.map(Interval.single),
+    RATIONALS.map(lambda x: Interval(x, F(x))),     # equal bounds, two objects
+    _BOUNDS.map(lambda b: Interval(*b)),
+    RATIONALS.map(lambda x: Interval(NEG_INF, x)),
+    RATIONALS.map(lambda x: Interval(x, INF)),
+    st.just(Interval.top()),
+    st.just(TOP),
+)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except OperatorError as e:
+        return ("raises", str(e))
+
+
+def assert_same(got, want):
+    assert type(got) is type(want), (got, want)
+    assert got == want
+
+
+@given(st.sampled_from(BINARY), OPERANDS, OPERANDS)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_binary_fast_path_equals_interval_path(f, a, b):
+    fast = outcome(f, a, b)
+    with interval_path():
+        general = outcome(f, a, b)
+    assert_same(fast, general)
+
+
+@given(OPERANDS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_neg_fast_path_equals_interval_path(a):
+    fast = outcome(abs_neg, a)
+    with interval_path():
+        general = outcome(abs_neg, a)
+    assert_same(fast, general)
+
+
+def test_exact_operands_give_fractions():
+    assert_same(abs_add(1, 2), F(3))
+    assert_same(abs_mul(Interval.single(2), F(1, 2)), F(1))
+    assert_same(abs_div(3, Interval(F(2), F(2))), F(3, 2))
+    assert_same(abs_neg(0), F(0))
+    assert abs_leq(1, Interval.single(1)) is True
+    with pytest.raises(OperatorError, match="division by zero"):
+        abs_div(F(1), Interval.single(0))
+
+
+@pytest.mark.parametrize("f", [abs_add, abs_sub, abs_mul, abs_div, abs_leq, abs_lt])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_operand_raises(f, flag):
+    with pytest.raises(OperatorError):
+        f(flag, F(1))
+    with pytest.raises(OperatorError):
+        f(1, flag)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_operand_of_neg_raises(flag):
+    with pytest.raises(OperatorError):
+        abs_neg(flag)
+
+
+@pytest.mark.parametrize("lo, hi", [(INF, INF), (NEG_INF, NEG_INF), (INF, F(1)),
+                                    (F(1), NEG_INF), (F(3), F(2))])
+def test_interval_must_hold_a_rational(lo, hi):
+    with pytest.raises(ValueError):
+        Interval(lo, hi)

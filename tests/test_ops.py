@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_against_oracle, event_streams, oracle_delay,
-                      oracle_last, progress_after, unit_streams)
+from conftest import (PROGRESS_KINDS, check_against_oracle, event_streams,
+                      oracle_delay, oracle_last, progress_after, unit_streams)
 from gapstream import ops
 from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
@@ -112,13 +112,16 @@ class TestLast:
         assert set(ops.last(v, r).ticks()) <= set(r.ticks())
 
 
+_DELAY_TIMES = st.lists(st.sampled_from([F(k) for k in range(6)]), unique=True, max_size=3)
+_DELAY_AMOUNTS = st.sampled_from([F(1), F(2), F(3), INF])
+
+
 @st.composite
 def delay_streams(draw):
-    times = draw(st.lists(st.sampled_from([F(k) for k in range(6)]),
-                          unique=True, max_size=3))
+    times = draw(_DELAY_TIMES)
     times.sort()
-    evs = [(t, draw(st.sampled_from([F(1), F(2), F(3), INF]))) for t in times]
-    return EventStream.of(evs, draw(progress_after(times)))
+    evs = [(t, draw(_DELAY_AMOUNTS)) for t in times]
+    return EventStream.of(evs, progress_after(draw, times))
 
 
 class TestDelay:
@@ -185,19 +188,22 @@ class TestSlift:
 
 
 HALF_GRID = [F(k, 2) for k in range(17)]
+_HALF_POINTS = st.sampled_from(HALF_GRID)
+_HALF_TIMES = st.lists(_HALF_POINTS, unique=True, max_size=5)
+_SMALL_INTS = st.integers(-2, 3)
 
 
 @st.composite
 def half_grid_streams(draw):
     """Up to five events on a half-unit grid under a progress drawn anywhere on it."""
-    kind = draw(st.sampled_from(["inf", "incl", "excl"]))
+    kind = draw(PROGRESS_KINDS)
     if kind == "inf":
         prog = Progress.infinite()
     else:
-        at = draw(st.sampled_from(HALF_GRID))
+        at = draw(_HALF_POINTS)
         prog = Progress.inclusive_at(at) if kind == "incl" else Progress.exclusive(at)
-    times = sorted(draw(st.lists(st.sampled_from(HALF_GRID), unique=True, max_size=5)))
-    return EventStream.of([(t, F(draw(st.integers(-2, 3)))) for t in times
+    times = sorted(draw(_HALF_TIMES))
+    return EventStream.of([(t, F(draw(_SMALL_INTS))) for t in times
                            if prog.covers(t)], prog)
 
 

@@ -55,6 +55,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("expr", [
         "const(1/0)(y)", "lift(window_strip(1/0))(y, y)", "const([3, 1])(y)",
+        "const([inf, inf])(y)",
         "lift(enq_bounded(top))(y, y, y)", "lift(enq_bounded(0))(y, y, y)",
         "lift(enq_bounded(1))(y, y, y)", "lift(enq_bounded(5/2))(y, y, y)",
     ])

@@ -72,6 +72,8 @@ class TestParse:
 
     @pytest.mark.parametrize("text, lineno", [
         ("stream s : Interval\n1: s = [3, 1]\nprogress 5\n", 2),
+        ("stream s : Interval\n1: s = [inf, inf]\nprogress 5\n", 2),
+        ("stream s : Interval\n1: s = [-inf, -inf]\nprogress 5\n", 2),
         ("stream s : Int\n1: s = 1\nprogress\n", 3),
         ("stream s : Int\nprogress 3\n5: s = 1\n", 3),
     ])
