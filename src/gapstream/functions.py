@@ -65,9 +65,8 @@ def _exact(x):
     """x as a Fraction if it is an exact rational, else None.
 
     An exact rational is a Fraction, an int that is not a bool, or a
-    degenerate Interval.  The abstract arithmetic below computes on two
-    exact operands with one Fraction operation, which gives what the
-    interval path gives (a degenerate result collapses to its Fraction).
+    degenerate Interval (the interval path collapses a degenerate result
+    to its Fraction, so the fast paths return Fractions too).
     """
     t = type(x)
     if t is Fraction:
