@@ -9,8 +9,11 @@ Four workloads are measured:
   (time-aware and unrolled, as `gapstream run --abstract` sets it up), on
   the gapped trace of `perfbench/gen.py` `window`; the concrete output on
   the full trace must refine every abstract output (`refinement_leq`).
+  The wall seconds of that concrete evaluation are reported as
+  `concrete_s`.
 - `period-gapped`: the same for the bundled `variable-period` spec on the
-  gapped trace of `perfbench/gen.py` `period`.
+  gapped trace of `perfbench/gen.py` `period`; its `concrete_s` times the
+  concrete delay.
 - `reset-sum-online`: concrete reset-sum online, replaying
   `perfbench/gen.py` `online_messages` of the `reset_sum` trace through
   `OnlineEvaluator.feed`, one message at a time; the events emitted by the
@@ -124,7 +127,8 @@ def reset_sum_online_run(n: int):
 
 
 def gapped_run(spec: str, generator: str, n: int):
-    """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps, refined, {})."""
+    """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps,
+    refined, wall seconds of the concrete spec on the full trace)."""
     import gen
     from gapstream.abstract import AbstractEventStream, refinement_leq
     from gapstream.builtin_specs import spec_text
@@ -134,7 +138,10 @@ def gapped_run(spec: str, generator: str, n: int):
 
     ast = parse_spec(spec_text(spec))
     full, gapped = getattr(gen, generator)(SEED, n)
-    concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
+    full_inputs = parse_trace(full).streams
+    start = perf_counter()
+    concrete = evaluate_fixpoint(flatten(ast), full_inputs)
+    concrete_s = perf_counter() - start
     graph = flatten(unroll(abstractify(ast, time_aware=True)))
     inputs = parse_trace(gapped).streams
     start = perf_counter()
@@ -142,7 +149,7 @@ def gapped_run(spec: str, generator: str, n: int):
     wall = perf_counter() - start
     ok = all(refinement_leq(AbstractEventStream.of(concrete[name]), env[name])
              for name in graph.outputs)
-    return wall, env["__sweeps__"], ok, {}
+    return wall, env["__sweeps__"], ok, {"concrete_s": round(concrete_s, 4)}
 
 
 def _gapped(spec: str, generator: str, sizes: list):
@@ -150,7 +157,7 @@ def _gapped(spec: str, generator: str, sizes: list):
             f"abstract {spec} spec offline: wall seconds of evaluate_fixpoint on "
             f"the gapped trace of perfbench/gen.py {generator}(seed, n), the "
             "concrete output on the full trace checked to refine every abstract "
-            "output")
+            "output; concrete_s times that concrete evaluation")
 
 
 WORKLOADS = {

@@ -10,7 +10,9 @@ progress still grows.
 
 All operators restricted to gap-free, TOP-free inputs coincide with their
 concrete counterparts, events and progress alike, whatever each input's
-progress; tests/test_absops.py TestEmbedding asserts that embedding.
+progress; tests/test_absops.py TestEmbedding asserts that embedding.  The
+concrete delay is delay_abs on gap-free streams, so there it holds by
+construction, and the dense-time oracle of tests/test_ops.py checks it.
 
 Every operator that decides its output atom by atom walks the same atoms,
 those _walk yields: the points (0, ticks, gap boundaries, progress) and the
@@ -24,9 +26,10 @@ of building the paper's synchronization, merge_abs(x, last_abs(x,
 others)) (encoded.synchronized); that composition is kept only for the
 encoded signal lift and as the test oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
-atoms at the pending timeouts; delay_abs is one forward pass, like ops.delay,
-and shares its amount check ops._delay_amount.  last_abs moves one pointer
-through the value stream's marks as the trigger ticks ascend.
+atoms at the pending timeouts; delay_abs is one forward pass, and ops.delay
+runs it on the gap-free streams that stand for its arguments.  last_abs
+moves one pointer through the value stream's marks as the trigger ticks
+ascend.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation).
@@ -49,11 +52,12 @@ trigger ticks past prev's progress; its progress and gaps, all the gap half
 last_abs_gap needs, come from _last_frame by bisects, without a walk.
 The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
 its sweep state lives in a holder its caller passes, one per pair of
-argument streams (speclang.Operator.stateful).  The same argument objects
-get the kept result, so both halves of an unrolled delay share one sweep,
-and later arguments resume the sweep from the kept checkpoint.  A holder
-sees only growing prefixes of its two streams, the contract prev relies
-on, so their history below the checkpoint is the kept one.
+argument streams (speclang.Operator.stateful), the concrete delay's too.
+The same argument objects get the kept result, so both halves of an
+unrolled delay share one sweep, and later arguments resume the sweep from
+the kept checkpoint.  A holder sees only growing prefixes of its two
+streams, the contract prev relies on, so their history below the
+checkpoint is the kept one.
 
 No operator checks its whole output: AbstractEventStream.of and
 EventStream.of validate at the public boundary only, inputs and user
@@ -76,7 +80,6 @@ from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
-from .ops import _delay_amount, _vbot_extent
 from .streams import EventStream, Progress
 from .timeline import INF, ExtTime, Span, Time, TimeSet, as_time
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
@@ -368,6 +371,17 @@ def _covered(ticks: Sequence[Time], prog: Progress) -> int:
     return (bisect_right if prog.inclusive else bisect_left)(ticks, prog.time)
 
 
+def _vbot_extent(v: EventStream, first_gap: ExtTime = INF) -> Progress:
+    """Progress of the region where "no value event strictly before t" is known.
+
+    The last operator outputs BOTTOM there regardless of the trigger stream,
+    which lets its result extend beyond the trigger's progress.  An abstract
+    value stream passes its first gap point, before which it is gap-free.
+    """
+    limit = min(v.progress.time, v.events[0][0] if v.events else INF, first_gap)
+    return Progress.infinite() if limit is INF else Progress.inclusive_at(limit)
+
+
 def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
     """(progress, gaps, cut) of last_abs(v, r), found without walking the events.
 
@@ -640,6 +654,28 @@ def slift_time_abs(f_abs: Callable, x: AbstractEventStream,
 
 # -- delay -----------------------------------------------------------------
 
+def _delay_amount(val, where):
+    """The delay amount val: a positive canonical time, None for INF, or "any".
+
+    "any" stands for an amount only known abstractly, TOP or an interval
+    wider than a point; the concrete delay rejects it.
+    """
+    if val is TOP:
+        return "any"
+    if val is INF:
+        return None
+    if isinstance(val, Interval):
+        if val.is_single():
+            val = val.lo
+        else:
+            return "any"
+    if isinstance(val, bool):
+        raise OperatorError(f"delay amount at {where} must be a duration, got {val!r}")
+    if not isinstance(val, (int, Fraction)) or val <= 0:
+        raise OperatorError(f"delay amount at {where} must be positive, got {val!r}")
+    return as_time(val)
+
+
 @dataclass
 class _ExactSource:
     start: Time
@@ -761,7 +797,7 @@ class _DelaySweep:
             unknown_source = not settable and r_cell is UNKNOWN
         elif proper and (settable or r_cell is UNKNOWN):
             # a proper delay event; one that r's unknown cell may arm has its
-            # timeout stop the sweep, as ops.delay caps its progress there
+            # timeout stop the sweep, where it fires only if armed
             if amount == "any":
                 self.any_alive = True
                 unknown_source = r_cell is UNKNOWN
@@ -783,8 +819,8 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     pending timeouts.  The output at t reads only the inputs strictly below
     t, so the walk runs past both inputs' progress, where their cells are
     UNKNOWN, and the sweep stops at the first atom that unknown data leaves
-    undecided, as ops.delay caps its progress.  The sweep checks the delay
-    amounts it meets; those past the atom it stops at are checked after it.
+    undecided.  The sweep checks the delay amounts it meets; those past the
+    atom it stops at are checked after it.
 
     state, a holder the caller passes only with growing prefixes of the same
     two streams, keeps the last call: its arguments d and r, its result z,

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import ops
 from .abstract import AbstractEventStream, covered_span
-from .absops import _tmerge_cells, merge_cells
+from .absops import _delay_amount, _tmerge_cells, merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
 from .evaluator import _run_plan
@@ -329,7 +329,7 @@ def _delay_verdict(state, t):
 
 def _delay_step(eps):
     def amount_of(val, t):
-        amount = ops._delay_amount(val, t)
+        amount = _delay_amount(val, t)
         if amount not in (None, "any") and (amount / eps).denominator != 1:
             raise OperatorError(f"delay amount {amount} off the epsilon grid")
         return amount

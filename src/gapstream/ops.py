@@ -8,7 +8,10 @@ encoded.synchronized(streams, merge, last), is the specification and test
 oracle of both walks; only the encoded signal lift builds it.  Every
 operator returns the longest prefix of its semantic result that is decided
 by the inputs' progress, so outputs grow monotonically as inputs grow,
-which is what fixed-point evaluation needs.
+which is what fixed-point evaluation needs.  delay is absops.delay_abs on
+the gap-free streams that stand for its arguments: a gap-free abstract
+stream stands for exactly one concrete stream, and there the abstract sweep
+decides exactly what the concrete semantics does.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -19,15 +22,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
+from . import absops
+from .absops import _delay_amount, _vbot_extent
+from .abstract import AbstractEventStream
 from .errors import OperatorError
 from .streams import EventStream, Progress
-from .timeline import INF, ExtTime, as_time
-from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
+from .timeline import TimeSet
+from .values import BOTTOM, GAP, UNIT, UNKNOWN
 
 
 def nil() -> EventStream:
@@ -84,17 +89,6 @@ def merge(*streams: EventStream) -> EventStream:
     return lift(_merge_values, *streams)
 
 
-def _vbot_extent(v: EventStream, first_gap: ExtTime = INF) -> Progress:
-    """Progress of the region where "no value event strictly before t" is known.
-
-    The last operator outputs BOTTOM there regardless of the trigger stream,
-    which lets its result extend beyond the trigger's progress.  An abstract
-    value stream passes its first gap point, before which it is gap-free.
-    """
-    limit = min(v.progress.time, v.events[0][0] if v.events else INF, first_gap)
-    return Progress.infinite() if limit is INF else Progress.inclusive_at(limit)
-
-
 def last(v: EventStream, r: EventStream) -> EventStream:
     """At each trigger event on r, the most recent prior value on v.
 
@@ -122,83 +116,26 @@ def last(v: EventStream, r: EventStream) -> EventStream:
     return EventStream.of(events, max(main, _vbot_extent(v)))
 
 
-def _delay_amount(val, where):
-    """The delay amount val: a positive canonical time, None for INF, or "any".
-
-    "any" stands for an amount only known abstractly, TOP or an interval
-    wider than a point; the concrete delay rejects it.
-    """
-    if val is TOP:
-        return "any"
-    if val is INF:
-        return None
-    if isinstance(val, Interval):
-        if val.is_single():
-            val = val.lo
-        else:
-            return "any"
-    if isinstance(val, bool):
-        raise OperatorError(f"delay amount at {where} must be a duration, got {val!r}")
-    if not isinstance(val, (int, Fraction)) or val <= 0:
-        raise OperatorError(f"delay amount at {where} must be positive, got {val!r}")
-    return as_time(val)
-
-
-def delay(d: EventStream, r: EventStream) -> EventStream:
+def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> EventStream:
     """Emit a unit event when a requested delay elapses without a reset.
 
     A delay amount on d arms only if its timestamp carries a reset event or
     an emitted output event; any reset event cancels a pending delay.
 
-    One forward pass pops, in time order, d's ticks, r's ticks and the
-    pending timeout off one heap, and caps the progress at the first time
-    the inputs leave undecided: a timeout whose quiet run r does not cover
-    (exclusive), a reset or fire whose amount d does not cover (inclusive),
-    a delay event whose arming r does not decide (exclusive at its
-    timeout), and, with both progresses finite, the later of the two.
+    This is absops.delay_abs on the gap-free streams that stand for d and
+    r, which decides exactly as far as the concrete semantics, and state is
+    its holder, so a caller that passes one resumes the sweep.  Amounts
+    known only abstractly are rejected first.  The holder sees only growing
+    prefixes of d, so it also counts the amounts already checked.
     """
-    amounts = {}
-    for t, val in d.events:
-        amount = _delay_amount(val, t)
-        if amount == "any":
+    holder = {} if state is None else state
+    for t, val in d.events[holder.get("checked", 0):]:
+        if _delay_amount(val, t) == "any":
             raise OperatorError(f"concrete delay amount at {t} must be known, got {val!r}")
-        amounts[t] = amount
-    resets = set(r.ticks())
-    prog = Progress.infinite()
-    if not d.progress.is_infinite() and not r.progress.is_infinite():
-        prog = Progress.inclusive_at(max(d.progress.time, r.progress.time))
-    ticks = amounts.keys() | resets
-    agenda = list(ticks)
-    heapify(agenda)
-    events = []
-    pending = None      # timeout of the armed delay
-    while agenda:
-        t = heappop(agenda)
-        if not prog.covers(t):
-            break
-        arm = t in resets
-        if t == pending:
-            if not r.progress.covers_below(t):
-                prog = Progress.exclusive(t)
-                break
-            events.append((t, UNIT))
-            arm = True
-        if arm:
-            pending = None
-            if not d.progress.covers(t):
-                prog = Progress.inclusive_at(t)
-                break
-        amount = amounts.get(t)
-        if amount is None:
-            continue
-        timeout = as_time(t + amount)
-        if not r.progress.covers(t):
-            prog = min(prog, Progress.exclusive(timeout))
-        if arm:
-            pending = timeout
-            if pending not in ticks:
-                heappush(agenda, pending)
-    return EventStream.of(events, prog)
+    holder["checked"] = len(d.events)
+    gap_free = TimeSet.empty()
+    return absops.delay_abs(AbstractEventStream(d, gap_free), AbstractEventStream(r, gap_free),
+                            state=holder).stream
 
 
 def slift(f: Callable, *streams: EventStream) -> EventStream:

@@ -13,7 +13,10 @@ of the functions module, and never clamps it, so it equals the concrete
 integral on exact loads.  An unknown start (TOP) or an inexact load makes
 the accumulator an interval, which is clamped to [0, covered time / k] only
 while every load folded so far lies in [0, 1]: the clamp assumes that hidden
-and TOP loads lie in [0, 1] too.
+and TOP loads lie in [0, 1] too.  It also presumes that the whole queue,
+hidden entries included, lies in the window [until - k, until], as
+window_strip(k) leaves it.  Only the stored entries can be checked, so the
+clamp is made only when the first of them is at or after until - k.
 """
 
 from __future__ import annotations
@@ -219,10 +222,12 @@ def _integral_abstract(k):
         qa = as_abstract_queue(q)
         folded = 0      # entries folded so far
         unit = 0        # leading entries whose loads lie in [0, 1]
+        # the clamp presumes a queue inside the window [until - k, until]
+        windowed = not qa.entries or qa.entries[0][0] >= until - k
 
         def step(a, b, v, acc):
             nonlocal folded, unit
-            if acc is TOP or isinstance(acc, Interval):
+            if windowed and (acc is TOP or isinstance(acc, Interval)):
                 while unit < folded and _unit_load(qa.entries[unit][1]):
                     unit += 1
                 if unit == folded:

@@ -109,7 +109,8 @@ OPERATORS: Dict[str, Operator] = {
     "unit": Operator("unit", 0, 0, abstract="unit_abs"),
     "time": Operator("time", 1, 1, abstract="time_abs"),
     "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True),
-    "delay": Operator("delay", 2, 2, guarded=(0,), abstract="delay_abs", history=True),
+    "delay": Operator("delay", 2, 2, guarded=(0,), abstract="delay_abs", history=True,
+                      stateful=True),
     "merge": Operator("merge", 1, None, abstract="merge_abs"),
     "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs"),
     "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs"),
@@ -681,11 +682,14 @@ def unroll(ast: SpecAst) -> SpecAst:
         v'    = f(x_bot, ...)         # clone of the value chain
         x     = last_gap(v', r, x_bot)
 
-    and analogously for delay_abs.  It repeats while the graph has an
-    unguarded cycle, and it ends: each rewrite replaces one last_abs or
-    delay_abs by halves that have no unroll row, and a clone never copies
-    a history operator, so no rewrite adds a last_abs or delay_abs.  Once
-    none is left on a cycle, the cycle cannot be unrolled and is reported.
+    and analogously for delay_abs.  A cycle with neither but with a
+    time-aware last_time(v, r) gets that equation in its plain form,
+    last_abs over a fresh time_abs(v), which last_time refines.  It repeats
+    while the graph has an unguarded cycle, and it ends: a clone never
+    copies a history operator, so each rewrite removes one last_time, or
+    one last_abs or delay_abs, and only the removal of a last_time adds a
+    last_abs.  Once no last/delay is left on a cycle, the cycle cannot be
+    unrolled and is reported.
     """
     g = flatten(ast)
     step = 0
@@ -693,12 +697,25 @@ def unroll(ast: SpecAst) -> SpecAst:
         defs = dict(g.equations)
         target = next((name for name in report.cycle
                        if OPERATORS[defs[name].op].unroll), None)
-        if target is None:
+        timed = next((name for name in report.cycle if defs[name].op == "last_time"), None)
+        if target is None and timed is None:
             raise UnsupportedRecursionShape(
                 f"cycle without last/delay cannot be unrolled: {report}")
-        g = _unroll_one(g, target, step)
+        g = _unroll_one(g, target, step) if target else _plain_last(g, timed, step)
         step += 1
     return ast if step == 0 else _graph_to_ast(g, ast)
+
+
+def _plain_last(g: SpecGraph, target: str, step: int) -> SpecGraph:
+    """target := last_time(v, r) as last_abs(target__time, r), target__time := time_abs(v)."""
+    stamps = f"{target}__time{'' if step == 0 else step + 1}"
+    equations = []
+    for name, e in g.equations:
+        if name == target:
+            equations.append((stamps, Apply("time_abs", e.args[:1])))
+            e = Apply("last_abs", (Ref(stamps), e.args[1]))
+        equations.append((name, e))
+    return replace(g, equations=tuple(equations))
 
 
 def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:

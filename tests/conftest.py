@@ -32,13 +32,13 @@ def reverse_chain_spec(n: int, base: str = "lift(inc)(x)") -> str:
     return "\n".join(lines) + "\n"
 
 
-def period_trace(n: int) -> str:
-    """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap."""
+def period_trace(n: int, lost: bool = True) -> str:
+    """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap if lost."""
     lines = ["stream period : Int"]
     t = 1
     for i in range(n):
         v = 2 + i % 4
-        if i % 5 == 2:
+        if lost and i % 5 == 2:
             lines += [f"{t}: gap period", f"{t + 1}: known period"]
         else:
             lines.append(f"{t}: period = {v}")
@@ -377,6 +377,21 @@ def progress_after(draw, times):
     if kind == "incl":
         return Progress.inclusive_at(last + draw(_INCL_SLACK))
     return Progress.exclusive(last + draw(_EXCL_SLACK))
+
+
+_AMOUNT_GRID = st.sampled_from([F(k, 2) for k in range(13)])
+_AMOUNT_TIMES = st.lists(_AMOUNT_GRID, unique=True, max_size=4)
+_AMOUNTS = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), INF])
+
+
+@st.composite
+def delay_amount_streams(draw):
+    """Up to four delay amounts, INF among them, on a half-unit grid to 6."""
+    times = sorted(draw(_AMOUNT_TIMES))
+    kind = draw(PROGRESS_KINDS)
+    at = draw(_AMOUNT_GRID)
+    prog = Progress.infinite() if kind == "inf" else Progress(at, kind == "incl")
+    return EventStream.of([(t, draw(_AMOUNTS)) for t in times if prog.covers(t)], prog)
 
 
 @st.composite

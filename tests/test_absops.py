@@ -361,21 +361,6 @@ class TestDelayFin:
 
 # -- embedding: gapless, top-free abstract inputs behave concretely ----------
 
-_AMOUNT_GRID = st.sampled_from([F(k, 2) for k in range(13)])
-_AMOUNT_TIMES = st.lists(_AMOUNT_GRID, unique=True, max_size=4)
-_AMOUNTS = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), INF])
-
-
-@st.composite
-def delay_amount_streams(draw):
-    """Up to four delay amounts, INF among them, on a half-unit grid to 6."""
-    times = sorted(draw(_AMOUNT_TIMES))
-    kind = draw(PROGRESS_KINDS)
-    at = draw(_AMOUNT_GRID)
-    prog = Progress.infinite() if kind == "inf" else Progress(at, kind == "incl")
-    return EventStream.of([(t, draw(_AMOUNTS)) for t in times if prog.covers(t)], prog)
-
-
 # name: (abstract operator, concrete operator, argument strategies)
 EMBEDDINGS = {
     "time": (A.time_abs, ops.time, (event_streams(),)),
@@ -387,7 +372,6 @@ EMBEDDINGS = {
     "slift": (lambda v, r: A.slift_abs(lookup("add").abstract_cells, v, A.time_abs(r)),
               lambda v, r: ops.slift(lambda a, b: a + b, v, ops.time(r)),
               (event_streams(), unit_streams())),
-    "delay": (A.delay_abs, ops.delay, (delay_amount_streams(), unit_streams())),
 }
 
 
@@ -395,16 +379,17 @@ class TestEmbedding:
     """On gap-free, TOP-free inputs each abstract operator is the concrete one.
 
     Every argument's progress is drawn exclusive, inclusive or infinite on
-    its own, and the outputs agree in events and progress.
+    its own, and the outputs agree in events and progress.  The concrete
+    delay is delay_abs on such inputs, so it has no case here; its own
+    dense-time oracle (tests/test_ops.py) checks both.
     """
 
     @pytest.mark.parametrize("name", list(EMBEDDINGS))
     def test_abstract_equals_concrete(self, name):
         op_abs, op_conc, args = EMBEDDINGS[name]
 
-        # delay has the most cases to cover, so it draws the most examples
         @given(st.tuples(*args))
-        @settings(max_examples=200 if name == "delay" else 100, deadline=None)
+        @settings(max_examples=100, deadline=None)
         def check(streams):
             out = op_abs(*map(AbstractEventStream.of, streams))
             assert out.gaps.is_empty()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import period_trace
-from gapstream import evaluator, ops, speclang
+from gapstream import absops, evaluator, ops, speclang
 from gapstream.abstract import AbstractEventStream, covered_span
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
 from gapstream.errors import NonTermination, OutOfOrderInput, TraceError
@@ -659,6 +659,50 @@ class TestTwoMonitors:
                 if k < len(run):
                     together[i].append(evs[i].feed(run[k]))
         assert together == alone
+
+
+class TestConcreteDelayResumes:
+    """The concrete delay keeps its sweep in a holder, as the abstract one
+    does, and a resumed sweep gives what a fresh ops.delay call gives."""
+
+    GRAPH = flatten(parse_spec(spec_text("variable-period")))
+
+    def delays(self, env):
+        """(kept value, fresh ops.delay of its arguments) for each delay equation."""
+        for name, app in self.GRAPH.equations:
+            if app.op == "delay":
+                d, r = self.GRAPH.nodes[name][0]
+                yield env[name], ops.delay(env[d], env[r])
+
+    def test_offline_sweeps(self):
+        env = evaluate_fixpoint(self.GRAPH, parse_trace(period_trace(12, lost=False)).streams)
+        assert env["__sweeps__"] > 2
+        for kept, fresh in self.delays(env):
+            assert kept == fresh
+
+    def test_online_feeds(self):
+        trace, msgs = _directive_messages(period_trace(8, lost=False))
+        ev = OnlineEvaluator(self.GRAPH)
+        for msg in msgs:
+            ev.feed(msg)
+            for kept, fresh in self.delays(ev.env):
+                assert kept == fresh, msg
+        assert ev.delays
+        offline = evaluate_fixpoint(self.GRAPH, trace.streams)
+        for name, _ in self.GRAPH.equations:
+            assert ev.env[name] == offline[name], name
+
+    def test_atoms_grow_about_linearly(self, monkeypatch):
+        atoms = []
+        atom = absops._DelaySweep.atom
+        monkeypatch.setattr(absops._DelaySweep, "atom",
+                            lambda self, *cells: (atoms.append(1), atom(self, *cells))[1])
+        counts = []
+        for n in (8, 16):
+            atoms.clear()
+            evaluate_fixpoint(self.GRAPH, parse_trace(period_trace(n, lost=False)).streams)
+            counts.append(len(atoms))
+        assert 0 < counts[1] <= 2.5 * counts[0], counts
 
 
 class TestSelfUpdatingWindow:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PROGRESS_KINDS, check_against_oracle, event_streams,
-                      oracle_delay, oracle_last, progress_after, unit_streams)
+from conftest import (PROGRESS_KINDS, check_against_oracle, delay_amount_streams,
+                      event_streams, oracle_delay, oracle_last, unit_streams)
 from gapstream import ops
 from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
 from gapstream.streams import EventStream, Progress
-from gapstream.timeline import INF
 from gapstream.values import BOTTOM, TOP, UNIT, UNKNOWN
 
 
@@ -112,16 +111,7 @@ class TestLast:
         assert set(ops.last(v, r).ticks()) <= set(r.ticks())
 
 
-_DELAY_TIMES = st.lists(st.sampled_from([F(k) for k in range(6)]), unique=True, max_size=3)
-_DELAY_AMOUNTS = st.sampled_from([F(1), F(2), F(3), INF])
-
-
-@st.composite
-def delay_streams(draw):
-    times = draw(_DELAY_TIMES)
-    times.sort()
-    evs = [(t, draw(_DELAY_AMOUNTS)) for t in times]
-    return EventStream.of(evs, progress_after(draw, times))
+_PREFIX_TIMES = st.lists(st.sampled_from([F(k, 2) for k in range(15)]), max_size=3)
 
 
 class TestDelay:
@@ -154,11 +144,27 @@ class TestDelay:
         out = ops.delay(ev((1, F(2))), ops.nil())
         assert out.events == () and out.progress.is_infinite()
 
-    @given(delay_streams(), unit_streams())
-    @settings(max_examples=200, deadline=None)
+    @given(delay_amount_streams(), unit_streams())
+    @settings(max_examples=300, deadline=None)
     def test_matches_dense_oracle(self, d, r):
         cells, pts = oracle_delay(d, r)
         check_against_oracle(ops.delay(d, r), cells, pts)
+
+    @given(delay_amount_streams(), unit_streams(), _PREFIX_TIMES, _PREFIX_TIMES,
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_one_holder_over_growing_prefixes(self, d, r, d_cuts, r_cuts, inclusive):
+        # a holder resumes its sweep from the last call on shorter prefixes
+        state = {}
+        d_progs = sorted(Progress(t, i) for t, i in zip(d_cuts, inclusive[:3]))
+        r_progs = sorted(Progress(t, i) for t, i in zip(r_cuts, inclusive[3:]))
+        steps = max(len(d_progs), len(r_progs))
+        d_progs += [d.progress] * (steps + 1 - len(d_progs))
+        r_progs += [r.progress] * (steps + 1 - len(r_progs))
+        for pd, pr in zip(d_progs, r_progs):
+            dk = d.truncated(min(d.progress, pd))
+            rk = r.truncated(min(r.progress, pr))
+            assert ops.delay(dk, rk, state=state) == ops.delay(dk, rk)
 
 
 class TestSlift:

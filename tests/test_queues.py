@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_path
+from gapstream.abstract import AbstractEventStream, refinement_leq
 from gapstream.builtin_specs import spec_text
 from gapstream.evaluator import evaluate_fixpoint
 from gapstream.queues import (AbstractTimedQueue, EMPTY_QUEUE, TimedQueue,
@@ -122,9 +123,9 @@ class TestLimit:
         assert limit(F(0), F(1), F("0.5")) == F("0.5")
 
 
-def window_avg(trace: str, abstract_mode: bool):
-    """avg of the bundled queue spec on the trace text, concrete or abstract."""
-    ast = parse_spec(spec_text("queue"))
+def window_avg(trace: str, abstract_mode: bool, spec: str = spec_text("queue")):
+    """avg of the spec, the bundled queue one by default, on the trace text, concrete or abstract."""
+    ast = parse_spec(spec)
     if abstract_mode:
         ast = unroll(abstractify(ast))
     return evaluate_fixpoint(flatten(ast), parse_trace(trace).streams)["avg"]
@@ -167,6 +168,19 @@ class TestWindowIntegralLoads:
         queue = AbstractTimedQueue(F(10), ((F(10), Interval.single(F(2))),
                                            (F(11), Interval.single(F(1, 2)))))
         assert _integral_abstract(F(5))(queue, F(13)) == Interval.of(F("0.6"), F(1))
+
+    def test_a_queue_reaching_before_the_window_is_not_clamped(self):
+        # the clamp's bound (a - until + k)/k would be negative at a = 2
+        queue = AbstractTimedQueue(F(2), ((F(2), Interval.single(F(1, 2))),))
+        assert _integral_abstract(F(5))(queue, F(10)) is TOP
+        # stripping to 8 time units but integrating 5 keeps such queues
+        spec = spec_text("queue").replace("window_strip(5)", "window_strip(8)")
+        full = ("stream load : Real\n1: load = 0.5\n3: load = 0.5\n5: load = 0.5\n"
+                "12: load = 0.5\nprogress 14\n")
+        gapped = full.replace("3: load = 0.5\n", "3: gap load\n4: known load\n")
+        got = window_avg(gapped, True, spec)
+        assert got.stream.events[-1] == (F(12), TOP)
+        assert refinement_leq(AbstractEventStream.of(window_avg(full, False, spec)), got)
 
 
 # -- properties of the abstract integral ------------------------------------

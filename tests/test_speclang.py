@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 import pytest
 
-from gapstream.abstract import AbstractEventStream
+from gapstream.abstract import AbstractEventStream, refinement_leq
 from gapstream.builtin_specs import SPEC_NAMES, spec_text
 from gapstream.errors import (ArityMismatch, SpecSyntaxError, UnknownIdentifier,
                               UnsupportedRecursionShape)
@@ -13,7 +13,8 @@ from gapstream.speclang import (abstractify, check_well_formed,
                                 computation_depth, flatten, format_spec,
                                 parse_spec, unroll)
 from gapstream.streams import EventStream, Progress
-from gapstream.values import UNIT
+from gapstream.tracefile import parse_trace
+from gapstream.values import TOP, UNIT
 
 from conftest import reverse_chain_spec
 
@@ -100,6 +101,21 @@ class TestWellFormedness:
         assert report is not None
         fixed = unroll(ast)
         assert check_well_formed(flatten(fixed)) is None
+
+    def test_recursive_time_aware_last_unrolls_in_its_plain_form(self):
+        # last_time has no unroll halves, so a cycle through it is unrolled
+        # through last_abs over time_abs, the plain form it refines
+        spec = parse_spec("in r : Events[Unit]\n"
+                          "def t := merge(last(time(t), r), const(0)(r))\nout t\n")
+        gapped = parse_trace("stream r : Unit\n1: r = ()\n3: gap r\n4: known r\n"
+                             "5: r = ()\nprogress 8\n").streams
+        full = parse_trace("stream r : Unit\n1: r = ()\n3: r = ()\n"
+                           "5: r = ()\nprogress 8\n").streams
+        plain, timed = (evaluate_fixpoint(flatten(unroll(abstractify(spec, time_aware=aware))),
+                                          gapped)["t"] for aware in (False, True))
+        assert timed == plain and plain.at(F(5)) is TOP
+        concrete = evaluate_fixpoint(flatten(spec), full)["t"]
+        assert refinement_leq(AbstractEventStream.of(concrete), timed)
 
     def test_unrollable_limit(self):
         ast = parse_spec("in y : Events[Int]\ndef x := merge(x, y)\nout x\n")
