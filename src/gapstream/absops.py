@@ -275,17 +275,18 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
     return _extended(prev, events, gap_spans, prog)
 
 
-def _appended(prev: AbstractEventStream, events: list, prog: Progress) -> EventStream:
-    """prev's stream with the events appended and progress prog, its ticks carried.
+def _appended(prev: EventStream, events: list, prog: Progress) -> EventStream:
+    """prev with the events appended and progress prog, its ticks carried.
 
     Only the events are checked, as EventStream.of checks a whole stream:
     they ascend from prev's last tick and prog covers them.  prev's own
     events were checked when it was built.  With nothing appended and
-    prev's progress, it is prev's stream itself.
+    prev's progress, it is prev itself.  The concrete operators build
+    their outputs here too, appending to EventStream.empty().
     """
-    old = prev.stream.events
+    old = prev.events
     if not events and prog == prev.progress:
-        return prev.stream
+        return prev
     last = old[-1][0] if old else -1      # times are non-negative
     for t, _ in events:
         if not last < t:
@@ -293,7 +294,7 @@ def _appended(prev: AbstractEventStream, events: list, prog: Progress) -> EventS
         last = t
     if events and not prog.covers(last):
         raise OperatorError(f"event at {last} lies beyond progress {prog}")
-    ticks = prev.stream.ticks() + tuple(t for t, _ in events)
+    ticks = prev.ticks() + tuple(t for t, _ in events)
     return EventStream._with_ticks(old + tuple(events), prog, ticks)
 
 
@@ -311,7 +312,7 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
     for sp in gap_spans:
         if sp.lo < last or sp.lo == last and sp.lo_closed:
             raise OperatorError(f"gap {sp} reaches over the event at {last}")
-    stream = _appended(prev, events, prog)
+    stream = _appended(prev.stream, events, prog)
     gaps = TimeSet(prev.gaps.spans + tuple(gap_spans)) if gap_spans else prev.gaps
     for t, _ in events:
         if gaps.contains(t):
@@ -455,7 +456,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
                 j += 1
             if latest is not BOTTOM:
                 events.append((t, TOP if tainted else latest))
-    stream = _appended(prev, events, prog)
+    stream = _appended(prev.stream, events, prog)
     out = stream.ticks()
     for sp in gaps.spans:
         for t in out[bisect_left(out, sp.lo):bisect_right(out, sp.hi)]:

@@ -41,8 +41,9 @@ class LiftedFunction:
 
 def strict(f: Callable) -> Callable:
     def wrapped(*args):
-        if any(a is BOTTOM for a in args):
-            return BOTTOM
+        for a in args:
+            if a is BOTTOM:
+                return BOTTOM
         return f(*args)
 
     return wrapped

@@ -13,6 +13,12 @@ the gap-free streams that stand for its arguments: a gap-free abstract
 stream stands for exactly one concrete stream, and there the abstract sweep
 decides exactly what the concrete semantics does.
 
+As in absops, no operator checks its whole output with EventStream.of,
+which is left to the public boundary.  time keeps its input's ticks and
+progress, so its output is valid as the input is; lift, slift and last
+build theirs through absops._appended, which checks only the order and
+progress of the events they produce.  Each output carries its tick tuple.
+
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
 decided by the available input prefixes.
@@ -27,7 +33,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from . import absops
-from .absops import _delay_amount, _vbot_extent
+from .absops import _appended, _delay_amount, _vbot_extent
 from .abstract import AbstractEventStream
 from .errors import OperatorError
 from .streams import EventStream, Progress
@@ -43,9 +49,16 @@ def unit() -> EventStream:
     return EventStream.of(((0, UNIT),), Progress.infinite())
 
 
+_NOTHING = EventStream.empty()
+
+
 def time(s: EventStream) -> EventStream:
-    """Each event's timestamp as its payload, a Fraction like every parsed number."""
-    return EventStream.of(((t, Fraction(t)) for t, _ in s.events), s.progress)
+    """Each event's timestamp as its payload, a Fraction like every parsed number.
+
+    s's ticks and progress stay, so the output is valid as s is.
+    """
+    ticks = s.ticks()
+    return EventStream._with_ticks(tuple((t, Fraction(t)) for t in ticks), s.progress, ticks)
 
 
 def _covered_count(s: EventStream, prog: Progress) -> int:
@@ -58,7 +71,10 @@ def lift(f: Callable, *streams: EventStream) -> EventStream:
     if not streams:
         raise OperatorError("lift needs at least one stream")
     prog = min(s.progress for s in streams)
-    times = sorted({t for s in streams for t in s.ticks()[:_covered_count(s, prog)]})
+    if len(streams) == 1:
+        times = streams[0].ticks()     # a stream's progress covers its events
+    else:
+        times = sorted({t for s in streams for t in s.ticks()[:_covered_count(s, prog)]})
     events = []
     for t in times:
         out = f(*(s.at(t) for s in streams))
@@ -67,7 +83,7 @@ def lift(f: Callable, *streams: EventStream) -> EventStream:
         if out is UNKNOWN or out is GAP:
             raise OperatorError(f"lifted function produced {out!r} on concrete streams")
         events.append((t, out))
-    return EventStream.of(events, prog)
+    return _appended(_NOTHING, events, prog)
 
 
 def const(c) -> Callable[[EventStream], EventStream]:
@@ -113,7 +129,7 @@ def last(v: EventStream, r: EventStream) -> EventStream:
             prev = v.events[k - 1] if k else None
         if prev is not None:
             events.append((t, prev[1]))
-    return EventStream.of(events, max(main, _vbot_extent(v)))
+    return _appended(_NOTHING, events, max(main, _vbot_extent(v)))
 
 
 def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> EventStream:
@@ -177,4 +193,4 @@ def slift(f: Callable, *streams: EventStream) -> EventStream:
         if out is UNKNOWN or out is GAP:
             raise OperatorError(f"lifted function produced {out!r} on concrete streams")
         events.append((t, out))
-    return EventStream.of(events, prog)
+    return _appended(_NOTHING, events, prog)

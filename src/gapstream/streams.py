@@ -10,11 +10,13 @@ exclusive at t below inclusive at t, and infinity above both, so a prefix of
 a stream has the smaller progress.
 
 Streams are immutable; operators build new ones.  Fixed-point evaluation
-relies on comparing successive prefixes, so equality is structural.  The
-lookup indexes (tick tuple, tick-to-value dict) are built on first use and
-cached on the instance, or, for the tick tuple, handed over by the operator
-that built the stream; they are not fields, so equality and hashing ignore
-them.
+relies on comparing successive prefixes, so equality is structural; it
+compares the progress first, so successive prefixes of one stream, which
+differ mostly in progress, are told apart without comparing payloads.  The
+lookup index, the tick tuple that at, signal_value and last_event_before
+bisect, is built on first use and cached on the instance, or handed over
+by the operator that built the stream; it is not a field, so equality and
+hashing ignore it.
 """
 
 from __future__ import annotations
@@ -114,16 +116,22 @@ class EventStream:
     def _ticks(self) -> tuple:
         return tuple(t for t, _ in self.events)
 
-    @cached_property
-    def _values(self) -> dict:
-        return dict(self.events)
+    def __eq__(self, other):
+        # progress first; the dataclass still derives the field hash
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.progress == other.progress and self.events == other.events
 
     def at(self, t) -> object:
         """The paper-style three-way view: value, BOTTOM, or UNKNOWN."""
         t = as_time(t)
         if not self.progress.covers(t):
             return UNKNOWN
-        return self._values.get(t, BOTTOM)
+        ticks = self._ticks
+        i = bisect_left(ticks, t)
+        if i < len(ticks) and ticks[i] == t:
+            return self.events[i][1]
+        return BOTTOM
 
     def ticks(self) -> tuple:
         return self._ticks

@@ -13,6 +13,7 @@ from gapstream.encoded import synchronized
 from gapstream.errors import OperatorError
 from gapstream.streams import EventStream, Progress
 from gapstream.values import BOTTOM, TOP, UNIT, UNKNOWN
+from test_streams import _linear_at, _probe_times
 
 
 def ev(*pairs, prog=None):
@@ -287,3 +288,26 @@ class TestMonotoneFutureIndependent:
             if not a.progress.is_infinite() and not a.events else a
         out2 = op(ext_a, b)
         assert truncate(out2, prog).events == out.events
+
+
+CONCRETE_ROWS = [("time", lambda a, b, d: ops.time(a)),
+                 ("lift", lambda a, b, d: ops.lift(bump, a)),
+                 ("merge", lambda a, b, d: ops.merge(a, b)),
+                 ("const", lambda a, b, d: ops.const(F(7))(b)),
+                 ("slift", lambda a, b, d: ops.slift(lambda x, y: x + y, a, b)),
+                 ("last", lambda a, b, d: ops.last(a, b)),
+                 ("delay", lambda a, b, d: ops.delay(d, b))]
+
+
+class TestTrustedOutputs:
+    """Every concrete row builds what EventStream.of would, with its ticks carried."""
+
+    @given(event_streams(), event_streams(), event_streams(values=st.integers(1, 3)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_every_row(self, a, b, d):
+        for name, op in CONCRETE_ROWS:
+            out = op(a, b, d)
+            assert out.ticks() == tuple(t for t, _ in out.events), name
+            assert EventStream.of(out.events, out.progress) == out, name
+            for t in _probe_times(out):
+                assert out.at(t) == _linear_at(out, t), (name, t)

@@ -1,5 +1,7 @@
 """Stream core: three-way view, ticks, prefixes, signal values."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import event_streams
+from gapstream import ops
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF
 from gapstream.values import BOTTOM, UNIT, UNKNOWN
@@ -58,6 +61,16 @@ def _linear_at(s, t):
     return BOTTOM
 
 
+def _probe_times(s) -> list:
+    """s's ticks, the points between and just past them, its progress and beyond."""
+    ticks = s.ticks()
+    horizon = s.progress.time if s.progress.time is not INF else F(8)
+    probes = {F(0), horizon, horizon + 1, horizon + F(1, 3), *ticks}
+    probes.update(F(a + b, 2) for a, b in zip(ticks, ticks[1:]))
+    probes.update(t + F(1, 7) for t in ticks)
+    return sorted(probes)
+
+
 def _linear_before(s, t):
     best = None
     for et, v in s.events:
@@ -72,14 +85,8 @@ class TestIndexedLookups:
     @given(event_streams(max_events=6), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_agree_with_linear_scan(self, s, as_int):
-        ticks = [t for t, _ in s.events]
-        horizon = s.progress.time if s.progress.time is not INF else F(8)
-        probes = {F(0), horizon, horizon + 1, horizon + F(1, 3)}
-        probes.update(ticks)
-        probes.update(F(a + b, 2) for a, b in zip(ticks, ticks[1:]))
-        probes.update(t + F(1, 7) for t in ticks)
-        assert s.ticks() == tuple(ticks)
-        for t in sorted(probes):
+        assert s.ticks() == tuple(t for t, _ in s.events)
+        for t in _probe_times(s):
             probe = int(t) if as_int and t.denominator == 1 else F(t)
             assert s.at(probe) == _linear_at(s, t)
             assert s.last_event_before(probe) == _linear_before(s, t)
@@ -90,6 +97,51 @@ class TestIndexedLookups:
         b = ev((1, F(3)), (2, F(4)))
         a.at(2)
         assert a == b and hash(a) == hash(b)
+
+
+class TestEquality:
+    """Progress is compared first; equality and hashing stay structural."""
+
+    def test_progress_differs(self):
+        a = ev((1, F(2)), prog=Progress.exclusive(3))
+        b = ev((1, F(2)), prog=Progress.inclusive_at(3))
+        assert a != b and not a == b
+
+    def test_payload_differs(self):
+        assert ev((1, F(2))) != ev((1, F(3)))
+        assert ev((1, F(2))) != ev((2, F(2)))
+
+    def test_fraction_and_int_payloads(self):
+        a, b = ev((1, F(2))), ev((1, 2))
+        assert a == b and hash(a) == hash(b)
+
+    def test_other_types(self):
+        s = ev((1, F(2)))
+        assert s != (s.events, s.progress) and s != None  # noqa: E711
+
+    def test_operator_output_hashes_as_of(self):
+        built = ops.lift(lambda v: v + 1, ev((1, F(1)), (3, F(4)), prog=Progress.inclusive_at(5)))
+        given = ev((1, F(2)), (3, F(5)), prog=Progress.inclusive_at(5))
+        assert built == given and given == built
+        assert hash(built) == hash(given)
+        assert ops.time(given) == ev((1, F(1)), (3, F(3)), prog=Progress.inclusive_at(5))
+
+    @pytest.mark.parametrize("roundtrip", [copy.copy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_roundtrips(self, roundtrip):
+        of = ev((1, F(2)), (F(5, 2), F(1)), prog=Progress.exclusive(4))
+        built = ops.time(of)
+        for s in (of, built):
+            back = roundtrip(s)
+            assert back == s and hash(back) == hash(s)
+            assert back.ticks() == s.ticks() == (1, F(5, 2))
+
+    @given(event_streams(max_events=3), event_streams(max_events=3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_fields(self, a, b):
+        same = (a.events, a.progress) == (b.events, b.progress)
+        assert (a == b) is same and (a != b) is not same
+        if same:
+            assert hash(a) == hash(b)
 
 
 class TestPrefix:
