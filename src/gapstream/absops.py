@@ -11,8 +11,9 @@ progress still grows.
 All operators restricted to gap-free, TOP-free inputs coincide with their
 concrete counterparts, events and progress alike, whatever each input's
 progress; tests/test_absops.py TestEmbedding asserts that embedding.  The
-concrete delay is delay_abs on gap-free streams, so there it holds by
-construction, and the dense-time oracle of tests/test_ops.py checks it.
+concrete slift, last and delay are slift_abs, last_abs and delay_abs on
+gap-free streams, so there it holds by construction, and tests/test_ops.py
+checks them against the synchronized lift and the dense-time oracles.
 
 Every operator that decides its output atom by atom walks the same atoms,
 those _walk yields: the points (0, ticks, gap boundaries, progress) and the
@@ -26,10 +27,11 @@ of building the paper's synchronization, merge_abs(x, last_abs(x,
 others)) (encoded.synchronized); that composition is kept only for the
 encoded signal lift and as the test oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
-atoms at the pending timeouts; delay_abs is one forward pass, and ops.delay
-runs it on the gap-free streams that stand for its arguments.  last_abs
+atoms at the pending timeouts; delay_abs is one forward pass.  last_abs
 moves one pointer through the value stream's marks as the trigger ticks
-ascend.
+ascend (_last_values).  ops.slift, ops.last and ops.delay run slift_abs,
+last_abs and delay_abs on the gap-free streams that stand for their
+arguments, so the concrete rows resume as these do.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation).
@@ -49,7 +51,8 @@ part of it, and TimeSet joins the two gap spans.
 The history operators of an unrolled recursion resume too.  last_abs (and
 its value half last_abs_bot) takes prev's events and walks only the
 trigger ticks past prev's progress; its progress and gaps, all the gap half
-last_abs_gap needs, come from _last_frame by bisects, without a walk.
+last_abs_gap needs, come from _last_frame by bisects, without a walk, and
+without gaps in either argument from v's progress and first event alone.
 The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
 its sweep state lives in a holder its caller passes, one per pair of
 argument streams (speclang.Operator.stateful), the concrete delay's too.
@@ -175,15 +178,15 @@ def _carried(s: AbstractEventStream, since: Time) -> tuple:
     event; started holds if s has an event or a gap below since.  These are
     what _synchronized_atoms carries into the point atom at since.
     """
-    ticks = s.stream.ticks()
     spans = s.gaps.spans
-    j = bisect_left(ticks, since)
     k = bisect_left(spans, since, key=attrgetter("lo"))
-    latest = s.stream.events[j - 1][1] if j else BOTTOM
+    before = s.stream.last_event_before(since)
+    if before is None:
+        return BOTTOM, k > 0, k > 0
     # the last gap starting below since reaches past the latest event, if
     # it comes after it; an earlier one ends at or before that event
-    tainted = k > 0 and (not j or ticks[j - 1] < spans[k - 1].hi)
-    return latest, tainted, bool(j or k)
+    t, latest = before
+    return latest, k > 0 and t < spans[k - 1].hi, True
 
 
 def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0):
@@ -264,7 +267,7 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
                 gap_spans.append(Span(lo, True, lo, True))
             elif out is not BOTTOM:
                 if out is UNKNOWN:
-                    raise OperatorError("abstract lifted function produced unknown")
+                    raise OperatorError("lifted function produced unknown")
                 events.append((lo, out))
         elif out is GAP:
             gap_spans.append(Span(lo, False, hi, False))
@@ -389,13 +392,16 @@ def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
     cut counts the trigger ticks v's progress covers from below; the first
     one past it cuts the progress.  The point gaps are the trigger ticks
     after v's first gap point, up to and including v's first event: a gap
-    came before them, and no value.
+    came before them, and no value.  Without gaps in v or r there are none,
+    and v's progress and first event alone bound the progress.
     """
     ticks = r.stream.ticks()
     main = r.progress
     cut = bisect_right(ticks, v.progress.time)
     if cut < len(ticks):
         main = min(main, Progress.exclusive(ticks[cut]))
+    if not v.gaps.spans and not r.gaps.spans:
+        return max(main, _vbot_extent(v.stream)), TimeSet.empty(), cut
     first_gap = v.gaps.first_point()
     first_event = v.stream.events[0][0] if v.stream.events else INF
     point_gaps = ticks[bisect_right(ticks, first_gap):min(cut, bisect_right(ticks, first_event))]
@@ -417,17 +423,39 @@ def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
     return prog, gaps, cut
 
 
+def _last_values(v: AbstractEventStream, ticks: Sequence[Time]):
+    """Yield (t, v's latest value strictly before t) for the ascending ticks where v has one.
+
+    The value is TOP if a gap came after it.  _carried finds v's latest
+    value before the first tick and whether a gap came since it; from
+    there one pointer into v's marks up to the last tick follows the ticks.
+    """
+    if not ticks:
+        return
+    latest, tainted, _ = _carried(v, ticks[0])
+    marks = _marks(v, ticks[0], ticks[-1])
+    j = 0
+    for t in ticks:
+        while j < len(marks) and marks[j][0] < t:
+            _, cell, above = marks[j]
+            if cell is GAP:
+                tainted = True
+            elif cell is not BOTTOM:
+                latest, tainted = cell, False
+            tainted = tainted or above is GAP
+            j += 1
+        if latest is not BOTTOM:
+            yield t, TOP if tainted else latest
+
+
 def last_abs(v: AbstractEventStream, r: AbstractEventStream,
              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """Abstract last: TOP after a gap-tainted history, gaps inherited from r.
 
     Progress and gaps come from _last_frame.  prev, the output of last_abs
     or last_abs_bot on prefixes of the arguments (empty by default), gives
-    the events at the trigger ticks its progress covers, so only the later
-    ticks are walked.
-    _carried finds v's latest value before the first of them and whether a
-    gap came since it; from there one pointer into v's marks follows the
-    ascending ticks.
+    the events at the trigger ticks its progress covers, so _last_values
+    walks only the later ticks.
 
     _appended checks the new events.  The gaps are recomputed, not
     appended, so every event, prev's too, is checked against them: only
@@ -438,24 +466,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     if prog == prev.progress and prev.gaps == gaps:
         return prev
     ticks = r.stream.ticks()
-    events = []
-    todo = ticks[_covered(ticks, prev.progress):cut]
-    if todo:
-        since = todo[0]
-        latest, tainted, _ = _carried(v, since)
-        marks = _marks(v, since)
-        j = 0
-        for t in todo:
-            while j < len(marks) and marks[j][0] < t:
-                _, cell, above = marks[j]
-                if cell is GAP:
-                    tainted = True
-                elif cell is not BOTTOM:
-                    latest, tainted = cell, False
-                tainted = tainted or above is GAP
-                j += 1
-            if latest is not BOTTOM:
-                events.append((t, TOP if tainted else latest))
+    events = list(_last_values(v, ticks[_covered(ticks, prev.progress):cut]))
     stream = _appended(prev.stream, events, prog)
     out = stream.ticks()
     for sp in gaps.spans:
@@ -622,16 +633,19 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
 
     One walk over the arguments' atoms computes the cells of
     lift_abs(strict_cells(f_abs), *synchronized(streams, merge_abs,
-    last_abs)), the paper's definition, without building those streams.  As
-    for the concrete slift, the output progress is the least of the
-    arguments' progress: last_abs cuts its progress at a trigger tick above
-    x_i's own progress, so every synchronized stream's progress lies between
-    the least and x_i's.  Like lift_abs, the walk starts at prev's progress
-    time, with each argument's state there taken from _carried.
+    last_abs)), the paper's definition, without building those streams.
+    The output progress is the least of the arguments' progress: last_abs
+    cuts its progress at a trigger tick above x_i's own progress, so every
+    synchronized stream's progress lies between the least and x_i's.  Like
+    lift_abs, the walk starts at prev's progress time, with each argument's
+    state there taken from _carried; if that progress is the output's, the
+    output is prev, found before any state is.
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
+    if prog == prev.progress:
+        return prev
     since = prev.progress.time
     state = [list(column) for column in zip(*(_carried(s, since) for s in streams))]
     atoms = _synchronized_atoms(_walk(streams, prog, since), state)

@@ -1,23 +1,29 @@
 """Core operators on concrete event streams.
 
 The six primitives are nil, unit, time, lift, last and delay; const and
-merge are derived from them.  The signal lift slift is one time-ordered walk
-over its arguments' ticks, as is its abstract counterpart absops.slift_abs
-over their atoms.  The paper's composition, lift over
-encoded.synchronized(streams, merge, last), is the specification and test
-oracle of both walks; only the encoded signal lift builds it.  Every
-operator returns the longest prefix of its semantic result that is decided
-by the inputs' progress, so outputs grow monotonically as inputs grow,
-which is what fixed-point evaluation needs.  delay is absops.delay_abs on
-the gap-free streams that stand for its arguments: a gap-free abstract
-stream stands for exactly one concrete stream, and there the abstract sweep
-decides exactly what the concrete semantics does.
+merge are derived from them, and slift is the signal lift.  Every operator
+returns the longest prefix of its semantic result that is decided by the
+inputs' progress, so outputs grow monotonically as inputs grow, which is
+what fixed-point evaluation needs.
+
+A gap-free abstract stream stands for exactly one concrete stream, and there
+the abstract operators decide exactly what the concrete semantics does.  So
+slift, last and delay are absops.slift_abs, absops.last_abs and
+absops.delay_abs on the gap-free streams that stand for their arguments,
+and resume as those do.  lift (and so merge and const) keeps its own walk
+over the arguments' ticks, calling f only there, which the encoded path
+relies on; it resumes from prev, its output on prefixes of the arguments,
+and walks only the ticks past prev's progress, as time maps only the ticks
+past prev's events.  So every concrete row that walks its history resumes
+(speclang.Operator.resumes and stateful).  The
+paper's signal lift, lift over encoded.synchronized(streams, merge, last),
+is the specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
 which is left to the public boundary.  time keeps its input's ticks and
-progress, so its output is valid as the input is; lift, slift and last
-build theirs through absops._appended, which checks only the order and
-progress of the events they produce.  Each output carries its tick tuple.
+progress, so its output is valid as the input is; lift builds its output
+through absops._appended, which checks only the order and progress of the
+events it appends.  Each output carries its tick tuple.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -26,14 +32,11 @@ decided by the available input prefixes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Optional
 
 from . import absops
-from .absops import _appended, _delay_amount, _vbot_extent
+from .absops import _appended, _covered, _delay_amount
 from .abstract import AbstractEventStream
 from .errors import OperatorError
 from .streams import EventStream, Progress
@@ -52,29 +55,43 @@ def unit() -> EventStream:
 _NOTHING = EventStream.empty()
 
 
-def time(s: EventStream) -> EventStream:
+def _gap_free(s: EventStream) -> AbstractEventStream:
+    """The abstract stream with no gaps that stands for s alone."""
+    return AbstractEventStream(s, TimeSet.empty())
+
+
+def time(s: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """Each event's timestamp as its payload, a Fraction like every parsed number.
 
-    s's ticks and progress stay, so the output is valid as s is.
+    s's ticks and progress stay, so the output is valid as s is.  prev,
+    time's output on a prefix of s (empty by default), holds the first of
+    those events, so only the later ticks are mapped.
     """
     ticks = s.ticks()
-    return EventStream._with_ticks(tuple((t, Fraction(t)) for t in ticks), s.progress, ticks)
+    events = prev.events + tuple((t, Fraction(t)) for t in ticks[len(prev.events):])
+    return EventStream._with_ticks(events, s.progress, ticks)
 
 
-def _covered_count(s: EventStream, prog: Progress) -> int:
-    """How many of s's events prog covers."""
-    cut = bisect_right if prog.inclusive else bisect_left
-    return cut(s.ticks(), prog.time)
+def lift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
+    """f of the arguments' values at each tick any of them has, no event where f gives BOTTOM.
 
-
-def lift(f: Callable, *streams: EventStream) -> EventStream:
+    prev, lift's output on prefixes of the streams (empty by default),
+    gives the events at the ticks its progress covers, so only the later
+    ticks are walked.
+    """
     if not streams:
         raise OperatorError("lift needs at least one stream")
     prog = min(s.progress for s in streams)
+    done = prev.progress
     if len(streams) == 1:
-        times = streams[0].ticks()     # a stream's progress covers its events
+        ticks = streams[0].ticks()     # a stream's progress covers its events
+        times = ticks[_covered(ticks, done):]
     else:
-        times = sorted({t for s in streams for t in s.ticks()[:_covered_count(s, prog)]})
+        fresh = set()
+        for s in streams:
+            ticks = s.ticks()
+            fresh.update(ticks[_covered(ticks, done):_covered(ticks, prog)])
+        times = sorted(fresh)
     events = []
     for t in times:
         out = f(*(s.at(t) for s in streams))
@@ -83,12 +100,12 @@ def lift(f: Callable, *streams: EventStream) -> EventStream:
         if out is UNKNOWN or out is GAP:
             raise OperatorError(f"lifted function produced {out!r} on concrete streams")
         events.append((t, out))
-    return _appended(_NOTHING, events, prog)
+    return _appended(prev, events, prog)
 
 
 def const(c) -> Callable[[EventStream], EventStream]:
-    def apply(a: EventStream) -> EventStream:
-        return lift(lambda v: BOTTOM if v is BOTTOM else c, a)
+    def apply(a: EventStream, prev: EventStream = _NOTHING) -> EventStream:
+        return lift(lambda v: BOTTOM if v is BOTTOM else c, a, prev=prev)
 
     return apply
 
@@ -100,36 +117,18 @@ def _merge_values(*vals):
     return BOTTOM
 
 
-def merge(*streams: EventStream) -> EventStream:
+def merge(*streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """Combine events, earlier arguments taking precedence at shared timestamps."""
-    return lift(_merge_values, *streams)
+    return lift(_merge_values, *streams, prev=prev)
 
 
-def last(v: EventStream, r: EventStream) -> EventStream:
+def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """At each trigger event on r, the most recent prior value on v.
 
-    The trigger ticks ascend, so one pointer into v's events follows them:
-    the first tick is looked up with one bisect, and each later one moves
-    the pointer forward past v's events below it.
+    This is absops.last_abs on the gap-free streams that stand for v, r
+    and prev, which resumes from prev as it does.
     """
-    main = r.progress
-    events = []
-    v_ticks = v.ticks()
-    k = None        # how many of v's events lie strictly before t
-    for t in r.ticks():
-        if not v.progress.covers_below(t):
-            main = min(main, Progress.exclusive(t))
-            break
-        if k is None:
-            prev = v.last_event_before(t)
-            k = 0 if prev is None else bisect_right(v_ticks, prev[0])
-        else:
-            while k < len(v_ticks) and v_ticks[k] < t:
-                k += 1
-            prev = v.events[k - 1] if k else None
-        if prev is not None:
-            events.append((t, prev[1]))
-    return _appended(_NOTHING, events, max(main, _vbot_extent(v)))
+    return absops.last_abs(_gap_free(v), _gap_free(r), prev=_gap_free(prev)).stream
 
 
 def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> EventStream:
@@ -149,48 +148,22 @@ def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> Event
         if _delay_amount(val, t) == "any":
             raise OperatorError(f"concrete delay amount at {t} must be known, got {val!r}")
     holder["checked"] = len(d.events)
-    gap_free = TimeSet.empty()
-    return absops.delay_abs(AbstractEventStream(d, gap_free), AbstractEventStream(r, gap_free),
-                            state=holder).stream
+    return absops.delay_abs(_gap_free(d), _gap_free(r), state=holder).stream
 
 
-def slift(f: Callable, *streams: EventStream) -> EventStream:
+def slift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """Signal lift: apply f to every argument's latest value at each tick.
 
-    One walk, in time order, over the arguments' ticks that the output
-    progress covers carries each argument's latest value.  Once every
-    argument has one, each tick yields f of them, and no event where f gives
-    BOTTOM.  This equals lift of the strict f over
-    encoded.synchronized(streams, merge, last), the paper's definition,
-    without building those streams.
-
-    That composition's progress is the least of the arguments' progress p_i.
-    Synchronized stream i is decided up to min(p_i, max(m_i, v)), where v is
-    x_i's _vbot_extent and m_i, the progress of last(x_i, trigger_i), is the
-    other arguments' least progress, cut exclusive at the first trigger tick
-    above p_i.  That cut lies above p_i, so each synchronized stream's
-    progress lies between the least p_j and p_i.
+    Once every argument has a value, each tick any of them has yields f of
+    their latest values, and no event where f gives BOTTOM.  This is
+    absops.slift_abs on the gap-free streams that stand for the arguments
+    and prev, which resumes from prev as it does; there f meets no GAP or
+    TOP, so a gap is one f gave itself, and is rejected, as slift_abs
+    rejects UNKNOWN.
     """
     if not streams:
         raise OperatorError("slift needs at least one stream")
-    prog = min(s.progress for s in streams)
-    ticks = sorted([(t, i, v) for i, s in enumerate(streams)
-                    for t, v in s.events[:_covered_count(s, prog)]],
-                   key=itemgetter(0))
-    latest = [BOTTOM] * len(streams)
-    missing = len(streams)
-    events = []
-    for t, group in groupby(ticks, itemgetter(0)):
-        for _, i, v in group:
-            if latest[i] is BOTTOM:
-                missing -= 1
-            latest[i] = v
-        if missing:
-            continue
-        out = f(*latest)
-        if out is BOTTOM:
-            continue
-        if out is UNKNOWN or out is GAP:
-            raise OperatorError(f"lifted function produced {out!r} on concrete streams")
-        events.append((t, out))
-    return _appended(_NOTHING, events, prog)
+    out = absops.slift_abs(f, *map(_gap_free, streams), prev=_gap_free(prev))
+    if out.gaps.spans:
+        raise OperatorError(f"lifted function produced {GAP!r} on concrete streams")
+    return out.stream

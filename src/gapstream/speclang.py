@@ -107,14 +107,15 @@ class Operator:
 OPERATORS: Dict[str, Operator] = {
     "nil": Operator("nil", 0, 0, abstract="nil_abs"),
     "unit": Operator("unit", 0, 0, abstract="unit_abs"),
-    "time": Operator("time", 1, 1, abstract="time_abs"),
-    "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True),
+    "time": Operator("time", 1, 1, abstract="time_abs", resumes=True),
+    "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True,
+                     resumes=True),
     "delay": Operator("delay", 2, 2, guarded=(0,), abstract="delay_abs", history=True,
                       stateful=True),
-    "merge": Operator("merge", 1, None, abstract="merge_abs"),
-    "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs"),
-    "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs"),
-    "const": Operator("const", 1, 1, takes="lit", abstract="const_abs"),
+    "merge": Operator("merge", 1, None, abstract="merge_abs", resumes=True),
+    "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs", resumes=True),
+    "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs", resumes=True),
+    "const": Operator("const", 1, 1, takes="lit", abstract="const_abs", resumes=True),
     "nil_abs": Operator("nil_abs", 0, 0, encode="_enc_nil"),
     "unit_abs": Operator("unit_abs", 0, 0, encode="_enc_unit"),
     "time_abs": Operator("time_abs", 1, 1, encode="_enc_time"),

@@ -37,6 +37,10 @@ class _Marker:
     def __copy__(self):
         return self
 
+    def __reduce__(self):
+        # pickled by its module-level name, so unpickling gives this marker
+        return self.name.upper()
+
 
 UNIT = _Marker("unit")
 BOTTOM = _Marker("bottom")

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (PROGRESS_KINDS, abstract_streams, event_streams, flat_join,
-                      member_of_gamma, period_trace, unit_streams)
+                      member_of_gamma, period_trace)
 from enumeration import check_perfect, check_sound, image_streams
 from gapstream import absops as A
 from gapstream import ops
@@ -368,10 +368,6 @@ EMBEDDINGS = {
              lambda s: ops.lift(lookup("inc").concrete, s), (event_streams(),)),
     "merge": (A.merge_abs, ops.merge, (event_streams(), event_streams())),
     "const": (A.const_abs(F(5)), ops.const(F(5)), (event_streams(),)),
-    "last": (A.last_abs, ops.last, (event_streams(), unit_streams())),
-    "slift": (lambda v, r: A.slift_abs(lookup("add").abstract_cells, v, A.time_abs(r)),
-              lambda v, r: ops.slift(lambda a, b: a + b, v, ops.time(r)),
-              (event_streams(), unit_streams())),
 }
 
 
@@ -380,8 +376,9 @@ class TestEmbedding:
 
     Every argument's progress is drawn exclusive, inclusive or infinite on
     its own, and the outputs agree in events and progress.  The concrete
-    delay is delay_abs on such inputs, so it has no case here; its own
-    dense-time oracle (tests/test_ops.py) checks both.
+    slift, last and delay are slift_abs, last_abs and delay_abs on such
+    inputs, so they have no case here; tests/test_ops.py checks them
+    against the synchronized lift and the dense-time oracles.
     """
 
     @pytest.mark.parametrize("name", list(EMBEDDINGS))

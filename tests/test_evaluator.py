@@ -180,13 +180,13 @@ class TestSchedule:
         calls = {"time": 0, "cond": 0, "sum": 0}
         time, slift = ops.time, ops.slift
 
-        def counting_time(*args):
+        def counting_time(*args, **kwargs):
             calls["time"] += 1
-            return time(*args)
+            return time(*args, **kwargs)
 
-        def counting_slift(f, *streams):
+        def counting_slift(f, *streams, **kwargs):
             calls["cond" if len(streams) == 2 else "sum"] += 1
-            return slift(f, *streams)
+            return slift(f, *streams, **kwargs)
 
         monkeypatch.setattr(ops, "time", counting_time)
         monkeypatch.setattr(ops, "slift", counting_slift)
@@ -703,6 +703,49 @@ class TestConcreteDelayResumes:
             evaluate_fixpoint(self.GRAPH, parse_trace(period_trace(n, lost=False)).streams)
             counts.append(len(atoms))
         assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+def reset_sum_trace(n: int) -> str:
+    """A reset-sum trace of n values, one every two time units, with a reset at every seventh."""
+    lines = ["stream values : Int", "stream resets : Unit"]
+    for i in range(n):
+        lines.append(f"{2 * i + 1}: values = {1 + i % 9}")
+        if i % 7 == 0:
+            lines.append(f"{2 * i + 1}: resets = ()")
+    return "\n".join(lines + [f"progress {2 * n + 1}"]) + "\n"
+
+
+class TestConcreteResetSumWork:
+    """The concrete slift and last resume, so over one offline fixed point of
+    reset-sum, which takes about n sweeps, the trigger ticks last_abs walks
+    and the atoms slift_abs synchronizes grow with n, not with n squared."""
+
+    def test_walks_grow_about_linearly(self, monkeypatch):
+        ticks, atoms = [], []
+        last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
+
+        def counting_ticks(v, walked):
+            ticks.append(len(walked))
+            return last_values(v, walked)
+
+        def counting_atoms(*args):
+            for atom in synchronized_atoms(*args):
+                atoms.append(1)
+                yield atom
+
+        monkeypatch.setattr(absops, "_last_values", counting_ticks)
+        monkeypatch.setattr(absops, "_synchronized_atoms", counting_atoms)
+        counts = []
+        for n in (40, 80):
+            ticks.clear()
+            atoms.clear()
+            env = evaluate_fixpoint(RESET_SUM_GRAPHS["concrete"],
+                                    parse_trace(reset_sum_trace(n)).streams)
+            assert env["__sweeps__"] > n
+            counts.append((sum(ticks), len(atoms)))
+        (ticks_n, atoms_n), (ticks_2n, atoms_2n) = counts
+        assert 0 < ticks_2n <= 2.5 * ticks_n, counts
+        assert 0 < atoms_2n <= 2.5 * atoms_n, counts
 
 
 class TestSelfUpdatingWindow:

@@ -311,3 +311,31 @@ class TestTrustedOutputs:
             assert EventStream.of(out.events, out.progress) == out, name
             for t in _probe_times(out):
                 assert out.at(t) == _linear_at(out, t), (name, t)
+
+
+_CUTS = st.tuples(PROGRESS_KINDS, st.sampled_from([F(k, 2) for k in range(15)]))
+RESUMING_ROWS = [("time", lambda a, b, **kw: ops.time(a, **kw)),
+                 ("lift", lambda a, b, **kw: ops.lift(bump, a, **kw)),
+                 ("merge", lambda a, b, **kw: ops.merge(a, b, **kw)),
+                 ("const", lambda a, b, **kw: ops.const(F(7))(b, **kw)),
+                 ("slift", lambda a, b, **kw: ops.slift(lambda x, y: x + y, a, b, **kw)),
+                 ("last", lambda a, b, **kw: ops.last(a, b, **kw))]
+
+
+def cut_at(s: EventStream, cut) -> EventStream:
+    kind, at = cut
+    return truncate(s, Progress.infinite() if kind == "inf" else Progress(at, kind == "incl"))
+
+
+class TestResume:
+    """Every resuming concrete row, resumed from its own output on cut
+    arguments, gives what a fresh call gives."""
+
+    @given(event_streams(), event_streams(), _CUTS, _CUTS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_resumed_equals_fresh(self, a, b, cut_a, cut_b):
+        pa, pb = cut_at(a, cut_a), cut_at(b, cut_b)
+        for name, op in RESUMING_ROWS:
+            resumed = op(a, b, prev=op(pa, pb))
+            assert resumed == op(a, b), name
+            assert resumed.ticks() == tuple(t for t, _ in resumed.events), name

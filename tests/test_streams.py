@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import event_streams
 from gapstream import ops
+from gapstream.abstract import AbstractEventStream
 from gapstream.streams import EventStream, Progress
-from gapstream.timeline import INF
-from gapstream.values import BOTTOM, UNIT, UNKNOWN
+from gapstream.timeline import INF, Span, TimeSet
+from gapstream.values import BOTTOM, TOP, UNIT, UNKNOWN
 
 
 def ev(*pairs, prog=None):
@@ -130,10 +131,16 @@ class TestEquality:
     def test_roundtrips(self, roundtrip):
         of = ev((1, F(2)), (F(5, 2), F(1)), prog=Progress.exclusive(4))
         built = ops.time(of)
-        for s in (of, built):
+        units = ev((1, UNIT), (F(5, 2), UNIT), prog=Progress.exclusive(4))
+        tops = AbstractEventStream.of(ev((1, TOP), (F(5, 2), F(1)), prog=Progress.exclusive(4)),
+                                      TimeSet.of(Span(F(3, 2), True, 2, False)))
+        for s in (of, built, units, tops):
             back = roundtrip(s)
             assert back == s and hash(back) == hash(s)
             assert back.ticks() == s.ticks() == (1, F(5, 2))
+        # the markers are singletons, compared by identity
+        assert roundtrip(units).events[0][1] is UNIT
+        assert roundtrip(tops).stream.events[0][1] is TOP
 
     @given(event_streams(max_events=3), event_streams(max_events=3))
     @settings(max_examples=150, deadline=None, derandomize=True)
