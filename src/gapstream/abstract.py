@@ -44,11 +44,13 @@ class AbstractEventStream:
     def of(stream: EventStream, gaps: TimeSet = None) -> "AbstractEventStream":
         """The stream with its gaps cut to its progress, checked whole.
 
-        This is the validator at the public boundary only: inputs, parsed
-        traces, online messages and user code.  No event may lie in a gap.
-        The absops operators do not call it on their output: each checks
-        only what it adds to streams already checked (absops._extended and
-        absops._appended), or builds an output valid by construction.
+        This is the validator at the public boundary only: inputs that
+        user code builds.  No event may lie in a gap.  InputBuilder, which
+        builds parsed traces and online inputs, checks each directive as it
+        comes instead.  The absops operators do not call it on their
+        output: each checks only what it adds to streams already checked
+        (absops._extended and absops._appended), or builds an output valid
+        by construction.
         """
         gaps = (gaps or TimeSet.empty()).intersect(covered_span(stream.progress))
         for t, _ in stream.events:
@@ -95,6 +97,12 @@ class InputBuilder:
     open after the event.  A gap start inside an open gap is an error, and
     so is a gap end with no open gap.  Times must be canonical (as_time).
     Errors name no line or stream; the caller adds that context.
+
+    stream() returns the same object until a directive changes the input,
+    and builds the next one from the last: new events extend its event and
+    tick tuples, and a progress alone reuses them.  Each directive checks
+    what it adds, so no stream is checked whole: events ascend and never
+    lie in a gap.
     """
 
     def __init__(self):
@@ -104,6 +112,8 @@ class InputBuilder:
         # the progress, unpacked: every directive compares against it
         self._time: ExtTime = 0
         self._inclusive = False
+        self._base = EventStream.empty()    # the event stream last built
+        self._built: Optional[tuple] = None     # (abstract, stream) since the last change
 
     @property
     def progress(self) -> Progress:
@@ -118,6 +128,7 @@ class InputBuilder:
             raise OutOfOrderInput(f"{kind} at {t} is out of order: the progress "
                                   f"{self.progress} already decides that time")
         self._time, self._inclusive = t, inclusive
+        self._built = None
 
     def event(self, t: Time, v) -> None:
         self._decide("event", t, True)
@@ -143,18 +154,36 @@ class InputBuilder:
         if progress < self.progress:
             raise OutOfOrderInput(
                 f"watermark moved backwards to {progress} from {self.progress}")
-        self._time, self._inclusive = progress.time, progress.inclusive
+        if progress != self.progress:
+            self._time, self._inclusive = progress.time, progress.inclusive
+            self._built = None
 
     def stream(self, abstract: bool):
         """The stream received so far: an EventStream, or with `abstract`
         an AbstractEventStream whose open gap runs to the progress."""
-        base = EventStream(tuple(self.events), self.progress)
-        if not abstract:
-            return base
-        spans = self.gap_spans
-        if self.open_gap is not None:
-            spans = spans + [Span(*self.open_gap, INF, False)]
-        return AbstractEventStream.of(base, TimeSet(spans))
+        built = self._built
+        if built is not None and built[0] == abstract:
+            return built[1]
+        base, progress = self._base, self.progress
+        old = len(base.events)
+        if not old:
+            # a parsed trace builds each input once: its tick index is
+            # built on first use, by the operator that needs it
+            base = EventStream(tuple(self.events), progress)
+        elif old < len(self.events):
+            new = tuple(self.events[old:])
+            base = EventStream._with_ticks(base.events + new, progress,
+                                           base.ticks() + tuple(t for t, _ in new))
+        elif base.progress != progress:
+            base = EventStream._with_ticks(base.events, progress, base.ticks())
+        self._base = s = base
+        if abstract:
+            spans = self.gap_spans
+            if self.open_gap is not None:
+                spans = spans + [Span(*self.open_gap, INF, False)]
+            s = AbstractEventStream(base, TimeSet(spans).intersect(covered_span(progress)))
+        self._built = (abstract, s)
+        return s
 
 
 def value_leq(a, b) -> bool:

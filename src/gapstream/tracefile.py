@@ -40,7 +40,7 @@ from .errors import TraceError, UndeclaredStream
 from .speclang import STREAM_TYPES
 from .streams import EventStream, Progress
 from .timeline import INF, NEG_INF, Time, TimeSet, as_time
-from .values import TOP, UNIT, Interval
+from .values import TOP, UNIT, Interval, typed_payload
 
 
 @dataclass
@@ -75,35 +75,28 @@ def _parse_time(text: str, lineno: int) -> Time:
         raise TraceError(f"line {lineno}: bad timestamp '{text}'")
 
 
+_WORDS = {"#top": TOP, "()": UNIT, "true": True, "false": False}
+
+
 def _parse_value(text: str, ty: str, lineno: int):
+    """The payload a value text denotes, checked against the stream type
+    by values.typed_payload, the rule online messages follow too."""
     text = text.strip()
-    if text == "#top":
-        if ty == "Interval":
-            return Interval.top()
-        return TOP
-    if ty == "Unit":
-        if text == "()":
-            return UNIT
-        raise TraceError(f"line {lineno}: unit stream takes '()', got '{text}'")
-    if ty in ("Bool", "AbsBool"):
-        if text in ("true", "false"):
-            return text == "true"
-        raise TraceError(f"line {lineno}: bad boolean '{text}'")
-    if ty == "Interval":
-        m = re.fullmatch(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]", text)
-        if m:
-            lo, hi = _parse_bound(m.group(1), lineno), _parse_bound(m.group(2), lineno)
-            try:
-                return Interval.of(lo, hi)
-            except ValueError as e:
-                raise TraceError(f"line {lineno}: bad interval '{text}': {e}")
-        return Interval.single(_parse_number(text, lineno))
-    if ty in ("Int", "Real"):
+    if text in _WORDS:
+        v = _WORDS[text]
+    elif ty == "Interval" and (
+            m := re.fullmatch(r"\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]", text)):
+        lo, hi = _parse_bound(m.group(1), lineno), _parse_bound(m.group(2), lineno)
+        try:
+            v = Interval.of(lo, hi)
+        except ValueError as e:
+            raise TraceError(f"line {lineno}: bad interval '{text}': {e}")
+    else:
         v = _parse_number(text, lineno)
-        if ty == "Int" and v.denominator != 1:
-            raise TraceError(f"line {lineno}: integer stream got '{text}'")
-        return v
-    raise TraceError(f"line {lineno}: unhandled type {ty}")
+    try:
+        return typed_payload(v, ty)
+    except TraceError as e:
+        raise TraceError(f"line {lineno}: {e}") from None
 
 
 def _parse_number(text: str, lineno: int) -> Fraction:

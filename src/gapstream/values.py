@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .errors import TraceError
 from .timeline import INF, NEG_INF, _Infinity
 
 
@@ -128,3 +129,36 @@ def value_eq(a, b) -> bool:
         and isinstance(b, (int, Fraction))
         and a == b
     )
+
+
+def typed_payload(v, ty: str):
+    """v as an event payload of an input of stream type ty.
+
+    The one rule that trace files and online messages follow.  TOP fits
+    every type, as the top interval on Interval.  Int takes an integral int
+    or Fraction, Real any int or Fraction, Interval an Interval or a number
+    as its point, Bool and AbsBool a bool, and Unit only UNIT.  A float fits
+    no type, since it is not exact.  Raises TraceError naming no line or
+    stream; the caller adds that context.
+    """
+    # exact type tests: bool is no number here, and an isinstance test
+    # against Fraction, an abstract-base subclass, is slow on a miss
+    if v is TOP:
+        return Interval.top() if ty == "Interval" else TOP
+    if ty == "Unit":
+        if v is UNIT:
+            return v
+    elif ty == "Bool" or ty == "AbsBool":
+        if v is True or v is False:
+            return v
+    elif ty == "Int" or ty == "Real" or ty == "Interval":
+        if type(v) is int or type(v) is Fraction:
+            if ty == "Interval":
+                return Interval.single(v)
+            if ty == "Real" or v.denominator == 1:
+                return v
+        elif ty == "Interval" and type(v) is Interval:
+            return v
+    else:
+        raise TraceError(f"unhandled type {ty}")
+    raise TraceError(f"{ty} stream cannot take the payload {v!r}")

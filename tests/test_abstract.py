@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import abstract_streams, flat_join, member_of_gamma
-from gapstream.abstract import (AbstractEventStream, FiniteUniverse, abstract_of,
-                                concretize, refinement_leq, value_join, value_leq)
-from gapstream.errors import BudgetExceeded
+from gapstream.abstract import (AbstractEventStream, FiniteUniverse, InputBuilder,
+                                abstract_of, concretize, refinement_leq, value_join,
+                                value_leq)
+from gapstream.errors import BudgetExceeded, OutOfOrderInput
 from gapstream.streams import EventStream, Progress
-from gapstream.timeline import Span, TimeSet
+from gapstream.timeline import INF, Span, TimeSet
 from gapstream.values import TOP, Interval
 
 UNI = FiniteUniverse.of(grid=(F(1), F(2), F(3)), values=(F(0), F(1)))
@@ -161,3 +162,75 @@ class TestValueOrder:
         assert value_join(F(0), F(2)) == Interval.of(0, 2)
         assert value_join(True, False) is TOP
         assert value_join(F(1), F(1)) == F(1)
+
+
+def _from_scratch(b: InputBuilder, abstract: bool):
+    """The builder's stream built whole from its directives' record, and
+    checked whole."""
+    base = EventStream.of(b.events, b.progress)
+    if not abstract:
+        return base
+    spans = list(b.gap_spans)
+    if b.open_gap is not None:
+        spans.append(Span(*b.open_gap, INF, False))
+    return AbstractEventStream.of(base, TimeSet(spans))
+
+
+@st.composite
+def directives(draw):
+    """Events, progress, gap starts and gap ends at int and half-unit
+    times, mostly in order; an event inside an open gap punches it.  A
+    directive out of order is rejected and must leave no trace."""
+    out, t, in_gap = [], F(0), False
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["event", "event", "progress", "gap_end" if in_gap else "gap_start"]
+        kind = draw(st.sampled_from(kinds))
+        t += draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+        if kind == "progress" and draw(st.integers(0, 9)) == 0:
+            out.append(("progress", INF))
+            break
+        out.append((kind, t))
+        in_gap = kind == "gap_start" or in_gap and kind != "gap_end"
+    return out
+
+
+class TestInputBuilder:
+    """stream() extends the last stream it built; it equals the stream
+    built whole after every directive, and is the same object until the
+    next one."""
+
+    @pytest.mark.parametrize("abstract", [False, True])
+    @given(run=directives())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_stream_built_whole(self, abstract, run):
+        b = InputBuilder()
+        last = b.stream(abstract)
+        for kind, t in run:
+            if not abstract and kind.startswith("gap"):
+                continue
+            try:
+                if kind == "event":
+                    b.event(t, TOP if t.denominator != 1 else t)
+                elif kind == "progress":
+                    b.advance(Progress(t, t is not INF))
+                else:
+                    getattr(b, kind)(t)
+            except OutOfOrderInput:
+                assert b.stream(abstract) is last, (kind, t)
+                continue
+            s = b.stream(abstract)
+            assert s == _from_scratch(b, abstract), (kind, t)
+            assert s.ticks() == tuple(t for t, _ in b.events)
+            assert b.stream(abstract) is s
+            last = s
+
+    def test_repeated_progress_keeps_the_stream(self):
+        b = InputBuilder()
+        b.event(1, F(1))
+        b.advance(Progress.inclusive_at(3))
+        s = b.stream(True)
+        b.advance(Progress.inclusive_at(3))
+        assert b.stream(True) is s
+        b.advance(Progress.inclusive_at(4))
+        assert b.stream(True) is not s
+        assert b.stream(True).stream.events is s.stream.events

@@ -1,5 +1,6 @@
 """Fixed-point and online evaluation."""
 
+import functools
 import random
 import re
 from fractions import Fraction as F
@@ -375,6 +376,47 @@ class TestOnline:
         # the rejected message left no trace
         assert ev.state["values"].events == []
 
+    @pytest.mark.parametrize("value", [0.1, F(5, 2), "3"])
+    def test_payload_not_of_the_declared_type_is_typed(self, value):
+        # values is Int, as a trace file's `1: values = 0.1` is rejected
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        ev.feed(Message.event("values", 1, F(1)))
+        with pytest.raises(TraceError) as e:
+            ev.feed(Message.event("values", 2, value))
+        assert "'values'" in str(e.value) and "Int" in str(e.value)
+        # the rejected message left no trace
+        assert ev.state["values"].events == [(1, F(1))]
+
+    @pytest.mark.parametrize("ty, text, value", [
+        ("Int", "2", F(2)), ("Int", "0.5", F(1, 2)), ("Int", "#top", TOP),
+        ("Real", "0.5", F(1, 2)), ("Unit", "()", UNIT), ("Unit", "3", F(3)),
+        ("Bool", "true", True), ("AbsBool", "1", F(1)), ("Interval", "2", F(2)),
+        ("Interval", "#top", TOP)])
+    def test_payload_rule_is_the_trace_files(self, ty, text, value):
+        g = flatten(abstractify(parse_spec(f"in x : Events[{ty}]\ndef y := merge(x)\nout y\n")))
+        try:
+            want = parse_trace(f"stream x : {ty}\n1: x = {text}\nprogress 1\n").streams["x"]
+            want = evaluator._embed(want, "abstract")
+        except TraceError:
+            want = None
+        ev = OnlineEvaluator(g)
+        try:
+            ev.feed(Message.event("x", 1, value))
+            got = ev.env["x"]
+        except TraceError:
+            got = None
+        assert got == want
+
+    def test_abstract_payload_on_concrete_input_is_typed(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        with pytest.raises(TraceError, match="'values'"):
+            ev.feed(Message.event("values", 1, TOP))
+
+    def test_non_message_fed_is_typed(self):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        with pytest.raises(TraceError, match="tuple"):
+            ev.feed(("event", "values", 1, 2))
+
     def test_unknown_stream_rejected(self):
         g = flatten(APP_A)
         ev = OnlineEvaluator(g)
@@ -746,6 +788,142 @@ class TestConcreteResetSumWork:
         (ticks_n, atoms_n), (ticks_2n, atoms_2n) = counts
         assert 0 < ticks_2n <= 2.5 * ticks_n, counts
         assert 0 < atoms_2n <= 2.5 * atoms_n, counts
+
+
+def reset_sum_replay(n: int) -> list:
+    """reset_sum_trace(n) as messages in time order, with a progress
+    heartbeat on both inputs every two time units and a last progress at
+    the trace's end, as perfbench replays its traces."""
+    trace = parse_trace(reset_sum_trace(n))
+    names = ("values", "resets")
+    end = trace.progress.time
+    timed = [(t, 0, k, Message.event(name, t, v)) for k, name in enumerate(names)
+             for t, v in trace.streams[name].events]
+    timed += [(h, 1, k, Message.progress(name, h)) for h in range(2, end, 2)
+              for k, name in enumerate(names)]
+    timed.sort(key=lambda x: x[:3])
+    return [m for *_, m in timed] + [Message.progress(name, end) for name in names]
+
+
+class TestChangeDriven:
+    """A feed evaluates only the equations with an argument that is not the
+    object they last read, over the run state kept from the last feed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The operator evaluations, as (operator, argument names) per call."""
+        calls = []
+        evaluate = evaluator._eval_concrete
+
+        def counting(app, *args, **kwargs):
+            calls.append((app.op, tuple(a.name for a in app.args)))
+            return evaluate(app, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "_eval_concrete", counting)
+        return calls
+
+    def test_constants_evaluated_once(self, evaluations):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        for m in reset_sum_replay(12):
+            ev.feed(m)
+        assert evaluations.count(("unit", ())) == 1
+        assert sum(op == "const" for op, _ in evaluations) == 1
+
+    def test_message_on_values_skips_time_of_resets(self, evaluations):
+        # the first feed has no record yet, so it evaluates every equation
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        for k, m in enumerate(reset_sum_replay(12)):
+            evaluations.clear()
+            ev.feed(m)
+            if k and m.stream == "values":
+                assert ("time", ("resets",)) not in evaluations, m
+                assert ("time", ("values",)) in evaluations, m
+
+    def test_replay_evaluation_count(self, evaluations):
+        # evaluating every equation on every message, and every member of
+        # the recursive component in its first sweep, made 371 here
+        msgs = reset_sum_replay(12)
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        for m in msgs:
+            ev.feed(m)
+        assert len(msgs) == 40
+        assert len(evaluations) == 214
+
+    def test_feed_after_a_raise_starts_afresh(self, monkeypatch):
+        # one evaluation raises after its operator ran, as an operator that
+        # fails part way through would; the next feed must not climb from
+        # that iteration, and every later output equals an unbroken run's
+        from gapstream.errors import OperatorError
+        g = RESET_SUM_GRAPHS["concrete"]
+        calls, fail = [], []
+        evaluate = evaluator._eval_concrete
+
+        def failing(app, *args, **kwargs):
+            calls.append(app.op)
+            out = evaluate(app, *args, **kwargs)
+            if fail and app.op == "last":
+                fail.clear()
+                raise OperatorError("injected")
+            return out
+
+        monkeypatch.setattr(evaluator, "_eval_concrete", failing)
+        msgs = reset_sum_replay(12)
+        ev, unbroken = OnlineEvaluator(g), OnlineEvaluator(g)
+        got, want = [], []
+        for k, m in enumerate(msgs):
+            want += unbroken.feed(m)
+            if k == 20:
+                fail.append(True)
+                with pytest.raises(OperatorError):
+                    ev.feed(m)
+                assert not fail
+                continue
+            calls.clear()
+            got += ev.feed(m)
+            if k == 21:
+                assert calls.count("unit") == 1, calls    # evaluated from empty
+        key = lambda m: (m.stream, m.kind, m.time)
+        assert sorted(got, key=key) == sorted(want, key=key)
+        offline = evaluate_fixpoint(g, {n: b.stream(False) for n, b in ev.state.items()})
+        for name, _ in g.equations:
+            assert ev.env[name] == offline[name], name
+
+    def test_last_feed_work_is_flat(self, monkeypatch):
+        # the trigger ticks last_abs walks, the atoms slift_abs synchronizes
+        # and the events a tick index is built from, in the last feed only
+        work = {"ticks": 0, "atoms": 0, "indexed": 0}
+        last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
+        index = EventStream._ticks.func
+
+        def counting_ticks(v, walked):
+            work["ticks"] += len(walked)
+            return last_values(v, walked)
+
+        def counting_atoms(*args):
+            for atom in synchronized_atoms(*args):
+                work["atoms"] += 1
+                yield atom
+
+        def counting_index(s):
+            work["indexed"] += len(s.events)
+            return index(s)
+
+        monkeypatch.setattr(absops, "_last_values", counting_ticks)
+        monkeypatch.setattr(absops, "_synchronized_atoms", counting_atoms)
+        prop = functools.cached_property(counting_index)
+        prop.__set_name__(EventStream, "_ticks")
+        monkeypatch.setattr(EventStream, "_ticks", prop)
+        last = []
+        for n in (12, 50):
+            msgs = reset_sum_replay(n)
+            ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+            for m in msgs:
+                work.update(ticks=0, atoms=0, indexed=0)
+                ev.feed(m)
+            last.append((len(msgs), dict(work)))
+        (short, small), (long, large) = last
+        assert (short, long) == (40, 160)
+        assert small == large and small["atoms"] > 0, last
 
 
 class TestSelfUpdatingWindow:
