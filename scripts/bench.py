@@ -1,6 +1,6 @@
 """Doubling runs of one workload, each checked against an independent result.
 
-Four workloads are measured:
+Six workloads are measured:
 
 - `reset-sum` (the default): concrete reset-sum offline on
   `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
@@ -20,12 +20,21 @@ Four workloads are measured:
   last message must equal the oracle.  Besides the total feed time it
   reports the median feed latency and the median over the last 10% of the
   messages, whose history is the longest.
+- `reset-sum-online-gapped`: the same replay of reset-sum abstract
+  (time-aware and unrolled), on the `reset_sum` trace with every tenth
+  value lost to a `gap`/`known` pair, replayed as `gap_start`/`gap_end`
+  messages, and every tenth other value shown as `#top`.  The events
+  emitted up to the last message must equal `evaluate_fixpoint`'s on the
+  gapped trace, and the concrete output on the full trace must refine
+  that output.  `reset-sum-online-timed` replays the full trace the same
+  way, with nothing lost.
 
 For every n it generates the seeded trace, times `evaluate_fixpoint` (or
-every `feed`) in wall seconds and checks the output.  It prints the times
-and the doubling exponent fitted to them: the least-squares slope of
-log(time) against log(n), so 1 is linear and 2 quadratic.  A run whose
-output fails its check makes the script exit 1.
+every `feed`) in wall seconds and checks the output.  It prints the times,
+the doubling exponent fitted to them (the least-squares slope of log(time)
+against log(n), so 1 is linear and 2 quadratic) and, per step between two
+sizes, log(time ratio) / log(size ratio).  A run whose output fails its
+check makes the script exit 1.
 
 With --out the results are stored in a JSON file under the workload's name
 and --label, next to the results already there under other workloads and
@@ -95,19 +104,10 @@ def reset_sum_run(n: int):
     return wall, env["__sweeps__"], ok, {}
 
 
-def reset_sum_online_run(n: int):
-    """Concrete reset-sum online at n: (total feed seconds, sweeps of the
-    last feed, oracle agrees, feed latency medians in ms)."""
-    import gen
-    import oracle
-    from gapstream.builtin_specs import spec_text
-    from gapstream.evaluator import Message, OnlineEvaluator
-    from gapstream.speclang import flatten, parse_spec
-    from gapstream.tracefile import parse_trace
+def replay(graph, msgs):
+    """Feed msgs one at a time: (events emitted per output, feed seconds, monitor)."""
+    from gapstream.evaluator import OnlineEvaluator
 
-    graph = flatten(parse_spec(spec_text("reset-sum")))
-    text = gen.reset_sum(SEED, n)
-    msgs = gen.online_messages(parse_trace(text), Message)
     monitor = OnlineEvaluator(graph)
     emitted = {name: [] for name in graph.outputs}
     latencies = []
@@ -118,12 +118,104 @@ def reset_sum_online_run(n: int):
         for m in out:
             if m.kind == "event":
                 emitted[m.stream].append((m.time, m.value))
-    ok = [emitted["cond"], emitted["sum"]] == list(oracle.reset_sum(text))
+    return emitted, latencies, monitor
+
+
+def latency_medians(latencies) -> dict:
+    """Message count, median feed latency and that of the last 10% of messages, in ms."""
     late = latencies[len(latencies) - max(1, len(latencies) // 10):]
-    return sum(latencies), monitor.env["__sweeps__"], ok, {
-        "messages": len(msgs),
-        "feed_p50_ms": round(1000 * statistics.median(latencies), 4),
-        "late_p50_ms": round(1000 * statistics.median(late), 4)}
+    return {"messages": len(latencies),
+            "feed_p50_ms": round(1000 * statistics.median(latencies), 4),
+            "late_p50_ms": round(1000 * statistics.median(late), 4)}
+
+
+def reset_sum_online_run(n: int):
+    """Concrete reset-sum online at n: (total feed seconds, sweeps of the
+    last feed, oracle agrees, feed latency medians in ms)."""
+    import gen
+    import oracle
+    from gapstream.builtin_specs import spec_text
+    from gapstream.evaluator import Message
+    from gapstream.speclang import flatten, parse_spec
+    from gapstream.tracefile import parse_trace
+
+    graph = flatten(parse_spec(spec_text("reset-sum")))
+    text = gen.reset_sum(SEED, n)
+    msgs = gen.online_messages(parse_trace(text), Message)
+    emitted, latencies, monitor = replay(graph, msgs)
+    ok = [emitted["cond"], emitted["sum"]] == list(oracle.reset_sum(text))
+    return sum(latencies), monitor.env["__sweeps__"], ok, latency_medians(latencies)
+
+
+def lose_values(text: str) -> str:
+    """Reset-sum trace text with every tenth value (from the fifth) lost to
+    the gap [t, t+1) and every tenth (from the tenth) shown as #top.
+
+    The next value lies at t+2 or later, so the gap hides only the lost one.
+    """
+    out, k = [], 0
+    for line in text.splitlines():
+        t, _, directive = line.partition(": ")
+        if directive.startswith("values = "):
+            if k % 10 == 4:
+                line = f"{t}: gap values\n{int(t) + 1}: known values"
+            elif k % 10 == 9:
+                line = f"{t}: values = #top"
+            k += 1
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def gapped_messages(trace, message_cls) -> list:
+    """gen.online_messages for a trace that may have gaps.
+
+    Each gap span [lo, hi) becomes a gap_start at lo and a gap_end at hi.
+    At one timestamp gap ends come first, then events and gap starts, then
+    the heartbeats, which may not decide a time a gap end still names.
+    """
+    import gen
+    from gapstream.abstract import AbstractEventStream
+
+    names = [n for n, _ in trace.declarations]
+    timed = []
+    for order, name in enumerate(names):
+        s = trace.streams[name]
+        s = s if isinstance(s, AbstractEventStream) else AbstractEventStream.of(s)
+        for t, v in s.stream.events:
+            timed.append((t, 1, order, message_cls.event(name, t, v)))
+        for sp in s.gaps.spans:
+            timed.append((sp.lo, 1, order, message_cls.gap_start(name, sp.lo)))
+            timed.append((sp.hi, 0, order, message_cls.gap_end(name, sp.hi)))
+    end = trace.progress.time
+    for h in range(gen.HEARTBEAT, int(end), gen.HEARTBEAT):
+        for order, name in enumerate(names):
+            timed.append((h, 2, order, message_cls.progress(name, h)))
+    timed.sort(key=lambda x: x[:3])
+    return [m for *_, m in timed] + [message_cls.progress(name, end) for name in names]
+
+
+def time_aware_online_run(lost: bool, n: int):
+    """Time-aware abstract reset-sum online at n, with values lost if lost:
+    (total feed seconds, sweeps of the last feed, checks pass, feed latency
+    medians in ms)."""
+    import gen
+    from gapstream.abstract import AbstractEventStream, refinement_leq
+    from gapstream.builtin_specs import spec_text
+    from gapstream.evaluator import Message, evaluate_fixpoint
+    from gapstream.speclang import abstractify, flatten, parse_spec, unroll
+    from gapstream.tracefile import parse_trace
+
+    ast = parse_spec(spec_text("reset-sum"))
+    graph = flatten(unroll(abstractify(ast, time_aware=True)))
+    full = gen.reset_sum(SEED, n)
+    trace = parse_trace(lose_values(full) if lost else full)
+    emitted, latencies, monitor = replay(graph, gapped_messages(trace, Message))
+    offline = evaluate_fixpoint(graph, trace.streams)
+    concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
+    ok = all(emitted[name] == list(offline[name].stream.events)
+             and refinement_leq(AbstractEventStream.of(concrete[name]), offline[name])
+             for name in graph.outputs)
+    return sum(latencies), monitor.env["__sweeps__"], ok, latency_medians(latencies)
 
 
 def gapped_run(spec: str, generator: str, n: int):
@@ -173,6 +265,19 @@ WORKLOADS = {
                          "online_messages of reset_sum(seed, n), with the median "
                          "feed latency and that of the last 10% of messages; the "
                          "emitted events checked against perfbench/oracle.py"),
+    "reset-sum-online-gapped": (
+        partial(time_aware_online_run, True), [40, 80, 160, 320], "offline",
+        "time-aware unrolled abstract reset-sum online: wall seconds of all "
+        "OnlineEvaluator.feed calls replaying perfbench/gen.py reset_sum(seed, "
+        "n) with every tenth value lost to a gap and every tenth shown as "
+        "#top, with the median feed latency and that of the last 10% of "
+        "messages; the emitted events checked against evaluate_fixpoint on "
+        "that trace, whose output the full trace's concrete output refines"),
+    "reset-sum-online-timed": (
+        partial(time_aware_online_run, False), [40, 80, 160, 320], "offline",
+        "time-aware unrolled abstract reset-sum online on the gap-free "
+        "perfbench/gen.py reset_sum(seed, n), measured and checked as "
+        "reset-sum-online-gapped"),
 }
 
 
@@ -182,7 +287,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     help="trace sizes n (default: 100 200 400 800 for reset-sum, "
                          "30 60 120 240 for window-gapped, 8 16 32 64 for "
-                         "period-gapped, 40 80 160 320 for reset-sum-online)")
+                         "period-gapped, 40 80 160 320 for the online replays)")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to record the results in")
     args = ap.parse_args(argv)
@@ -205,7 +310,8 @@ def main(argv=None) -> int:
               + "".join(f"{key} {value}  " for key, value in extra.items())
               + f"{check + ' ok' if ok else check.upper() + ' FAILS'}", flush=True)
     exponent = fitted_exponent(sizes, times)
-    steps = [math.log2(b / a) for a, b in zip(times, times[1:])]
+    steps = [math.log(b / a) / math.log(m / n)
+             for a, b, n, m in zip(times, times[1:], sizes, sizes[1:])]
     print(f"fitted exponent {exponent:.2f}; per doubling "
           + ", ".join(f"{e:.2f}" for e in steps))
 

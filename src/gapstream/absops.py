@@ -33,11 +33,16 @@ ascend (_last_values).  ops.slift, ops.last and ops.delay run slift_abs,
 last_abs and delay_abs on the gap-free streams that stand for their
 arguments, so the concrete rows resume as these do.
 
+The time-aware last_time_abs and slift_time_abs are the last_abs and
+slift_abs walks with another taint rule, the cell a value gets where a gap
+came after it: TOP in the plain abstraction; they read each event as its
+timestamp and give such a value the interval up to the gap's end.
+
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation).
 They walk from prev's progress time, whose point atom holds each
 argument's cell there; slift_abs starts from each argument's latest value,
-taint and start below that time, which _carried recovers by two bisects.
+taint, start and last gap end below that time, which _carried recovers.
 The lifted function is applied only to the atoms prev's progress does not
 decide: a point it does not cover, or an open atom whose upper end it does
 not cover from below.  The output is prev extended by what those atoms
@@ -48,11 +53,12 @@ TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
 part of it, and TimeSet joins the two gap spans.
 
-The history operators of an unrolled recursion resume too.  last_abs (and
-its value half last_abs_bot) takes prev's events and walks only the
-trigger ticks past prev's progress; its progress and gaps, all the gap half
-last_abs_gap needs, come from _last_frame by bisects, without a walk, and
-without gaps in either argument from v's progress and first event alone.
+The history operators of an unrolled recursion resume too.  last_abs and
+last_time_abs (and their value halves) take prev's events and walk only
+the trigger ticks past prev's progress; their progress and gaps, all the
+gap half last_abs_gap needs, come from _last_frame by bisects, without a
+walk, and without gaps in either argument from v's progress and first
+event alone.  The gap half searches only the gaps past prev's progress.
 The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
 its sweep state lives in a holder its caller passes, one per pair of
 argument streams (speclang.Operator.stateful), the concrete delay's too.
@@ -111,7 +117,8 @@ def time_abs(s: AbstractEventStream) -> AbstractEventStream:
 
 # -- lift ------------------------------------------------------------------
 
-def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF) -> list:
+def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF,
+           stamp: bool = False) -> list:
     """(t, cell at t, cell just above t) at since and each later tick, gap boundary and progress of s up to until.
 
     The cell at t is the event value, GAP or BOTTOM; the cell above is GAP
@@ -121,7 +128,8 @@ def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF) -> lis
     sits at since; inside a constant region it holds the region's cell
     twice, BOTTOM before the first mark of s and UNKNOWN past its progress.
     Only the ticks and gap spans from since up to until are read, and no
-    mark lies past until.
+    mark lies past until.  With stamp, an event's cell is its timestamp as
+    a point interval, the value the time-aware rows read.
     """
     spans = s.gaps.spans
     marks = []
@@ -167,29 +175,35 @@ def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF) -> lis
     del out[:below]
     if not out or out[0][0] != since:
         out.insert(0, (since, head, head))
+    if stamp:
+        out = [(t, cell if cell is GAP or cell is BOTTOM or cell is UNKNOWN
+                else Interval.single(t), above) for t, cell, above in out]
     return out
 
 
-def _carried(s: AbstractEventStream, since: Time) -> tuple:
-    """(latest, tainted, started) of s strictly below since, by two bisects.
+def _carried(s: AbstractEventStream, since: Time, stamp: bool = False) -> tuple:
+    """(latest, tainted, started, end) of s strictly below since, by bisects.
 
-    latest is the value of s's last event below since, BOTTOM if none;
-    tainted holds if a gap came after that event, or before since with no
-    event; started holds if s has an event or a gap below since.  These are
-    what _synchronized_atoms carries into the point atom at since.
+    latest is the value of s's last event below since (read as _marks
+    reads it), BOTTOM if none; tainted holds if a gap came after that
+    event, or before since with no event; started holds if s has an event
+    or a gap below since; end is where the last gap below since ends, since
+    at most.  These are what the walks of slift and last carry into since.
     """
     spans = s.gaps.spans
     k = bisect_left(spans, since, key=attrgetter("lo"))
+    end = s.gaps.free_since(since) if k else 0
     before = s.stream.last_event_before(since)
     if before is None:
-        return BOTTOM, k > 0, k > 0
+        return BOTTOM, k > 0, k > 0, end
     # the last gap starting below since reaches past the latest event, if
     # it comes after it; an earlier one ends at or before that event
     t, latest = before
-    return latest, k > 0 and t < spans[k - 1].hi, True
+    return Interval.single(t) if stamp else latest, k > 0 and t < spans[k - 1].hi, True, end
 
 
-def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0):
+def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0,
+          stamp: bool = False):
     """Yield (lo, hi, cells) for the atoms partitioning the span horizon covers from start on.
 
     Atoms come in time order.  The point atom at lo has hi None; the open
@@ -199,12 +213,12 @@ def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time
     gap boundaries and finite progress times above it; horizon is one
     stream's progress.  One pass over the streams' merged marks up to the
     horizon tracks each stream's cell, so no cell is looked up; every stream
-    has a mark at start.
+    has a mark at start.  stamp reads the events as _marks does.
     """
     if not horizon.covers(start):
         return
     marks = [(t, i, cell, above) for i, s in enumerate(streams)
-             for t, cell, above in _marks(s, start, horizon.time)]
+             for t, cell, above in _marks(s, start, horizon.time, stamp)]
     if len(streams) > 1:
         marks.sort(key=itemgetter(0))
     region = (BOTTOM,) * len(streams)
@@ -316,7 +330,7 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
         if sp.lo < last or sp.lo == last and sp.lo_closed:
             raise OperatorError(f"gap {sp} reaches over the event at {last}")
     stream = _appended(prev.stream, events, prog)
-    gaps = TimeSet(prev.gaps.spans + tuple(gap_spans)) if gap_spans else prev.gaps
+    gaps = prev.gaps.union(TimeSet(gap_spans)) if gap_spans else prev.gaps
     for t, _ in events:
         if gaps.contains(t):
             raise OperatorError(f"event at {t} lies inside a gap")
@@ -423,39 +437,49 @@ def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
     return prog, gaps, cut
 
 
-def _last_values(v: AbstractEventStream, ticks: Sequence[Time]):
+def _interval_taint(latest: Interval, end: Time) -> Interval:
+    """The timestamps from latest's (a point interval) to end, where the gap after it ends."""
+    return Interval.of(latest.lo, end)
+
+
+def _last_values(v: AbstractEventStream, ticks: Sequence[Time], taint=None):
     """Yield (t, v's latest value strictly before t) for the ascending ticks where v has one.
 
-    The value is TOP if a gap came after it.  _carried finds v's latest
-    value before the first tick and whether a gap came since it; from
-    there one pointer into v's marks up to the last tick follows the ticks.
+    A value that a gap came after is tainted: TOP, or with a taint rule
+    taint(latest, end), end that gap's end or t, and v's timestamps for
+    values.  _carried finds v's state before the first tick; from there one
+    pointer into v's marks up to the last tick follows the ticks.
     """
     if not ticks:
         return
-    latest, tainted, _ = _carried(v, ticks[0])
-    marks = _marks(v, ticks[0], ticks[-1])
+    stamp = taint is not None
+    latest, tainted, _, end = _carried(v, ticks[0], stamp)
+    marks = _marks(v, ticks[0], ticks[-1], stamp)
     j = 0
     for t in ticks:
         while j < len(marks) and marks[j][0] < t:
-            _, cell, above = marks[j]
+            at, cell, above = marks[j]
+            j += 1
             if cell is GAP:
-                tainted = True
+                tainted, end = True, at
             elif cell is not BOTTOM:
                 latest, tainted = cell, False
-            tainted = tainted or above is GAP
-            j += 1
+            if above is GAP:
+                # nothing lies inside a gap: it ends at the next mark, if any
+                tainted, end = True, marks[j][0] if j < len(marks) else INF
         if latest is not BOTTOM:
-            yield t, TOP if tainted else latest
+            yield t, (latest if not tainted else TOP if taint is None
+                      else taint(latest, min(end, t)))
 
 
 def last_abs(v: AbstractEventStream, r: AbstractEventStream,
-             prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+             prev: AbstractEventStream = _NOTHING, taint=None) -> AbstractEventStream:
     """Abstract last: TOP after a gap-tainted history, gaps inherited from r.
 
     Progress and gaps come from _last_frame.  prev, the output of last_abs
     or last_abs_bot on prefixes of the arguments (empty by default), gives
     the events at the trigger ticks its progress covers, so _last_values
-    walks only the later ticks.
+    walks only the later ticks, with the taint rule taint (TOP if None).
 
     _appended checks the new events.  The gaps are recomputed, not
     appended, so every event, prev's too, is checked against them: only
@@ -466,7 +490,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     if prog == prev.progress and prev.gaps == gaps:
         return prev
     ticks = r.stream.ticks()
-    events = list(_last_values(v, ticks[_covered(ticks, prev.progress):cut]))
+    events = list(_last_values(v, ticks[_covered(ticks, prev.progress):cut], taint))
     stream = _appended(prev.stream, events, prog)
     out = stream.ticks()
     for sp in gaps.spans:
@@ -476,45 +500,74 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     return AbstractEventStream(stream, gaps)
 
 
+def last_time_abs(v: AbstractEventStream, r: AbstractEventStream,
+                  prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """Time-aware abstract last: intervals of possible last-event timestamps.
+
+    It is last_abs over v's timestamps with the interval taint: a tainted
+    value runs from the latest timestamp to the end of the gap after it.
+    time(v) has v's ticks, gaps and progress, so the progress and gaps are
+    last_abs's, and last_abs_gap is its gap half.
+    """
+    return last_abs(v, r, prev, _interval_taint)
+
+
 def last_abs_bot(v: AbstractEventStream, r: AbstractEventStream,
-                 prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+                 prev: AbstractEventStream = _NOTHING, taint=None) -> AbstractEventStream:
     """Value half of the unrolled abstract last: gaps demoted to no-event.
 
     Resumes like last_abs, which reads only prev's events and progress.
     It keeps last_abs's checked stream and takes no gaps, so it is valid.
     """
-    z = last_abs(v, r, prev=prev)
+    z = last_abs(v, r, prev, taint)
     return prev if z.stream is prev.stream else AbstractEventStream(z.stream, TimeSet.empty())
 
 
-def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream,
-                 d: AbstractEventStream) -> AbstractEventStream:
+def last_time_abs_bot(v: AbstractEventStream, r: AbstractEventStream,
+                      prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """Value half of the unrolled time-aware last, as last_abs_bot is of last_abs."""
+    return last_abs_bot(v, r, prev, _interval_taint)
+
+
+def last_abs_gap(v: AbstractEventStream, r: AbstractEventStream, d: AbstractEventStream,
+                 prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """Gap half of the unrolled abstract last: d's events plus recomputed gaps."""
     prog, gaps, _ = _last_frame(v, r)
-    return _gap_half(prog, gaps, d)
+    return _gap_half(prog, gaps, d, prev)
 
 
-def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream) -> AbstractEventStream:
+def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream,
+              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """d's events up to prog, with the gaps everywhere except at d's ticks.
 
     The gaps lie under prog, and are cut where d's progress is the lower.
+    Up to the progress of prev, the output on prefixes of the arguments
+    (empty by default), they are prev's, so only the gaps past it are
+    searched for d's ticks, and with that progress the output is prev.
     The output is valid by construction: its events and ticks are a prefix
     of d's, and its gaps leave out every tick of d.
     """
     if d.progress < prog:
         prog = d.progress
         gaps = gaps.intersect(covered_span(prog))
+    done = prev.progress
+    if prog == done:
+        return prev
     ticks = d.stream.ticks()
-    inside = [t for sp in gaps.spans
-              for t in ticks[bisect_left(ticks, sp.lo):bisect_right(ticks, sp.hi)]
-              if sp.contains(t)]
-    if inside:
-        gaps = gaps.minus(_points(inside))
+    if gaps.spans and not gaps.spans[-1].hi < done.time:
+        gaps = gaps.intersect(TimeSet.of(Span(done.time, not done.inclusive, INF, False)))
+        inside = [t for sp in gaps.spans
+                  for t in ticks[bisect_left(ticks, sp.lo):bisect_right(ticks, sp.hi)]
+                  if sp.contains(t)]
+        if inside:
+            gaps = gaps.minus(_points(inside))
+    else:
+        gaps = TimeSet.empty()
     n = _covered(ticks, prog)
     stream = d.stream
     if prog != d.progress:
         stream = EventStream._with_ticks(stream.events[:n], prog, ticks[:n])
-    return AbstractEventStream(stream, gaps)
+    return AbstractEventStream(stream, prev.gaps.union(gaps))
 
 
 def _points(times) -> TimeSet:
@@ -522,124 +575,70 @@ def _points(times) -> TimeSet:
     return TimeSet(Span(t, True, t, True) for t in times)
 
 
-# -- time-aware last -------------------------------------------------------
-
-def last_time_abs(v: AbstractEventStream, r: AbstractEventStream) -> AbstractEventStream:
-    """Time-aware abstract last: intervals of possible last-event timestamps.
-
-    Where the plain composition of time and last would yield TOP, the output
-    carries the interval from the last known event of v to the end of the
-    trailing gap; elsewhere it behaves like last over event timestamps, with
-    payloads as degenerate intervals.  The output keeps the ticks,
-    progress and gaps of z = last_abs(time_abs(v), r), so it is valid as z is.
-    """
-    z = last_abs(time_abs(v), r)
-    events = []
-    for t, val in z.stream.events:
-        if val is TOP:
-            prev = v.stream.last_event_before(t)
-            lo = prev[0]
-            hi = v.gaps.free_since(t)
-            events.append((t, Interval.of(lo, max(lo, hi))))
-        else:
-            events.append((t, Interval.single(val)))
-    stream = EventStream._with_ticks(tuple(events), z.progress, z.stream.ticks())
-    return AbstractEventStream(stream, z.gaps)
-
-
-def _time_as_intervals(s: AbstractEventStream) -> AbstractEventStream:
-    """time_abs with each timestamp as a degenerate interval."""
-    ticks = s.stream.ticks()
-    mapped = tuple((t, Interval.single(t)) for t in ticks)
-    return AbstractEventStream(EventStream._with_ticks(mapped, s.progress, ticks), s.gaps)
-
-
-def _tmerge_cells(a, b, t):
-    """merge of a timestamp cell a and a last-time cell b, given b's timestamp t.
-
-    Like merge_cell, except that a gap on a combined with a last-time
-    interval hulls in t itself: an event hidden in the gap would carry its
-    own (known) timestamp.
-    """
-    if a is GAP and isinstance(b, Interval):
-        return b.hull(Interval.single(t))
-    return merge_cell(a, b)
-
-
-def _tmerge_time_aware(x_times: AbstractEventStream,
-                       lt: AbstractEventStream) -> AbstractEventStream:
-    """merge for the time-aware signal lift: _tmerge_cells lifted over x_times and lt."""
-    return lift_abs(_tmerge_cells, x_times, lt, time_abs(lt))
-
-
 # -- signal lift -----------------------------------------------------------
 
-def _synchronized_atoms(atoms, state):
+def _synchronized_atoms(atoms, state, taint=None):
     """The atoms with the cells of the synchronized streams.
 
     Synchronized stream i is merge_abs(x_i, last_abs(x_i, trigger_i)), where
     trigger_i merges the other streams (encoded.synchronized).  The walk
     carries, per stream, its latest event value, whether a gap came after
-    that event (or before any event), and whether it has started: had an
-    event or a gap.  state holds the three lists it starts from and updates
-    in place, as _carried gives them at the walk's first atom.  On a point
-    where x_i has no event of its own, its cell is
-      - where x_i is in a gap: TOP if another stream has an event and x_i
-        an earlier one, else GAP;
-      - where another stream has an event: x_i's latest value, TOP if a gap
-        came after it; with no earlier value, GAP if a gap came before;
+    that event (or before any event), whether it has started (had an event
+    or a gap), and where its last gap ended.  state holds the four lists it
+    starts from and updates in place, as _carried gives them at the walk's
+    first atom.  On a point where x_i has no event of its own, its cell is
+      - where x_i is in a gap: tainted if another stream has an event and
+        x_i an earlier one, else GAP;
+      - where another stream has an event: x_i's latest value, tainted if a
+        gap came after it; with no earlier value, GAP if a gap came before;
       - where another stream is in a gap: GAP if x_i has started;
-    and BOTTOM otherwise.  On an open atom the cell is GAP where x_i is in
-    a gap, or has started while another stream is.  A point inside a
-    constant region, where a resumed walk may start, has no event, so it
-    gets the region's cells and leaves the state as the region does.
+    and BOTTOM otherwise.  A tainted value is TOP, or with a taint rule
+    taint(latest, end), end the gap's end or the point, if the gap runs
+    there.  On an open atom the cell is GAP where x_i is in a gap, or has
+    started while another stream is.  A point inside a constant region,
+    where a resumed walk may start, has no event, so it gets the region's
+    cells and leaves the state as the region does.
     """
-    latest, tainted, started = state
+    latest, tainted, started, end = state
     n = len(latest)
     for lo, hi, cells in atoms:
         gapped = sum(c is GAP for c in cells)
-        if hi is not None:
-            synced = []
-            for i, c in enumerate(cells):
-                if c is GAP:
-                    tainted[i] = started[i] = True
-                    synced.append(GAP)
-                else:
-                    synced.append(GAP if gapped and started[i] else BOTTOM)
-            yield lo, hi, synced
+        if hi is not None and not gapped:
+            yield lo, hi, [BOTTOM] * n
             continue
-        ticking = gapped + sum(c is BOTTOM for c in cells) < n
+        ticking = hi is None and gapped + sum(c is BOTTOM for c in cells) < n
         synced = []
         for i, c in enumerate(cells):
             if c is GAP:
-                synced.append(TOP if ticking and latest[i] is not BOTTOM else GAP)
                 tainted[i] = started[i] = True
+                end[i] = lo if hi is None else hi
             elif c is not BOTTOM:
                 synced.append(c)
                 latest[i], tainted[i], started[i] = c, False, True
-            elif ticking:
-                if latest[i] is BOTTOM:
-                    synced.append(GAP if tainted[i] else BOTTOM)
-                else:
-                    synced.append(TOP if tainted[i] else latest[i])
-            else:
+                continue
+            if not ticking:
                 synced.append(GAP if gapped and started[i] else BOTTOM)
+            elif latest[i] is BOTTOM:
+                synced.append(GAP if tainted[i] else BOTTOM)
+            else:
+                synced.append(latest[i] if not tainted[i] else TOP if taint is None
+                              else taint(latest[i], end[i]))
         yield lo, hi, synced
 
 
 def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
-              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+              prev: AbstractEventStream = _NOTHING, taint=None) -> AbstractEventStream:
     """Abstract signal lift: the strict f_abs over the synchronized streams.
 
     One walk over the arguments' atoms computes the cells of
     lift_abs(strict_cells(f_abs), *synchronized(streams, merge_abs,
-    last_abs)), the paper's definition, without building those streams.
-    The output progress is the least of the arguments' progress: last_abs
-    cuts its progress at a trigger tick above x_i's own progress, so every
-    synchronized stream's progress lies between the least and x_i's.  Like
-    lift_abs, the walk starts at prev's progress time, with each argument's
-    state there taken from _carried; if that progress is the output's, the
-    output is prev, found before any state is.
+    last_abs)), the paper's definition, without building those streams,
+    with the taint rule taint (TOP if None).  The output progress is the
+    least of the arguments' progress: last_abs cuts its progress at a
+    trigger tick above x_i's own progress, so every synchronized stream's
+    progress lies between the least and x_i's.  Like lift_abs, the walk
+    starts at prev's progress time, with each argument's state there taken
+    from _carried; if that progress is the output's, the output is prev.
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
@@ -647,24 +646,21 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
     if prog == prev.progress:
         return prev
     since = prev.progress.time
-    state = [list(column) for column in zip(*(_carried(s, since) for s in streams))]
-    atoms = _synchronized_atoms(_walk(streams, prog, since), state)
+    stamp = taint is not None
+    state = [list(column) for column in zip(*(_carried(s, since, stamp) for s in streams))]
+    atoms = _synchronized_atoms(_walk(streams, prog, since, stamp), state, taint)
     return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
 
 
-def slift_time_abs(f_abs: Callable, x: AbstractEventStream,
-                   y: AbstractEventStream) -> AbstractEventStream:
+def slift_time_abs(f_abs: Callable, x: AbstractEventStream, y: AbstractEventStream,
+                   prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """Signal lift over event timestamps, kept precise across gaps.
 
-    Equivalent to slift of f over time(x) and time(y) but using the
-    time-aware last, so payloads are timestamp intervals and comparisons
-    of timestamps stay concrete whenever the interval endpoints decide them.
+    It is slift_abs of f over x's and y's timestamps with the interval
+    taint, which reaches the tick's own time where the stream is in a gap
+    there, so timestamp comparisons stay concrete where the ends decide.
     """
-    xt = _time_as_intervals(x)
-    yt = _time_as_intervals(y)
-    xs = _tmerge_time_aware(xt, last_time_abs(x, y))
-    ys = _tmerge_time_aware(yt, last_time_abs(y, x))
-    return lift_abs(strict_cells(f_abs), xs, ys)
+    return slift_abs(f_abs, x, y, prev=prev, taint=_interval_taint)
 
 
 # -- delay -----------------------------------------------------------------

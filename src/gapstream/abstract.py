@@ -108,6 +108,7 @@ class InputBuilder:
     def __init__(self):
         self.events: List[Tuple[Time, object]] = []
         self.gap_spans: List[Span] = []
+        self._gaps = TimeSet.empty()    # gap_spans as one set
         self.open_gap: Optional[Tuple[Time, bool]] = None   # (start, start closed)
         # the progress, unpacked: every directive compares against it
         self._time: ExtTime = 0
@@ -133,7 +134,7 @@ class InputBuilder:
     def event(self, t: Time, v) -> None:
         self._decide("event", t, True)
         if self.open_gap is not None:
-            self.gap_spans.append(Span(*self.open_gap, t, False))
+            self._close_gap(t)
             self.open_gap = (t, False)
         self.events.append((t, v))
 
@@ -147,8 +148,12 @@ class InputBuilder:
         if self.open_gap is None:
             raise OutOfOrderInput(f"gap end at {t}: no open gap")
         self._decide("gap end", t, False)
-        self.gap_spans.append(Span(*self.open_gap, t, False))
+        self._close_gap(t)
         self.open_gap = None
+
+    def _close_gap(self, t: Time) -> None:
+        self.gap_spans.append(Span(*self.open_gap, t, False))
+        self._gaps = self._gaps.union(TimeSet(self.gap_spans[-1:]))     # swept at its end
 
     def advance(self, progress: Progress) -> None:
         if progress < self.progress:
@@ -178,10 +183,10 @@ class InputBuilder:
             base = EventStream._with_ticks(base.events, progress, base.ticks())
         self._base = s = base
         if abstract:
-            spans = self.gap_spans
+            gaps = self._gaps
             if self.open_gap is not None:
-                spans = spans + [Span(*self.open_gap, INF, False)]
-            s = AbstractEventStream(base, TimeSet(spans).intersect(covered_span(progress)))
+                gaps = gaps.union(TimeSet.of(Span(*self.open_gap, INF, False)))
+            s = AbstractEventStream(base, gaps.intersect(covered_span(progress)))
         self._built = (abstract, s)
         return s
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import ops
 from .abstract import AbstractEventStream, covered_span
-from .absops import _delay_amount, _tmerge_cells, merge_cells
+from .absops import _delay_amount, merge_cell, merge_cells
 from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
 from .evaluator import _run_plan
@@ -297,6 +297,14 @@ def _enc_slift(g: EncodedGraph, cell_fn, *pairs) -> Tuple[str, str]:
     return _enc_lift(g, strict_cells(cell_fn), *synced)
 
 
+def _tmerge_cells(a, b, t):
+    """merge_cell of a timestamp cell a and a last-time cell b, except that a
+    gap on a hulls b's interval with t, the timestamp a hidden event has."""
+    if a is GAP and isinstance(b, Interval):
+        return b.hull(Interval.single(t))
+    return merge_cell(a, b)
+
+
 def _enc_slift_time(g: EncodedGraph, cell_fn, xp, yp) -> Tuple[str, str]:
     def as_iv(pair):
         tv, k = _enc_time(g, pair)
@@ -403,7 +411,8 @@ def _encoder(op: str) -> Callable:
 
     The value half of an unrolled last/delay is its base encoding with gaps
     demoted to no-event; the gap half re-marks the base encoding's gaps
-    around the third argument's events.
+    around the third argument's events (last_gap's base encodings, of last_abs
+    and last_time, have the same gaps).
     """
     row = OPERATORS[op]
     if row.encode is not None:

@@ -30,7 +30,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import absops, ops
 from .abstract import AbstractEventStream, InputBuilder
-from .errors import NonTermination, OperatorError, OutOfOrderInput, TraceError
+from .errors import (NonTermination, OperatorError, OutOfOrderInput, TraceError,
+                     UndeclaredStream)
 from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
 from .streams import EventStream, Progress
 from .timeline import INF, Span, Time, TimeSet, as_time
@@ -335,7 +336,7 @@ class OnlineEvaluator:
             raise TraceError(f"a message must be a Message, got {type(msg).__name__}")
         b = self.state.get(msg.stream)
         if b is None:
-            raise OutOfOrderInput(f"unknown input stream '{msg.stream}'")
+            raise UndeclaredStream(f"unknown input stream '{msg.stream}'")
         t = _message_time(msg.kind, msg.stream, msg.time)
         try:
             if msg.kind == "event":

@@ -120,7 +120,7 @@ OPERATORS: Dict[str, Operator] = {
     "unit_abs": Operator("unit_abs", 0, 0, encode="_enc_unit"),
     "time_abs": Operator("time_abs", 1, 1, encode="_enc_time"),
     "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
-                         history=True, encode="_enc_last"),
+                         history=True, encode="_enc_last", resumes=True),
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
                           history=True, encode="_enc_delay", stateful=True),
     "delay_fin": Operator("delay_abs_fin", 2, 2, stateful=True),
@@ -131,13 +131,15 @@ OPERATORS: Dict[str, Operator] = {
                           resumes=True),
     "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const",
                           resumes=True),
-    "last_time": Operator("last_time_abs", 2, 2, history=True,
-                          encode="_enc_last_time"),
+    "last_time": Operator("last_time_abs", 2, 2, unroll=("last_time_bot", "last_gap"),
+                          history=True, encode="_enc_last_time", resumes=True),
     "slift_time": Operator("slift_time_abs", 2, 2, takes="fn",
-                           encode="_enc_slift_time"),
+                           encode="_enc_slift_time", resumes=True),
     "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True,
                          resumes=True),
-    "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
+    "last_time_bot": Operator("last_time_abs_bot", 2, 2, guarded=(0,), history=True,
+                              resumes=True),
+    "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True, resumes=True),
     "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True,
                           stateful=True),
     "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True,
@@ -683,14 +685,11 @@ def unroll(ast: SpecAst) -> SpecAst:
         v'    = f(x_bot, ...)         # clone of the value chain
         x     = last_gap(v', r, x_bot)
 
-    and analogously for delay_abs.  A cycle with neither but with a
-    time-aware last_time(v, r) gets that equation in its plain form,
-    last_abs over a fresh time_abs(v), which last_time refines.  It repeats
-    while the graph has an unguarded cycle, and it ends: a clone never
-    copies a history operator, so each rewrite removes one last_time, or
-    one last_abs or delay_abs, and only the removal of a last_time adds a
-    last_abs.  Once no last/delay is left on a cycle, the cycle cannot be
-    unrolled and is reported.
+    and analogously for delay_abs and the time-aware last_time, whose
+    halves are last_time_bot and last_gap.  It repeats while the graph has
+    an unguarded cycle, and it ends: a clone never copies a history
+    operator, so each rewrite removes one last/delay.  Once none is left on
+    a cycle, the cycle cannot be unrolled and is reported.
     """
     g = flatten(ast)
     step = 0
@@ -698,25 +697,12 @@ def unroll(ast: SpecAst) -> SpecAst:
         defs = dict(g.equations)
         target = next((name for name in report.cycle
                        if OPERATORS[defs[name].op].unroll), None)
-        timed = next((name for name in report.cycle if defs[name].op == "last_time"), None)
-        if target is None and timed is None:
+        if target is None:
             raise UnsupportedRecursionShape(
                 f"cycle without last/delay cannot be unrolled: {report}")
-        g = _unroll_one(g, target, step) if target else _plain_last(g, timed, step)
+        g = _unroll_one(g, target, step)
         step += 1
     return ast if step == 0 else _graph_to_ast(g, ast)
-
-
-def _plain_last(g: SpecGraph, target: str, step: int) -> SpecGraph:
-    """target := last_time(v, r) as last_abs(target__time, r), target__time := time_abs(v)."""
-    stamps = f"{target}__time{'' if step == 0 else step + 1}"
-    equations = []
-    for name, e in g.equations:
-        if name == target:
-            equations.append((stamps, Apply("time_abs", e.args[:1])))
-            e = Apply("last_abs", (Ref(stamps), e.args[1]))
-        equations.append((name, e))
-    return replace(g, equations=tuple(equations))
 
 
 def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:

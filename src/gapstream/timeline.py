@@ -188,7 +188,11 @@ class TimeSet:
             return self
         if not self.spans:
             return other
-        return _sweep(_edges(self.spans, 1) + _edges(other.spans, 1), 1)
+        # the spans that end before other starts neither meet nor touch it,
+        # so a set that grows at its end is swept only there
+        spans = self.spans
+        i = bisect_left(spans, other.spans[0].lo, key=_hi)
+        return _sweep(_edges(spans[i:], 1) + _edges(other.spans, 1), 1, spans[:i])
 
     def intersect(self, other: "TimeSet") -> "TimeSet":
         if not self.spans or other.spans == _FULL.spans:
@@ -203,11 +207,8 @@ class TimeSet:
             i = bisect_left(spans, w.lo, key=_hi)
             j = bisect_right(spans, w.hi, key=_lo)
             if j - i > 2:
-                head = _sweep(_edges((spans[i], w), 1), 2).spans
-                tail = _sweep(_edges((spans[j - 1], w), 1), 2).spans
-                ts = object.__new__(TimeSet)
-                object.__setattr__(ts, "spans", head + spans[i + 1:j - 1] + tail)
-                return ts
+                head = _sweep(_edges((spans[i], w), 1), 2).spans + spans[i + 1:j - 1]
+                return _sweep(_edges((spans[j - 1], w), 1), 2, head)
             spans = spans[i:j]
         return _sweep(_edges(spans, 1) + _edges(other.spans, 1), 2)
 
@@ -290,8 +291,9 @@ def _edges(spans: Iterable[Span], weight: int) -> list:
     return out
 
 
-def _sweep(edges: list, need: int) -> TimeSet:
-    """The set of positions whose summed edge weight is >= need."""
+def _sweep(edges: list, need: int, head: tuple = ()) -> TimeSet:
+    """The set of positions whose summed edge weight is >= need, after the
+    spans head, which end before that set begins without touching it."""
     edges.sort()
     out = []
     depth = 0
@@ -312,7 +314,7 @@ def _sweep(edges: list, need: int) -> TimeSet:
     if depth >= need:
         out.append(Span(lo, not lo_side, INF, False))
     ts = object.__new__(TimeSet)
-    object.__setattr__(ts, "spans", tuple(out))
+    object.__setattr__(ts, "spans", head + tuple(out))
     return ts
 
 

@@ -32,6 +32,15 @@ def reverse_chain_spec(n: int, base: str = "lift(inc)(x)") -> str:
     return "\n".join(lines) + "\n"
 
 
+# a time-aware last(time(t), r) on a recursive cycle, with a gap on r
+# between its ticks at 1 and 5; its full trace has the tick at 3 the gap hides
+RECURSIVE_LAST_TIME = ("in r : Events[Unit]\n"
+                       "def t := merge(last(time(t), r), const(0)(r))\nout t\n")
+RECURSIVE_LAST_TIME_GAPPED = ("stream r : Unit\n1: r = ()\n3: gap r\n4: known r\n"
+                              "5: r = ()\nprogress 8\n")
+RECURSIVE_LAST_TIME_FULL = "stream r : Unit\n1: r = ()\n3: r = ()\n5: r = ()\nprogress 8\n"
+
+
 def period_trace(n: int, lost: bool = True) -> str:
     """A variable-period trace of n periods 2, 3, 4, 5, 2, ..., every fifth lost to a gap if lost."""
     lines = ["stream period : Int"]

@@ -14,7 +14,7 @@ from gapstream import absops as A
 from gapstream import ops
 from gapstream.abstract import (AbstractEventStream, FiniteUniverse,
                                 covered_span, refinement_leq)
-from gapstream.encoded import synchronized
+from gapstream.encoded import _tmerge_cells, synchronized
 from gapstream.builtin_specs import spec_text, trace_text
 from gapstream.errors import OperatorError
 from gapstream.evaluator import evaluate_fixpoint
@@ -636,6 +636,39 @@ def synchronized_slift_abs(f_abs, *streams):
                       *synchronized(streams, A.merge_abs, A.last_abs))
 
 
+def composite_last_time_abs(v, r):
+    """The time-aware last as a composition: last_abs over v's timestamps,
+    each TOP replaced by the interval from the latest event's timestamp to
+    the end of the gap after it."""
+    z = A.last_abs(A.time_abs(v), r)
+    events = []
+    for t, val in z.stream.events:
+        if val is TOP:
+            lo = v.stream.last_event_before(t)[0]
+            events.append((t, Interval.of(lo, max(lo, v.gaps.free_since(t)))))
+        else:
+            events.append((t, Interval.single(val)))
+    return AbstractEventStream.of(EventStream.of(events, z.progress), z.gaps)
+
+
+def time_as_intervals(s):
+    """time_abs with each timestamp as a point interval."""
+    return AbstractEventStream.of(
+        EventStream.of([(t, Interval.single(t)) for t in s.stream.ticks()], s.progress),
+        s.gaps)
+
+
+def composite_slift_time_abs(f_abs, x, y):
+    """The time-aware signal lift as a composition: each stream's timestamps
+    merged with its time-aware last at the other stream's events, where a
+    gap on the stream hulls in the tick's own time (encoded._tmerge_cells)."""
+    def synced(a, b):
+        lt = composite_last_time_abs(a, b)
+        return A.lift_abs(_tmerge_cells, time_as_intervals(a), lt, A.time_abs(lt))
+
+    return A.lift_abs(strict_cells(f_abs), synced(x, y), synced(y, x))
+
+
 class TestSliftAbsWalk:
     """The one-walk slift_abs and lift_abs against their definitions."""
 
@@ -680,6 +713,29 @@ class TestSliftAbsWalk:
             A.slift_abs(sum_off_threes_abs)
 
 
+class TestTimeAwareWalks:
+    """last_time_abs and slift_time_abs, the plain walks with the interval
+    taint, against their compositions."""
+
+    @given(gapped_half_grid_streams(), gapped_half_grid_streams())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equal_their_compositions(self, x, y):
+        leq = lookup("leq").abstract_cells
+        for a, b in ((x, y), (y, x)):
+            assert A.last_time_abs(a, b) == composite_last_time_abs(a, b)
+            for f_abs in (first_cell, leq):
+                assert A.slift_time_abs(f_abs, a, b) == composite_slift_time_abs(f_abs, a, b)
+
+    def test_gap_at_the_tick_hulls_in_its_time(self):
+        # x ticks at 1, is in a gap at y's tick 3, and is out of it again,
+        # the gap ended at 4, at y's tick 5
+        x = astream([(1, UNIT)], gaps=[sp(2, 4, False, False)], prog=Pinc(6))
+        y = astream([(3, UNIT), (5, UNIT)], prog=Pinc(6))
+        got = A.slift_time_abs(first_cell, x, y)
+        assert got == composite_slift_time_abs(first_cell, x, y)
+        assert got.stream.events == ((F(3), Interval.of(1, 3)), (F(5), Interval.of(1, 4)))
+
+
 def cut(s, prog):
     """s with its progress lowered to prog (where prog is the lower)."""
     prog = min(s.progress, prog)
@@ -704,6 +760,7 @@ PREFIX_OPERATORS = {
     "lift_abs": lambda a, b: A.lift_abs(gap_wins, a, b),
     "merge_abs": A.merge_abs,
     "slift_abs": lambda a, b: A.slift_abs(first_cell, a, b),
+    "slift_time_abs": lambda a, b: A.slift_time_abs(first_cell, a, b),
 }
 
 
@@ -715,6 +772,10 @@ RESUMING_OPERATORS = {
     "slift_abs": lambda a, b, **prev: A.slift_abs(first_cell, a, b, **prev),
     "last_abs": A.last_abs,
     "last_abs_bot": A.last_abs_bot,
+    "last_time_abs": A.last_time_abs,
+    "last_time_abs_bot": A.last_time_abs_bot,
+    "last_abs_gap": lambda a, b, **prev: A.last_abs_gap(a, b, A.last_abs_bot(a, b), **prev),
+    "slift_time_abs": lambda a, b, **prev: A.slift_time_abs(first_cell, a, b, **prev),
 }
 
 
@@ -724,6 +785,26 @@ def assert_valid(z):
     assert EventStream.of(z.stream.events, z.progress) == z.stream
     assert z.stream.ticks() == tuple(t for t, _ in z.stream.events)
     return z
+
+
+def progress_of(kind, at) -> Progress:
+    return Progress.infinite() if kind == "inf" else Progress(at, kind == "incl")
+
+
+class TestResumedRows:
+    """last_abs, its gap half and the time-aware rows, resumed from their
+    own output on arguments cut at a drawn progress of every kind, give
+    what a fresh call gives."""
+
+    @given(gapped_half_grid_streams(), gapped_half_grid_streams(),
+           PROGRESS_KINDS, st.sampled_from(HALF_GRID), PROGRESS_KINDS,
+           st.sampled_from(HALF_GRID))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_resumed_equals_fresh(self, a, b, kind_a, at_a, kind_b, at_b):
+        ca, cb = cut(a, progress_of(kind_a, at_a)), cut(b, progress_of(kind_b, at_b))
+        for name in ("last_abs", "last_abs_gap", "last_time_abs", "slift_time_abs"):
+            op = RESUMING_OPERATORS[name]
+            assert op(a, b, prev=op(ca, cb)) == op(a, b), name
 
 
 class TestDelayWalk:
@@ -796,7 +877,7 @@ class TestDelayWalk:
         # up to the least progress, where slift_abs walks, its walk carries
         # into each point atom the state _carried recovers there, so a walk
         # resumed there starts in that state
-        state = [[BOTTOM] * 2, [False] * 2, [False] * 2]
+        state = [[BOTTOM] * 2, [False] * 2, [False] * 2, [0] * 2]
         carried = {}
 
         def spy(atoms):
@@ -838,7 +919,6 @@ class TestDelayWalk:
         for (a, b), (ca, cb) in pairs:
             for x in (a, ca):
                 assert_valid(A.time_abs(x))
-                assert_valid(A._time_as_intervals(x))
             assert_valid(A.last_time_abs(a, b))
             assert_valid(A.last_time_abs(ca, cb))
             for op in RESUMING_OPERATORS.values():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import RECURSIVE_LAST_TIME, RECURSIVE_LAST_TIME_GAPPED
 from gapstream.builtin_specs import SPEC_NAMES, _TRACE_KEYS, spec_text, trace_text
 from gapstream.encoded import build_encoded, evaluate_encoded
 from gapstream.errors import OperatorError
@@ -13,9 +14,9 @@ from gapstream.streams import Progress
 from gapstream.tracefile import parse_trace, serialize_trace
 
 
-def both_paths(name, tkey, time_aware=False, encode_unrolled=False):
-    ast = parse_spec(spec_text(name))
-    tr = parse_trace(trace_text(tkey))
+def both_paths(spec, trace, time_aware=False, encode_unrolled=False):
+    ast = parse_spec(spec)
+    tr = parse_trace(trace)
     ab = abstractify(ast, time_aware=time_aware)
     native_env = evaluate_fixpoint(flatten(unroll(ab)), tr.streams)
     eg = build_encoded(flatten(unroll(ab) if encode_unrolled else ab), tr.epsilon / 2)
@@ -39,7 +40,7 @@ ABSTRACT_CASES.remove(("running-count", "running-count"))
 class TestPathEquivalence:
     @pytest.mark.parametrize("name,tkey", ABSTRACT_CASES)
     def test_native_equals_encoded(self, name, tkey):
-        ast, tr, native, encoded, _ = both_paths(name, tkey)
+        ast, tr, native, encoded, _ = both_paths(spec_text(name), trace_text(tkey))
         for out in ast.outputs:
             a = serialized(tr, native[out], out)
             b = serialized(tr, encoded[out], out)
@@ -47,15 +48,21 @@ class TestPathEquivalence:
 
     def test_time_aware_paths_agree(self):
         ast, tr, native, encoded, _ = both_paths(
-            "reset-sum", "reset-sum-gapped", time_aware=True)
+            spec_text("reset-sum"), trace_text("reset-sum-gapped"), time_aware=True)
         for out in ast.outputs:
             assert serialized(tr, native[out], out) == serialized(tr, encoded[out], out)
 
-    @pytest.mark.parametrize("name,tkey", [("reset-count", "reset-count-gapped"),
-                                           ("variable-period", "variable-period-gapped")])
-    def test_unrolled_halves_encode(self, name, tkey):
-        # the last and delay halves are encoded from their base operators
-        ast, tr, native, encoded, _ = both_paths(name, tkey, encode_unrolled=True)
+    @pytest.mark.parametrize("spec,trace,time_aware", [
+        (spec_text("reset-count"), trace_text("reset-count-gapped"), False),
+        (spec_text("variable-period"), trace_text("variable-period-gapped"), False),
+        (RECURSIVE_LAST_TIME, RECURSIVE_LAST_TIME_GAPPED, True),
+    ], ids=["reset-count-reset-count-gapped", "variable-period-variable-period-gapped",
+            "recursive-last-time"])
+    def test_unrolled_halves_encode(self, spec, trace, time_aware):
+        # the last, time-aware last and delay halves are encoded from their
+        # base operators
+        ast, tr, native, encoded, _ = both_paths(spec, trace, time_aware=time_aware,
+                                                 encode_unrolled=True)
         for out in ast.outputs:
             assert serialized(tr, native[out], out) == serialized(tr, encoded[out], out)
 

@@ -13,7 +13,7 @@ from conftest import period_trace
 from gapstream import absops, evaluator, ops, speclang
 from gapstream.abstract import AbstractEventStream, covered_span
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
-from gapstream.errors import NonTermination, OutOfOrderInput, TraceError
+from gapstream.errors import NonTermination, OutOfOrderInput, TraceError, UndeclaredStream
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
@@ -420,7 +420,8 @@ class TestOnline:
     def test_unknown_stream_rejected(self):
         g = flatten(APP_A)
         ev = OnlineEvaluator(g)
-        with pytest.raises(OutOfOrderInput):
+        # as parse_trace rejects a line on an undeclared stream
+        with pytest.raises(UndeclaredStream, match="unknown input stream 'zz'"):
             ev.feed(Message.event("zz", 1, UNIT))
 
     def test_gap_end_without_gap_rejected(self):
@@ -766,9 +767,9 @@ class TestConcreteResetSumWork:
         ticks, atoms = [], []
         last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
 
-        def counting_ticks(v, walked):
+        def counting_ticks(v, walked, taint):
             ticks.append(len(walked))
-            return last_values(v, walked)
+            return last_values(v, walked, taint)
 
         def counting_atoms(*args):
             for atom in synchronized_atoms(*args):
@@ -895,9 +896,9 @@ class TestChangeDriven:
         last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
         index = EventStream._ticks.func
 
-        def counting_ticks(v, walked):
+        def counting_ticks(v, walked, taint):
             work["ticks"] += len(walked)
-            return last_values(v, walked)
+            return last_values(v, walked, taint)
 
         def counting_atoms(*args):
             for atom in synchronized_atoms(*args):

@@ -8,15 +8,17 @@ from gapstream.abstract import AbstractEventStream, refinement_leq
 from gapstream.builtin_specs import SPEC_NAMES, spec_text
 from gapstream.errors import (ArityMismatch, SpecSyntaxError, UnknownIdentifier,
                               UnsupportedRecursionShape)
+from gapstream.encoded import build_encoded, evaluate_encoded
 from gapstream.evaluator import evaluate_fixpoint
 from gapstream.speclang import (abstractify, check_well_formed,
                                 computation_depth, flatten, format_spec,
                                 parse_spec, unroll)
 from gapstream.streams import EventStream, Progress
-from gapstream.tracefile import parse_trace
-from gapstream.values import TOP, UNIT
+from gapstream.tracefile import parse_trace, serialize_trace
+from gapstream.values import UNIT, Interval
 
-from conftest import reverse_chain_spec
+from conftest import (RECURSIVE_LAST_TIME, RECURSIVE_LAST_TIME_FULL,
+                      RECURSIVE_LAST_TIME_GAPPED, reverse_chain_spec)
 
 APP_A = """
 in x : Events[Unit]
@@ -102,18 +104,25 @@ class TestWellFormedness:
         fixed = unroll(ast)
         assert check_well_formed(flatten(fixed)) is None
 
-    def test_recursive_time_aware_last_unrolls_in_its_plain_form(self):
-        # last_time has no unroll halves, so a cycle through it is unrolled
-        # through last_abs over time_abs, the plain form it refines
-        spec = parse_spec("in r : Events[Unit]\n"
-                          "def t := merge(last(time(t), r), const(0)(r))\nout t\n")
-        gapped = parse_trace("stream r : Unit\n1: r = ()\n3: gap r\n4: known r\n"
-                             "5: r = ()\nprogress 8\n").streams
-        full = parse_trace("stream r : Unit\n1: r = ()\n3: r = ()\n"
-                           "5: r = ()\nprogress 8\n").streams
-        plain, timed = (evaluate_fixpoint(flatten(unroll(abstractify(spec, time_aware=aware))),
-                                          gapped)["t"] for aware in (False, True))
-        assert timed == plain and plain.at(F(5)) is TOP
+    def test_recursive_time_aware_last_unrolls_into_its_halves(self):
+        # last_time unrolls as last_abs does, into its own value half and the
+        # shared gap half, so the cycle keeps the interval the encoded path,
+        # which needs no unrolling, gives too
+        spec = parse_spec(RECURSIVE_LAST_TIME)
+        gapped = parse_trace(RECURSIVE_LAST_TIME_GAPPED)
+        ab = abstractify(spec, time_aware=True)
+        graph = flatten(unroll(ab))
+        assert {e.op for _, e in graph.equations} >= {"last_time_bot", "last_gap"}
+        assert "last_time" not in {e.op for _, e in graph.equations}
+        timed = evaluate_fixpoint(graph, gapped.streams)["t"]
+        assert timed.at(F(5)) == Interval.of(1, 4)
+        eg = build_encoded(flatten(ab), gapped.epsilon / 2)
+        encoded = evaluate_encoded(eg, gapped.streams, gapped.progress,
+                                   gapped.horizon())["t"]
+        texts = [serialize_trace((("t", "Interval"),), {"t": s}, gapped.epsilon,
+                                 gapped.progress) for s in (timed, encoded)]
+        assert texts[0] == texts[1] and "5: t = [1, 4]" in texts[0]
+        full = parse_trace(RECURSIVE_LAST_TIME_FULL).streams
         concrete = evaluate_fixpoint(flatten(spec), full)["t"]
         assert refinement_leq(AbstractEventStream.of(concrete), timed)
 
