@@ -1,6 +1,6 @@
 """Doubling runs of one workload, each checked against an independent result.
 
-Six workloads are measured:
+Seven workloads are measured:
 
 - `reset-sum` (the default): concrete reset-sum offline on
   `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
@@ -27,7 +27,8 @@ Six workloads are measured:
   emitted up to the last message must equal `evaluate_fixpoint`'s on the
   gapped trace, and the concrete output on the full trace must refine
   that output.  `reset-sum-online-timed` replays the full trace the same
-  way, with nothing lost.
+  way, with nothing lost, and `reset-sum-online-plain-gapped` replays the
+  gapped trace through the plain (not time-aware) unrolled abstraction.
 
 For every n it generates the seeded trace, times `evaluate_fixpoint` (or
 every `feed`) in wall seconds and checks the output.  It prints the times,
@@ -194,10 +195,10 @@ def gapped_messages(trace, message_cls) -> list:
     return [m for *_, m in timed] + [message_cls.progress(name, end) for name in names]
 
 
-def time_aware_online_run(lost: bool, n: int):
-    """Time-aware abstract reset-sum online at n, with values lost if lost:
-    (total feed seconds, sweeps of the last feed, checks pass, feed latency
-    medians in ms)."""
+def abstract_online_run(time_aware: bool, lost: bool, n: int):
+    """Unrolled abstract reset-sum online at n, time-aware if time_aware,
+    with values lost if lost: (total feed seconds, sweeps of the last feed,
+    checks pass, feed latency medians in ms)."""
     import gen
     from gapstream.abstract import AbstractEventStream, refinement_leq
     from gapstream.builtin_specs import spec_text
@@ -206,7 +207,7 @@ def time_aware_online_run(lost: bool, n: int):
     from gapstream.tracefile import parse_trace
 
     ast = parse_spec(spec_text("reset-sum"))
-    graph = flatten(unroll(abstractify(ast, time_aware=True)))
+    graph = flatten(unroll(abstractify(ast, time_aware=time_aware)))
     full = gen.reset_sum(SEED, n)
     trace = parse_trace(lose_values(full) if lost else full)
     emitted, latencies, monitor = replay(graph, gapped_messages(trace, Message))
@@ -266,7 +267,7 @@ WORKLOADS = {
                          "feed latency and that of the last 10% of messages; the "
                          "emitted events checked against perfbench/oracle.py"),
     "reset-sum-online-gapped": (
-        partial(time_aware_online_run, True), [40, 80, 160, 320], "offline",
+        partial(abstract_online_run, True, True), [40, 80, 160, 320], "offline",
         "time-aware unrolled abstract reset-sum online: wall seconds of all "
         "OnlineEvaluator.feed calls replaying perfbench/gen.py reset_sum(seed, "
         "n) with every tenth value lost to a gap and every tenth shown as "
@@ -274,10 +275,14 @@ WORKLOADS = {
         "messages; the emitted events checked against evaluate_fixpoint on "
         "that trace, whose output the full trace's concrete output refines"),
     "reset-sum-online-timed": (
-        partial(time_aware_online_run, False), [40, 80, 160, 320], "offline",
+        partial(abstract_online_run, True, False), [40, 80, 160, 320], "offline",
         "time-aware unrolled abstract reset-sum online on the gap-free "
         "perfbench/gen.py reset_sum(seed, n), measured and checked as "
         "reset-sum-online-gapped"),
+    "reset-sum-online-plain-gapped": (
+        partial(abstract_online_run, False, True), [40, 80, 160, 320], "offline",
+        "plain (not time-aware) unrolled abstract reset-sum online on the "
+        "trace of reset-sum-online-gapped, measured and checked as that one"),
 }
 
 

@@ -16,22 +16,25 @@ gap-free streams, so there it holds by construction, and tests/test_ops.py
 checks them against the synchronized lift and the dense-time oracles.
 
 Every operator that decides its output atom by atom walks the same atoms,
-those _walk yields: the points (0, ticks, gap boundaries, progress) and the
-open intervals between them.  _walk reads each argument's cell on each atom
-off one cursor over its marks (_marks: ticks, gap boundaries and progress),
-with UNKNOWN past the argument's own progress; it reads the marks only up
-to the walk's horizon, so an argument known far beyond it costs nothing
-there.  lift_abs lifts a function over those cells.  The signal lift
-slift_abs carries each argument's latest value through the walk instead
-of building the paper's synchronization, merge_abs(x, last_abs(x,
-others)) (encoded.synchronized); that composition is kept only for the
-encoded signal lift and as the test oracle.  delay_abs
-and delay_abs_fin walk their inputs through _split, which also splits the
-atoms at the pending timeouts; delay_abs is one forward pass.  last_abs
-moves one pointer through the value stream's marks as the trigger ticks
-ascend (_last_values).  ops.slift, ops.last and ops.delay run slift_abs,
-last_abs and delay_abs on the gap-free streams that stand for their
-arguments, so the concrete rows resume as these do.
+those _walk yields: the points (0, ticks, gap boundaries, progress) and
+the open intervals between them.  _walk reads each argument's cell on each
+atom off one cursor over its marks (_marks: ticks, gap boundaries and
+progress), with UNKNOWN past the argument's own progress; it reads the
+marks only up to the walk's horizon, so an argument known far beyond it
+costs nothing there.  The marks of an argument with no gap at or after the
+walk's start are its event slice there and its progress mark, found by two
+bisects (_event_marks); only the others read gap spans (_gap_marks).
+lift_abs lifts a function over those cells.  The signal lift slift_abs
+carries each argument's latest value through the walk instead of building
+the paper's synchronization, merge_abs(x, last_abs(x, others))
+(encoded.synchronized); that composition is kept only for the encoded
+signal lift and as the test oracle.  delay_abs and delay_abs_fin walk
+their inputs through _split, which also splits the atoms at the pending
+timeouts; delay_abs is one forward pass.  last_abs moves one pointer
+through the value stream's marks as the trigger ticks ascend
+(_last_values).  ops.slift, ops.last and ops.delay run slift_abs, last_abs
+and delay_abs on the gap-free streams that stand for their arguments, so
+the concrete rows resume as these do.
 
 The time-aware last_time_abs and slift_time_abs are the last_abs and
 slift_abs walks with another taint rule, the cell a value gets where a gap
@@ -39,7 +42,8 @@ came after it: TOP in the plain abstraction; they read each event as its
 timestamp and give such a value the interval up to the gap's end.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
-previous output (the empty stream by default, which is a full evaluation).
+previous output (the empty stream by default, which is a full evaluation);
+time_abs maps only the ticks past prev's events, as ops.time does.
 They walk from prev's progress time, whose point atom holds each
 argument's cell there; slift_abs starts from each argument's latest value,
 taint, start and last gap end below that time, which _carried recovers.
@@ -58,7 +62,9 @@ last_time_abs (and their value halves) take prev's events and walk only
 the trigger ticks past prev's progress; their progress and gaps, all the
 gap half last_abs_gap needs, come from _last_frame by bisects, without a
 walk, and without gaps in either argument from v's progress and first
-event alone.  The gap half searches only the gaps past prev's progress.
+event alone: the trigger's gaps are cut to the output's span by
+TimeSet.window, which rebuilds only the two spans at its ends.  The gap
+half searches only the gaps past prev's progress.
 The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
 its sweep state lives in a holder its caller passes, one per pair of
 argument streams (speclang.Operator.stateful), the concrete delay's too.
@@ -66,7 +72,8 @@ The same argument objects get the kept result, so both halves of an
 unrolled delay share one sweep, and later arguments resume the sweep from
 the kept checkpoint.  A holder sees only growing prefixes of its two
 streams, the contract prev relies on, so their history below the
-checkpoint is the kept one.
+checkpoint is the kept one, and so are the output's gaps there: a resumed
+sweep unites only the spans it adds.
 
 No operator checks its whole output: AbstractEventStream.of and
 EventStream.of validate at the public boundary only, inputs and user
@@ -84,15 +91,18 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import dropwhile, groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
 from .streams import EventStream, Progress
-from .timeline import INF, ExtTime, Span, Time, TimeSet, as_time
+from .timeline import INF, ExtTime, Span, Time, TimeSet, _hi, _lo, as_time
 from .values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 from .abstract import AbstractEventStream, covered_span
+
+
+_NOTHING = AbstractEventStream.of(EventStream.empty())
 
 
 def nil_abs() -> AbstractEventStream:
@@ -105,13 +115,20 @@ def unit_abs() -> AbstractEventStream:
     )
 
 
-def time_abs(s: AbstractEventStream) -> AbstractEventStream:
+def time_abs(s: AbstractEventStream,
+             prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """Each event's timestamp as its payload, a Fraction as in ops.time.
 
     s's ticks, progress and gaps stay, so the output is valid as s is.
+    prev, time_abs's output on a prefix of s (empty by default), holds the
+    first of those events, so only the later ticks are mapped; with s's
+    progress it is the output itself.
     """
+    if prev.progress == s.progress:
+        return prev
     ticks = s.stream.ticks()
-    mapped = tuple((t, Fraction(t)) for t in ticks)
+    old = prev.stream.events
+    mapped = old + tuple((t, Fraction(t)) for t in ticks[len(old):])
     return AbstractEventStream(EventStream._with_ticks(mapped, s.progress, ticks), s.gaps)
 
 
@@ -130,10 +147,25 @@ def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF,
     Only the ticks and gap spans from since up to until are read, and no
     mark lies past until.  With stamp, an event's cell is its timestamp as
     a point interval, the value the time-aware rows read.
+
+    Where no gap of s reaches since, the marks are the event slice from
+    since to until and the progress mark, found by bisects (_event_marks);
+    only elsewhere are the gap spans read (_gap_marks).
     """
     spans = s.gaps.spans
+    kernel = _event_marks if not spans or spans[-1].hi < since else _gap_marks
+    out = kernel(s, since, until)
+    if stamp:
+        out = [(t, cell if cell is GAP or cell is BOTTOM or cell is UNKNOWN
+                else Interval.single(t), above) for t, cell, above in out]
+    return out
+
+
+def _gap_marks(s: AbstractEventStream, since: Time, until: ExtTime) -> list:
+    """_marks of s from since to until, unstamped, gap spans and all."""
+    spans = s.gaps.spans
     marks = []
-    for sp in spans[bisect_left(spans, since, key=attrgetter("hi")):]:
+    for sp in spans[bisect_left(spans, since, key=_hi):]:
         if sp.lo > until:
             break
         point = sp.is_point()
@@ -175,9 +207,25 @@ def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF,
     del out[:below]
     if not out or out[0][0] != since:
         out.insert(0, (since, head, head))
-    if stamp:
-        out = [(t, cell if cell is GAP or cell is BOTTOM or cell is UNKNOWN
-                else Interval.single(t), above) for t, cell, above in out]
+    return out
+
+
+def _event_marks(s: AbstractEventStream, since: Time, until: ExtTime) -> list:
+    """_marks of s from since to until, unstamped, where no gap of s reaches since."""
+    ticks = s.stream.ticks()
+    out = [(t, v, BOTTOM) for t, v in
+           s.stream.events[bisect_left(ticks, since):bisect_right(ticks, until)]]
+    head = BOTTOM
+    prog = s.progress
+    if not prog.is_infinite():
+        p = prog.time
+        if p < since:
+            head = UNKNOWN      # no event lies past the progress
+        elif p <= until:
+            cell = out.pop()[1] if out and out[-1][0] == p else BOTTOM
+            out.append((p, cell if prog.inclusive else UNKNOWN, UNKNOWN))
+    if not out or out[0][0] != since:
+        out.insert(0, (since, head, head))
     return out
 
 
@@ -191,7 +239,7 @@ def _carried(s: AbstractEventStream, since: Time, stamp: bool = False) -> tuple:
     at most.  These are what the walks of slift and last carry into since.
     """
     spans = s.gaps.spans
-    k = bisect_left(spans, since, key=attrgetter("lo"))
+    k = bisect_left(spans, since, key=_lo)
     end = s.gaps.free_since(since) if k else 0
     before = s.stream.last_event_before(since)
     if before is None:
@@ -337,9 +385,6 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
     return AbstractEventStream(stream, gaps)
 
 
-_NOTHING = AbstractEventStream.of(EventStream.empty())
-
-
 def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     if not streams:
@@ -421,20 +466,23 @@ def _last_frame(v: AbstractEventStream, r: AbstractEventStream) -> tuple:
     point_gaps = ticks[bisect_right(ticks, first_gap):min(cut, bisect_right(ticks, first_event))]
 
     # the output inherits r's gaps strictly after v's start, the infimum of
-    # v's ticks and gaps; a v with neither by a finite progress may still
-    # start there or later, so r's next gap after that stays undecided
+    # v's ticks and gaps, up to main; a v with neither by a finite progress
+    # may still start there or later, so r's next gap after that stays
+    # undecided
     vstart = min(first_event, first_gap)
     start = min(vstart, v.progress.time)
-    inherited = TimeSet.empty()
+    gaps = TimeSet.empty()
     if start is not INF:
-        inherited = r.gaps.intersect(TimeSet.of(Span(start, False, INF, False)))
-        if vstart is INF and inherited.spans:
-            first = inherited.spans[0]
-            main = min(main, Progress(first.lo, not first.lo_closed))
-
-    prog = max(main, _vbot_extent(v.stream, first_gap))
-    gaps = inherited.intersect(covered_span(main)).union(_points(point_gaps))
-    return prog, gaps, cut
+        spans = r.gaps.spans
+        i = bisect_right(spans, start, key=_hi)
+        if vstart is INF and i < len(spans):
+            first = spans[i]
+            main = min(main, Progress(first.lo, not first.lo_closed) if start < first.lo
+                       else Progress(start, True))
+        gaps = r.gaps.window(start, False, main.time, main.inclusive)
+    if point_gaps:
+        gaps = gaps.union(_points(point_gaps))
+    return max(main, _vbot_extent(v.stream, first_gap)), gaps, cut
 
 
 def _interval_taint(latest: Interval, end: Time) -> Interval:
@@ -549,13 +597,13 @@ def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream,
     """
     if d.progress < prog:
         prog = d.progress
-        gaps = gaps.intersect(covered_span(prog))
+        gaps = gaps.window(0, True, prog.time, prog.inclusive)
     done = prev.progress
     if prog == done:
         return prev
     ticks = d.stream.ticks()
     if gaps.spans and not gaps.spans[-1].hi < done.time:
-        gaps = gaps.intersect(TimeSet.of(Span(done.time, not done.inclusive, INF, False)))
+        gaps = gaps.window(done.time, not done.inclusive, INF, False)
         inside = [t for sp in gaps.spans
                   for t in ticks[bisect_left(ticks, sp.lo):bisect_right(ticks, sp.hi)]
                   if sp.contains(t)]
@@ -841,7 +889,9 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     progress both cover at from below have the kept history below it, so
     the sweep resumes there; others, and a call without a holder, start it
     at 0.  A call takes its own checkpoint at the least of the arguments'
-    progress times, where the walk always has a point atom.
+    progress times, where the walk always has a point atom.  A resumed call
+    keeps the kept result's gaps below the checkpoint and unites only the
+    spans its sweep adds.
     """
     if state is None:
         state = {}
@@ -850,8 +900,11 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     at, snapshot, kept = state.get("checkpoint", (None, None, None))
     if at is not None and d.progress.covers_below(at) and r.progress.covers_below(at):
         start, sweep = at, kept.resumed(snapshot)
+        # the gap spans the sweep had at the checkpoint are the kept ones below it
+        below, n_below = state["z"].gaps.window(0, True, at, False), snapshot[4]
     else:
         start, at, snapshot, sweep = 0, None, None, _DelaySweep()
+        below, n_below = TimeSet.empty(), 0
     mark = min(d.progress.time, r.progress.time)
     prog = Progress.infinite()
     for lo, hi, cells in _split(_walk((d, r), prog, start), sweep.taus):
@@ -866,11 +919,11 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     # each atom holds a fire, a gap or neither, so no fire lies in a gap; the
     # fires ascend with the atoms, and the sweep stops before an atom or
     # right after it, so prog covers every fire and gap, and the gaps need
-    # no cut
+    # no cut; only the spans this call added are swept into the gap set
     fires = tuple(sweep.fires)
     z = AbstractEventStream(
         EventStream._with_ticks(tuple((t, UNIT) for t in fires), prog, fires),
-        TimeSet(sweep.gap_spans))
+        below.union(TimeSet(sweep.gap_spans[n_below:])))
     state.update(d=d, r=r, z=z, checkpoint=(at, snapshot, sweep))
     return z
 

@@ -289,23 +289,29 @@ def _enq_bounded_abstract(n):
 
 register(LiftedFunction("enq", 3, strict(_enq_concrete), strict_cells(_enq_abstract)))
 
-register_parametric(
-    "window_strip",
-    lambda k: LiftedFunction(
-        f"window_strip({k})", 2,
-        strict(_strip_concrete(Fraction(k))),
-        strict_cells(_strip_abstract(Fraction(k))),
-    ),
-)
 
-register_parametric(
-    "window_integral",
-    lambda k: LiftedFunction(
-        f"window_integral({k})", 2,
-        strict(_integral_concrete(Fraction(k))),
-        strict_cells(_integral_abstract(Fraction(k))),
-    ),
-)
+def _window_length(k) -> Fraction:
+    """The window length k as a Fraction; a window must be longer than 0."""
+    length = Fraction(k)
+    if length <= 0:
+        raise ValueError(f"the window length must be positive, got {k}")
+    return length
+
+
+def _window_strip(k) -> LiftedFunction:
+    length = _window_length(k)
+    return LiftedFunction(f"window_strip({k})", 2, strict(_strip_concrete(length)),
+                          strict_cells(_strip_abstract(length)))
+
+
+def _window_integral(k) -> LiftedFunction:
+    length = _window_length(k)
+    return LiftedFunction(f"window_integral({k})", 2, strict(_integral_concrete(length)),
+                          strict_cells(_integral_abstract(length)))
+
+
+register_parametric("window_strip", _window_strip)
+register_parametric("window_integral", _window_integral)
 
 register_parametric(
     "timeout_after",

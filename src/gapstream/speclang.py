@@ -118,7 +118,7 @@ OPERATORS: Dict[str, Operator] = {
     "const": Operator("const", 1, 1, takes="lit", abstract="const_abs", resumes=True),
     "nil_abs": Operator("nil_abs", 0, 0, encode="_enc_nil"),
     "unit_abs": Operator("unit_abs", 0, 0, encode="_enc_unit"),
-    "time_abs": Operator("time_abs", 1, 1, encode="_enc_time"),
+    "time_abs": Operator("time_abs", 1, 1, encode="_enc_time", resumes=True),
     "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
                          history=True, encode="_enc_last", resumes=True),
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),

@@ -21,7 +21,9 @@ and (t, True) the open stretch just above it.  A span starts at
 edge carries weight +w and its end edge -w.  The sweep sorts the edges,
 sums the weights of equal keys and emits the normalized spans where the
 running sum is at least `need`: need 1 normalizes and unites, need 2
-intersects, and a subtrahend of weight -1 subtracts.
+intersects, and a subtrahend of weight -1 subtracts.  A cut to one interval
+(window, and so an intersection with one span) needs no sweep: two bisects
+find the spans that meet it, and only the two at its ends are clipped.
 """
 
 from __future__ import annotations
@@ -199,18 +201,31 @@ class TimeSet:
             return self
         if not other.spans or self.spans == _FULL.spans:
             return other
-        spans = self.spans
-        if len(other.spans) == 1 and len(spans) > 2:
-            # a window w: the spans strictly between the first and the last
-            # span that meet it lie inside it, so only those two are swept
+        if len(other.spans) == 1:
             w = other.spans[0]
-            i = bisect_left(spans, w.lo, key=_hi)
-            j = bisect_right(spans, w.hi, key=_lo)
-            if j - i > 2:
-                head = _sweep(_edges((spans[i], w), 1), 2).spans + spans[i + 1:j - 1]
-                return _sweep(_edges((spans[j - 1], w), 1), 2, head)
-            spans = spans[i:j]
-        return _sweep(_edges(spans, 1) + _edges(other.spans, 1), 2)
+            return self.window(w.lo, w.lo_closed, w.hi, w.hi_closed)
+        return _sweep(_edges(self.spans, 1) + _edges(other.spans, 1), 2)
+
+    def window(self, lo: Time, lo_closed: bool, hi: ExtTime, hi_closed: bool) -> "TimeSet":
+        """The set cut to the window from lo to hi, which may be empty.
+
+        It is the intersection with that window, by two bisects: the spans
+        strictly between the first and the last span that meet the window
+        lie inside it and are kept as they are, and only those two are cut.
+        hi may be INF, and then hi_closed is False.
+        """
+        spans = self.spans
+        i = bisect_left(spans, lo, key=_hi)
+        j = bisect_right(spans, hi, key=_lo)
+        if i >= j:
+            return _EMPTY
+        start, end = (lo, not lo_closed), (hi, hi_closed)
+        first = _clip(spans[i], start, end)
+        if i == j - 1:
+            return _of_spans((first,) if first else ())
+        last = _clip(spans[j - 1], start, end)
+        return _of_spans(((first,) if first else ()) + spans[i + 1:j - 1]
+                         + ((last,) if last else ()))
 
     def minus(self, other: "TimeSet") -> "TimeSet":
         if not self.spans or not other.spans:
@@ -291,6 +306,20 @@ def _edges(spans: Iterable[Span], weight: int) -> list:
     return out
 
 
+def _clip(s: Span, start: tuple, end: tuple):
+    """The part of s from the edge key start up to the edge key end, or None if empty."""
+    lo = max((s.lo, not s.lo_closed), start)
+    hi = min((s.hi, s.hi_closed), end)
+    return Span(lo[0], not lo[1], hi[0], hi[1]) if lo < hi else None
+
+
+def _of_spans(spans: tuple) -> TimeSet:
+    """The set of spans already disjoint, sorted and non-touching."""
+    ts = object.__new__(TimeSet)
+    object.__setattr__(ts, "spans", spans)
+    return ts
+
+
 def _sweep(edges: list, need: int, head: tuple = ()) -> TimeSet:
     """The set of positions whose summed edge weight is >= need, after the
     spans head, which end before that set begins without touching it."""
@@ -313,9 +342,7 @@ def _sweep(edges: list, need: int, head: tuple = ()) -> TimeSet:
             lo, lo_side = t, side
     if depth >= need:
         out.append(Span(lo, not lo_side, INF, False))
-    ts = object.__new__(TimeSet)
-    object.__setattr__(ts, "spans", head + tuple(out))
-    return ts
+    return _of_spans(head + tuple(out))
 
 
 _EMPTY = TimeSet()

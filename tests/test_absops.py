@@ -1,5 +1,6 @@
 """Abstract operators: paper-diagram cases, embedding, soundness, perfection."""
 
+from bisect import bisect_right
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from gapstream.speclang import abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
 from gapstream.tracefile import parse_trace
-from gapstream.values import BOTTOM, GAP, TOP, UNIT, Interval
+from gapstream.values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 
 Pinc = Progress.inclusive_at
 
@@ -766,6 +767,7 @@ PREFIX_OPERATORS = {
 
 # the operators that resume from their output on prefixes of the arguments
 RESUMING_OPERATORS = {
+    "time_abs": lambda a, b, **prev: A.time_abs(a, **prev),
     "lift_abs": lambda a, b, **prev: A.lift_abs(gap_wins, a, b, **prev),
     "merge_abs": A.merge_abs,
     "const_abs": lambda a, b, **prev: A.const_abs(F(5))(a, **prev),
@@ -805,6 +807,73 @@ class TestResumedRows:
         for name in ("last_abs", "last_abs_gap", "last_time_abs", "slift_time_abs"):
             op = RESUMING_OPERATORS[name]
             assert op(a, b, prev=op(ca, cb)) == op(a, b), name
+
+
+def last_frame_by_set_algebra(v, r):
+    """_last_frame's gaps and progress as the whole-set composition it replaced.
+
+    r's gaps are cut to the span after v's start with intersect, then to
+    main's covered span, and the point gaps are united by an edge sweep.
+    """
+    ticks = r.stream.ticks()
+    main = r.progress
+    cut = bisect_right(ticks, v.progress.time)
+    if cut < len(ticks):
+        main = min(main, Progress.exclusive(ticks[cut]))
+    if not v.gaps.spans and not r.gaps.spans:
+        return max(main, A._vbot_extent(v.stream)), TimeSet.empty(), cut
+    first_gap = v.gaps.first_point()
+    first_event = v.stream.events[0][0] if v.stream.events else INF
+    point_gaps = ticks[bisect_right(ticks, first_gap):min(cut, bisect_right(ticks, first_event))]
+    vstart = min(first_event, first_gap)
+    start = min(vstart, v.progress.time)
+    inherited = TimeSet.empty()
+    if start is not INF:
+        inherited = r.gaps.intersect(TimeSet.of(Span(start, False, INF, False)))
+        if vstart is INF and inherited.spans:
+            first = inherited.spans[0]
+            main = min(main, Progress(first.lo, not first.lo_closed))
+    prog = max(main, A._vbot_extent(v.stream, first_gap))
+    gaps = inherited.intersect(covered_span(main)).union(A._points(point_gaps))
+    return prog, gaps, cut
+
+
+def stamped(marks):
+    """The marks with each event's cell its timestamp, as _marks stamps them."""
+    return [(t, c if c is GAP or c is BOTTOM or c is UNKNOWN else Interval.single(t), a)
+            for t, c, a in marks]
+
+
+QUARTER_GRID = tuple(F(k, 4) for k in range(37))
+
+
+class TestKernels:
+    """The bisect kernels give what the general code they stand for gives."""
+
+    @given(gapped_half_grid_streams(), st.booleans(), st.sampled_from(QUARTER_GRID),
+           st.sampled_from(QUARTER_GRID + (INF,)), st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_event_marks_equal_gap_marks(self, s, drop_gaps, since, until, stamp):
+        # gap-free, or with every gap ending below since: the quarter grid
+        # puts since at a tick, between ticks and past the progress
+        spans = s.gaps.spans
+        if drop_gaps or spans and spans[-1].hi is INF:
+            s = AbstractEventStream(s.stream, TimeSet.empty())
+        elif spans:
+            since = max(since, spans[-1].hi + F(1, 4))
+        until = max(until, since)
+        fast = A._event_marks(s, since, until)
+        assert fast == A._gap_marks(s, since, until)
+        want = stamped(fast) if stamp else fast
+        assert A._marks(s, since, until, stamp) == want
+
+    @given(gapped_half_grid_streams(), gapped_half_grid_streams(),
+           PROGRESS_KINDS, st.sampled_from(HALF_GRID))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_last_frame_equals_set_algebra(self, v, r, kind, at):
+        cv = cut(v, progress_of(kind, at))
+        for a, b in ((v, r), (r, v), (cv, r), (r, cv)):
+            assert A._last_frame(a, b) == last_frame_by_set_algebra(a, b)
 
 
 class TestDelayWalk:

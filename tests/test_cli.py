@@ -108,6 +108,23 @@ class TestRun:
         assert got.returncode == 1
         assert "line 6" in got.stderr and "Traceback" not in got.stderr
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("window_integral(5)", "window_integral(0)", "line 7"),
+        ("window_strip(5)", "window_strip(0)", "line 5"),
+    ])
+    def test_window_length_not_positive_is_typed(self, tmp_path, old, new, line):
+        # each failed at evaluation before: a division by zero in the
+        # integral, an enqueue behind the queue's end after the strip
+        spec = tmp_path / "queue.spec"
+        spec.write_text(spec_text("queue").replace(old, new))
+        trace = tmp_path / "fig.trace"
+        trace.write_text(trace_text("queue-fig"))
+        for mode in ((), ("--abstract", "--unroll")):
+            got = run_cli("run", *mode, str(spec), str(trace))
+            assert got.returncode == 1
+            assert "bad parameters for function" in got.stderr
+            assert line in got.stderr and "Traceback" not in got.stderr
+
     @pytest.mark.parametrize("stream_type, value, body", [
         ("Unit", "()", "lift(inc)(x)"),
         ("Int", "3", "lift(div)(x, const(0)(x))"),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import interval_path
 from gapstream.errors import OperatorError
 from gapstream.functions import (abs_add, abs_div, abs_eq, abs_leq, abs_lt,
-                                 abs_mul, abs_neg, abs_sub)
+                                 abs_mul, abs_neg, abs_sub, lookup)
+from gapstream.speclang import FnRef
 from gapstream.timeline import INF, NEG_INF
 from gapstream.values import TOP, Interval
 
@@ -90,3 +91,33 @@ def test_bool_operand_of_neg_raises(flag):
 def test_interval_must_hold_a_rational(lo, hi):
     with pytest.raises(ValueError):
         Interval(lo, hi)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("add", ()), ("window_strip", (F(5),)), ("window_integral", (F(5),)),
+    ("timeout_after", (F(3, 2),)), ("enq_bounded", (F(3),)),
+])
+def test_resolving_twice_gives_the_same_function(name, params):
+    ref = FnRef(name, params)
+    key = hash(ref)
+    assert ref.resolve() is ref.resolve() is lookup(name, params)
+    # resolving leaves the reference's equality and hash as they were
+    assert hash(ref) == key and ref == FnRef(name, params)
+    assert ref != FnRef(name + "_", params)
+
+
+def test_instances_are_kept_per_typed_parameter():
+    # True == 1, but each builds its own function
+    assert lookup("window_strip", (True,)) is not lookup("window_strip", (1,))
+    assert lookup("window_strip", (True,)).name == "window_strip(True)"
+    assert lookup("window_strip", (F(2),)) is not lookup("window_strip", (F(3),))
+
+
+def test_rejected_parameters_raise_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lookup("enq_bounded", (F(1),))
+        with pytest.raises(ValueError):
+            lookup("window_integral", (F(0),))
+        with pytest.raises(ValueError):
+            lookup("window_strip", (F(-1, 2),))

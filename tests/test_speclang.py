@@ -61,6 +61,7 @@ class TestParsing:
         "const([inf, inf])(y)",
         "lift(enq_bounded(top))(y, y, y)", "lift(enq_bounded(0))(y, y, y)",
         "lift(enq_bounded(1))(y, y, y)", "lift(enq_bounded(5/2))(y, y, y)",
+        "lift(window_strip(0))(y, y)", "slift(window_integral(0))(y, y)",
     ])
     def test_bad_literal_is_typed(self, expr):
         with pytest.raises(SpecSyntaxError) as e:

@@ -49,6 +49,15 @@ def separate_spans(draw):
     return out
 
 
+@st.composite
+def windows(draw):
+    """(lo, lo_closed, hi, hi_closed) on the half-unit grid, hi INF or below lo too."""
+    lo = F(draw(st.integers(0, 12)), 2)
+    if draw(st.integers(0, 4)) == 0:
+        return (lo, draw(st.booleans()), INF, False)
+    return (lo, draw(st.booleans()), F(draw(st.integers(0, 18)), 2), draw(st.booleans()))
+
+
 def build(raw):
     return TimeSet(Span(*r) for r in raw)
 
@@ -107,6 +116,19 @@ class TestOracle:
         # a single span cuts many: only the spans at its two ends are swept
         w = build([window])
         assert_samples(build(ra).intersect(w), lambda t: member(ra, t) and member([window], t))
+
+    @given(st.one_of(span_lists, separate_spans()), windows())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_window_is_intersect(self, ra, window):
+        # the window may be empty: hi below lo, or one open point
+        got = build(ra).window(*window)
+        assert_samples(got, lambda t: member(ra, t) and member([window], t))
+        lo, lo_closed, hi, hi_closed = window
+        if lo < hi or lo == hi and lo_closed and hi_closed:
+            # the same set as the edge sweeps give it
+            assert got == build(ra).minus(build([window]).complement())
+        else:
+            assert got.is_empty()
 
     @given(span_lists)
     @settings(max_examples=200, deadline=None)
