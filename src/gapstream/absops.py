@@ -16,25 +16,24 @@ gap-free streams, so there it holds by construction, and tests/test_ops.py
 checks them against the synchronized lift and the dense-time oracles.
 
 Every operator that decides its output atom by atom walks the same atoms,
-those _walk yields: the points (0, ticks, gap boundaries, progress) and
-the open intervals between them.  _walk reads each argument's cell on each
-atom off one cursor over its marks (_marks: ticks, gap boundaries and
-progress), with UNKNOWN past the argument's own progress; it reads the
-marks only up to the walk's horizon, so an argument known far beyond it
-costs nothing there.  The marks of an argument with no gap at or after the
-walk's start are its event slice there and its progress mark, found by two
-bisects (_event_marks); only the others read gap spans (_gap_marks).
-lift_abs lifts a function over those cells.  The signal lift slift_abs
-carries each argument's latest value through the walk instead of building
-the paper's synchronization, merge_abs(x, last_abs(x, others))
-(encoded.synchronized); that composition is kept only for the encoded
-signal lift and as the test oracle.  delay_abs and delay_abs_fin walk
-their inputs through _split, which also splits the atoms at the pending
-timeouts; delay_abs is one forward pass.  last_abs moves one pointer
-through the value stream's marks as the trigger ticks ascend
-(_last_values).  ops.slift, ops.last and ops.delay run slift_abs, last_abs
-and delay_abs on the gap-free streams that stand for their arguments, so
-the concrete rows resume as these do.
+those _walk yields: the points (0, ticks, gap boundaries, progress) and the
+open intervals between them.  _walk reads each argument's cell on each atom
+off one cursor over its marks (_marks: ticks, gap boundaries and progress),
+with UNKNOWN past the argument's own progress; it reads the marks only up
+to the walk's horizon, so an argument known far beyond it costs nothing
+there, and one with no gap at or after the walk's start gives only its
+event slice and progress mark.  lift_abs lifts a function over those
+cells.  The signal lift slift_abs carries each argument's latest value
+through the walk instead of building the paper's synchronization,
+merge_abs(x, last_abs(x, others)) (encoded.synchronized); that
+composition is kept only for the encoded signal lift and as the test
+oracle.  delay_abs
+and delay_abs_fin walk their inputs through _split, which also splits the
+atoms at the pending timeouts; delay_abs is one forward pass.  last_abs
+moves one pointer through the value stream's marks as the trigger ticks
+ascend (_last_values).  ops.slift, ops.last and ops.delay run slift_abs,
+last_abs and delay_abs on the gap-free streams that stand for their
+arguments, so the concrete rows resume as these do.
 
 The time-aware last_time_abs and slift_time_abs are the last_abs and
 slift_abs walks with another taint rule, the cell a value gets where a gap
@@ -147,22 +146,7 @@ def _marks(s: AbstractEventStream, since: Time = 0, until: ExtTime = INF,
     Only the ticks and gap spans from since up to until are read, and no
     mark lies past until.  With stamp, an event's cell is its timestamp as
     a point interval, the value the time-aware rows read.
-
-    Where no gap of s reaches since, the marks are the event slice from
-    since to until and the progress mark, found by bisects (_event_marks);
-    only elsewhere are the gap spans read (_gap_marks).
     """
-    spans = s.gaps.spans
-    kernel = _event_marks if not spans or spans[-1].hi < since else _gap_marks
-    out = kernel(s, since, until)
-    if stamp:
-        out = [(t, cell if cell is GAP or cell is BOTTOM or cell is UNKNOWN
-                else Interval.single(t), above) for t, cell, above in out]
-    return out
-
-
-def _gap_marks(s: AbstractEventStream, since: Time, until: ExtTime) -> list:
-    """_marks of s from since to until, unstamped, gap spans and all."""
     spans = s.gaps.spans
     marks = []
     for sp in spans[bisect_left(spans, since, key=_hi):]:
@@ -207,25 +191,9 @@ def _gap_marks(s: AbstractEventStream, since: Time, until: ExtTime) -> list:
     del out[:below]
     if not out or out[0][0] != since:
         out.insert(0, (since, head, head))
-    return out
-
-
-def _event_marks(s: AbstractEventStream, since: Time, until: ExtTime) -> list:
-    """_marks of s from since to until, unstamped, where no gap of s reaches since."""
-    ticks = s.stream.ticks()
-    out = [(t, v, BOTTOM) for t, v in
-           s.stream.events[bisect_left(ticks, since):bisect_right(ticks, until)]]
-    head = BOTTOM
-    prog = s.progress
-    if not prog.is_infinite():
-        p = prog.time
-        if p < since:
-            head = UNKNOWN      # no event lies past the progress
-        elif p <= until:
-            cell = out.pop()[1] if out and out[-1][0] == p else BOTTOM
-            out.append((p, cell if prog.inclusive else UNKNOWN, UNKNOWN))
-    if not out or out[0][0] != since:
-        out.insert(0, (since, head, head))
+    if stamp:
+        out = [(t, cell if cell is GAP or cell is BOTTOM or cell is UNKNOWN
+                else Interval.single(t), above) for t, cell, above in out]
     return out
 
 

@@ -7,7 +7,7 @@ on TOP, intervals and gaps.  The pairing is what lets a specification be
 switched to abstract semantics mechanically.
 
 Parameterized entries (window lengths, filter bounds) are instantiated at
-parse time from literal arguments, once per name and parameters (lookup).
+parse time from literal arguments.
 
 The abstract arithmetic and comparisons take a fast path when both operands
 are exact rationals (a Fraction, an int that is not a bool, or a degenerate
@@ -358,9 +358,6 @@ register(LiftedFunction("keep_if", 2, strict(_keep_if), _keep_if_abs))
 
 
 _PARAMETRIC = {}
-# instances of the parametric entries, built once per name and typed
-# parameters: True and 1 are equal keys, but not equal parameters
-_INSTANCES = {}
 
 
 def register_parametric(name, builder: Callable[..., LiftedFunction]):
@@ -368,21 +365,10 @@ def register_parametric(name, builder: Callable[..., LiftedFunction]):
 
 
 def lookup(name: str, params: Sequence = ()) -> LiftedFunction:
-    """The registry function name, instantiated with params if it takes any.
-
-    A parametric entry is built on its first lookup with given parameters,
-    and later lookups return that object, so an evaluation that resolves
-    its function on every call builds nothing.  A builder that rejects its
-    parameters raises each time, and nothing is kept.
-    """
     if params:
         if name not in _PARAMETRIC:
             raise UnknownIdentifier(f"unknown parametric function '{name}'")
-        key = (name, tuple(params), tuple(map(type, params)))
-        fn = _INSTANCES.get(key)
-        if fn is None:
-            fn = _INSTANCES[key] = _PARAMETRIC[name](*params)
-        return fn
+        return _PARAMETRIC[name](*params)
     if name in _BUILTINS:
         return _BUILTINS[name]
     if name in _PARAMETRIC:

@@ -39,6 +39,12 @@ class FnRef:
     params: Tuple[object, ...] = ()
 
     def resolve(self) -> LiftedFunction:
+        return self._fn
+
+    @cached_property
+    def _fn(self) -> LiftedFunction:
+        # built on the first resolve (at parse time) and kept on this
+        # reference, outside the fields that make up its == and hash
         return lookup(self.name, self.params)
 
     def __str__(self):
