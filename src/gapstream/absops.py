@@ -56,6 +56,18 @@ TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
 part of it, and TimeSet joins the two gap spans.
 
+Where every argument's last gap span ends below prev's progress time, the
+abstract semantics is the concrete one from there on: every atom but the
+ticks has only BOTTOM cells.  So the resumed lifts walk only the new
+ticks (_tick_cells, the concrete lift's walk, which ops.lift runs through
+_lift_ticks): lift_abs if f_abs keeps all-BOTTOM cells BOTTOM, which one
+call probes, and slift_abs carrying _carried's state through the ticks
+(_slift_ticks).  The output is prev's events extended by those the ticks
+give, with prev's gaps.  A GAP or UNKNOWN at a tick, which only the atom
+walk puts out or rejects, a function that gives anything else on BOTTOM
+cells, and a gap past that time take the atom walk.  tests/test_absops.py
+TestTickPath checks both paths against the atom walk composed directly.
+
 The history operators of an unrolled recursion resume too.  last_abs and
 last_time_abs (and their value halves) take prev's events and walk only
 the trigger ticks past prev's progress; their progress and gaps, all the
@@ -353,12 +365,89 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
     return AbstractEventStream(stream, gaps)
 
 
+def _tick_cells(streams: Sequence[EventStream], done: Progress, prog: Progress):
+    """Yield (t, cells) at each tick of the streams that prog covers and done does not.
+
+    Ticks come in time order; cells holds each stream's value at t, BOTTOM
+    where it has no event there.  prog is at most every stream's progress,
+    so each stream decides every tick walked.  This is the walk of the
+    concrete lift, and of lift_abs and slift_abs where no argument has a
+    gap from done on: there every other atom has only BOTTOM cells.
+    """
+    if len(streams) == 1:
+        s, = streams
+        ticks = s.ticks()
+        for t, v in s.events[_covered(ticks, done):_covered(ticks, prog)]:
+            yield t, (v,)
+        return
+    fresh = set()
+    for s in streams:
+        ticks = s.ticks()
+        fresh.update(ticks[_covered(ticks, done):_covered(ticks, prog)])
+    for t in sorted(fresh):
+        yield t, [s.at(t) for s in streams]
+
+
+def _lift_ticks(f: Callable, streams: Sequence[EventStream], done: Progress,
+                prog: Progress) -> tuple:
+    """(events, odd): f of the cells at each tick _tick_cells walks, where it is not BOTTOM.
+
+    The walk stops at the first GAP or UNKNOWN f gives, odd, which no event
+    can carry; odd is None if f gives neither.
+    """
+    events = []
+    for t, cells in _tick_cells(streams, done, prog):
+        out = f(*cells)
+        if out is BOTTOM:
+            continue
+        if out is GAP or out is UNKNOWN:
+            return events, out
+        events.append((t, out))
+    return events, None
+
+
+def _gap_free_since(streams: Sequence[AbstractEventStream], since: Time) -> bool:
+    """True if every stream's last gap span ends below since."""
+    for s in streams:
+        spans = s.gaps.spans
+        if spans and not spans[-1].hi < since:
+            return False
+    return True
+
+
+def _keeps_bottom(f_abs: Callable, arity: int) -> bool:
+    """True if f_abs gives BOTTOM where every cell is BOTTOM; False if it gives anything else or raises.
+
+    The probe is no call of the lift's own: whatever f_abs raises here, the
+    atom walk then raises, or an earlier atom's error, as it would have.
+    """
+    try:
+        return f_abs(*(BOTTOM,) * arity) is BOTTOM
+    except Exception:
+        return False
+
+
 def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """f_abs of the arguments' cells on each atom, resumed from prev.
+
+    Where no argument has a gap from prev's progress time on, every atom
+    but the ticks has only BOTTOM cells, so if f_abs keeps those BOTTOM the
+    output is f_abs at the ticks alone (_lift_ticks) with prev's gaps.  A
+    GAP or UNKNOWN at a tick, an f_abs that gives anything else on BOTTOM
+    cells, and a gap past that time take the atom walk.
+    """
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
     prog = min(s.progress for s in streams)
-    return _lift_atoms(f_abs, _walk(streams, prog, prev.progress.time), prog, prev)
+    done = prev.progress
+    if prog == done:
+        return prev
+    if _gap_free_since(streams, done.time) and _keeps_bottom(f_abs, len(streams)):
+        events, odd = _lift_ticks(f_abs, [s.stream for s in streams], done, prog)
+        if odd is None:
+            return AbstractEventStream(_appended(prev.stream, events, prog), prev.gaps)
+    return _lift_atoms(f_abs, _walk(streams, prog, done.time), prog, prev)
 
 
 def merge_cell(a, b):
@@ -655,6 +744,8 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
     progress lies between the least and x_i's.  Like lift_abs, the walk
     starts at prev's progress time, with each argument's state there taken
     from _carried; if that progress is the output's, the output is prev.
+    Where no argument has a gap from that time on, it walks only the ticks
+    (_slift_ticks), unless one gives GAP or UNKNOWN.
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
@@ -663,9 +754,50 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
         return prev
     since = prev.progress.time
     stamp = taint is not None
-    state = [list(column) for column in zip(*(_carried(s, since, stamp) for s in streams))]
+    carried = [_carried(s, since, stamp) for s in streams]
+    if _gap_free_since(streams, since):
+        events = _slift_ticks(f_abs, [s.stream for s in streams], carried, prev.progress,
+                              prog, taint)
+        if events is not None:
+            return AbstractEventStream(_appended(prev.stream, events, prog), prev.gaps)
+    state = [list(column) for column in zip(*carried)]
     atoms = _synchronized_atoms(_walk(streams, prog, since, stamp), state, taint)
     return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
+
+
+def _slift_ticks(f_abs: Callable, streams: Sequence[EventStream], carried: list,
+                 done: Progress, prog: Progress, taint=None) -> Optional[list]:
+    """slift_abs's events past done up to prog, where no argument has a gap from done's time on.
+
+    carried holds _carried's (latest, tainted, started, end) per stream at
+    done's time; past it no stream has a gap, so only the ticks change that
+    state, as in _synchronized_atoms.  The walk starts at done's time, which
+    done may decide, since a tick there still gives its stream a latest
+    value.  Each tick applies f_abs strictly to the synchronized cells.
+    None if some tick gives GAP or UNKNOWN, which only the atom walk puts
+    out or rejects.
+    """
+    latest, tainted, _, end = map(list, zip(*carried))
+    stamp = taint is not None
+    strict = strict_cells(f_abs)
+    events = []
+    for t, cells in _tick_cells(streams, Progress(done.time, False), prog):
+        for i, c in enumerate(cells):
+            if c is not BOTTOM:
+                latest[i], tainted[i] = Interval.single(t) if stamp else c, False
+        if done.covers(t):
+            continue
+        synced = []
+        for v, tnt, e in zip(latest, tainted, end):
+            if tnt:
+                v = GAP if v is BOTTOM else TOP if taint is None else taint(v, e)
+            synced.append(v)
+        out = strict(*synced)
+        if out is GAP or out is UNKNOWN:
+            return None
+        if out is not BOTTOM:
+            events.append((t, out))
+    return events
 
 
 def slift_time_abs(f_abs: Callable, x: AbstractEventStream, y: AbstractEventStream,

@@ -10,13 +10,15 @@ A gap-free abstract stream stands for exactly one concrete stream, and there
 the abstract operators decide exactly what the concrete semantics does.  So
 slift, last and delay are absops.slift_abs, absops.last_abs and
 absops.delay_abs on the gap-free streams that stand for their arguments,
-and resume as those do.  lift (and so merge and const) keeps its own walk
-over the arguments' ticks, calling f only there, which the encoded path
-relies on; it resumes from prev, its output on prefixes of the arguments,
-and walks only the ticks past prev's progress, as time maps only the ticks
-past prev's events.  So every concrete row that walks its history resumes
-(speclang.Operator.resumes and stateful).  The
-paper's signal lift, lift over encoded.synchronized(streams, merge, last),
+and resume as those do.  lift (and so merge and const) is absops's tick
+walk, absops._lift_ticks, which calls f only at ticks, as the encoded path
+relies on.  The resumed abstract lifts walk the ticks too where no
+argument has a gap past their resume point, as on the gap-free streams
+slift passes to slift_abs.  lift resumes from prev, its output on
+prefixes of the arguments, and walks only the ticks past prev's progress,
+as time maps only the ticks past prev's events.  So every concrete row
+that walks its history resumes (speclang.Operator.resumes and stateful).
+The paper's signal lift, lift over encoded.synchronized(streams, merge, last),
 is the specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
@@ -36,12 +38,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import absops
-from .absops import _appended, _covered, _delay_amount
+from .absops import _appended, _delay_amount
 from .abstract import AbstractEventStream
 from .errors import OperatorError
 from .streams import EventStream, Progress
 from .timeline import TimeSet
-from .values import BOTTOM, GAP, UNIT, UNKNOWN
+from .values import BOTTOM, GAP, UNIT
 
 
 def nil() -> EventStream:
@@ -77,29 +79,14 @@ def lift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> Ev
 
     prev, lift's output on prefixes of the streams (empty by default),
     gives the events at the ticks its progress covers, so only the later
-    ticks are walked.
+    ticks are walked: absops._lift_ticks, which calls f only at ticks.
     """
     if not streams:
         raise OperatorError("lift needs at least one stream")
     prog = min(s.progress for s in streams)
-    done = prev.progress
-    if len(streams) == 1:
-        ticks = streams[0].ticks()     # a stream's progress covers its events
-        times = ticks[_covered(ticks, done):]
-    else:
-        fresh = set()
-        for s in streams:
-            ticks = s.ticks()
-            fresh.update(ticks[_covered(ticks, done):_covered(ticks, prog)])
-        times = sorted(fresh)
-    events = []
-    for t in times:
-        out = f(*(s.at(t) for s in streams))
-        if out is BOTTOM:
-            continue
-        if out is UNKNOWN or out is GAP:
-            raise OperatorError(f"lifted function produced {out!r} on concrete streams")
-        events.append((t, out))
+    events, odd = absops._lift_ticks(f, streams, prev.progress, prog)
+    if odd is not None:
+        raise OperatorError(f"lifted function produced {odd!r} on concrete streams")
     return _appended(prev, events, prog)
 
 

@@ -260,7 +260,7 @@ def _timeout_abstract(k):
             return TOP
         if dt is INF:
             return INF
-        return dt - t + Fraction(k)
+        return dt - t + k
 
     return f
 
@@ -290,37 +290,37 @@ def _enq_bounded_abstract(n):
 register(LiftedFunction("enq", 3, strict(_enq_concrete), strict_cells(_enq_abstract)))
 
 
-def _window_length(k) -> Fraction:
-    """The window length k as a Fraction; a window must be longer than 0."""
+def _positive_length(k, what: str) -> Fraction:
+    """The parameter k as a Fraction; it must be positive, and what names it in the error."""
     length = Fraction(k)
     if length <= 0:
-        raise ValueError(f"the window length must be positive, got {k}")
+        raise ValueError(f"the {what} must be positive, got {k}")
     return length
 
 
 def _window_strip(k) -> LiftedFunction:
-    length = _window_length(k)
+    length = _positive_length(k, "window length")
     return LiftedFunction(f"window_strip({k})", 2, strict(_strip_concrete(length)),
                           strict_cells(_strip_abstract(length)))
 
 
 def _window_integral(k) -> LiftedFunction:
-    length = _window_length(k)
+    length = _positive_length(k, "window length")
     return LiftedFunction(f"window_integral({k})", 2, strict(_integral_concrete(length)),
                           strict_cells(_integral_abstract(length)))
 
 
+def _timeout_after(k) -> LiftedFunction:
+    # an offset of 0 or less can give delay amounts the delay rejects only
+    # at evaluation
+    offset = _positive_length(k, "timeout offset")
+    return LiftedFunction(f"timeout_after({k})", 2, strict(_timeout_concrete(offset)),
+                          strict_cells(_timeout_abstract(offset)))
+
+
 register_parametric("window_strip", _window_strip)
 register_parametric("window_integral", _window_integral)
-
-register_parametric(
-    "timeout_after",
-    lambda k: LiftedFunction(
-        f"timeout_after({k})", 2,
-        strict(_timeout_concrete(Fraction(k))),
-        strict_cells(_timeout_abstract(Fraction(k))),
-    ),
-)
+register_parametric("timeout_after", _timeout_after)
 
 register_parametric(
     "enq_bounded",

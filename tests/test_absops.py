@@ -894,6 +894,136 @@ class TestKernels:
             assert A._last_frame(a, b) == last_frame_by_set_algebra(a, b)
 
 
+def atom_lift(f_abs, streams, prev=A._NOTHING):
+    """lift_abs resumed from prev by the atom walk alone."""
+    prog = min(s.progress for s in streams)
+    return A._lift_atoms(f_abs, A._walk(streams, prog, prev.progress.time), prog, prev)
+
+
+def atom_slift(f_abs, streams, prev=A._NOTHING, taint=None):
+    """slift_abs resumed from prev by the synchronized atom walk alone."""
+    prog = min(s.progress for s in streams)
+    if prog == prev.progress:
+        return prev
+    since, stamp = prev.progress.time, taint is not None
+    state = [list(c) for c in zip(*(A._carried(s, since, stamp) for s in streams))]
+    atoms = A._synchronized_atoms(A._walk(streams, prog, since, stamp), state, taint)
+    return A._lift_atoms(strict_cells(f_abs), atoms, prog, prev)
+
+
+def outcome(call):
+    """call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def resumable(streams, shift, at, inclusive):
+    """The streams without gap tails and a resume progress at or after at.
+
+    With shift, the resume time lies past every gap, so the resumed lifts
+    may take their tick path, and the values with a gap after them are
+    tainted there; without, a gap may reach past it.
+    """
+    streams = [AbstractEventStream(s.stream, TimeSet([g for g in s.gaps.spans
+                                                      if g.hi is not INF]))
+               for s in streams]
+    ends = [s.gaps.spans[-1].hi for s in streams if s.gaps.spans]
+    if shift and ends:
+        at = max(at, max(ends) + F(1, 4))
+    return streams, Progress(at, inclusive)
+
+
+def ticks_only(a, *rest):
+    """a's value where it ticks alone, TOP where another stream ticks with it, GAP where a is TOP."""
+    if a is TOP:
+        return GAP
+    if all(c is BOTTOM for c in rest):
+        return a
+    return BOTTOM if a is BOTTOM else TOP
+
+
+# lifts that keep all-BOTTOM cells BOTTOM, and ones that do not: an event
+# everywhere, an UNKNOWN at a TOP, and a sum that raises on BOTTOM
+TICK_LIFTS = [A.merge_cells, gap_wins, strict_cells(sum_off_threes_abs), ticks_only,
+              lambda *cells: F(1),
+              lambda *cells: UNKNOWN if TOP in cells else BOTTOM,
+              lambda *cells: sum(cells) if TOP not in cells else TOP]
+# strict signal lifts, with a GAP and an UNKNOWN result at TOP
+TICK_SLIFTS = [first_cell, sum_off_threes_abs,
+               lambda *cells: GAP if cells[0] is TOP else cells[-1],
+               lambda *cells: UNKNOWN if TOP in cells else cells[0]]
+
+
+class TestTickPath:
+    """Resumed lift_abs and slift_abs give what the atom walk composed
+    directly gives, result or error, where no argument has a gap past the
+    resume point (the tick path) and where one has (the atom walk)."""
+
+    @given(st.lists(gapped_half_grid_streams(), min_size=1, max_size=3), st.booleans(),
+           st.sampled_from(QUARTER_GRID), st.booleans(), st.sampled_from(TICK_LIFTS))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_lift_equals_atom_walk(self, streams, shift, at, inclusive, f_abs):
+        streams, resume = resumable(streams, shift, at, inclusive)
+        prev = outcome(lambda: atom_lift(f_abs, [cut(s, resume) for s in streams]))
+        if not isinstance(prev, AbstractEventStream):
+            prev = A._NOTHING
+        assert (outcome(lambda: A.lift_abs(f_abs, *streams, prev=prev))
+                == outcome(lambda: atom_lift(f_abs, streams, prev)))
+
+    @given(st.lists(gapped_half_grid_streams(), min_size=1, max_size=3), st.booleans(),
+           st.sampled_from(QUARTER_GRID), st.booleans(), st.sampled_from(TICK_SLIFTS),
+           st.sampled_from([None, A._interval_taint]))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_slift_equals_atom_walk(self, streams, shift, at, inclusive, f_abs, taint):
+        if taint is not None:
+            f_abs = first_cell      # the others read TOP, which stamped values are not
+        streams, resume = resumable(streams, shift, at, inclusive)
+        prev = outcome(lambda: atom_slift(f_abs, [cut(s, resume) for s in streams],
+                                          taint=taint))
+        if not isinstance(prev, AbstractEventStream):
+            prev = A._NOTHING
+        assert (outcome(lambda: A.slift_abs(f_abs, *streams, prev=prev, taint=taint))
+                == outcome(lambda: atom_slift(f_abs, streams, prev, taint)))
+
+    def test_gap_free_rows_walk_only_ticks(self, monkeypatch):
+        # x's gap ends below the resume point 1
+        x = astream([(1, F(1)), (3, TOP)], gaps=[sp(0, F(1, 2))], prog=Pinc(5))
+        y = astream([(2, F(2)), (3, F(1))], prog=Pinc(6))
+        rows = [A.merge_abs, lambda a, b, **p: A.lift_abs(gap_wins, a, b, **p),
+                lambda a, b, **p: A.const_abs(F(5))(a, **p),
+                lambda a, b, **p: A.slift_abs(sum_off_threes_abs, a, b, **p),
+                lambda a, b, **p: A.slift_time_abs(first_cell, a, b, **p)]
+        prevs = [op(cut(x, Pinc(1)), cut(y, Pinc(1))) for op in rows]
+        wants = [op(x, y) for op in rows]
+
+        def walk(*args):
+            raise AssertionError("the atom walk ran")
+
+        monkeypatch.setattr(A, "_walk", walk)
+        for op, prev, want in zip(rows, prevs, wants):
+            assert op(x, y, prev=prev) == want
+
+    def test_tick_at_an_inclusive_resume_point_is_carried(self):
+        # y's tick at 4 reads x's value from x's tick at 2, which prev,
+        # inclusive at 2, already decides
+        x = astream([(2, F(1))], prog=Pinc(6))
+        y = astream([(1, F(2)), (4, F(2))], prog=Pinc(6))
+        prev = A.slift_abs(first_cell, cut(x, Pinc(2)), cut(y, Pinc(2)))
+        got = A.slift_abs(first_cell, x, y, prev=prev)
+        assert got.stream.events == ((F(2), F(1)), (F(4), F(1)))
+        assert got == A.slift_abs(first_cell, x, y)
+
+    def test_non_strict_lift_takes_the_atom_walk(self):
+        # an event at every point, as the lift gives up to its point 0
+        x = astream([(1, F(1))], prog=Pinc(3))
+        prev = A.lift_abs(lambda c: F(1), cut(x, Pinc(0)))
+        assert prev.stream.events == ((F(0), F(1)),)
+        with pytest.raises(OperatorError, match="event over a region"):
+            A.lift_abs(lambda c: F(1), x, prev=prev)
+
+
 class TestDelayWalk:
     """The operators decide each atom from the inputs up to it, so cut inputs
     give prefixes, and the walk operators resumed from such a prefix give

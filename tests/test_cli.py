@@ -125,6 +125,16 @@ class TestRun:
             assert "bad parameters for function" in got.stderr
             assert line in got.stderr and "Traceback" not in got.stderr
 
+    def test_timeout_offset_not_positive_is_typed(self, tmp_path):
+        # it was well-formed before, and the abstract run stopped in delay
+        spec = tmp_path / "self-updating.spec"
+        spec.write_text(spec_text("self-updating-queue").replace("timeout_after(5)",
+                                                                 "timeout_after(0)"))
+        got = run_cli("check", str(spec))
+        assert got.returncode == 1
+        assert "bad parameters for function" in got.stderr
+        assert "line 7" in got.stderr and "Traceback" not in got.stderr
+
     @pytest.mark.parametrize("stream_type, value, body", [
         ("Unit", "()", "lift(inc)(x)"),
         ("Int", "3", "lift(div)(x, const(0)(x))"),

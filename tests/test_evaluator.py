@@ -758,26 +758,42 @@ def reset_sum_trace(n: int) -> str:
     return "\n".join(lines + [f"progress {2 * n + 1}"]) + "\n"
 
 
+def count_walked(monkeypatch, add) -> None:
+    """Call add() once per walk of slift_abs's atoms or of the lifts' ticks, and once per atom or tick.
+
+    A walk is counted too, because a feed that only moves the progress
+    walks no tick on the tick path but still enters its walk.
+    """
+    synchronized_atoms, tick_cells = absops._synchronized_atoms, absops._tick_cells
+
+    def counting(walk):
+        def counted(*args):
+            add()
+            for item in walk(*args):
+                add()
+                yield item
+        return counted
+
+    monkeypatch.setattr(absops, "_synchronized_atoms", counting(synchronized_atoms))
+    monkeypatch.setattr(absops, "_tick_cells", counting(tick_cells))
+
+
 class TestConcreteResetSumWork:
-    """The concrete slift and last resume, so over one offline fixed point of
-    reset-sum, which takes about n sweeps, the trigger ticks last_abs walks
-    and the atoms slift_abs synchronizes grow with n, not with n squared."""
+    """The concrete lift, slift and last resume, so over one offline fixed
+    point of reset-sum, which takes about n sweeps, the trigger ticks
+    last_abs walks and the atoms or ticks the lifts walk grow with n, not
+    with n squared."""
 
     def test_walks_grow_about_linearly(self, monkeypatch):
         ticks, atoms = [], []
-        last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
+        last_values = absops._last_values
 
         def counting_ticks(v, walked, taint):
             ticks.append(len(walked))
             return last_values(v, walked, taint)
 
-        def counting_atoms(*args):
-            for atom in synchronized_atoms(*args):
-                atoms.append(1)
-                yield atom
-
         monkeypatch.setattr(absops, "_last_values", counting_ticks)
-        monkeypatch.setattr(absops, "_synchronized_atoms", counting_atoms)
+        count_walked(monkeypatch, lambda: atoms.append(1))
         counts = []
         for n in (40, 80):
             ticks.clear()
@@ -891,26 +907,25 @@ class TestChangeDriven:
 
     def test_last_feed_work_is_flat(self, monkeypatch):
         # the trigger ticks last_abs walks, the atoms slift_abs synchronizes
-        # and the events a tick index is built from, in the last feed only
+        # or ticks the lifts walk, and the events a tick index is built
+        # from, in the last feed only
         work = {"ticks": 0, "atoms": 0, "indexed": 0}
-        last_values, synchronized_atoms = absops._last_values, absops._synchronized_atoms
+        last_values = absops._last_values
         index = EventStream._ticks.func
 
         def counting_ticks(v, walked, taint):
             work["ticks"] += len(walked)
             return last_values(v, walked, taint)
 
-        def counting_atoms(*args):
-            for atom in synchronized_atoms(*args):
-                work["atoms"] += 1
-                yield atom
+        def counting_atoms():
+            work["atoms"] += 1
 
         def counting_index(s):
             work["indexed"] += len(s.events)
             return index(s)
 
         monkeypatch.setattr(absops, "_last_values", counting_ticks)
-        monkeypatch.setattr(absops, "_synchronized_atoms", counting_atoms)
+        count_walked(monkeypatch, counting_atoms)
         prop = functools.cached_property(counting_index)
         prop.__set_name__(EventStream, "_ticks")
         monkeypatch.setattr(EventStream, "_ticks", prop)

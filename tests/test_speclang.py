@@ -62,6 +62,7 @@ class TestParsing:
         "lift(enq_bounded(top))(y, y, y)", "lift(enq_bounded(0))(y, y, y)",
         "lift(enq_bounded(1))(y, y, y)", "lift(enq_bounded(5/2))(y, y, y)",
         "lift(window_strip(0))(y, y)", "slift(window_integral(0))(y, y)",
+        "lift(timeout_after(0))(y, y)",
     ])
     def test_bad_literal_is_typed(self, expr):
         with pytest.raises(SpecSyntaxError) as e:
