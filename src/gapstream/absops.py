@@ -80,11 +80,13 @@ The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
 its sweep state lives in a holder its caller passes, one per pair of
 argument streams (speclang.Operator.stateful), the concrete delay's too.
 The same argument objects get the kept result, so both halves of an
-unrolled delay share one sweep, and later arguments resume the sweep from
-the kept checkpoint.  A holder sees only growing prefixes of its two
-streams, the contract prev relies on, so their history below the
-checkpoint is the kept one, and so are the output's gaps there: a resumed
-sweep unites only the spans it adds.
+unrolled delay share one sweep, and so does a delay stream that gained
+only progress short of the atom the kept sweep stopped at; later
+arguments resume the sweep from the kept checkpoint.  A holder sees only
+growing prefixes of its two streams, the contract prev relies on, so
+their history below the checkpoint is the kept one, and so are the
+output's events and gaps there: a resumed sweep appends only the fires
+and unites only the spans it adds.
 
 No operator checks its whole output: AbstractEventStream.of and
 EventStream.of validate at the public boundary only, inputs and user
@@ -98,12 +100,11 @@ prev's (EventStream._with_ticks), so no new version pays for an index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import dropwhile, groupby
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from .errors import OperatorError
 from .functions import strict_cells
@@ -835,8 +836,8 @@ def _delay_amount(val, where):
     return as_time(val)
 
 
-@dataclass
-class _ExactSource:
+class _ExactSource(NamedTuple):
+    """A pending timeout; a flag change replaces it, so snapshots share it."""
     start: Time
     tau: Time
     definite_set: bool
@@ -851,7 +852,8 @@ class _DelaySweep:
     delay amounts and an "anything from here on" flag armed by top-valued
     or gapped delay amounts.  A definite reset event kills pending sources;
     reset gaps merely make them uncertain, and reset data past r's progress
-    makes them undecidable.
+    makes them undecidable.  fires and gap_spans hold what this sweep
+    decided; fired counts the fires decided before it resumed.
     """
 
     def __init__(self):
@@ -860,25 +862,19 @@ class _DelaySweep:
         self.any_alive = False
         self.fires: List[Time] = []
         self.gap_spans: List[Span] = []
+        self.fired = 0
 
     def snapshot(self) -> tuple:
-        """The state before the next atom, for resumed.
+        """The state before the next atom, for resumed: the pending sources,
+        the timeout heap, any_alive and how many fires came so far."""
+        return tuple(self.exact), tuple(self.taus), self.any_alive, self.fired + len(self.fires)
 
-        It holds copies of the pending sources, the timeout heap, any_alive
-        and how many fires and gap spans came so far.
-        """
-        return (tuple(replace(s) for s in self.exact), tuple(self.taus), self.any_alive,
-                len(self.fires), len(self.gap_spans))
-
-    def resumed(self, snapshot: tuple) -> "_DelaySweep":
-        """A new sweep in the snapshot state, with this sweep's outputs cut to its counts."""
-        exact, taus, any_alive, n_fires, n_gaps = snapshot
+    @staticmethod
+    def resumed(snapshot: tuple) -> "_DelaySweep":
+        """A new sweep in the snapshot state, with no fires or gap spans of its own yet."""
         sweep = _DelaySweep()
-        sweep.exact = [replace(s) for s in exact]
-        sweep.taus = list(taus)
-        sweep.any_alive = any_alive
-        sweep.fires = self.fires[:n_fires]
-        sweep.gap_spans = self.gap_spans[:n_gaps]
+        exact, taus, sweep.any_alive, sweep.fired = snapshot
+        sweep.exact, sweep.taus = list(exact), list(taus)
         return sweep
 
     def atom(self, lo, hi, d_cell, r_cell) -> Optional[Progress]:
@@ -935,12 +931,12 @@ class _DelaySweep:
             self.exact = [s for s in self.exact if not s.start < lo]
             self.any_alive = False
         elif r_cell is GAP:
-            for s in self.exact:
-                if s.start < lo or (not is_point and s.start == lo):
-                    s.vulnerable = True
+            self.exact = [s._replace(vulnerable=True)
+                          if not s.vulnerable and (s.start < lo or not is_point and s.start == lo)
+                          else s for s in self.exact]
         elif r_cell is UNKNOWN:
-            for s in self.exact:
-                s.undecidable = True
+            self.exact = [s if s.undecidable else s._replace(undecidable=True)
+                          for s in self.exact]
 
         # 3. new sources from this atom's delay-stream features; where unknown
         #    data may arm one, the sweep stops right after this atom
@@ -970,6 +966,52 @@ class _DelaySweep:
         return None
 
 
+def _next_mark(s: AbstractEventStream, t: ExtTime) -> ExtTime:
+    """The least tick, gap bound or finite progress time of s above t; INF if none."""
+    ticks = s.stream.ticks()
+    i = bisect_right(ticks, t)
+    nxt = ticks[i] if i < len(ticks) else INF
+    spans = s.gaps.spans
+    k = bisect_right(spans, t, key=_hi)
+    if k < len(spans):
+        nxt = min(nxt, spans[k].lo if t < spans[k].lo else spans[k].hi)
+    return min(nxt, s.progress.time) if t < s.progress.time else nxt
+
+
+def _unchanged_below(state: dict, d: AbstractEventStream, r: AbstractEventStream) -> bool:
+    """True if d and r change nothing the kept sweep read up to the atom it stopped at.
+
+    That holds when r is the kept one (its stream and gap set the same
+    objects, so the concrete delay's new wrappers qualify), d grew from the
+    kept d without covering any of the stop atom, and d has no tick and no
+    gap span the kept d lacked (under the holder's contract, the same
+    counts and the same last span).  Then below the stop atom d's new cells
+    are BOTTOM where the kept sweep read UNKNOWN, on atoms it did not stop
+    at.  On such an atom
+    an UNKNOWN d cell changes no state: the fire or gap decided there reads
+    d only through self-arming, which needs a d gap; the reset effects read
+    r alone; and an UNKNOWN d cell arms nothing where it does not stop the
+    sweep, nor does a BOTTOM one.  A BOTTOM d cell stops the sweep nowhere
+    that an UNKNOWN one does not.  d's progress no longer splits the atoms
+    at its old time, which changes nothing either: the sweep treats an open
+    atom split at a point with the same cells as the unsplit atom, as it
+    does at a timeout.  So the sweep reaches the stop atom in the same state
+    and stops there as before, and the kept result is the new one.
+    """
+    kept_r = state.get("r")
+    if state.get("stop") is None or kept_r.stream is not r.stream or kept_r.gaps is not r.gaps:
+        return False
+    kept = state["d"]
+    lo, hi = state["stop"]
+    limit = Progress.exclusive(lo) if hi is None else Progress.inclusive_at(lo)
+    if not kept.progress <= d.progress <= limit:
+        return False
+    spans, kept_spans = d.gaps.spans, kept.gaps.spans
+    return (len(d.stream.events) == len(kept.stream.events)
+            and len(spans) == len(kept_spans)
+            and (not spans or spans[-1] == kept_spans[-1]))
+
+
 def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
               state: Optional[dict] = None) -> AbstractEventStream:
     """Abstract delay: gaps where an output event is possible but not certain.
@@ -978,53 +1020,84 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     pending timeouts.  The output at t reads only the inputs strictly below
     t, so the walk runs past both inputs' progress, where their cells are
     UNKNOWN, and the sweep stops at the first atom that unknown data leaves
-    undecided.  The sweep checks the delay amounts it meets; those past the
-    atom it stops at are checked after it.
+    undecided.  Past the lesser input progress that atom mostly lies at or
+    just after the other input's next mark (tick, gap bound or progress),
+    and at a later one while an unbounded source is armed or a timeout is
+    pending.  So the walk goes from one of the other input's marks to the
+    next, only while the sweep has not stopped, and reads neither input
+    far past where the sweep stops.  The sweep checks the delay amounts it meets; those
+    past the atom it stops at are checked after it, each once per holder.
 
     state, a holder the caller passes only with growing prefixes of the same
     two streams, keeps the last call: its arguments d and r, its result z,
-    and its checkpoint (at, snapshot, sweep), the sweep's state before the
-    point atom at time at.  The same argument objects get z back, so the
-    two halves of an unrolled delay share one sweep.  Arguments whose
-    progress both cover at from below have the kept history below it, so
-    the sweep resumes there; others, and a call without a holder, start it
-    at 0.  A call takes its own checkpoint at the least of the arguments'
-    progress times, where the walk always has a point atom.  A resumed call
-    keeps the kept result's gaps below the checkpoint and unites only the
-    spans its sweep adds.
+    the atom its sweep stopped at (stop, None if it never stopped), its
+    checkpoint (at, snapshot), the sweep's state before the point atom at
+    time at, and how many of d's amounts are checked (checked, which
+    ops.delay keeps too).  A call then does one of three things:
+      - skip: the same argument objects, or the kept r and a d that has
+        changed nothing the sweep reads up to its stop atom
+        (_unchanged_below), get z back, so the two halves of an unrolled
+        delay share one sweep, and a d whose progress moved up to that atom
+        costs no sweep;
+      - resume: arguments whose progress both cover at from below have the
+        kept history below it, so the sweep resumes there in the snapshot
+        state, and the output is z's fires below at, the first of z's
+        events by the snapshot's count, and z's gaps below at, with only
+        what the sweep decides from at on appended;
+      - restart: others, and a call without a holder, sweep from 0.
+    A call that sweeps takes its own checkpoint at the least of the
+    arguments' progress times, where the walk always has a point atom.
     """
     if state is None:
         state = {}
     if state.get("d") is d and state.get("r") is r:
         return state["z"]
-    at, snapshot, kept = state.get("checkpoint", (None, None, None))
+    if _unchanged_below(state, d, r):
+        state["d"] = d
+        return state["z"]
+    at, snapshot = state.get("checkpoint", (None, None))
     if at is not None and d.progress.covers_below(at) and r.progress.covers_below(at):
-        start, sweep = at, kept.resumed(snapshot)
-        # the gap spans the sweep had at the checkpoint are the kept ones below it
-        below, n_below = state["z"].gaps.window(0, True, at, False), snapshot[4]
+        start, sweep, kept = at, _DelaySweep.resumed(snapshot), state["z"]
+        base, below = kept.stream, kept.gaps.window(0, True, at, False)
+        n = sweep.fired
+        if len(base.events) > n:
+            base = EventStream._with_ticks(base.events[:n], Progress.exclusive(at),
+                                           base.ticks()[:n])
     else:
         start, at, snapshot, sweep = 0, None, None, _DelaySweep()
-        below, n_below = TimeSet.empty(), 0
+        base, below = EventStream.empty(), TimeSet.empty()
     mark = min(d.progress.time, r.progress.time)
-    prog = Progress.infinite()
-    for lo, hi, cells in _split(_walk((d, r), prog, start), sweep.taus):
-        if hi is None and lo == mark:
-            at, snapshot = lo, sweep.snapshot()
-        stop = sweep.atom(lo, hi, *cells)
-        if stop is not None:
-            prog = stop
-            for t, val in d.stream.events[bisect_right(d.stream.ticks(), lo):]:
-                _delay_amount(val, t)
-            break
+    other = r if d.progress <= r.progress else d
+    prog = stop = None
+    pos, bound = start, _next_mark(other, mark)
+    while prog is None:
+        horizon = Progress.infinite() if bound is INF else Progress.exclusive(bound)
+        for lo, hi, cells in _split(_walk((d, r), horizon, pos), sweep.taus):
+            if hi is None and lo == mark:
+                at, snapshot = lo, sweep.snapshot()
+            prog = sweep.atom(lo, hi, *cells)
+            if prog is not None:
+                stop = lo, hi
+                break
+        else:
+            if bound is INF:
+                prog = Progress.infinite()
+            else:
+                pos, bound = bound, _next_mark(other, bound)
+    # the amounts the sweep did not meet, past its stop atom; the holder's
+    # earlier calls checked the first ones, and this call's sweep the others
+    # up to that atom
+    for t, val in d.stream.events[state.get("checked", 0):]:
+        _delay_amount(val, t)
     # each atom holds a fire, a gap or neither, so no fire lies in a gap; the
-    # fires ascend with the atoms, and the sweep stops before an atom or
-    # right after it, so prog covers every fire and gap, and the gaps need
-    # no cut; only the spans this call added are swept into the gap set
-    fires = tuple(sweep.fires)
-    z = AbstractEventStream(
-        EventStream._with_ticks(tuple((t, UNIT) for t in fires), prog, fires),
-        below.union(TimeSet(sweep.gap_spans[n_below:])))
-    state.update(d=d, r=r, z=z, checkpoint=(at, snapshot, sweep))
+    # fires ascend with the atoms from at on, above z's fires below it, and
+    # the sweep stops before an atom or right after it, so prog covers every
+    # fire and gap, and the gaps need no cut; only the spans this call added
+    # are swept into the gap set
+    z = AbstractEventStream(_appended(base, [(t, UNIT) for t in sweep.fires], prog),
+                            below.union(TimeSet(sweep.gap_spans)) if sweep.gap_spans else below)
+    state.update(d=d, r=r, z=z, stop=stop, checkpoint=(at, snapshot),
+                 checked=len(d.stream.events))
     return z
 
 

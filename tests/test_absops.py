@@ -238,14 +238,23 @@ class TestSharedBase:
             z = A.delay_abs(a, r)
             assert z == kept and z is not kept
 
-    def test_unrolled_period_sweeps_once_per_pair(self, monkeypatch):
+    def test_unrolled_period_sweeps_at_most_once_per_pair(self, monkeypatch):
+        # a pair evaluation whose d changed nothing the kept sweep read up to
+        # its stop atom takes no sweep; last(cur, tick) raises cur's progress
+        # twice per fire, first to <t and then to <=t, so the gapped trace
+        # has such evaluations
         calls = {}
+        sweeps = []
+        # the sweeps each call of a half started, delay_abs's own included
+        started = {"delay_abs_bot": [], "delay_abs_gap": []}
         for name in ("delay_abs", "delay_abs_bot", "delay_abs_gap"):
             def counting(*args, _name=name, _original=getattr(A, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args, **kwargs)
+                before = len(sweeps)
+                out = _original(*args, **kwargs)
+                started.get(_name, []).append(len(sweeps) - before)
+                return out
             monkeypatch.setattr(A, name, counting)
-        sweeps = []
         init = A._DelaySweep.__init__
         monkeypatch.setattr(A._DelaySweep, "__init__",
                             lambda self: (sweeps.append(self), init(self))[1])
@@ -254,7 +263,29 @@ class TestSharedBase:
         evaluate_fixpoint(flatten(ast), tr.streams)
         assert calls["delay_abs_bot"] == calls["delay_abs_gap"] > 1
         assert calls["delay_abs"] == 2 * calls["delay_abs_bot"]
-        assert len(sweeps) == calls["delay_abs_bot"]
+        # each pair evaluation, a value half and then its gap half on the same
+        # arguments, sweeps at most once, and the gap half never
+        assert set(started["delay_abs_bot"]) <= {0, 1}
+        assert set(started["delay_abs_gap"]) == {0}
+        assert len(sweeps) < calls["delay_abs_bot"]
+
+    def test_skip_only_while_d_adds_nothing_below_the_stop(self):
+        # past d's progress its unknown cells change nothing up to the reset
+        # at 3, which may arm whatever d holds there, so the sweep stops
+        # right after it, and a d known further up to 3 gets the kept result
+        r = astream([(3, UNIT)], gaps=[sp(1, 2, False, False)])
+        state = {}
+        z = A.delay_abs(astream([], prog=Pinc(F(5, 2))), r, state=state)
+        assert z.progress == Pinc(3) and state["stop"] == (3, None)
+        d = astream([], prog=Progress.exclusive(3))
+        assert A.delay_abs(d, r, state=state) is z and state["d"] is d
+        # a new amount below the stop is checked as a call without a holder
+        # checks it
+        with pytest.raises(OperatorError, match="delay amount at 11/4 must be positive"):
+            A.delay_abs(astream([(F(11, 4), F(-1))], prog=Progress.exclusive(3)), r, state=state)
+        # a d that lost progress is unknown in r's gap, where its sweep stops
+        shrunk = astream([], prog=Progress.exclusive(F(3, 2)))
+        assert A.delay_abs(shrunk, r, state=state).progress == Pinc(F(3, 2))
 
     def test_resumed_sweep_leaves_the_checkpoint_alone(self):
         # the call on complete arguments takes no checkpoint of its own and
@@ -288,6 +319,24 @@ out tick2
 """
 
 
+# a reset at 0 and n amounts of 1 at odd times, none of them armed: each
+# sweep of the fixed point decides tick up to one more amount, where the
+# delay stops as tick is not known there yet, so on every sweep the later
+# amounts lie past the atom the delay stops at
+AMOUNT_TICKS = """\
+in r : Events[Unit]
+in d : Events[Int]
+def tick := merge(r, delay(d, tick))
+out tick
+"""
+
+
+def amount_trace(n: int) -> str:
+    lines = ["stream r : Unit", "stream d : Int", "0: r = ()"]
+    lines += [f"{2 * i + 1}: d = 1" for i in range(n)]
+    return "\n".join(lines + [f"progress {2 * n + 2}"]) + "\n"
+
+
 class TestDelaySweepCount:
     """The unrolled delay resumes its sweep, so the atoms it decides grow with
     the trace, not with the trace times the sweeps of the fixed point."""
@@ -317,6 +366,24 @@ class TestDelaySweepCount:
             atoms.clear()
             evaluate_fixpoint(graph, parse_trace(period_trace(n)).streams)
             counts.append(len(atoms))
+        assert counts[1] <= 2.5 * counts[0], counts
+
+    @pytest.mark.parametrize("abstract", [False, True])
+    def test_amount_checks_grow_about_linearly(self, monkeypatch, abstract):
+        # every delay amount lies past the atom the sweep stops at until the
+        # fixed point reaches it, so each amount is checked there, and the
+        # holder's count keeps it from being checked again on every sweep
+        checks = []
+        amount = A._delay_amount
+        monkeypatch.setattr(A, "_delay_amount",
+                            lambda *args: (checks.append(1), amount(*args))[1])
+        spec = parse_spec(AMOUNT_TICKS)
+        graph = flatten(abstractify(spec) if abstract else spec)
+        counts = []
+        for n in (40, 80):
+            checks.clear()
+            evaluate_fixpoint(graph, parse_trace(amount_trace(n)).streams)
+            counts.append(len(checks))
         assert counts[1] <= 2.5 * counts[0], counts
 
 
@@ -1169,6 +1236,43 @@ class TestDelayWalk:
         for p in (4, 10):
             d = astream([(F(3, 2), F(3, 2)), (3, F(2))], prog=Progress.exclusive(p))
             assert A.delay_abs_fin(d, r).at(F(7, 2)) is GAP
+
+
+class TestDelayHolder:
+    """A holder fed growing prefixes of its two streams gives at every call
+    what a call without one gives, whether the call skips its sweep,
+    resumes it or restarts it."""
+
+    @given(gapped_half_grid_streams(values=st.sampled_from(
+               [F(1, 2), F(1), F(3, 2), F(2), TOP, INF,
+                Interval.single(F(1)), Interval.of(F(1, 2), F(3, 2))])),
+           gapped_half_grid_streams(values=st.just(UNIT)),
+           st.lists(st.tuples(st.sampled_from(HALF_GRID),
+                              st.sampled_from([None, "excl", "incl"])), max_size=6))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_held_calls_give_what_fresh_calls_give(self, d, r, steps):
+        # each step raises d's progress to <u and then to <=u with r the same
+        # object, the order last(cur, tick) raises it in, after raising r's
+        # progress to u or not; where r lags d, the sources d arms past r's
+        # progress are undecidable
+        cr = cut(r, Progress.exclusive(0))
+        calls = []
+        for u, r_kind in sorted(steps, key=lambda step: step[0]):
+            if r_kind is not None:
+                cr = cut(r, max(cr.progress, Progress(u, r_kind == "incl")))
+            calls += [(cut(d, Progress.exclusive(u)), cr), (cut(d, Pinc(u)), cr)]
+        calls += [(d, cr), (d, r)]
+        # the second holder gets a new wrapper of r's stream and gaps on
+        # every call, as the concrete delay passes them
+        state, wrapped = {}, {}
+        for a, b in calls:
+            fresh = A.delay_abs(a, b)
+            for held in (A.delay_abs(a, b, state=state),
+                         A.delay_abs(a, AbstractEventStream(b.stream, b.gaps), state=wrapped)):
+                assert held.stream.events == fresh.stream.events
+                assert held.progress == fresh.progress
+                assert held.gaps == fresh.gaps
+                assert_valid(held)
 
 
 class TestExtended:
