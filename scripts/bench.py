@@ -175,13 +175,11 @@ def gapped_messages(trace, message_cls) -> list:
     the heartbeats, which may not decide a time a gap end still names.
     """
     import gen
-    from gapstream.abstract import AbstractEventStream
 
     names = [n for n, _ in trace.declarations]
     timed = []
     for order, name in enumerate(names):
         s = trace.streams[name]
-        s = s if isinstance(s, AbstractEventStream) else AbstractEventStream.of(s)
         for t, v in s.stream.events:
             timed.append((t, 1, order, message_cls.event(name, t, v)))
         for sp in s.gaps.spans:

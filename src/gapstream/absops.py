@@ -1,19 +1,23 @@
 """Abstract counterparts of the core stream operators.
 
-These operate on AbstractEventStream values.  They mirror the concrete
-case analyses, extended with two kinds of partial knowledge: TOP-valued
-events (known timestamp, unknown payload) and gaps (regions where both
-event presence and values are unknown).  Outputs carry a gap exactly where
+These operate on AbstractEventStream values, and on EventStreams as they
+are: a concrete stream is its own gap-free abstract stream, its gaps the
+one empty TimeSet and its stream itself (streams.EventStream).  They
+mirror the concrete case analyses, extended with two kinds of partial
+knowledge: TOP-valued events (known timestamp, unknown payload) and gaps
+(regions where both event presence and values are unknown).  Outputs carry a gap exactly where
 the inputs leave the result semantically undetermined; insufficient input
 progress instead truncates the output, because a gap is final whereas
 progress still grows.
 
 All operators restricted to gap-free, TOP-free inputs coincide with their
 concrete counterparts, events and progress alike, whatever each input's
-progress; tests/test_absops.py TestEmbedding asserts that embedding.  The
-concrete slift, last and delay are slift_abs, last_abs and delay_abs on
-gap-free streams, so there it holds by construction, and tests/test_ops.py
-checks them against the synchronized lift and the dense-time oracles.
+progress; tests/test_absops.py TestEmbedding asserts that embedding, on
+EventStreams and on their AbstractEventStream.of alike.  The concrete
+time, slift, last and delay are time_abs, slift_abs, last_abs and
+delay_abs on the concrete streams themselves, so there it holds by
+construction, and tests/test_ops.py checks them against the synchronized
+lift and the dense-time oracles.
 
 Every operator that decides its output atom by atom walks the same atoms,
 those _walk yields: the points (0, ticks, gap boundaries, progress) and the
@@ -31,9 +35,9 @@ oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
 atoms at the pending timeouts; delay_abs is one forward pass.  last_abs
 moves one pointer through the value stream's marks as the trigger ticks
-ascend (_last_values).  ops.slift, ops.last and ops.delay run slift_abs,
-last_abs and delay_abs on the gap-free streams that stand for their
-arguments, so the concrete rows resume as these do.
+ascend (_last_values).  ops.time, ops.slift, ops.last and ops.delay run
+time_abs, slift_abs, last_abs and delay_abs on their concrete arguments
+and prev, so the concrete rows resume as these do.
 
 The time-aware last_time_abs and slift_time_abs are the last_abs and
 slift_abs walks with another taint rule, the cell a value gets where a gap
@@ -42,7 +46,7 @@ timestamp and give such a value the interval up to the gap's end.
 
 lift_abs, merge_abs, const_abs and slift_abs resume from prev, their
 previous output (the empty stream by default, which is a full evaluation);
-time_abs maps only the ticks past prev's events, as ops.time does.
+time_abs maps only the ticks past prev's events.
 They walk from prev's progress time, whose point atom holds each
 argument's cell there; slift_abs starts from each argument's latest value,
 taint, start and last gap end below that time, which _carried recovers.
@@ -129,7 +133,7 @@ def unit_abs() -> AbstractEventStream:
 
 def time_abs(s: AbstractEventStream,
              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
-    """Each event's timestamp as its payload, a Fraction as in ops.time.
+    """Each event's timestamp as its payload, a Fraction like every parsed number.
 
     s's ticks, progress and gaps stay, so the output is valid as s is.
     prev, time_abs's output on a prefix of s (empty by default), holds the
@@ -982,13 +986,13 @@ def _unchanged_below(state: dict, d: AbstractEventStream, r: AbstractEventStream
     """True if d and r change nothing the kept sweep read up to the atom it stopped at.
 
     That holds when r is the kept one (its stream and gap set the same
-    objects, so the concrete delay's new wrappers qualify), d grew from the
-    kept d without covering any of the stop atom, and d has no tick and no
-    gap span the kept d lacked (under the holder's contract, the same
-    counts and the same last span).  Then below the stop atom d's new cells
-    are BOTTOM where the kept sweep read UNKNOWN, on atoms it did not stop
-    at.  On such an atom
-    an UNKNOWN d cell changes no state: the fire or gap decided there reads
+    objects; a concrete r is its own stream, with the one empty gap set
+    every EventStream shares), d grew from the kept d without covering any
+    of the stop atom, and d has no tick and no gap span the kept d lacked
+    (under the holder's contract, the same counts and the same last span).
+    Then below the stop atom d's new cells are BOTTOM where the kept sweep
+    read UNKNOWN, on atoms it did not stop at.  On such an atom an UNKNOWN
+    d cell changes no state: the fire or gap decided there reads
     d only through self-arming, which needs a d gap; the reset effects read
     r alone; and an UNKNOWN d cell arms nothing where it does not stop the
     sweep, nor does a BOTTOM one.  A BOTTOM d cell stops the sweep nowhere

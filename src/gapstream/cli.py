@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .abstract import AbstractEventStream, FiniteUniverse
+from .abstract import FiniteUniverse
 from .encoded import build_encoded, evaluate_encoded
 from .errors import BudgetExceeded, GapstreamError
 from .evaluator import evaluate_fixpoint
@@ -70,12 +70,8 @@ def _transform(ast: SpecAst, args) -> SpecAst:
 
 
 def _infer_type(stream) -> str:
-    if isinstance(stream, AbstractEventStream):
-        values = [v for _, v in stream.stream.events]
-        has_gap = not stream.gaps.is_empty()
-    else:
-        values = [v for _, v in stream.events]
-        has_gap = False
+    values = [v for _, v in stream.stream.events]
+    has_gap = not stream.gaps.is_empty()
     if any(isinstance(v, Interval) for v in values):
         return "Interval"
     if any(v is TOP for v in values):

@@ -477,8 +477,7 @@ def encode_input(s: AbstractEventStream, epsilon) -> Tuple[EventStream, EventStr
             raise OperatorError(
                 f"event at {t} is off the epsilon grid; the concrete encoding "
                 f"samples at multiples of {epsilon}")
-    known = s.known().union(covered_span(s.progress).complement())
-    markers = encode_delta(known, epsilon, progress=s.progress).marker
+    markers = encode_delta(s.gaps.complement(), epsilon, progress=s.progress).marker
     return values, markers
 
 
@@ -497,8 +496,6 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
                             f"progress, got {progress}")
     env: Dict[str, EventStream] = {CLOCK: make_clock(g.epsilon, horizon, progress)}
     for name, s in inputs.items():
-        if isinstance(s, EventStream):
-            s = AbstractEventStream.of(s)
         v, k = encode_input(s, g.epsilon)
         env[f"{name}__v"], env[f"{name}__k"] = v, k
 

@@ -34,7 +34,7 @@ from .errors import (NonTermination, OperatorError, OutOfOrderInput, TraceError,
                      UndeclaredStream)
 from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
 from .streams import EventStream, Progress
-from .timeline import INF, Span, Time, TimeSet, as_time
+from .timeline import INF, Span, Time, as_time
 from .values import TOP, Interval, typed_payload
 
 
@@ -95,10 +95,7 @@ def _embed(stream, mode: str):
 
 
 def iteration_bound(graph: SpecGraph, inputs: Dict[str, object]) -> int:
-    events = 0
-    for s in inputs.values():
-        ev = s.stream.events if isinstance(s, AbstractEventStream) else s.events
-        events += len(ev)
+    events = sum(len(s.stream.events) for s in inputs.values())
     return max(16, (events + 4) * (len(graph.equations) + 2))
 
 
@@ -370,8 +367,7 @@ class OnlineEvaluator:
         out: List[Message] = []
         for name in self.graph.outputs:
             s = env[name]
-            stream = s.stream if isinstance(s, AbstractEventStream) else s
-            gaps = s.gaps if isinstance(s, AbstractEventStream) else TimeSet.empty()
+            stream, gaps = s.stream, s.gaps
             # the times of streams are canonical already
             for t, v in stream.events[self.emitted_events[name]:]:
                 out.append(Message("event", name, t, v))

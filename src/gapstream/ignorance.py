@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .abstract import AbstractEventStream, FiniteUniverse, concretize
+from .abstract import FiniteUniverse, concretize
 from .errors import BudgetExceeded, UnequalProgress
 from .evaluator import evaluate_fixpoint
 from .speclang import SpecGraph
@@ -132,12 +132,9 @@ def compare_ignorance(concrete: SpecGraph, abstract: SpecGraph,
     inputs.  Abstract: the concretization of the abstract spec's output.
     Soundness of the abstraction guarantees optimal <= abstract.
     """
-    abs_inputs = {n: (s if isinstance(s, AbstractEventStream)
-                      else AbstractEventStream.of(s)) for n, s in inputs.items()}
-
     variants: List[List[Tuple[str, EventStream]]] = []
     count = 1
-    for name, s in abs_inputs.items():
+    for name, s in inputs.items():
         options = concretize(s, universe, name=name)
         count *= len(options)
         if count > universe.budget:
@@ -156,7 +153,7 @@ def compare_ignorance(concrete: SpecGraph, abstract: SpecGraph,
 
     optimal = iota(outputs, space)
 
-    env = evaluate_fixpoint(abstract, abs_inputs)
+    env = evaluate_fixpoint(abstract, inputs)
     abs_out = env[output]
     values = universe.values_for(output)
     if isinstance(space, BoundedIntervalSpace):

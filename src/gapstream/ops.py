@@ -6,20 +6,21 @@ returns the longest prefix of its semantic result that is decided by the
 inputs' progress, so outputs grow monotonically as inputs grow, which is
 what fixed-point evaluation needs.
 
-A gap-free abstract stream stands for exactly one concrete stream, and there
-the abstract operators decide exactly what the concrete semantics does.  So
-slift, last and delay are absops.slift_abs, absops.last_abs and
-absops.delay_abs on the gap-free streams that stand for their arguments,
-and resume as those do.  lift (and so merge and const) is absops's tick
-walk, absops._lift_ticks, which calls f only at ticks, as the encoded path
-relies on.  The resumed abstract lifts walk the ticks too where no
-argument has a gap past their resume point, as on the gap-free streams
-slift passes to slift_abs.  lift resumes from prev, its output on
-prefixes of the arguments, and walks only the ticks past prev's progress,
-as time maps only the ticks past prev's events.  So every concrete row
-that walks its history resumes (speclang.Operator.resumes and stateful).
-The paper's signal lift, lift over encoded.synchronized(streams, merge, last),
-is the specification and test oracle of slift.
+A concrete stream is its own gap-free abstract stream (streams.EventStream
+has the empty gaps and is its own stream), and there the abstract
+operators decide exactly what the concrete semantics does.  So time,
+slift, last and delay are absops.time_abs, absops.slift_abs,
+absops.last_abs and absops.delay_abs on their arguments and prev as they
+are, and resume as those do; what this module adds is only what is
+concrete: slift rejects a gap its function gives, and delay rejects
+amounts known only abstractly.  lift (and so merge and const) is absops's
+tick walk, absops._lift_ticks, which calls f only at ticks, as the encoded
+path relies on, and rejects GAP and UNKNOWN.  lift resumes from prev, its
+output on prefixes of the arguments, and walks only the ticks past prev's
+progress, as time maps only the ticks past prev's events.  So every
+concrete row that walks its history resumes (speclang.Operator.resumes and
+stateful).  The paper's signal lift, lift over encoded.synchronized(streams,
+merge, last), is the specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
 which is left to the public boundary.  time keeps its input's ticks and
@@ -34,15 +35,12 @@ decided by the available input prefixes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import absops
 from .absops import _appended, _delay_amount
-from .abstract import AbstractEventStream
 from .errors import OperatorError
 from .streams import EventStream, Progress
-from .timeline import TimeSet
 from .values import BOTTOM, GAP, UNIT
 
 
@@ -57,21 +55,10 @@ def unit() -> EventStream:
 _NOTHING = EventStream.empty()
 
 
-def _gap_free(s: EventStream) -> AbstractEventStream:
-    """The abstract stream with no gaps that stands for s alone."""
-    return AbstractEventStream(s, TimeSet.empty())
-
-
 def time(s: EventStream, prev: EventStream = _NOTHING) -> EventStream:
-    """Each event's timestamp as its payload, a Fraction like every parsed number.
-
-    s's ticks and progress stay, so the output is valid as s is.  prev,
-    time's output on a prefix of s (empty by default), holds the first of
-    those events, so only the later ticks are mapped.
-    """
-    ticks = s.ticks()
-    events = prev.events + tuple((t, Fraction(t)) for t in ticks[len(prev.events):])
-    return EventStream._with_ticks(events, s.progress, ticks)
+    """Each event's timestamp as its payload: absops.time_abs, which keeps
+    s's ticks and progress and maps only the ticks past prev's events."""
+    return absops.time_abs(s, prev).stream
 
 
 def lift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
@@ -112,10 +99,9 @@ def merge(*streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
 def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """At each trigger event on r, the most recent prior value on v.
 
-    This is absops.last_abs on the gap-free streams that stand for v, r
-    and prev, which resumes from prev as it does.
+    This is absops.last_abs, which resumes from prev.
     """
-    return absops.last_abs(_gap_free(v), _gap_free(r), prev=_gap_free(prev)).stream
+    return absops.last_abs(v, r, prev=prev).stream
 
 
 def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> EventStream:
@@ -124,18 +110,18 @@ def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> Event
     A delay amount on d arms only if its timestamp carries a reset event or
     an emitted output event; any reset event cancels a pending delay.
 
-    This is absops.delay_abs on the gap-free streams that stand for d and
-    r, which decides exactly as far as the concrete semantics, and state is
-    its holder, so a caller that passes one resumes the sweep.  Amounts
-    known only abstractly are rejected first.  The holder sees only growing
-    prefixes of d, so it also counts the amounts already checked.
+    This is absops.delay_abs, which decides exactly as far as the concrete
+    semantics, and state is its holder, so a caller that passes one resumes
+    the sweep.  Amounts known only abstractly are rejected first.  The
+    holder sees only growing prefixes of d, so it also counts the amounts
+    already checked.
     """
     holder = {} if state is None else state
     for t, val in d.events[holder.get("checked", 0):]:
         if _delay_amount(val, t) == "any":
             raise OperatorError(f"concrete delay amount at {t} must be known, got {val!r}")
     holder["checked"] = len(d.events)
-    return absops.delay_abs(_gap_free(d), _gap_free(r), state=holder).stream
+    return absops.delay_abs(d, r, state=holder).stream
 
 
 def slift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
@@ -143,14 +129,13 @@ def slift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> E
 
     Once every argument has a value, each tick any of them has yields f of
     their latest values, and no event where f gives BOTTOM.  This is
-    absops.slift_abs on the gap-free streams that stand for the arguments
-    and prev, which resumes from prev as it does; there f meets no GAP or
-    TOP, so a gap is one f gave itself, and is rejected, as slift_abs
-    rejects UNKNOWN.
+    absops.slift_abs, which resumes from prev; on concrete streams f meets
+    no GAP or TOP, so a gap is one f gave itself, and is rejected, as
+    slift_abs rejects UNKNOWN.
     """
     if not streams:
         raise OperatorError("slift needs at least one stream")
-    out = absops.slift_abs(f, *map(_gap_free, streams), prev=_gap_free(prev))
+    out = absops.slift_abs(f, *streams, prev=prev)
     if out.gaps.spans:
         raise OperatorError(f"lifted function produced {GAP!r} on concrete streams")
     return out.stream

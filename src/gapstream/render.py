@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .abstract import AbstractEventStream
 from .tracefile import Trace, format_time, format_value
 from .values import BOTTOM, GAP, TOP, UNKNOWN, Interval
 
@@ -30,14 +29,13 @@ def render_trace(trace: Trace) -> str:
     lines.append(f"{'t'.rjust(width)} |{axis}|")
     for name, _ty in trace.declarations:
         s = trace.streams[name]
-        stream = s.stream if isinstance(s, AbstractEventStream) else s
         body = "".join(_cell_char(s.at(t)) for t in shown)
         if elide:
             half = MAX_COLUMNS // 2
             body = body[:half] + ".." + body[half:]
         lines.append(f"{name.rjust(width)} |{body}|")
         vals = "  ".join(
-            f"{format_time(t)}:{format_value(v)}" for t, v in stream.events)
+            f"{format_time(t)}:{format_value(v)}" for t, v in s.stream.events)
         if vals:
             lines.append(f"{' ' * width}  {vals}")
     lines.append(f"{' ' * width}  epsilon={format_time(eps)}  progress="

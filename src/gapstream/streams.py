@@ -17,6 +17,12 @@ lookup index, the tick tuple that at, signal_value and last_event_before
 bisect, is built on first use and cached on the instance, or handed over
 by the operator that built the stream; it is not a field, so equality and
 hashing ignore it.
+
+A concrete stream is its own gap-free abstract stream: its gaps are the
+one empty TimeSet every EventStream shares, and its stream is itself.  So
+every absops operator takes an EventStream as it is, with no wrapper, and
+decides there exactly what the concrete semantics does, and code that reads
+a stream's .stream and .gaps needs no type test.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
-from .timeline import INF, ExtTime, Time, as_time
+from .errors import OperatorError
+from .timeline import INF, ExtTime, Time, TimeSet, as_time
 from .values import BOTTOM, UNKNOWN, value_eq
 
 
@@ -83,16 +90,24 @@ class EventStream:
     events: Tuple[Tuple[Time, object], ...]
     progress: Progress
 
+    # the embedding into abstract streams; a class attribute, so no field
+    # and one object, which absops compares by identity
+    gaps = TimeSet.empty()
+
+    @property
+    def stream(self) -> "EventStream":
+        return self
+
     @staticmethod
     def of(events: Iterable, progress: Progress = None) -> "EventStream":
         evs = tuple((as_time(t), v) for t, v in events)
         for (a, _), (b, _) in zip(evs, evs[1:]):
             if not a < b:
-                raise ValueError(f"event timestamps must strictly increase: {a} then {b}")
+                raise OperatorError(f"event timestamps must strictly increase: {a} then {b}")
         prog = progress if progress is not None else Progress.infinite()
         for t, _ in evs:
             if not prog.covers(t):
-                raise ValueError(f"event at {t} lies beyond progress {prog}")
+                raise OperatorError(f"event at {t} lies beyond progress {prog}")
         return EventStream(evs, prog)
 
     @staticmethod

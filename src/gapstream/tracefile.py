@@ -38,7 +38,7 @@ from .abstract import AbstractEventStream, InputBuilder
 from .encoding import grid_canonical
 from .errors import TraceError, UndeclaredStream
 from .speclang import STREAM_TYPES
-from .streams import EventStream, Progress
+from .streams import Progress
 from .timeline import INF, NEG_INF, Time, TimeSet, as_time
 from .values import TOP, UNIT, Interval, typed_payload
 
@@ -58,13 +58,11 @@ class Trace:
                    for s in self.streams.values())
 
     def horizon(self) -> Time:
+        """The progress time, or under infinite progress the last feature
+        of any stream (_last_feature)."""
         if self.progress.is_infinite():
-            best = 0
-            for s in self.streams.values():
-                ev = s.stream.events if isinstance(s, AbstractEventStream) else s.events
-                if ev:
-                    best = max(best, ev[-1][0])
-            return best
+            return max((_last_feature(s, self.epsilon) for s in self.streams.values()),
+                       default=0)
         return self.progress.time
 
 
@@ -263,17 +261,17 @@ def serialize_trace(declarations, streams: Dict[str, object], epsilon,
     directives = []  # (time, order, text)
     for name, _ty in declarations:
         s = streams[name]
-        if isinstance(s, AbstractEventStream):
-            stream, gaps = s.stream, s.gaps
-        else:
-            stream, gaps = s, TimeSet.empty()
+        stream, gaps = s.stream, s.gaps
         stream = stream.truncated(min(stream.progress, progress))
         for t, v in stream.events:
             directives.append((t, 1, f"{format_time(t)}: {name} = {format_value(v)}"))
-        end = horizon if horizon is not None else _last_feature(stream, gaps)
+        end = horizon if horizon is not None else _last_feature(s, epsilon)
+        # a grid run that ends past end is a gap still open there, at the
+        # progress or up to infinity
+        open_end = horizon is not None or _runs_to_infinity(gaps)
         for sp in grid_canonical(gaps, epsilon, end).spans:
             directives.append((sp.lo, 2, f"{format_time(sp.lo)}: gap {name}"))
-            if sp.hi is not INF and (horizon is None or sp.hi <= end):
+            if sp.hi <= end or not open_end:
                 directives.append((sp.hi, 0, f"{format_time(sp.hi)}: known {name}"))
     directives.sort(key=lambda d: (d[0], d[1], d[2]))
     lines += [d[2] for d in directives]
@@ -282,10 +280,19 @@ def serialize_trace(declarations, streams: Dict[str, object], epsilon,
     return "\n".join(lines) + "\n"
 
 
-def _last_feature(stream: EventStream, gaps: TimeSet) -> Time:
+def _last_feature(s, epsilon) -> Time:
+    """The last event time or finite gap bound of s, 0 if it has neither.
+
+    Where a gap of s runs to infinity it is a grid step further, so that a
+    grid sampling up to it sees that gap.
+    """
     best = 0
-    if stream.events:
-        best = stream.events[-1][0]
-    for b in gaps.boundaries():
+    if s.stream.events:
+        best = s.stream.events[-1][0]
+    for b in s.gaps.boundaries():
         best = max(best, b)
-    return best
+    return best + epsilon if _runs_to_infinity(s.gaps) else best
+
+
+def _runs_to_infinity(gaps: TimeSet) -> bool:
+    return bool(gaps.spans) and gaps.spans[-1].hi is INF

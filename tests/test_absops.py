@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PROGRESS_KINDS, abstract_streams, event_streams, flat_join,
-                      member_of_gamma, period_trace)
+from conftest import (PROGRESS_KINDS, abstract_streams, delay_amount_streams,
+                      event_streams, flat_join, member_of_gamma, period_trace,
+                      unit_streams)
 from enumeration import check_perfect, check_sound, image_streams
 from gapstream import absops as A
 from gapstream import ops
@@ -430,12 +431,32 @@ class TestDelayFin:
 # -- embedding: gapless, top-free abstract inputs behave concretely ----------
 
 # name: (abstract operator, concrete operator, argument strategies)
+def _last_halves(v, r):
+    return A.last_abs_gap(v, r, A.last_abs_bot(v, r))
+
+
+def _delay_halves(d, r):
+    # the two halves of an unrolled delay share one holder
+    holder = {}
+    return A.delay_abs_gap(d, r, A.delay_abs_bot(d, r, state=holder), state=holder)
+
+
+_HISTORY = (event_streams(), unit_streams())
+_DELAY = (delay_amount_streams(), unit_streams())
+
 EMBEDDINGS = {
     "time": (A.time_abs, ops.time, (event_streams(),)),
     "lift": (lambda s: A.lift_abs(lookup("inc").abstract_cells, s),
              lambda s: ops.lift(lookup("inc").concrete, s), (event_streams(),)),
     "merge": (A.merge_abs, ops.merge, (event_streams(), event_streams())),
     "const": (A.const_abs(F(5)), ops.const(F(5)), (event_streams(),)),
+    "last": (A.last_abs, ops.last, _HISTORY),
+    "last_bot": (A.last_abs_bot, ops.last, _HISTORY),
+    "last_gap": (_last_halves, ops.last, _HISTORY),
+    "delay": (lambda d, r: A.delay_abs(d, r, state={}),
+              lambda d, r: ops.delay(d, r, state={}), _DELAY),
+    "delay_bot": (lambda d, r: A.delay_abs_bot(d, r, state={}), ops.delay, _DELAY),
+    "delay_gap": (_delay_halves, ops.delay, _DELAY),
 }
 
 
@@ -443,10 +464,12 @@ class TestEmbedding:
     """On gap-free, TOP-free inputs each abstract operator is the concrete one.
 
     Every argument's progress is drawn exclusive, inclusive or infinite on
-    its own, and the outputs agree in events and progress.  The concrete
-    slift, last and delay are slift_abs, last_abs and delay_abs on such
-    inputs, so they have no case here; tests/test_ops.py checks them
-    against the synchronized lift and the dense-time oracles.
+    its own, and the outputs agree in events and progress.  A concrete
+    stream is its own gap-free abstract stream, so each operator gives the
+    same on it as on AbstractEventStream.of of it.  The concrete time,
+    slift, last and delay are time_abs, slift_abs, last_abs and delay_abs
+    on such inputs; tests/test_ops.py checks them against the synchronized
+    lift and the dense-time oracles.
     """
 
     @pytest.mark.parametrize("name", list(EMBEDDINGS))
@@ -456,9 +479,12 @@ class TestEmbedding:
         @given(st.tuples(*args))
         @settings(max_examples=100, deadline=None)
         def check(streams):
+            for s in streams:
+                assert s.stream is s and s.gaps is TimeSet.empty()
             out = op_abs(*map(AbstractEventStream.of, streams))
             assert out.gaps.is_empty()
             assert out.stream == op_conc(*streams)
+            assert op_abs(*streams) == out
 
         check()
 

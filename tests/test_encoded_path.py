@@ -36,6 +36,11 @@ ABSTRACT_CASES = [
 ]
 ABSTRACT_CASES.remove(("running-count", "running-count"))
 
+# gaps after the last event under infinite progress: one that ends, one
+# that runs to infinity, and one that runs on past an event inside it
+TRAILING_GAP = ("stream values : Int\nstream resets : Unit\n1: values = 3\n"
+                "2: resets = ()\n5: gap values\n{}progress inf\n")
+
 
 class TestPathEquivalence:
     @pytest.mark.parametrize("name,tkey", ABSTRACT_CASES)
@@ -45,6 +50,20 @@ class TestPathEquivalence:
             a = serialized(tr, native[out], out)
             b = serialized(tr, encoded[out], out)
             assert a == b, f"{name}/{tkey}/{out}:\n{a}\nvs\n{b}"
+
+    @pytest.mark.parametrize("tail, want", [
+        ("8: known values\n", ["5: gap", "8: known"]),
+        ("", ["5: gap"]),
+        ("7: values = 1\n", ["5: gap", "7: known", "8: gap"]),
+    ], ids=["closed", "open", "punched"])
+    def test_trailing_gap_under_infinite_progress(self, tail, want):
+        ast, tr, native, encoded, _ = both_paths(spec_text("reset-sum"),
+                                                 TRAILING_GAP.format(tail))
+        for out in ast.outputs:
+            a = serialized(tr, native[out], out)
+            assert a == serialized(tr, encoded[out], out)
+            marks = [line for line in a.splitlines() if " gap " in line or " known " in line]
+            assert marks == [f"{w} {out}" for w in want]
 
     def test_time_aware_paths_agree(self):
         ast, tr, native, encoded, _ = both_paths(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import event_streams
 from gapstream import ops
 from gapstream.abstract import AbstractEventStream
+from gapstream.errors import OperatorError
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
 from gapstream.values import BOTTOM, TOP, UNIT, UNKNOWN
@@ -222,9 +223,9 @@ class TestOrderingInvariant:
                 assert not seen_unknown, "known cell after an unknown one"
 
     def test_events_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OperatorError):
             EventStream.of([(2, UNIT), (2, UNIT)])
 
     def test_events_within_progress(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OperatorError):
             EventStream.of([(3, UNIT)], Progress.exclusive(3))

@@ -23,6 +23,16 @@ stream resets : Unit
 progress 14
 """
 
+# under infinite progress a gap with no known line runs to infinity
+OPEN_GAP = """\
+stream values : Int
+stream resets : Unit
+1: values = 3
+2: resets = ()
+5: gap values
+progress inf
+"""
+
 
 class TestParse:
     def test_events_and_gaps(self):
@@ -139,12 +149,14 @@ class TestInputRule:
 
 class TestSerialize:
     def test_round_trip_canonical_file(self):
-        tr = parse_trace(GOOD)
-        text = serialize_trace(tr.declarations, tr.streams, tr.epsilon, tr.progress)
-        again = parse_trace(text)
-        assert again.streams == tr.streams
-        assert serialize_trace(again.declarations, again.streams,
-                               again.epsilon, again.progress) == text
+        for src in (GOOD, OPEN_GAP):
+            tr = parse_trace(src)
+            text = serialize_trace(tr.declarations, tr.streams, tr.epsilon, tr.progress)
+            again = parse_trace(text)
+            assert again.streams == tr.streams
+            assert serialize_trace(again.declarations, again.streams,
+                                   again.epsilon, again.progress) == text
+        assert text == OPEN_GAP
 
     def test_fractional_epsilon(self):
         src = ("stream s : Real\nepsilon 1/10\n1.5: s = 0.25\n"
