@@ -198,7 +198,7 @@ def abstract_online_run(time_aware: bool, lost: bool, n: int):
     with values lost if lost: (total feed seconds, sweeps of the last feed,
     checks pass, feed latency medians in ms)."""
     import gen
-    from gapstream.abstract import AbstractEventStream, refinement_leq
+    from gapstream.abstract import refinement_leq
     from gapstream.builtin_specs import spec_text
     from gapstream.evaluator import Message, evaluate_fixpoint
     from gapstream.speclang import abstractify, flatten, parse_spec, unroll
@@ -212,7 +212,7 @@ def abstract_online_run(time_aware: bool, lost: bool, n: int):
     offline = evaluate_fixpoint(graph, trace.streams)
     concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
     ok = all(emitted[name] == list(offline[name].stream.events)
-             and refinement_leq(AbstractEventStream.of(concrete[name]), offline[name])
+             and refinement_leq(concrete[name], offline[name])
              for name in graph.outputs)
     return sum(latencies), monitor.env["__sweeps__"], ok, latency_medians(latencies)
 
@@ -221,7 +221,7 @@ def gapped_run(spec: str, generator: str, n: int):
     """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps,
     refined, wall seconds of the concrete spec on the full trace)."""
     import gen
-    from gapstream.abstract import AbstractEventStream, refinement_leq
+    from gapstream.abstract import refinement_leq
     from gapstream.builtin_specs import spec_text
     from gapstream.evaluator import evaluate_fixpoint
     from gapstream.speclang import abstractify, flatten, parse_spec, unroll
@@ -238,7 +238,7 @@ def gapped_run(spec: str, generator: str, n: int):
     start = perf_counter()
     env = evaluate_fixpoint(graph, inputs)
     wall = perf_counter() - start
-    ok = all(refinement_leq(AbstractEventStream.of(concrete[name]), env[name])
+    ok = all(refinement_leq(concrete[name], env[name])
              for name in graph.outputs)
     return wall, env["__sweeps__"], ok, {"concrete_s": round(concrete_s, 4)}
 

@@ -95,10 +95,11 @@ and unites only the spans it adds.
 No operator checks its whole output: AbstractEventStream.of and
 EventStream.of validate at the public boundary only, inputs and user
 code.  Each operator checks only what it adds to streams already checked
-(_extended, _appended, and last_abs against its recomputed gaps), or
-builds an output valid by construction, as its docstring or comments argue.
-Each output carries its tick tuple, extended or sliced from an input's or
-prev's (EventStream._with_ticks), so no new version pays for an index.
+(EventStream.extended, _extended, and last_abs against its recomputed
+gaps), or builds an output valid by construction, as its docstring or
+comments argue.  Each output is built by EventStream.extended, truncated
+or with_payloads from an input's or prev's stream, so it carries its tick
+tuple and no new version pays for an index.
 """
 
 from __future__ import annotations
@@ -142,10 +143,9 @@ def time_abs(s: AbstractEventStream,
     """
     if prev.progress == s.progress:
         return prev
-    ticks = s.stream.ticks()
     old = prev.stream.events
-    mapped = old + tuple((t, Fraction(t)) for t in ticks[len(old):])
-    return AbstractEventStream(EventStream._with_ticks(mapped, s.progress, ticks), s.gaps)
+    mapped = old + tuple((t, Fraction(t)) for t in s.stream.ticks()[len(old):])
+    return AbstractEventStream(s.stream.with_payloads(mapped), s.gaps)
 
 
 # -- lift ------------------------------------------------------------------
@@ -325,44 +325,22 @@ def _lift_atoms(f_abs: Callable, atoms, prog: Progress,
     return _extended(prev, events, gap_spans, prog)
 
 
-def _appended(prev: EventStream, events: list, prog: Progress) -> EventStream:
-    """prev with the events appended and progress prog, its ticks carried.
-
-    Only the events are checked, as EventStream.of checks a whole stream:
-    they ascend from prev's last tick and prog covers them.  prev's own
-    events were checked when it was built.  With nothing appended and
-    prev's progress, it is prev itself.  The concrete operators build
-    their outputs here too, appending to EventStream.empty().
-    """
-    old = prev.events
-    if not events and prog == prev.progress:
-        return prev
-    last = old[-1][0] if old else -1      # times are non-negative
-    for t, _ in events:
-        if not last < t:
-            raise OperatorError(f"event timestamps must strictly increase: {last} then {t}")
-        last = t
-    if events and not prog.covers(last):
-        raise OperatorError(f"event at {last} lies beyond progress {prog}")
-    ticks = prev.ticks() + tuple(t for t, _ in events)
-    return EventStream._with_ticks(old + tuple(events), prog, ticks)
-
-
 def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
               prog: Progress) -> AbstractEventStream:
     """prev with the events and gap spans appended, and progress prog.
 
     Only what is appended is checked, as AbstractEventStream.of checks a
-    whole stream: _appended checks the events, no gap span reaches back
-    over prev's last event, and no appended event lies in a gap.  The
-    caller keeps every span under prog, so the gaps are not cut to it.
+    whole stream: EventStream.extended checks the events, no gap span
+    reaches back over prev's last event, and no appended event lies in a
+    gap.  The caller keeps every span under prog, so the gaps are not cut
+    to it.
     """
     old = prev.stream.events
     last = old[-1][0] if old else -1      # times are non-negative
     for sp in gap_spans:
         if sp.lo < last or sp.lo == last and sp.lo_closed:
             raise OperatorError(f"gap {sp} reaches over the event at {last}")
-    stream = _appended(prev.stream, events, prog)
+    stream = prev.stream.extended(events, prog)
     gaps = prev.gaps.union(TimeSet(gap_spans)) if gap_spans else prev.gaps
     for t, _ in events:
         if gaps.contains(t):
@@ -382,13 +360,13 @@ def _tick_cells(streams: Sequence[EventStream], done: Progress, prog: Progress):
     if len(streams) == 1:
         s, = streams
         ticks = s.ticks()
-        for t, v in s.events[_covered(ticks, done):_covered(ticks, prog)]:
+        for t, v in s.events[done.count_covered(ticks):prog.count_covered(ticks)]:
             yield t, (v,)
         return
     fresh = set()
     for s in streams:
         ticks = s.ticks()
-        fresh.update(ticks[_covered(ticks, done):_covered(ticks, prog)])
+        fresh.update(ticks[done.count_covered(ticks):prog.count_covered(ticks)])
     for t in sorted(fresh):
         yield t, [s.at(t) for s in streams]
 
@@ -451,7 +429,7 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
     if _gap_free_since(streams, done.time) and _keeps_bottom(f_abs, len(streams)):
         events, odd = _lift_ticks(f_abs, [s.stream for s in streams], done, prog)
         if odd is None:
-            return AbstractEventStream(_appended(prev.stream, events, prog), prev.gaps)
+            return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
     return _lift_atoms(f_abs, _walk(streams, prog, done.time), prog, prev)
 
 
@@ -490,11 +468,6 @@ def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:
 
 
 # -- last ------------------------------------------------------------------
-
-def _covered(ticks: Sequence[Time], prog: Progress) -> int:
-    """How many of the ascending ticks prog covers."""
-    return (bisect_right if prog.inclusive else bisect_left)(ticks, prog.time)
-
 
 def _vbot_extent(v: EventStream, first_gap: ExtTime = INF) -> Progress:
     """Progress of the region where "no value event strictly before t" is known.
@@ -591,17 +564,17 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
     the events at the trigger ticks its progress covers, so _last_values
     walks only the later ticks, with the taint rule taint (TOP if None).
 
-    _appended checks the new events.  The gaps are recomputed, not
-    appended, so every event, prev's too, is checked against them: only
-    the ticks at a gap span's two ends can lie outside it, so one pair of
-    bisects per span finds the few ticks to test.
+    EventStream.extended checks the new events.  The gaps are recomputed,
+    not appended, so every event, prev's too, is checked against them:
+    only the ticks at a gap span's two ends can lie outside it, so one pair
+    of bisects per span finds the few ticks to test.
     """
     prog, gaps, cut = _last_frame(v, r)
     if prog == prev.progress and prev.gaps == gaps:
         return prev
     ticks = r.stream.ticks()
-    events = list(_last_values(v, ticks[_covered(ticks, prev.progress):cut], taint))
-    stream = _appended(prev.stream, events, prog)
+    events = list(_last_values(v, ticks[prev.progress.count_covered(ticks):cut], taint))
+    stream = prev.stream.extended(events, prog)
     out = stream.ticks()
     for sp in gaps.spans:
         for t in out[bisect_left(out, sp.lo):bisect_right(out, sp.hi)]:
@@ -673,11 +646,7 @@ def _gap_half(prog: Progress, gaps: TimeSet, d: AbstractEventStream,
             gaps = gaps.minus(_points(inside))
     else:
         gaps = TimeSet.empty()
-    n = _covered(ticks, prog)
-    stream = d.stream
-    if prog != d.progress:
-        stream = EventStream._with_ticks(stream.events[:n], prog, ticks[:n])
-    return AbstractEventStream(stream, prev.gaps.union(gaps))
+    return AbstractEventStream(d.stream.truncated(prog), prev.gaps.union(gaps))
 
 
 def _points(times) -> TimeSet:
@@ -764,7 +733,7 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
         events = _slift_ticks(f_abs, [s.stream for s in streams], carried, prev.progress,
                               prog, taint)
         if events is not None:
-            return AbstractEventStream(_appended(prev.stream, events, prog), prev.gaps)
+            return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
     state = [list(column) for column in zip(*carried)]
     atoms = _synchronized_atoms(_walk(streams, prog, since, stamp), state, taint)
     return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
@@ -1062,11 +1031,9 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     at, snapshot = state.get("checkpoint", (None, None))
     if at is not None and d.progress.covers_below(at) and r.progress.covers_below(at):
         start, sweep, kept = at, _DelaySweep.resumed(snapshot), state["z"]
-        base, below = kept.stream, kept.gaps.window(0, True, at, False)
-        n = sweep.fired
-        if len(base.events) > n:
-            base = EventStream._with_ticks(base.events[:n], Progress.exclusive(at),
-                                           base.ticks()[:n])
+        # the kept fires below at, the snapshot's count, and its gaps there
+        base = kept.stream.truncated(Progress.exclusive(at))
+        below = kept.gaps.window(0, True, at, False)
     else:
         start, at, snapshot, sweep = 0, None, None, _DelaySweep()
         base, below = EventStream.empty(), TimeSet.empty()
@@ -1098,7 +1065,7 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
     # the sweep stops before an atom or right after it, so prog covers every
     # fire and gap, and the gaps need no cut; only the spans this call added
     # are swept into the gap set
-    z = AbstractEventStream(_appended(base, [(t, UNIT) for t in sweep.fires], prog),
+    z = AbstractEventStream(base.extended([(t, UNIT) for t in sweep.fires], prog),
                             below.union(TimeSet(sweep.gap_spans)) if sweep.gap_spans else below)
     state.update(d=d, r=r, z=z, stop=stop, checkpoint=(at, snapshot),
                  checked=len(d.stream.events))

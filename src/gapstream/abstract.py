@@ -49,8 +49,8 @@ class AbstractEventStream:
         builds parsed traces and online inputs, checks each directive as it
         comes instead.  The absops operators do not call it on their
         output: each checks only what it adds to streams already checked
-        (absops._extended and absops._appended), or builds an output valid
-        by construction.
+        (EventStream.extended and absops._extended), or builds an output
+        valid by construction.
         """
         gaps = (gaps or TimeSet.empty()).intersect(covered_span(stream.progress))
         for t, _ in stream.events:
@@ -61,9 +61,6 @@ class AbstractEventStream:
     @property
     def progress(self) -> Progress:
         return self.stream.progress
-
-    def known(self) -> TimeSet:
-        return covered_span(self.progress).minus(self.gaps)
 
     def at(self, t) -> object:
         """Four-way view: event value, BOTTOM, GAP, or UNKNOWN."""
@@ -99,10 +96,11 @@ class InputBuilder:
     Errors name no line or stream; the caller adds that context.
 
     stream() returns the same object until a directive changes the input,
-    and builds the next one from the last: new events extend its event and
-    tick tuples, and a progress alone reuses them.  Each directive checks
-    what it adds, so no stream is checked whole: events ascend and never
-    lie in a gap.
+    and builds the next one from the last by EventStream.extended: new
+    events extend its event and tick tuples, and a progress alone reuses
+    them.  Each directive checks what it adds, and extended the order and
+    progress of the events it appends, so no stream is checked whole:
+    events ascend and never lie in a gap.
     """
 
     def __init__(self):
@@ -169,24 +167,13 @@ class InputBuilder:
         built = self._built
         if built is not None and built[0] == abstract:
             return built[1]
-        base, progress = self._base, self.progress
-        old = len(base.events)
-        if not old:
-            # a parsed trace builds each input once: its tick index is
-            # built on first use, by the operator that needs it
-            base = EventStream(tuple(self.events), progress)
-        elif old < len(self.events):
-            new = tuple(self.events[old:])
-            base = EventStream._with_ticks(base.events + new, progress,
-                                           base.ticks() + tuple(t for t, _ in new))
-        elif base.progress != progress:
-            base = EventStream._with_ticks(base.events, progress, base.ticks())
-        self._base = s = base
+        base = self._base
+        self._base = s = base = base.extended(self.events[len(base.events):], self.progress)
         if abstract:
             gaps = self._gaps
             if self.open_gap is not None:
                 gaps = gaps.union(TimeSet.of(Span(*self.open_gap, INF, False)))
-            s = AbstractEventStream(base, gaps.intersect(covered_span(progress)))
+            s = AbstractEventStream(base, gaps.intersect(covered_span(base.progress)))
         self._built = (abstract, s)
         return s
 
@@ -327,9 +314,14 @@ def abstract_of(streams: Sequence[EventStream], join=None) -> AbstractEventStrea
 
 
 def refinement_leq(a: AbstractEventStream, b: AbstractEventStream) -> bool:
-    """True iff a refines b: a is known wherever b is and agrees there."""
-    known_b = b.known()
-    if not known_b.minus(a.known()).is_empty():
+    """True iff a refines b: a is known wherever b is and agrees there.
+
+    Either may be an EventStream, the gap-free abstract stream.
+    """
+    def known(x) -> TimeSet:
+        return covered_span(x.progress).minus(x.gaps)
+
+    if not known(b).minus(known(a)).is_empty():
         return False
     for t, vb in b.stream.events:
         va = a.stream.at(t)

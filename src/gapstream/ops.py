@@ -24,9 +24,9 @@ merge, last), is the specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
 which is left to the public boundary.  time keeps its input's ticks and
-progress, so its output is valid as the input is; lift builds its output
-through absops._appended, which checks only the order and progress of the
-events it appends.  Each output carries its tick tuple.
+progress (EventStream.with_payloads), so its output is valid as the input
+is; lift extends prev (EventStream.extended), which checks only the order
+and progress of the events it appends.  Each output carries its tick tuple.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import absops
-from .absops import _appended, _delay_amount
+from .absops import _delay_amount
 from .errors import OperatorError
 from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, UNIT
@@ -74,7 +74,7 @@ def lift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> Ev
     events, odd = absops._lift_ticks(f, streams, prev.progress, prog)
     if odd is not None:
         raise OperatorError(f"lifted function produced {odd!r} on concrete streams")
-    return _appended(prev, events, prog)
+    return prev.extended(events, prog)
 
 
 def const(c) -> Callable[[EventStream], EventStream]:

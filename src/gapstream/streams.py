@@ -15,8 +15,16 @@ compares the progress first, so successive prefixes of one stream, which
 differ mostly in progress, are told apart without comparing payloads.  The
 lookup index, the tick tuple that at, signal_value and last_event_before
 bisect, is built on first use and cached on the instance, or handed over
-by the operator that built the stream; it is not a field, so equality and
-hashing ignore it.
+from the version a stream was built from; it is not a field, so equality
+and hashing ignore it.
+
+Streams grow by prefix extension, so every version is built here, from
+the last: of checks a whole stream at the public boundary, as the empty
+stream extended by its events; extended appends events, checking only
+those, and carries the ticks; truncated cuts a stream to a lower progress
+at one bisect; with_payloads puts new payloads on a stream's own ticks.
+No other module knows the layout, events beside their tick tuple, and the
+rule that events ascend under the progress is written once, in extended.
 
 A concrete stream is its own gap-free abstract stream: its gaps are the
 one empty TimeSet every EventStream shares, and its stream is itself.  So
@@ -27,10 +35,10 @@ a stream's .stream and .gaps needs no type test.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import OperatorError
 from .timeline import INF, ExtTime, Time, TimeSet, as_time
@@ -70,6 +78,10 @@ class Progress:
             return True
         return t < self.time or (self.inclusive and t == self.time)
 
+    def count_covered(self, ticks: Sequence[Time]) -> int:
+        """How many of the ascending times ticks this progress covers."""
+        return (bisect_right if self.inclusive else bisect_left)(ticks, self.time)
+
     def covers_below(self, t: Time) -> bool:
         """True if every timestamp strictly below t is covered."""
         if self.time is INF:
@@ -100,32 +112,67 @@ class EventStream:
 
     @staticmethod
     def of(events: Iterable, progress: Progress = None) -> "EventStream":
-        evs = tuple((as_time(t), v) for t, v in events)
-        for (a, _), (b, _) in zip(evs, evs[1:]):
-            if not a < b:
-                raise OperatorError(f"event timestamps must strictly increase: {a} then {b}")
+        """The stream of the events, checked whole: the public boundary's validator.
+
+        Times go through as_time; one it rejects raises OperatorError, as
+        do events out of order or past the progress (infinite by default).
+        """
+        evs = []
+        for t, v in events:
+            try:
+                evs.append((as_time(t), v))
+            except (ValueError, TypeError) as e:
+                raise OperatorError(f"bad event time {t!r}: {e}") from e
         prog = progress if progress is not None else Progress.infinite()
-        for t, _ in evs:
-            if not prog.covers(t):
-                raise OperatorError(f"event at {t} lies beyond progress {prog}")
-        return EventStream(evs, prog)
+        return EventStream.empty(prog).extended(evs, prog)
 
     @staticmethod
     def empty(progress: Progress = None) -> "EventStream":
         return EventStream((), progress if progress is not None else ZERO_PROGRESS)
 
     @staticmethod
-    def _with_ticks(events: tuple, progress: Progress, ticks: tuple) -> "EventStream":
-        """The stream of events the caller has checked, its tick tuple given.
-
-        ticks must be the events' timestamps, in order; they fill the cache
-        that ticks() would otherwise build, so they are not a field.  No
-        event is checked: callers build their output from streams already
-        checked, and check only what they add.
-        """
+    def _version(events: tuple, progress: Progress, ticks: tuple) -> "EventStream":
+        """The stream of events, its tick tuple given: the events' timestamps, in order."""
         s = EventStream(events, progress)
         s.__dict__["_ticks"] = ticks
         return s
+
+    def extended(self, events: Sequence, progress: Progress) -> "EventStream":
+        """This stream with the events appended and progress progress, its ticks carried.
+
+        Only the events are checked, as of checks a whole stream: they
+        ascend from this stream's last tick and progress covers them; this
+        stream's own events were checked when it was built.  With nothing
+        appended and the same progress it is self; with a new progress
+        alone its tuples are shared, since a tuple plus () is itself.
+        """
+        if not events and progress == self.progress:
+            return self
+        ticks = self._ticks
+        last = ticks[-1] if ticks else -1      # times are non-negative
+        for t, _ in events:
+            if not last < t:
+                raise OperatorError(f"event timestamps must strictly increase: {last} then {t}")
+            last = t
+        if events and not progress.covers(last):
+            raise OperatorError(f"event at {last} lies beyond progress {progress}")
+        return self._version(self.events + tuple(events), progress,
+                             ticks + tuple(t for t, _ in events))
+
+    def truncated(self, progress: Progress) -> "EventStream":
+        """The events progress covers, with progress progress: one bisect, its ticks sliced."""
+        if progress == self.progress:
+            return self
+        n = progress.count_covered(self._ticks)
+        return self._version(self.events[:n], progress, self._ticks[:n])
+
+    def with_payloads(self, events: tuple) -> "EventStream":
+        """events, this stream's events with new payloads, on this stream's ticks and progress.
+
+        The caller keeps the timestamps, so the output is valid as this
+        stream is, and shares its tick tuple.
+        """
+        return self._version(events, self.progress, self._ticks)
 
     @cached_property
     def _ticks(self) -> tuple:
@@ -173,10 +220,6 @@ class EventStream:
         if len(mine) != len(theirs):
             return False
         return all(a == b and value_eq(x, y) for (a, x), (b, y) in zip(mine, theirs))
-
-    def truncated(self, progress: Progress) -> "EventStream":
-        evs = tuple((t, v) for t, v in self.events if progress.covers(t))
-        return EventStream(evs, progress)
 
     def __repr__(self):
         body = ", ".join(f"{t}:{v!r}" for t, v in self.events)

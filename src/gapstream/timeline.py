@@ -144,13 +144,6 @@ def point(t: TimeLike) -> Span:
     return Span(t, True, t, True)
 
 
-def span(lo: TimeLike, hi, lo_closed: bool = True, hi_closed: bool = True) -> Span:
-    lo = as_time(lo)
-    if hi is INF:
-        return Span(lo, lo_closed, INF, False)
-    return Span(lo, lo_closed, as_time(hi), hi_closed)
-
-
 class TimeSet:
     """Immutable finite union of disjoint, sorted, non-touching spans."""
 

@@ -59,6 +59,13 @@ class TestTimeAbs:
         out = A.time_abs(s)
         assert out.stream.events == ((F(5), F(5)),)
 
+    def test_resumed_output_shares_the_input_ticks(self):
+        s = astream([(1, F(3)), (3, F(2))], gaps=[sp(4, 6, True, False)], prog=Pinc(8))
+        prev = A.time_abs(astream([(1, F(3))], prog=Pinc(2)))
+        out = A.time_abs(s, prev)
+        assert out.stream.ticks() is s.stream.ticks()
+        assert out == A.time_abs(s)
+
 
 class TestLiftAbs:
     def test_merge_event_beats_gap(self):

@@ -93,6 +93,16 @@ class TestRefinement:
         for c in concretize(a, UNI):
             assert member_of_gamma(c, b)
 
+    def test_concrete_streams_as_they_are(self):
+        s = EventStream.of([(1, F(0)), (3, F(1))], P4)
+        assert refinement_leq(s, AbstractEventStream.of(s))
+        assert refinement_leq(AbstractEventStream.of(s), s)
+        assert refinement_leq(s, s)
+        gapped = astream([(1, F(0))], gaps=[Span(F(3), True, F(3), True)])
+        assert refinement_leq(s, gapped)
+        assert not refinement_leq(gapped, s)
+        assert not refinement_leq(s, EventStream.of([(1, F(0))], P4))
+
     @given(abstract_streams(), abstract_streams())
     @settings(max_examples=60, deadline=None)
     def test_refinement_implies_gamma_inclusion(self, a, b):
@@ -233,4 +243,6 @@ class TestInputBuilder:
         assert b.stream(True) is s
         b.advance(Progress.inclusive_at(4))
         assert b.stream(True) is not s
+        # a progress alone copies no tuple
         assert b.stream(True).stream.events is s.stream.events
+        assert b.stream(True).stream.ticks() is s.stream.ticks()

@@ -13,7 +13,8 @@ from conftest import period_trace
 from gapstream import absops, evaluator, ops, speclang
 from gapstream.abstract import AbstractEventStream, covered_span
 from gapstream.builtin_specs import _TRACE_KEYS, spec_text, trace_text
-from gapstream.errors import NonTermination, OutOfOrderInput, TraceError, UndeclaredStream
+from gapstream.errors import (NonTermination, OperatorError, OutOfOrderInput, TraceError,
+                              UndeclaredStream)
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import SpecGraph, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
@@ -36,6 +37,20 @@ class TestFixpoint:
         assert env["y"] == EventStream.of(
             [(0, F(0)), (2, F(1)), (4, F(2))], Progress.infinite())
         assert env["__sweeps__"] <= 6
+
+    @pytest.mark.parametrize("abstract", [
+        AbstractEventStream.of(EventStream.of([(2, UNIT)], Progress.inclusive_at(6)),
+                               TimeSet.of(Span(3, True, 4, False))),
+        AbstractEventStream.of(EventStream.of([(2, UNIT), (4, TOP)], Progress.infinite())),
+    ])
+    def test_concrete_mode_rejects_abstract_inputs(self, abstract):
+        with pytest.raises(OperatorError, match="cannot take abstract inputs"):
+            evaluate_fixpoint(flatten(APP_A), {"x": abstract})
+
+    def test_concrete_mode_takes_a_gap_free_abstract_input_as_its_stream(self):
+        x = AbstractEventStream.of(EventStream.of([(2, UNIT), (4, UNIT)], Progress.exclusive(9)))
+        assert evaluate_fixpoint(flatten(APP_A), {"x": x}) == \
+            evaluate_fixpoint(flatten(APP_A), {"x": x.stream})
 
     def test_fig1_sum_row(self):
         ast = parse_spec(spec_text("reset-sum"))

@@ -1,5 +1,6 @@
 """Abstract value functions: the exact fast paths against the interval path."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_path
+from gapstream.abstract import value_leq
 from gapstream.errors import OperatorError
 from gapstream.functions import (abs_add, abs_div, abs_eq, abs_leq, abs_lt,
                                  abs_mul, abs_neg, abs_sub, lookup)
 from gapstream.speclang import FnRef
 from gapstream.timeline import INF, NEG_INF
-from gapstream.values import TOP, Interval
+from gapstream.values import TOP, Interval, value_eq
 
 BINARY = [abs_add, abs_sub, abs_mul, abs_div, abs_leq, abs_lt, abs_eq]
 
@@ -113,3 +115,25 @@ def test_rejected_parameters_raise_every_time():
         for _ in range(2):
             with pytest.raises(ValueError):
                 ref.resolve()
+
+
+BOOLS = (True, False)
+BRANCHES = (F(1), F(2))
+# (name, the concrete values each argument ranges over)
+LOGIC = [("not", (BOOLS,)), ("and", (BOOLS, BOOLS)), ("or", (BOOLS, BOOLS)),
+         ("eq", (BOOLS, BOOLS)), ("ite", (BOOLS, BRANCHES, BRANCHES))]
+
+
+@pytest.mark.parametrize("name, domains", LOGIC)
+def test_logic_functions_are_sound_and_exact(name, domains):
+    """Every concretization's concrete result lies under the abstract one,
+    and equals it where no argument is TOP; checked exhaustively."""
+    fn = lookup(name)
+    for args in itertools.product(*(dom + (TOP,) for dom in domains)):
+        got = fn.abstract_cells(*args)
+        choices = [dom if a is TOP else (a,) for a, dom in zip(args, domains)]
+        for concrete in itertools.product(*choices):
+            want = fn.concrete(*concrete)
+            assert value_leq(want, got), (name, args, concrete, got)
+            if all(a is not TOP for a in args):
+                assert value_eq(want, got), (name, args, got)

@@ -229,3 +229,58 @@ class TestOrderingInvariant:
     def test_events_within_progress(self):
         with pytest.raises(OperatorError):
             EventStream.of([(3, UNIT)], Progress.exclusive(3))
+
+
+class TestVersions:
+    """of, extended, truncated and with_payloads: every version of a
+    stream is built from the last, checking only what it appends."""
+
+    base = EventStream.of([(1, F(1)), (3, F(2))], Progress.inclusive_at(4))
+
+    @pytest.mark.parametrize("events", [[(-1, UNIT)], [("x", UNIT)], [(None, UNIT)]])
+    def test_of_rejects_a_bad_time(self, events):
+        with pytest.raises(OperatorError, match="bad event time"):
+            EventStream.of(events)
+
+    def test_extended_appends_and_carries_the_ticks(self):
+        s = self.base.extended([(5, F(3)), (6, F(4))], Progress.exclusive(7))
+        assert s == EventStream.of([(1, F(1)), (3, F(2)), (5, F(3)), (6, F(4))],
+                                   Progress.exclusive(7))
+        assert s.ticks() == (1, 3, 5, 6)
+
+    @pytest.mark.parametrize("events", [[(3, UNIT)], [(2, UNIT)], [(5, UNIT), (5, UNIT)],
+                                        [(6, UNIT), (5, UNIT)]])
+    def test_extended_checks_the_order_from_the_last_tick(self, events):
+        with pytest.raises(OperatorError, match="strictly increase"):
+            self.base.extended(events, Progress.infinite())
+
+    def test_extended_checks_the_progress(self):
+        with pytest.raises(OperatorError, match="beyond progress"):
+            self.base.extended([(5, UNIT)], Progress.exclusive(5))
+
+    def test_extended_by_nothing_is_the_stream(self):
+        assert self.base.extended([], self.base.progress) is self.base
+
+    def test_extended_by_progress_alone_copies_no_tuple(self):
+        s = self.base.extended([], Progress.infinite())
+        assert s.progress == Progress.infinite()
+        assert s.events is self.base.events and s.ticks() is self.base.ticks()
+
+    @pytest.mark.parametrize("prog", [Progress.exclusive(0), Progress.exclusive(3),
+                                      Progress.inclusive_at(3), Progress.exclusive(4),
+                                      Progress.inclusive_at(F(7, 2))])
+    def test_truncated_keeps_the_covered_events(self, prog):
+        s = self.base.truncated(prog)
+        assert s.progress == prog
+        assert s.events == tuple((t, v) for t, v in self.base.events if prog.covers(t))
+        assert s.ticks() == tuple(t for t, _ in s.events)
+
+    def test_truncated_shares_what_it_keeps(self):
+        assert self.base.truncated(self.base.progress) is self.base
+        s = self.base.truncated(Progress.exclusive(4))
+        assert s.events is self.base.events and s.ticks() is self.base.ticks()
+
+    def test_with_payloads_shares_the_ticks(self):
+        s = self.base.with_payloads(((1, UNIT), (3, UNIT)))
+        assert s.events == ((1, UNIT), (3, UNIT)) and s.progress == self.base.progress
+        assert s.ticks() is self.base.ticks()
