@@ -60,17 +60,19 @@ TestDelayWalk), so prev is a prefix of the new output, and f_abs is pure.
 An open atom that straddles prev's progress gives the same cell on prev's
 part of it, and TimeSet joins the two gap spans.
 
-Where every argument's last gap span ends below prev's progress time, the
-abstract semantics is the concrete one from there on: every atom but the
-ticks has only BOTTOM cells.  So the resumed lifts walk only the new
-ticks (_tick_cells, the concrete lift's walk, which ops.lift runs through
-_lift_ticks): lift_abs if f_abs keeps all-BOTTOM cells BOTTOM, which one
-call probes, and slift_abs carrying _carried's state through the ticks
-(_slift_ticks).  The output is prev's events extended by those the ticks
-give, with prev's gaps.  A GAP or UNKNOWN at a tick, which only the atom
-walk puts out or rejects, a function that gives anything else on BOTTOM
-cells, and a gap past that time take the atom walk.  tests/test_absops.py
-TestTickPath checks both paths against the atom walk composed directly.
+Where no argument has a gap span that meets the walked window, from
+prev's progress time to the output's, the abstract semantics is the
+concrete one there: every atom but the ticks has only BOTTOM cells.  A gap
+past the window changes no cell in it.  So the resumed lifts walk only the
+new ticks (_tick_cells, the concrete lift's walk, which ops.lift runs
+through _lift_ticks): lift_abs if f_abs keeps all-BOTTOM cells BOTTOM,
+which one call probes, and slift_abs carrying _carried's state through the
+ticks (_slift_ticks).  The output is prev's events extended by those the
+ticks give, with prev's gaps.  A GAP or UNKNOWN at a tick, which only the
+atom walk puts out or rejects, a function that gives anything else on
+BOTTOM cells, and a gap in the window take the atom walk.
+tests/test_absops.py TestTickPath checks both paths against the atom walk
+composed directly.
 
 The history operators of an unrolled recursion resume too.  last_abs and
 last_time_abs (and their value halves) take prev's events and walk only
@@ -355,7 +357,8 @@ def _tick_cells(streams: Sequence[EventStream], done: Progress, prog: Progress):
     where it has no event there.  prog is at most every stream's progress,
     so each stream decides every tick walked.  This is the walk of the
     concrete lift, and of lift_abs and slift_abs where no argument has a
-    gap from done on: there every other atom has only BOTTOM cells.
+    gap from done's time to prog's: there every other atom has only BOTTOM
+    cells.
     """
     if len(streams) == 1:
         s, = streams
@@ -389,11 +392,17 @@ def _lift_ticks(f: Callable, streams: Sequence[EventStream], done: Progress,
     return events, None
 
 
-def _gap_free_since(streams: Sequence[AbstractEventStream], since: Time) -> bool:
-    """True if every stream's last gap span ends below since."""
+def _gap_free_between(streams: Sequence[AbstractEventStream], since: Time,
+                      until: ExtTime) -> bool:
+    """True if no stream has a gap span that meets [since, until], ends included.
+
+    One bisect by _hi per stream finds its first span that ends at since
+    or later; spans past until are not asked about.
+    """
     for s in streams:
         spans = s.gaps.spans
-        if spans and not spans[-1].hi < since:
+        i = bisect_left(spans, since, key=_hi)
+        if i < len(spans) and spans[i].lo <= until:
             return False
     return True
 
@@ -414,11 +423,12 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
              prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
     """f_abs of the arguments' cells on each atom, resumed from prev.
 
-    Where no argument has a gap from prev's progress time on, every atom
-    but the ticks has only BOTTOM cells, so if f_abs keeps those BOTTOM the
-    output is f_abs at the ticks alone (_lift_ticks) with prev's gaps.  A
-    GAP or UNKNOWN at a tick, an f_abs that gives anything else on BOTTOM
-    cells, and a gap past that time take the atom walk.
+    Where no argument has a gap from prev's progress time to the output's,
+    every atom walked but the ticks has only BOTTOM cells, so if f_abs
+    keeps those BOTTOM the output is f_abs at the ticks alone (_lift_ticks)
+    with prev's gaps.  A GAP or UNKNOWN at a tick, an f_abs that gives
+    anything else on BOTTOM cells, and a gap between those times take the
+    atom walk.
     """
     if not streams:
         raise OperatorError("lift_abs needs at least one stream")
@@ -426,7 +436,8 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
     done = prev.progress
     if prog == done:
         return prev
-    if _gap_free_since(streams, done.time) and _keeps_bottom(f_abs, len(streams)):
+    if (_gap_free_between(streams, done.time, prog.time)
+            and _keeps_bottom(f_abs, len(streams))):
         events, odd = _lift_ticks(f_abs, [s.stream for s in streams], done, prog)
         if odd is None:
             return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
@@ -718,8 +729,9 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
     progress lies between the least and x_i's.  Like lift_abs, the walk
     starts at prev's progress time, with each argument's state there taken
     from _carried; if that progress is the output's, the output is prev.
-    Where no argument has a gap from that time on, it walks only the ticks
-    (_slift_ticks), unless one gives GAP or UNKNOWN.
+    Where no argument has a gap from that time to the output's progress
+    time, it walks only the ticks (_slift_ticks), unless one gives GAP or
+    UNKNOWN.
     """
     if not streams:
         raise OperatorError("slift_abs needs at least one stream")
@@ -729,7 +741,7 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
     since = prev.progress.time
     stamp = taint is not None
     carried = [_carried(s, since, stamp) for s in streams]
-    if _gap_free_since(streams, since):
+    if _gap_free_between(streams, since, prog.time):
         events = _slift_ticks(f_abs, [s.stream for s in streams], carried, prev.progress,
                               prog, taint)
         if events is not None:
@@ -741,13 +753,13 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
 
 def _slift_ticks(f_abs: Callable, streams: Sequence[EventStream], carried: list,
                  done: Progress, prog: Progress, taint=None) -> Optional[list]:
-    """slift_abs's events past done up to prog, where no argument has a gap from done's time on.
+    """slift_abs's events past done up to prog, where no argument has a gap from done's time to prog's.
 
     carried holds _carried's (latest, tainted, started, end) per stream at
-    done's time; past it no stream has a gap, so only the ticks change that
-    state, as in _synchronized_atoms.  The walk starts at done's time, which
-    done may decide, since a tick there still gives its stream a latest
-    value.  Each tick applies f_abs strictly to the synchronized cells.
+    done's time; from there to prog's time no stream has a gap, so only the
+    ticks change that state, as in _synchronized_atoms.  The walk starts at
+    done's time, which done may decide, since a tick there still gives its
+    stream a latest value.  Each tick applies f_abs strictly to the synchronized cells.
     None if some tick gives GAP or UNKNOWN, which only the atom walk puts
     out or rejects.
     """

@@ -27,7 +27,7 @@ from .encoding import decode_delta, encode_delta, DeltaEncoding
 from .errors import OperatorError
 from .evaluator import _run_plan
 from .functions import strict_cells
-from .speclang import OPERATORS, Nodes, SpecGraph, sweep_plan, unguarded_walk
+from .speclang import OPERATORS, Nodes, SpecGraph, readers, sweep_plan, unguarded_walk
 from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, TOP, UNIT, Interval
 
@@ -508,8 +508,9 @@ def evaluate_encoded(g: EncodedGraph, inputs: Dict[str, AbstractEventStream],
     def compute(node):
         return lambda: node.fn(*(env[d] for d in node.deps))
 
-    _run_plan(env, {node.name: compute(node) for node in g.nodes},
-              sweep_plan(g.node_deps()), bound, "encoded evaluation did not stabilize")
+    nodes = g.node_deps()
+    _run_plan(env, {node.name: compute(node) for node in g.nodes}, sweep_plan(nodes),
+              readers(nodes), set(nodes), bound, "encoded evaluation did not stabilize")
 
     out = {}
     for name in g.outputs:

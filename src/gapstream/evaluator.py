@@ -2,25 +2,37 @@
 
 Offline evaluation starts from empty streams and follows the dependency
 graph: its strongly connected components run dependencies first, an equation
-that does not read itself, directly or through others, is evaluated once, and
-a recursive component is swept until nothing changes, re-evaluating only the
-equations whose arguments changed.  Operator monotonicity and
-future-independence make the iteration converge to the least fixed point,
-with each variable growing by prefix extension.  Online evaluation feeds
-timestamped messages one at a time and, on every message, re-runs the fixed
-point over the inputs received so far, following the schedule the graph
-caches (SpecGraph.plan), and emits newly decided output events, gap
-boundaries and watermarks.  Each online fixed point starts from the previous
-one rather than from empty streams: every accepted message extends its input
-by prefix extension, so the previous fixed point lies below the new least
-one and the iteration climbs from there to the same result.  The monitor
-keeps one run state across messages (_Run), and an equation is evaluated
-only if one of its arguments is not the object it last read, so a message
-re-evaluates only what it changed.  Each input is built by an
-abstract.InputBuilder, by the rule trace files follow too: its progress
-only rises, a message that would lower it, or write at a time it already
-decides, is rejected, and an event payload must fit the input's declared
-type (values.typed_payload).
+that does not read itself, directly or through others, is evaluated at most
+once, and a recursive component is swept until nothing changes.  Operator
+monotonicity and future-independence make the iteration converge to the
+least fixed point, with each variable growing by prefix extension.  Online
+evaluation feeds timestamped messages one at a time and, on every message,
+re-runs the fixed point over the inputs received so far, following the
+schedule the graph caches (SpecGraph.plan), and emits newly decided output
+events, gap boundaries and watermarks.  Each online fixed point starts from
+the previous one rather than from empty streams: every accepted message
+extends its input by prefix extension, so the previous fixed point lies
+below the new least one and the iteration climbs from there to the same
+result.
+
+Change is pushed, not looked for.  Evaluation is driven by dirty marks
+along the graph's readers (SpecGraph.readers, derived once from
+SpecGraph.nodes): an input that is not the object the last fixed point
+read marks the equations that read it, and so does an equation whose
+result differs from its current value (new is not old and new != old),
+which then replaces it.  An equal result is dropped, so its readers keep
+the object they read and are not marked for it.  Only marked equations
+are evaluated, in plan order, and each evaluation consumes its mark.  The
+first fixed point starts with every equation marked; the monitor keeps
+one run state across messages (_Run), the marks included, so a message
+re-evaluates only what it changed, and one that changes no input
+evaluates nothing.  Each equation is bound once, when the run state is
+built (_Equation), so an evaluation is one call through the dispatch.
+
+Each input is built by an abstract.InputBuilder, by the rule trace files
+follow too: its progress only rises, a message that would lower it, or
+write at a time it already decides, is rejected, and an event payload must
+fit the input's declared type (values.typed_payload).
 """
 
 from __future__ import annotations
@@ -32,50 +44,79 @@ from . import absops, ops
 from .abstract import AbstractEventStream, InputBuilder
 from .errors import (NonTermination, OperatorError, OutOfOrderInput, TraceError,
                      UndeclaredStream)
-from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, SpecGraph
+from .speclang import OPERATORS, RESERVED_NAME, Apply, Plan, Readers, SpecGraph
 from .streams import EventStream, Progress
 from .timeline import INF, Span, Time, as_time
 from .values import TOP, Interval, typed_payload
 
 
-def _eval_concrete(app: Apply, get, prev=None, state=None):
-    return _apply(app, get, concrete=True, prev=prev, state=state)
+class _Equation:
+    """One equation, bound once, when a run state is built.
 
+    The operator row is resolved and checked against the evaluation mode,
+    and the argument names, the lifted function or literal and the state
+    holder are kept, so an evaluation reads the arguments from env, looks
+    the implementation up on ops or absops and calls it.  The lookup is
+    made on every evaluation, so a wrapper patched in after the run state
+    was built sees each one.  op and args are the application's.
 
-def _eval_abstract(app: Apply, get, prev=None, state=None):
-    return _apply(app, get, concrete=False, prev=prev, state=state)
-
-
-def _apply(app: Apply, get, concrete: bool, prev=None, state=None):
-    """Evaluate one operator application through the operator table.
-
-    prev, the equation's current value, reaches only the rows that resume
-    (Operator.resumes); without it they evaluate from empty.  state, the
-    holder of the application's argument pair, reaches only the rows that
-    keep state (Operator.stateful); without it they keep none.
+    prev, the equation's current value env[name], reaches only the rows
+    that resume (Operator.resumes).  The holder reaches only the rows that
+    keep state (Operator.stateful), one per pair of argument names in
+    states; with no states those rows keep none.
     """
-    row = OPERATORS.get(app.op)
-    if row is None or row.concrete != concrete:
-        raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
-                            if concrete else f"operator '{app.op}' is not abstract")
-    impl = getattr(ops if concrete else absops, row.impl)
-    args = [get(i) for i in range(len(app.args))]
-    if row.takes == "lit":
-        impl = impl(app.lit)
-    elif row.takes == "fn":
-        f = app.fn.resolve()
-        args.insert(0, f.concrete if concrete else f.abstract_cells)
-    try:
-        if row.resumes and prev is not None:
-            return impl(*args, prev=prev)
-        if row.stateful and state is not None:
-            return impl(*args, state=state)
-        return impl(*args)
-    except (TypeError, ArithmeticError) as e:
-        # a value function met payloads it cannot take (a type mismatch the
-        # parser does not see, a division by zero)
-        name = f"{app.op}({app.fn})" if app.fn is not None else app.op
-        raise OperatorError(f"operator '{name}' failed: {type(e).__name__}: {e}") from e
+
+    __slots__ = ("op", "args", "name", "names", "label", "module", "impl", "lit",
+                 "fn", "resumes", "state")
+
+    def __init__(self, name: str, app: Apply, concrete: bool,
+                 states: Optional[Dict[Tuple[str, ...], dict]] = None):
+        row = OPERATORS.get(app.op)
+        if row is None or row.concrete != concrete:
+            raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
+                                if concrete else f"operator '{app.op}' is not abstract")
+        self.op, self.args, self.name = app.op, app.args, name
+        self.names = tuple(a.name for a in app.args)
+        self.label = f"{app.op}({app.fn})" if app.fn is not None else app.op
+        self.module, self.impl = (ops if concrete else absops), row.impl
+        # a literal row's implementation builds the operator from the literal
+        self.lit = (app.lit,) if row.takes == "lit" else None
+        self.fn = None
+        if row.takes == "fn":
+            f = app.fn.resolve()
+            self.fn = f.concrete if concrete else f.abstract_cells
+        self.resumes = row.resumes
+        self.state = (states.setdefault(self.names[:2], {})
+                      if row.stateful and states is not None else None)
+
+    def evaluate(self, env: Dict[str, object]):
+        impl = getattr(self.module, self.impl)
+        if self.lit is not None:
+            impl = impl(*self.lit)
+        args = [env[n] for n in self.names]
+        if self.fn is not None:
+            args.insert(0, self.fn)
+        try:
+            if self.resumes:
+                return impl(*args, prev=env[self.name])
+            if self.state is not None:
+                return impl(*args, state=self.state)
+            return impl(*args)
+        except (TypeError, ArithmeticError) as e:
+            # a value function met payloads it cannot take (a type mismatch the
+            # parser does not see, a division by zero)
+            raise OperatorError(f"operator '{self.label}' failed: "
+                                f"{type(e).__name__}: {e}") from e
+
+
+def _eval_concrete(eq: _Equation, env: Dict[str, object]):
+    """eq, a concrete equation, evaluated over env: the concrete dispatch."""
+    return eq.evaluate(env)
+
+
+def _eval_abstract(eq: _Equation, env: Dict[str, object]):
+    """eq, an abstract equation, evaluated over env: the abstract dispatch."""
+    return eq.evaluate(env)
 
 
 def _empty(mode: str):
@@ -103,104 +144,88 @@ class _Run:
     """The run state one fixed point leaves to the next, over longer inputs.
 
     env holds every stream: the inputs, the equations and __sweeps__.
-    compute[name]() evaluates one equation over env.  states holds the
-    stateful rows' holders, one per pair of argument names (see
-    evaluate_fixpoint).  read[name] holds the argument objects the
-    equation was last evaluated on, as of the last fixed point.
+    compute[name]() evaluates one equation, bound once (_Equation), through
+    the dispatch, over env.  states holds the stateful rows' holders, one
+    per pair of argument names (see evaluate_fixpoint).  dirty holds the
+    equations marked for evaluation:
+    every one before the first fixed point; after it, the readers
+    (SpecGraph.readers) of each input object replaced since.  A fixed point
+    consumes every mark, so the marks are all that carries the change
+    from one message to the next.
     """
 
     def __init__(self, graph: SpecGraph):
         mode = graph.ast.mode
+        abstract = mode == "abstract"
         env: Dict[str, object] = {name: _empty(mode) for name, _ in graph.equations}
         states: Dict[Tuple[str, ...], dict] = {}
-        abstract = mode == "abstract"
-        nodes = graph.nodes
 
-        def compute(name, app, names):
-            state = states.setdefault(names[:2], {}) if OPERATORS[app.op].stateful else None
-            get = lambda i: env[names[i]]
+        def compute(eq):
             # the dispatch is looked up on every call, so a wrapper patched
             # in after the monitor was built sees every evaluation
-            return lambda: (_eval_abstract if abstract else _eval_concrete)(
-                app, get, env[name], state)
+            return lambda: (_eval_abstract if abstract else _eval_concrete)(eq, env)
 
         self.env, self.states = env, states
-        self.args = {name: nodes[name][0] for name, _ in graph.equations}
-        self.compute = {name: compute(name, app, self.args[name])
+        self.compute = {name: compute(_Equation(name, app, not abstract, states))
                         for name, app in graph.equations}
-        self.read: Dict[str, list] = {}
-
-    def stale(self, name: str) -> bool:
-        """Whether the equation has no record, or one of its arguments is
-        not the object it last read: only then can its value change."""
-        read = self.read.get(name)
-        if read is None:
-            return True
-        env = self.env
-        for a, was in zip(self.args[name], read):
-            if env[a] is not was:
-                return True
-        return False
-
-    def settle(self) -> None:
-        """Record every equation's arguments.  At a fixed point each
-        equation was last evaluated on the objects its arguments hold:
-        a component changes only the equations it sweeps, each change
-        marks its readers for one more evaluation, and the last sweep
-        changes nothing."""
-        env = self.env
-        self.read = {name: [env[a] for a in args] for name, args in self.args.items()}
+        self.dirty = set(env)
 
 
 def _run_plan(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
-              plan: Plan, max_sweeps: int, failure: str,
-              stale: Optional[Callable[[str], bool]] = None) -> int:
-    """Evaluate the plan component by component until each is stable.
+              plan: Plan, readers: Readers, dirty: set, max_sweeps: int,
+              failure: str) -> int:
+    """Evaluate the marked equations, component by component, until each is stable.
 
-    compute[name]() reads env and its result replaces env[name].  Only
-    the equations `stale` names (all, without it, as the encoded path
-    runs) are evaluated: a step alone in its component, or the first sweep
-    of a recursive component.  Later sweeps evaluate only the members with
-    an argument that changed since their last evaluation, and a member's
-    result equal to its current value is dropped, so its readers keep the
-    object they read.
+    compute[name]() reads env.  Only the names in dirty are evaluated, in
+    plan order, and an evaluation consumes its name's mark (_evaluate).  A
+    step alone in its component runs at most once; a recursive component
+    is swept until a sweep changes nothing.  A mark always lies on the
+    component being run or a later one, since readers come after what they
+    read, so dirty is empty on return.
 
     Returns the largest sweep count of any component, the unchanged sweep
-    included, a node evaluated once counting as one sweep.  A component
-    still changing after max_sweeps sweeps raises NonTermination with
-    `failure` and the names changed in its last sweep.
+    included, a node alone counting as one sweep.  A component still
+    changing after max_sweeps sweeps raises NonTermination with `failure`
+    and the names changed in its last sweep.
     """
     sweeps = 0
-    for order, readers in plan:
-        if readers is None:
-            name = order[0]
-            if stale is None or stale(name):
-                env[name] = compute[name]()
-            sweeps = max(sweeps, 1)
-        else:
-            dirty = set(order) if stale is None else {n for n in order if stale(n)}
+    for order, recursive in plan:
+        if recursive:
             sweeps = max(sweeps, _sweep_component(env, compute, order, readers, dirty,
                                                   max_sweeps, failure))
+        else:
+            if order[0] in dirty:
+                _evaluate(env, compute, order[0], readers, dirty)
+            sweeps = max(sweeps, 1)
     return sweeps
 
 
+def _evaluate(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
+              name: str, readers: Readers, dirty: set) -> bool:
+    """Evaluate a marked name and consume its mark; whether its value changed.
+
+    A result that differs from the current value replaces it and marks the
+    name's readers.  An equal one is dropped, so the readers keep the
+    object they read and are not marked for it.
+    """
+    dirty.discard(name)
+    new, old = compute[name](), env[name]
+    if new is old or new == old:
+        return False
+    env[name] = new
+    dirty.update(readers[name])
+    return True
+
+
 def _sweep_component(env: Dict[str, object], compute: Dict[str, Callable[[], object]],
-                     order: List[str], readers: Dict[str, List[str]], dirty: set,
+                     order: List[str], readers: Readers, dirty: set,
                      max_sweeps: int, failure: str) -> int:
-    """Sweep one recursive component, from the dirty members, until a
+    """Sweep one recursive component, from its marked members, until a
     sweep changes nothing."""
     changing: List[str] = []
     for sweep in range(max_sweeps):
-        changing = []
-        for name in order:
-            if name not in dirty:
-                continue
-            dirty.discard(name)
-            new = compute[name]()
-            if new != env[name]:
-                env[name] = new
-                changing.append(name)
-                dirty.update(readers[name])
+        changing = [name for name in order
+                    if name in dirty and _evaluate(env, compute, name, readers, dirty)]
         if not changing:
             return sweep + 1
     raise NonTermination(
@@ -226,27 +251,29 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     pair share it.  The holders start empty.
 
     _run, private to OnlineEvaluator, is the run state of the fixed point
-    over a prefix of these inputs.  Its env, holders and records are
-    updated in place, so the iteration climbs from that fixed point, which
-    lies below the new least one, to the same result; an equation whose
-    arguments are the objects it last read is not evaluated again.  A
-    fixed point that raises leaves _run part way, no fixed point, and the
-    caller must not pass it again.
+    over a prefix of these inputs.  Its env, holders and marks are updated
+    in place, so the iteration climbs from that fixed point, which lies
+    below the new least one, to the same result: an input that is not the
+    object of the last fixed point marks its readers, and only marked
+    equations are evaluated.  A fixed point that raises leaves _run part
+    way, no fixed point, and the caller must not pass it again.
     """
     mode = graph.ast.mode
     missing = [n for n in graph.inputs if n not in inputs]
     if missing:
         raise OperatorError(f"unbound input streams: {', '.join(missing)}")
     run = _Run(graph) if _run is None else _run
-    env = run.env
+    env, readers = run.env, graph.readers
     for n in graph.inputs:
-        env[n] = _embed(inputs[n], mode)
+        s = _embed(inputs[n], mode)
+        if s is not env.get(n):
+            env[n] = s
+            run.dirty.update(readers.get(n, ()))
     bound = max_sweeps if max_sweeps is not None else iteration_bound(graph, inputs)
     env[RESERVED_NAME] = _run_plan(
-        env, run.compute, graph.plan, bound + 1,
+        env, run.compute, graph.plan, readers, run.dirty, bound + 1,
         f"no fixed point after {bound} sweeps; the specification is likely "
-        f"ill-formed (an unguarded cycle keeps growing or oscillating)", run.stale)
-    run.settle()
+        f"ill-formed (an unguarded cycle keeps growing or oscillating)")
     return env
 
 

@@ -438,8 +438,10 @@ def format_spec(ast: SpecAst) -> str:
 
 # name -> (argument names, guarded argument positions), in declaration order
 Nodes = Dict[str, Tuple[Sequence[str], Collection[int]]]
-# (order, readers) per strongly connected component; see sweep_plan
-Plan = List[Tuple[List[str], Optional[Dict[str, List[str]]]]]
+# (order, recursive) per strongly connected component; see sweep_plan
+Plan = List[Tuple[List[str], bool]]
+# name -> the nodes that read it; see readers
+Readers = Dict[str, Tuple[str, ...]]
 
 
 @dataclass
@@ -461,6 +463,11 @@ class SpecGraph:
     def plan(self) -> Plan:
         """The fixed point's schedule, sweep_plan of the nodes."""
         return sweep_plan(self.nodes)
+
+    @cached_property
+    def readers(self) -> Readers:
+        """The equations each stream feeds, readers of the nodes."""
+        return readers(self.nodes)
 
 
 def flatten(ast: SpecAst) -> SpecGraph:
@@ -570,12 +577,11 @@ def unguarded_walk(nodes: Nodes) -> Tuple[Optional[Tuple[str, ...]], int]:
 def sweep_plan(nodes: Nodes) -> Plan:
     """The schedule of a fixed point over the nodes, in component order.
 
-    One (order, readers) per strongly connected component of the nodes'
+    One (order, recursive) per strongly connected component of the nodes'
     arguments, dependencies first.  A node alone in its component that does
-    not read itself is ([name], None) and is evaluated once.  A recursive
+    not read itself is ([name], False) and is evaluated at most once.  A recursive
     component lists its members in the order of its unguarded internal
-    edges (declaration order when an unguarded cycle leaves no such order),
-    and readers maps each member to the members that read it.
+    edges (declaration order when an unguarded cycle leaves no such order).
     """
     names = list(nodes)
     pos = {name: i for i, name in enumerate(names)}
@@ -583,26 +589,31 @@ def sweep_plan(nodes: Nodes) -> Plan:
     plan: Plan = []
     for members in _components(reads):
         if len(members) == 1 and members[0] not in reads[members[0]]:
-            plan.append(([names[members[0]]], None))
+            plan.append(([names[members[0]]], False))
             continue
         inside = set(members)
-        readers: Dict[int, List[int]] = {i: [] for i in members}
         needs: Dict[int, List[int]] = {i: [] for i in members}  # unguarded reads
         for i in members:
             deps, guarded = nodes[names[i]]
             for k, d in enumerate(deps):
                 j = pos.get(d)
-                if j in inside:
-                    readers[j].append(i)
-                    if k not in guarded:
-                        needs[i].append(j)
+                if j in inside and k not in guarded:
+                    needs[i].append(j)
         try:
             order = list(TopologicalSorter(needs).static_order())
         except CycleError:
             order = members
-        plan.append(([names[i] for i in order],
-                     {names[i]: [names[j] for j in r] for i, r in readers.items()}))
+        plan.append(([names[i] for i in order], True))
     return plan
+
+
+def readers(nodes: Nodes) -> Readers:
+    """Each node and each argument name mapped to the nodes that read it, once each."""
+    out: Dict[str, Dict[str, None]] = {name: {} for name in nodes}
+    for name, (deps, _) in nodes.items():
+        for d in deps:
+            out.setdefault(d, {})[name] = None
+    return {d: tuple(r) for d, r in out.items()}
 
 
 def _components(reads: Sequence[Sequence[int]]) -> List[List[int]]:

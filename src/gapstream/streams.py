@@ -7,7 +7,10 @@ infinite.  Viewed as a function of time, a stream yields the event value at
 event timestamps, BOTTOM at covered non-event timestamps and UNKNOWN beyond
 its progress.  Progress is totally ordered, with the ordinary operators:
 exclusive at t below inclusive at t, and infinity above both, so a prefix of
-a stream has the smaller progress.
+a stream has the smaller progress.  It is the named tuple (time, inclusive),
+so that order, equality, hashing and construction are the tuple's, which
+run in C: the fixed point compares and builds progress on every evaluation.
+Like any tuple it equals a plain tuple of the same fields.
 
 Streams are immutable; operators build new ones.  Fixed-point evaluation
 relies on comparing successive prefixes, so equality is structural; it
@@ -38,15 +41,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import OperatorError
 from .timeline import INF, ExtTime, Time, TimeSet, as_time
 from .values import BOTTOM, UNKNOWN, value_eq
 
 
-@dataclass(frozen=True, order=True)
-class Progress:
+class Progress(NamedTuple):
     """How far a stream's contents are decided.
 
     Progress is ordered by (time, inclusive): exclusive at t lies below
@@ -160,9 +162,15 @@ class EventStream:
                              ticks + tuple(t for t, _ in events))
 
     def truncated(self, progress: Progress) -> "EventStream":
-        """The events progress covers, with progress progress: one bisect, its ticks sliced."""
+        """The events progress covers, with progress progress: one bisect, its ticks sliced.
+
+        progress must not lie above this stream's own, which decides no more.
+        """
         if progress == self.progress:
             return self
+        if progress > self.progress:
+            raise OperatorError(f"cannot cut a stream to {progress}, above its own progress "
+                                f"{self.progress}")
         n = progress.count_covered(self._ticks)
         return self._version(self.events[:n], progress, self._ticks[:n])
 

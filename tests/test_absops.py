@@ -1105,6 +1105,26 @@ class TestTickPath:
         for op, prev, want in zip(rows, prevs, wants):
             assert op(x, y, prev=prev) == want
 
+    def test_gap_past_the_window_walks_only_ticks(self, monkeypatch):
+        # x's gap at 7 lies past the output's progress, y's 6, so no gap meets
+        # the window from the resume point 1 to 6
+        x = astream([(1, F(1)), (3, TOP), (5, F(2))], gaps=[sp(7, 8)], prog=Pinc(9))
+        y = astream([(2, F(2)), (3, F(1))], prog=Pinc(6))
+        rows = [(A.merge_abs, A.merge_cells, atom_lift),
+                (lambda a, b, **p: A.lift_abs(gap_wins, a, b, **p), gap_wins, atom_lift),
+                (lambda a, b, **p: A.slift_abs(sum_off_threes_abs, a, b, **p),
+                 sum_off_threes_abs, atom_slift)]
+        cuts = [cut(x, Pinc(1)), cut(y, Pinc(1))]
+        prevs = [walk_from(f, cuts) for _, f, walk_from in rows]
+        wants = [walk_from(f, [x, y], prev) for (_, f, walk_from), prev in zip(rows, prevs)]
+
+        def walk(*args):
+            raise AssertionError("the atom walk ran")
+
+        monkeypatch.setattr(A, "_walk", walk)
+        for (op, _, _), prev, want in zip(rows, prevs, wants):
+            assert op(x, y, prev=prev) == want
+
     def test_tick_at_an_inclusive_resume_point_is_carried(self):
         # y's tick at 4 reads x's value from x's tick at 2, which prev,
         # inclusive at 2, already decides

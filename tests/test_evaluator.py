@@ -1,5 +1,6 @@
 """Fixed-point and online evaluation."""
 
+import copy
 import functools
 import random
 import re
@@ -80,16 +81,16 @@ class TestFixpoint:
         ast = parse_spec(spec_text("reset-sum"))
         tr = parse_trace(trace_text("reset-sum-fig"))
         g = flatten(ast)
-        from gapstream.evaluator import _eval_concrete
+        from gapstream.evaluator import _Equation, _eval_concrete
         env = {n: tr.streams[n] for n in g.inputs}
         for name, _ in g.equations:
             env[name] = EventStream.empty()
         for _ in range(20):
             changed = False
             for name, app in g.equations:
-                def get(i, app=app):
-                    return env[app.args[i].name]
-                new = _eval_concrete(app, get)
+                # from empty: no current value to resume from, no holder
+                new = _eval_concrete(_Equation(name, app, True),
+                                     {**env, name: EventStream.empty()})
                 assert env[name].is_prefix(new), f"{name} shrank"
                 changed = changed or new != env[name]
                 env[name] = new
@@ -155,13 +156,17 @@ def _unscheduled_fixpoint(graph, inputs):
     env = {n: evaluator._embed(inputs[n], graph.ast.mode) for n in graph.inputs}
     for name, _ in graph.equations:
         env[name] = evaluator._empty(graph.ast.mode)
-    apply = (evaluator._eval_abstract if graph.ast.mode == "abstract"
-             else evaluator._eval_concrete)
+    concrete = graph.ast.mode != "abstract"
+    apply = evaluator._eval_concrete if concrete else evaluator._eval_abstract
+    empty = evaluator._empty(graph.ast.mode)
+    # every evaluation from empty: no current value to resume from, no holder
+    equations = [(name, evaluator._Equation(name, app, concrete))
+                 for name, app in graph.equations]
     changed = True
     while changed:
         changed = False
-        for name, app in graph.equations:
-            new = apply(app, lambda i, app=app: env[app.args[i].name])
+        for name, eq in equations:
+            new = apply(eq, {**env, name: empty})
             changed = changed or new != env[name]
             env[name] = new
     return env
@@ -220,7 +225,8 @@ class TestSchedule:
         nodes = {f"s{i}": ([f"s{i + 1}"] if i + 1 < n else [], ()) for i in range(n)}
         compute = {f"s{i}": lambda i=i: calls.append(i) or i for i in range(n)}
         plan = speclang.sweep_plan(nodes)
-        assert evaluator._run_plan(env, compute, plan, 3, "unused") == 1
+        assert evaluator._run_plan(env, compute, plan, speclang.readers(nodes), set(nodes),
+                                   3, "unused") == 1
         assert calls == list(reversed(range(n)))
         assert env["s0"] == 0
 
@@ -837,9 +843,29 @@ def reset_sum_replay(n: int) -> list:
     return [m for *_, m in timed] + [Message.progress(name, end) for name in names]
 
 
+# (evaluations, sweeps) of evaluate_fixpoint on each bundled pair
+OFFLINE_EVALUATIONS = {
+    "running-count-concrete": (12, 4), "running-count-abstract": (22, 4),
+    "running-count-abstract-untimed": (22, 4), "reset-sum-fig-concrete": (30, 9),
+    "reset-sum-fig-abstract": (53, 9), "reset-sum-fig-abstract-untimed": (55, 9),
+    "reset-sum-gapped-abstract": (53, 9), "reset-sum-gapped-abstract-untimed": (55, 9),
+    "reset-sum-ign-abstract": (23, 4), "reset-sum-ign-abstract-untimed": (25, 4),
+    "reset-count-gapped-abstract": (23, 4), "reset-count-gapped-abstract-untimed": (25, 4),
+    "filter-example-gapped-abstract": (6, 1), "filter-example-gapped-abstract-untimed": (7, 1),
+    "variable-period-gapped-abstract": (80, 9),
+    "variable-period-gapped-abstract-untimed": (80, 9),
+    "bursts-gapped-abstract": (41, 6), "bursts-gapped-abstract-untimed": (42, 6),
+    "queue-fig-abstract": (62, 8), "queue-fig-abstract-untimed": (62, 8),
+    "finite-queue-fig-abstract": (62, 8), "finite-queue-fig-abstract-untimed": (62, 8),
+    "self-updating-queue-gapped-abstract": (115, 7),
+    "self-updating-queue-gapped-abstract-untimed": (115, 7),
+}
+
+
 class TestChangeDriven:
-    """A feed evaluates only the equations with an argument that is not the
-    object they last read, over the run state kept from the last feed."""
+    """A feed evaluates only the marked equations, over the run state kept
+    from the last feed: the readers of each input it changed, and of each
+    equation whose value changed."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -880,6 +906,55 @@ class TestChangeDriven:
             ev.feed(m)
         assert len(msgs) == 40
         assert len(evaluations) == 214
+
+    def test_feed_that_changes_no_input_evaluates_nothing(self, evaluations):
+        ev = OnlineEvaluator(RESET_SUM_GRAPHS["concrete"])
+        for m in reset_sum_replay(12)[:10]:
+            ev.feed(m)
+        ev.feed(Message.progress("values", 9))
+        before = dict(ev.env)
+        evaluations.clear()
+        assert ev.feed(Message.progress("values", 9)) == []
+        assert evaluations == []
+        assert all(ev.env[n] is s for n, s in before.items() if n != "__sweeps__")
+
+    def test_equal_result_keeps_its_object_and_spares_its_readers(self, monkeypatch):
+        # time(resets) gives a copy of its value, equal to it but another
+        # object, as an operator that rebuilt its output would
+        g = RESET_SUM_GRAPHS["concrete"]
+        calls = []
+        evaluate = evaluator._eval_concrete
+
+        def rebuilding(eq, env):
+            calls.append((eq.op, tuple(a.name for a in eq.args)))
+            if eq.names == ("resets",):
+                return copy.copy(env[eq.name])
+            return evaluate(eq, env)
+
+        ev = OnlineEvaluator(g)
+        for m in reset_sum_replay(12)[:10]:
+            ev.feed(m)
+        name = next(n for n, app in g.equations if app.op == "time"
+                    and app.args[0].name == "resets")
+        assert g.readers[name] == ("cond",)
+        held = ev.env[name]
+        monkeypatch.setattr(evaluator, "_eval_concrete", rebuilding)
+        ev.feed(Message.event("resets", 20, UNIT))
+        assert calls == [("time", ("resets",))]
+        assert ev.env[name] is held
+
+    @pytest.mark.parametrize("graph, inputs", list(_bundled_runs()))
+    def test_offline_evaluation_count(self, graph, inputs, request, monkeypatch):
+        # the evaluations and sweeps each bundled pair's fixed point makes
+        calls = []
+        for dispatch in ("_eval_concrete", "_eval_abstract"):
+            def counting(eq, env, evaluate=getattr(evaluator, dispatch)):
+                calls.append(eq.op)
+                return evaluate(eq, env)
+            monkeypatch.setattr(evaluator, dispatch, counting)
+        env = evaluate_fixpoint(graph, inputs)
+        run = request.node.callspec.id
+        assert (len(calls), env["__sweeps__"]) == OFFLINE_EVALUATIONS[run]
 
     def test_feed_after_a_raise_starts_afresh(self, monkeypatch):
         # one evaluation raises after its operator ran, as an operator that

@@ -2,19 +2,21 @@
 evaluator looks implementations up when it calls them."""
 
 import importlib.util
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from gapstream import absops, encoded, ops
+from gapstream import absops, encoded, evaluator, ops
 from gapstream.abstract import AbstractEventStream
-from gapstream.builtin_specs import SPEC_NAMES, spec_text
+from gapstream.builtin_specs import SPEC_NAMES, spec_text, trace_text
 from gapstream.encoded import build_encoded
 from gapstream.errors import OperatorError
-from gapstream.evaluator import evaluate_fixpoint
+from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import OPERATORS, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
+from gapstream.tracefile import parse_trace
 
 ABSTRACT = sorted(n for n, row in OPERATORS.items() if not row.concrete)
 INPUTS = {"x": EventStream.of([(1, F(2))], Progress.infinite())}
@@ -120,7 +122,9 @@ def test_synchronized_builds_each_stream_once_against_the_others():
 
 @pytest.mark.parametrize("module, name", [(ops, "last"), (absops, "delay_abs")])
 def test_evaluator_calls_patched_implementation(monkeypatch, module, name):
-    # instrumentation wraps module attributes, so dispatch must not bind them early
+    # instrumentation wraps module attributes: a bound equation resolves its
+    # row once, but looks its implementation up on ops or absops at every
+    # evaluation (test_tracer_sees_every_evaluation patches after the build)
     calls = []
     original = getattr(module, name)
 
@@ -133,13 +137,25 @@ def test_evaluator_calls_patched_implementation(monkeypatch, module, name):
     assert len(calls) == env["__sweeps__"]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name, monkeypatch=None):
+    """perfbench's module name, loaded from its file under a private name;
+    registered in sys.modules for the test's length with monkeypatch, as
+    dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_wraps_existing_attributes_and_restores_them():
     # perfbench's --trace run wraps engine attributes by name; a renamed
     # operator would make instrument() fail or leave a wrapper behind
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    tracer_module = perfbench_module("tracer")
     tracer = tracer_module.Tracer()
     try:
         tracer.instrument()
@@ -152,3 +168,42 @@ def test_tracer_wraps_existing_attributes_and_restores_them():
         tracer.uninstall()
     for owner, attr, own, original in patched:
         assert (vars(owner).get(attr) is original) if own else attr not in vars(owner)
+
+
+def test_tracer_sees_every_evaluation(monkeypatch):
+    # a dispatch or implementation bound early would read zero in a layer
+    # of perfbench's --trace run; its own check is Tracer.require on the
+    # workload's active list
+    monkeypatch.syspath_prepend(str(PERFBENCH))    # workloads imports gen and oracle
+    tracer_module = perfbench_module("tracer")
+    workloads = perfbench_module("workloads", monkeypatch)
+    # the monitor is built before any wrapper is patched in
+    monitor = OnlineEvaluator(flatten(parse_spec(spec_text("reset-sum"))))
+    counted = []
+    for dispatch in ("_eval_concrete", "_eval_abstract"):
+        def counting(eq, *args, evaluate=getattr(evaluator, dispatch)):
+            counted.append(eq.op)
+            return evaluate(eq, *args)
+        monkeypatch.setattr(evaluator, dispatch, counting)
+    tracer = tracer_module.Tracer()
+    tracer.instrument()             # wraps the counting dispatch
+    try:
+        trace = parse_trace(trace_text("reset-sum-fig"))
+        tracer.begin("online")
+        for msg in workloads.gen.online_messages(trace, Message):
+            monitor.feed(msg)
+        tracer.end()
+        assert tracer.calls("evaluator.op_eval") == len(counted) > 0
+        tracer.require(workloads.ResetSumOnline.active)
+
+        counted.clear()
+        graph = flatten(unroll(abstractify(parse_spec(spec_text("variable-period")),
+                                           time_aware=True)))
+        trace = parse_trace(trace_text("variable-period-gapped"))
+        tracer.begin("offline")
+        evaluator.evaluate_fixpoint(graph, trace.streams)
+        tracer.end()
+        assert tracer.calls("evaluator.op_eval") == len(counted) > 0
+        tracer.require(workloads.PeriodGapped.active)
+    finally:
+        tracer.uninstall()

@@ -101,6 +101,57 @@ class TestIndexedLookups:
         assert a == b and hash(a) == hash(b)
 
 
+class TestProgress:
+    """Progress is a value: ordered by (time, inclusive), equal and hashed by
+    its fields, copied and pickled as itself."""
+
+    LADDER = [Progress.exclusive(0), Progress.inclusive_at(0), Progress.exclusive(F(1, 2)),
+              Progress.inclusive_at(F(1, 2)), Progress.exclusive(3), Progress.inclusive_at(3),
+              Progress.infinite()]
+
+    def test_order(self):
+        # exclusive t < inclusive t < exclusive t' for t < t' < infinite
+        for i, a in enumerate(self.LADDER):
+            for j, b in enumerate(self.LADDER):
+                assert (a < b, a <= b, a == b, a >= b, a > b) == (i < j, i <= j, i == j,
+                                                                  i >= j, i > j), (a, b)
+        assert sorted(reversed(self.LADDER)) == self.LADDER
+        assert max(self.LADDER) == Progress.infinite()
+        assert min(self.LADDER) == Progress.exclusive(0)
+
+    @given(st.sampled_from([0, 1, F(3, 2), INF]), st.booleans(),
+           st.sampled_from([0, 1, F(3, 2), INF]), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equal_fields_equal_values(self, t, inc, u, inc2):
+        a, b = Progress(t, inc), Progress(u, inc2)
+        assert (a == b) is ((t, inc) == (u, inc2)) and (a != b) is not (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert hash(a) == hash((t, inc))
+
+    @pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                           lambda p: pickle.loads(pickle.dumps(p))])
+    def test_roundtrips(self, roundtrip):
+        for p in self.LADDER:
+            back = roundtrip(p)
+            assert back == p and hash(back) == hash(p) and type(back) is Progress
+            assert back.time == p.time and back.inclusive is p.inclusive
+        assert roundtrip(Progress.infinite()).time is INF
+
+    def test_repr(self):
+        assert [repr(p) for p in self.LADDER] == [
+            "prog(<0)", "prog(<=0)", "prog(<1/2)", "prog(<=1/2)", "prog(<3)", "prog(<=3)",
+            "prog(inf)"]
+        assert repr(ev((1, F(2)), prog=Progress.exclusive(4))) == "<1:Fraction(2, 1) | prog(<4)>"
+
+    def test_stream_equality_and_hash(self):
+        # a stream hashes as the tuple of its fields, progress as (time, inclusive)
+        a = ev((1, F(2)), prog=Progress.inclusive_at(3))
+        assert hash(a) == hash((a.events, (3, True)))
+        assert a == ev((1, 2), prog=Progress(3, True))
+        assert a != ev((1, F(2)), prog=Progress.exclusive(3))
+
+
 class TestEquality:
     """Progress is compared first; equality and hashing stay structural."""
 
@@ -274,6 +325,15 @@ class TestVersions:
         assert s.progress == prog
         assert s.events == tuple((t, v) for t, v in self.base.events if prog.covers(t))
         assert s.ticks() == tuple(t for t, _ in s.events)
+
+    @pytest.mark.parametrize("prog", [Progress.inclusive_at(2), Progress.exclusive(3),
+                                      Progress.infinite()])
+    def test_truncated_refuses_a_progress_above_its_own(self, prog):
+        # a cut claiming more than the stream decides would read BOTTOM at 3
+        s = EventStream.of([(1, 5)], Progress.exclusive(2))
+        assert s.at(3) is UNKNOWN
+        with pytest.raises(OperatorError, match="above its own progress"):
+            s.truncated(prog)
 
     def test_truncated_shares_what_it_keeps(self):
         assert self.base.truncated(self.base.progress) is self.base
