@@ -70,9 +70,13 @@ which one call probes, and slift_abs carrying _carried's state through the
 ticks (_slift_ticks).  The output is prev's events extended by those the
 ticks give, with prev's gaps.  A GAP or UNKNOWN at a tick, which only the
 atom walk puts out or rejects, a function that gives anything else on
-BOTTOM cells, and a gap in the window take the atom walk.
+BOTTOM cells, and a gap in the window take the atom walk.  merge_abs,
+whose merge_cells keeps BOTTOM and forwards the first event it meets,
+needs no tick walk there: one k-way pass over the arguments' new event
+slices (_merge_ticks) keeps the first argument's (time, value) pair at a
+shared tick, and ops.merge is merge_abs on concrete streams.
 tests/test_absops.py TestTickPath checks both paths against the atom walk
-composed directly.
+composed directly, and the concrete merge against the tick walk.
 
 The history operators of an unrolled recursion resume too.  last_abs and
 last_time_abs (and their value halves) take prev's events and walk only
@@ -109,7 +113,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import dropwhile, groupby
+from itertools import chain, dropwhile, groupby
 from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -350,6 +354,12 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
     return AbstractEventStream(stream, gaps)
 
 
+def _new(s: EventStream, done: Progress, prog: Progress) -> slice:
+    """The slice of s's events (and ticks) that prog covers and done does not."""
+    ticks = s.ticks()
+    return slice(done.count_covered(ticks), prog.count_covered(ticks))
+
+
 def _tick_cells(streams: Sequence[EventStream], done: Progress, prog: Progress):
     """Yield (t, cells) at each tick of the streams that prog covers and done does not.
 
@@ -362,14 +372,12 @@ def _tick_cells(streams: Sequence[EventStream], done: Progress, prog: Progress):
     """
     if len(streams) == 1:
         s, = streams
-        ticks = s.ticks()
-        for t, v in s.events[done.count_covered(ticks):prog.count_covered(ticks)]:
+        for t, v in s.events[_new(s, done, prog)]:
             yield t, (v,)
         return
     fresh = set()
     for s in streams:
-        ticks = s.ticks()
-        fresh.update(ticks[done.count_covered(ticks):prog.count_covered(ticks)])
+        fresh.update(s.ticks()[_new(s, done, prog)])
     for t in sorted(fresh):
         yield t, [s.at(t) for s in streams]
 
@@ -460,9 +468,46 @@ def merge_cells(*cells):
     return out
 
 
+def _merge_ticks(streams: Sequence[EventStream], done: Progress, prog: Progress):
+    """The streams' events that prog covers and done does not, the first one at a shared tick.
+
+    One k-way pass: a stable sort of the ascending slices merges them in
+    C, and among equal times the earliest argument's (time, value) pair
+    comes first and is kept as it is, its time object too.
+    """
+    slices = [part for s in streams if (part := s.events[_new(s, done, prog)])]
+    if len(slices) < 2:
+        return slices[0] if slices else ()
+    out = []
+    last = -1       # times are non-negative
+    for ev in sorted(chain.from_iterable(slices), key=itemgetter(0)):
+        if ev[0] != last:
+            out.append(ev)
+            last = ev[0]
+    return out
+
+
 def merge_abs(*streams: AbstractEventStream,
               prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
-    return lift_abs(merge_cells, *streams, prev=prev)
+    """merge_cells of the arguments' cells on each atom, resumed from prev as lift_abs is.
+
+    Where no argument has a gap from prev's progress time to the output's,
+    the output is prev's events extended by the arguments' events in that
+    window, the first argument's at a shared tick (_merge_ticks), with
+    prev's gaps: merge_cells keeps all-BOTTOM cells BOTTOM and forwards
+    the first event it meets, TOP included.  A gap in the window takes the
+    atom walk.
+    """
+    if not streams:
+        raise OperatorError("merge_abs needs at least one stream")
+    prog = min(s.progress for s in streams)
+    done = prev.progress
+    if prog == done:
+        return prev
+    if _gap_free_between(streams, done.time, prog.time):
+        events = _merge_ticks([s.stream for s in streams], done, prog)
+        return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
+    return _lift_atoms(merge_cells, _walk(streams, prog, done.time), prog, prev)
 
 
 def const_abs(c) -> Callable[[AbstractEventStream], AbstractEventStream]:

@@ -13,20 +13,26 @@ slift, last and delay are absops.time_abs, absops.slift_abs,
 absops.last_abs and absops.delay_abs on their arguments and prev as they
 are, and resume as those do; what this module adds is only what is
 concrete: slift rejects a gap its function gives, and delay rejects
-amounts known only abstractly.  lift (and so merge and const) is absops's
-tick walk, absops._lift_ticks, which calls f only at ticks, as the encoded
-path relies on, and rejects GAP and UNKNOWN.  lift resumes from prev, its
-output on prefixes of the arguments, and walks only the ticks past prev's
-progress, as time maps only the ticks past prev's events.  So every
-concrete row that walks its history resumes (speclang.Operator.resumes and
-stateful).  The paper's signal lift, lift over encoded.synchronized(streams,
-merge, last), is the specification and test oracle of slift.
+amounts known only abstractly.  merge is absops.merge_abs too, a k-way
+pass over the arguments' new events.  It only forwards argument values,
+and no concrete value is GAP or UNKNOWN: the trace reader has no word for
+them, lift and slift reject them, and const and time give a literal or a
+timestamp; so merge needs no check of its results, as lift has.
+lift (and so const) is absops's tick walk, absops._lift_ticks, which calls
+f only at ticks, as the encoded path relies on, and rejects GAP and
+UNKNOWN.  lift resumes from prev, its output on prefixes of the
+arguments, and walks only the ticks past prev's progress, as time maps
+only the ticks past prev's events.  So every concrete row that walks its
+history resumes (speclang.Operator.resumes and stateful).  The paper's
+signal lift, lift over encoded.synchronized(streams, merge, last), is the
+specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
 which is left to the public boundary.  time keeps its input's ticks and
 progress (EventStream.with_payloads), so its output is valid as the input
-is; lift extends prev (EventStream.extended), which checks only the order
-and progress of the events it appends.  Each output carries its tick tuple.
+is; lift and merge extend prev (EventStream.extended), which checks only
+the order and progress of the events they append.  Each output carries
+its tick tuple.
 
 Progress propagation follows the per-operator case analysis exactly: an
 output timestamp is covered when every case condition at and below it is
@@ -84,16 +90,13 @@ def const(c) -> Callable[[EventStream], EventStream]:
     return apply
 
 
-def _merge_values(*vals):
-    for v in vals:
-        if v is not BOTTOM:
-            return v
-    return BOTTOM
-
-
 def merge(*streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
-    """Combine events, earlier arguments taking precedence at shared timestamps."""
-    return lift(_merge_values, *streams, prev=prev)
+    """Combine events, earlier arguments taking precedence at shared timestamps.
+
+    This is absops.merge_abs, which resumes from prev; on concrete streams
+    it always takes its k-way pass over the new events.
+    """
+    return absops.merge_abs(*streams, prev=prev).stream
 
 
 def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventStream:

@@ -706,9 +706,23 @@ def unroll(ast: SpecAst) -> SpecAst:
     halves are last_time_bot and last_gap.  It repeats while the graph has
     an unguarded cycle, and it ends: a clone never copies a history
     operator, so each rewrite removes one last/delay.  Once none is left on
-    a cycle, the cycle cannot be unrolled and is reported.
+    a cycle, the cycle cannot be unrolled and is reported.  The halves and
+    clones are named {x}__bot and {n}__pre, with a number where a name is
+    taken.
+
+    Before the first rewrite, a merge nested anonymously in a merge of the
+    same operator is spliced into the outer argument list (_splice_merges):
+    merge(a, merge(b, c)) becomes merge(a, b, c), one equation the fixed
+    point evaluates, and clones, where there were two.  That is exact:
+    absops.merge_cells is a right fold of merge_cell, which is associative
+    on every cell, events, BOTTOM, GAP and TOP alike, and the progress is
+    the minimum either way.  A named merge is a Ref and stays an equation.
+    The splice is left out of flatten, whose graph is the one
+    computation_depth and check measure: it would shorten the depths the
+    paper's overhead table compares.  A spec with no cycle to unroll comes
+    back as it was.
     """
-    g = flatten(ast)
+    g = flatten(replace(ast, defs=tuple((n, _splice_merges(e)) for n, e in ast.defs)))
     step = 0
     while (report := check_well_formed(g)) is not None:
         defs = dict(g.equations)
@@ -720,6 +734,26 @@ def unroll(ast: SpecAst) -> SpecAst:
         g = _unroll_one(g, target, step)
         step += 1
     return ast if step == 0 else _graph_to_ast(g, ast)
+
+
+_SPLICED = ("merge", "merge_abs")
+
+
+def _splice_merges(e):
+    """e with each merge nested anonymously in a merge of the same operator spliced into it."""
+    if isinstance(e, Ref):
+        return e
+    args = []
+    changed = False
+    for a in e.args:
+        b = _splice_merges(a)
+        if e.op in _SPLICED and isinstance(b, Apply) and b.op == e.op:
+            args.extend(b.args)
+            changed = True
+        else:
+            args.append(b)
+            changed = changed or b is not a
+    return Apply(e.op, tuple(args), fn=e.fn, lit=e.lit) if changed else e
 
 
 def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:
@@ -746,9 +780,21 @@ def _unroll_one(g: SpecGraph, target: str, step: int) -> SpecGraph:
     clone_set = _closure({v_ref.name} & inside,
                          {n: [d for d in g.nodes[n][0] if d in inside] for n in inside})
 
-    suffix = "" if step == 0 else str(step + 1)
-    bot_name = f"{target}__bot{suffix}"
-    prime = {n: f"{n}__pre{suffix}" for n in clone_set}
+    taken = set(g.inputs) | set(defs)
+
+    def fresh(stem: str) -> str:
+        # stem, numbered from the step on; a name the spec or an earlier
+        # rewrite holds would replace the equation drawn here
+        k = step
+        while True:
+            name = stem if k == 0 else f"{stem}{k + 1}"
+            k += 1
+            if name not in taken:
+                taken.add(name)
+                return name
+
+    bot_name = fresh(f"{target}__bot")
+    prime = {n: fresh(f"{n}__pre") for n in sorted(clone_set)}
     prime[target] = bot_name
 
     def remap(ref: Ref) -> Ref:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PROGRESS_KINDS, abstract_streams, delay_amount_streams,
+from conftest import (GRID, PROGRESS_KINDS, abstract_streams, delay_amount_streams,
                       event_streams, flat_join, member_of_gamma, period_trace,
                       unit_streams)
 from enumeration import check_perfect, check_sound, image_streams
@@ -24,7 +24,7 @@ from gapstream.functions import lookup, strict_cells
 from gapstream.speclang import abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
 from gapstream.timeline import INF, Span, TimeSet
-from gapstream.tracefile import parse_trace
+from gapstream.tracefile import parse_trace, serialize_trace
 from gapstream.values import BOTTOM, GAP, TOP, UNIT, UNKNOWN, Interval
 
 Pinc = Progress.inclusive_at
@@ -1035,6 +1035,21 @@ def resumable(streams, shift, at, inclusive):
     return streams, Progress(at, inclusive)
 
 
+MERGE_STREAMS = st.one_of(gapped_half_grid_streams(),
+                          gapped_half_grid_streams(grid=HALF_GRID[::2]))
+
+
+def first_event_wins(streams, prev=EventStream.empty()):
+    """The concrete merge by the tick walk: the first argument's value at each tick."""
+    prog = min(s.progress for s in streams)
+    events = []
+    for t, cells in A._tick_cells(streams, prev.progress, prog):
+        v = next((c for c in cells if c is not BOTTOM), BOTTOM)
+        if v is not BOTTOM:
+            events.append((t, v))
+    return prev.extended(events, prog)
+
+
 def ticks_only(a, *rest):
     """a's value where it ticks alone, TOP where another stream ticks with it, GAP where a is TOP."""
     if a is TOP:
@@ -1086,6 +1101,48 @@ class TestTickPath:
             prev = A._NOTHING
         assert (outcome(lambda: A.slift_abs(f_abs, *streams, prev=prev, taint=taint))
                 == outcome(lambda: atom_slift(f_abs, streams, prev, taint)))
+
+    @given(st.lists(MERGE_STREAMS, min_size=1, max_size=3), st.booleans(),
+           st.sampled_from(QUARTER_GRID), st.booleans())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @example([astream([(0, F(0)), (1, TOP)], prog=Pinc(2)),
+              astream([(0, F(1)), (1, F(2)), (F(3, 2), F(1))], prog=Pinc(3))],
+             True, F(0), False)
+    def test_merge_equals_atom_walk(self, streams, shift, at, inclusive):
+        # merge_abs's own k-way pass where no gap meets the window, against
+        # merge_cells lifted over the atoms, an oracle that shares no code
+        # with it; streams on the whole grid share ticks more often
+        streams, resume = resumable(streams, shift, at, inclusive)
+        prev = outcome(lambda: atom_lift(A.merge_cells, [cut(s, resume) for s in streams]))
+        if not isinstance(prev, AbstractEventStream):
+            prev = A._NOTHING
+        assert (outcome(lambda: A.merge_abs(*streams, prev=prev))
+                == outcome(lambda: atom_lift(A.merge_cells, streams, prev)))
+
+    @given(st.lists(event_streams(), min_size=1, max_size=3), st.sampled_from(GRID),
+           st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_concrete_merge_is_first_event_wins(self, streams, at, inclusive):
+        resume = Progress(at, inclusive)
+        prev = first_event_wins([s.truncated(min(s.progress, resume)) for s in streams])
+        assert ops.merge(*streams, prev=prev) == first_event_wins(streams, prev)
+
+    def test_shared_tick_keeps_the_first_arguments_time(self):
+        # 1 and Fraction(1) are one tick; the merge keeps the time object of
+        # the argument whose event it forwards, as the tick walk did
+        prog = Pinc(3)
+        a = EventStream.empty(prog).extended([(1, F(10)), (F(3, 2), F(11))], prog)
+        b = EventStream.empty(prog).extended([(F(1), F(20)), (2, F(21))], prog)
+        for first, second in ((a, b), (b, a)):
+            prev = ops.merge(first.truncated(Pinc(1)), second.truncated(Pinc(1)))
+            for got in (ops.merge(first, second), ops.merge(first, second, prev=prev),
+                        A.merge_abs(first, second).stream):
+                want = first_event_wins([first, second])
+                assert [(type(t), t, v) for t, v in got.events] == \
+                    [(type(t), t, v) for t, v in want.events]
+                assert got.events[0][0] is first.events[0][0]
+        text = serialize_trace((("m", "Int"),), {"m": ops.merge(b, a)}, 1, prog)
+        assert text == "stream m : Int\n1: m = 20\n1.5: m = 11\n2: m = 21\nprogress 3\n"
 
     def test_gap_free_rows_walk_only_ticks(self, monkeypatch):
         # x's gap ends below the resume point 1

@@ -852,8 +852,8 @@ OFFLINE_EVALUATIONS = {
     "reset-sum-ign-abstract": (23, 4), "reset-sum-ign-abstract-untimed": (25, 4),
     "reset-count-gapped-abstract": (23, 4), "reset-count-gapped-abstract-untimed": (25, 4),
     "filter-example-gapped-abstract": (6, 1), "filter-example-gapped-abstract-untimed": (7, 1),
-    "variable-period-gapped-abstract": (80, 9),
-    "variable-period-gapped-abstract-untimed": (80, 9),
+    "variable-period-gapped-abstract": (63, 9),
+    "variable-period-gapped-abstract-untimed": (63, 9),
     "bursts-gapped-abstract": (41, 6), "bursts-gapped-abstract-untimed": (42, 6),
     "queue-fig-abstract": (62, 8), "queue-fig-abstract-untimed": (62, 8),
     "finite-queue-fig-abstract": (62, 8), "finite-queue-fig-abstract-untimed": (62, 8),

@@ -7,7 +7,8 @@ which the native == encoded acceptance check cannot do when a change
 touches both.  Gap-free traces run plain; every trace also runs abstract
 and unrolled, with and without the time-aware rewrites.  Each bundled
 ignorance setup also runs `gapstream ignorance`, pinning the exact optimal
-and abstract ignorance it prints.
+and abstract ignorance it prints, and `gapstream depth` runs on every bundled spec,
+plain and time-aware, pinning the depth-overhead table.
 """
 
 from importlib import resources
@@ -84,8 +85,21 @@ def ignorance_runs():
 IGNORANCE_RUNS = dict(ignorance_runs())
 
 
+def depth_runs():
+    """(file name, CLI arguments) of a depth run per bundled spec, plain and time-aware."""
+    bundled = resources.files("gapstream") / "bundled"
+    for spec in sorted({spec for spec, _ in PAIRS}):
+        path = str(bundled / f"{spec}.spec")
+        yield f"depth__{spec}.out", ("depth", path)
+        yield f"depth__{spec}__time-aware.out", ("depth", path, "--time-aware")
+
+
+DEPTH_RUNS = dict(depth_runs())
+
+
 def test_every_golden_file_is_used():
-    assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted({**RUNS, **IGNORANCE_RUNS})
+    assert (sorted(p.name for p in GOLDEN.glob("*.out"))
+            == sorted({**RUNS, **IGNORANCE_RUNS, **DEPTH_RUNS}))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -100,4 +114,11 @@ def test_golden_output(name, tmp_path, monkeypatch):
 def test_golden_ignorance(name, capsys, monkeypatch):
     monkeypatch.delenv("GAPSTREAM_BUDGET", raising=False)
     assert cli.main(list(IGNORANCE_RUNS[name])) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DEPTH_RUNS))
+def test_golden_depth(name, capsys, monkeypatch):
+    monkeypatch.delenv("GAPSTREAM_EPSILON", raising=False)
+    assert cli.main(list(DEPTH_RUNS[name])) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -87,7 +87,7 @@ ENCODED_SIZES = {
     "reset-count": ((34, 206), (34, 214), (35, 349), (35, 357)),
     "reset-sum": ((34, 206), (34, 214), (35, 349), (35, 357)),
     "filter-example": ((26, 62), (26, 60), (26, 62), (26, 60)),
-    "variable-period": ((28, 98), (28, 98), (36, 171), (36, 171)),
+    "variable-period": ((28, 98), (28, 98), (35, 167), (35, 167)),
     "bursts": ((37, 163), (37, 161), (37, 254), (37, 252)),
     "queue": ((35, 121), (35, 121), (38, 226), (38, 226)),
     "finite-queue": ((35, 121), (35, 121), (38, 226), (38, 226)),

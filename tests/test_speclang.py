@@ -15,7 +15,7 @@ from gapstream.speclang import (abstractify, check_well_formed,
                                 parse_spec, unroll)
 from gapstream.streams import EventStream, Progress
 from gapstream.tracefile import parse_trace, serialize_trace
-from gapstream.values import UNIT, Interval
+from gapstream.values import TOP, UNIT, Interval
 
 from conftest import (RECURSIVE_LAST_TIME, RECURSIVE_LAST_TIME_FULL,
                       RECURSIVE_LAST_TIME_GAPPED, reverse_chain_spec)
@@ -220,6 +220,90 @@ class TestUnroll:
                 read.add(n)
                 todo.extend(graph.nodes[n][0])
         assert read == set(graph.nodes)
+
+
+# recursive merges nested anonymously, and the same specs with the inner
+# merges named, which unroll does not splice
+HEAD = "in x : Events[Int]\nin y : Events[Unit]\n"
+NESTED_MERGES = {
+    "right": ("def c := merge(x, merge(lift(inc)(last(c, y)), const(0)(unit())))\n",
+              "def m := merge(lift(inc)(last(c, y)), const(0)(unit()))\n"
+              "def c := merge(x, m)\n"),
+    "left": ("def c := merge(merge(x, lift(inc)(last(c, y))), const(0)(unit()))\n",
+             "def m := merge(x, lift(inc)(last(c, y)))\n"
+             "def c := merge(m, const(0)(unit()))\n"),
+    "three-deep": ("def c := merge(x, merge(lift(inc)(last(c, y)), "
+                   "merge(const(7)(y), const(0)(unit()))))\n",
+                   "def n := merge(const(7)(y), const(0)(unit()))\n"
+                   "def m := merge(lift(inc)(last(c, y)), n)\n"
+                   "def c := merge(x, m)\n"),
+}
+SPLICED_ARITY = {"right": 3, "left": 3, "three-deep": 4}
+NESTED_MERGE_TRACES = {
+    "gap-free": "stream x : Int\nstream y : Unit\n1: y = ()\n2: x = 4\n2: y = ()\n"
+                "3: y = ()\n5: x = 1\n6: y = ()\n7: y = ()\nprogress 9\n",
+    "gapped": "stream x : Int\nstream y : Unit\n1: y = ()\n2: x = 4\n2: y = ()\n"
+              "3: gap x\n4: known x\n4: y = ()\n5: x = #top\n6: gap y\n6.5: known y\n"
+              "7: y = ()\nprogress 9\n",
+}
+# a declared name unroll would give its bot half or a clone, and the same
+# spec with the name free
+COLLIDING = ("in y : Events[Unit]\nin x : Events[Int]\ndef c := merge(x, last(c, y))\n"
+             "def {} := const(7)(y)\nout c\n")
+COLLIDING_TRACE = ("stream y : Unit\nstream x : Int\n1: x = 1\n2: gap x\n3: known x\n"
+                   "4: y = ()\n6: y = ()\nprogress 9\n")
+
+
+class TestSpliceMerges:
+    """unroll splices a merge nested anonymously in a merge into its argument list."""
+
+    @pytest.mark.parametrize("trace", sorted(NESTED_MERGE_TRACES))
+    @pytest.mark.parametrize("time_aware", [False, True])
+    @pytest.mark.parametrize("shape", sorted(NESTED_MERGES))
+    def test_spliced_equals_named(self, shape, time_aware, trace):
+        nested, named = NESTED_MERGES[shape]
+        tr = parse_trace(NESTED_MERGE_TRACES[trace])
+        envs = []
+        for body in (nested, named):
+            ast = abstractify(parse_spec(HEAD + body + "out c\n"), time_aware=time_aware)
+            graph = flatten(unroll(ast))
+            assert check_well_formed(graph) is None
+            envs.append((graph, evaluate_fixpoint(graph, tr.streams)))
+        (spliced, got), (kept, want) = envs
+        assert got["c"] == want["c"]
+        # the named inner merges stay equations, and two arguments each
+        defs = dict(kept.equations)
+        assert all(len(defs[n].args) == 2 for n in ("m", "n") if n in defs)
+        c = dict(spliced.equations)["c"]
+        assert c.op == "merge_abs" and len(c.args) == SPLICED_ARITY[shape]
+        assert len(spliced.equations) < len(kept.equations)
+
+    def test_gap_free_equals_concrete(self):
+        tr = parse_trace(NESTED_MERGE_TRACES["gap-free"])
+        for nested, _ in NESTED_MERGES.values():
+            ast = parse_spec(HEAD + nested + "out c\n")
+            concrete = evaluate_fixpoint(flatten(ast), tr.streams)
+            abstract = evaluate_fixpoint(flatten(unroll(abstractify(ast))), tr.streams)
+            assert abstract["c"] == AbstractEventStream.of(concrete["c"])
+
+    def test_spec_without_rewrite_comes_back_unchanged(self):
+        # nested merges, but no cycle to unroll
+        ast = abstractify(parse_spec(HEAD + "def c := merge(x, merge(const(1)(y), x))\n"
+                                     "out c\n"))
+        assert unroll(ast) is ast
+
+    @pytest.mark.parametrize("name", ["__t1__bot", "c__pre"])
+    def test_generated_names_skip_declared_ones(self, name):
+        tr = parse_trace(COLLIDING_TRACE)
+        outs = []
+        for declared in (name, "tb"):
+            graph = flatten(unroll(abstractify(parse_spec(COLLIDING.format(declared)))))
+            names = [n for n, _ in graph.equations]
+            assert len(names) == len(set(names))
+            outs.append(evaluate_fixpoint(graph, tr.streams)["c"])
+        assert outs[0] == outs[1]
+        # the sound answer: the last value may lie in x's gap
+        assert [(t, v) for t, v in outs[0].stream.events if t > 3] == [(4, TOP), (6, TOP)]
 
 
 class TestDepth:
