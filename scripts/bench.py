@@ -1,6 +1,6 @@
 """Doubling runs of one workload, each checked against an independent result.
 
-Seven workloads are measured:
+Eight workloads are measured:
 
 - `reset-sum` (the default): concrete reset-sum offline on
   `perfbench/gen.py` `reset_sum`; `cond` and `sum` must equal the oracle in
@@ -29,6 +29,10 @@ Seven workloads are measured:
   that output.  `reset-sum-online-timed` replays the full trace the same
   way, with nothing lost, and `reset-sum-online-plain-gapped` replays the
   gapped trace through the plain (not time-aware) unrolled abstraction.
+- `period-online-gapped`: the same replay and checks of `variable-period`
+  abstract (time-aware and unrolled) on the gapped trace of
+  `perfbench/gen.py` `period`, the one online workload that runs delays,
+  their holders kept from message to message.
 
 For every n it generates the seeded trace, times `evaluate_fixpoint` (or
 every `feed`) in wall seconds and checks the output.  It prints the times,
@@ -193,21 +197,37 @@ def gapped_messages(trace, message_cls) -> list:
     return [m for *_, m in timed] + [message_cls.progress(name, end) for name in names]
 
 
-def abstract_online_run(time_aware: bool, lost: bool, n: int):
-    """Unrolled abstract reset-sum online at n, time-aware if time_aware,
-    with values lost if lost: (total feed seconds, sweeps of the last feed,
-    checks pass, feed latency medians in ms)."""
+def reset_sum_texts(lost: bool, n: int) -> tuple:
+    """(full, replayed) reset-sum traces at n, the replayed one with values
+    lost (lose_values) if lost."""
     import gen
+
+    full = gen.reset_sum(SEED, n)
+    return full, lose_values(full) if lost else full
+
+
+def generated_texts(generator: str, n: int) -> tuple:
+    """The (full, gapped) traces of gen.<generator> at n."""
+    import gen
+
+    return getattr(gen, generator)(SEED, n)
+
+
+def abstract_online_run(spec: str, texts, time_aware: bool, n: int):
+    """Unrolled abstract spec online at n, time-aware if time_aware, replaying
+    the second of texts(n), a (full, replayed) pair of traces: (total feed
+    seconds, sweeps of the last feed, checks pass, feed latency medians in
+    ms)."""
     from gapstream.abstract import refinement_leq
     from gapstream.builtin_specs import spec_text
     from gapstream.evaluator import Message, evaluate_fixpoint
     from gapstream.speclang import abstractify, flatten, parse_spec, unroll
     from gapstream.tracefile import parse_trace
 
-    ast = parse_spec(spec_text("reset-sum"))
+    ast = parse_spec(spec_text(spec))
     graph = flatten(unroll(abstractify(ast, time_aware=time_aware)))
-    full = gen.reset_sum(SEED, n)
-    trace = parse_trace(lose_values(full) if lost else full)
+    full, replayed = texts(n)
+    trace = parse_trace(replayed)
     emitted, latencies, monitor = replay(graph, gapped_messages(trace, Message))
     offline = evaluate_fixpoint(graph, trace.streams)
     concrete = evaluate_fixpoint(flatten(ast), parse_trace(full).streams)
@@ -220,7 +240,6 @@ def abstract_online_run(time_aware: bool, lost: bool, n: int):
 def gapped_run(spec: str, generator: str, n: int):
     """Abstract spec on the gapped trace of gen.<generator> at n: (wall, sweeps,
     refined, wall seconds of the concrete spec on the full trace)."""
-    import gen
     from gapstream.abstract import refinement_leq
     from gapstream.builtin_specs import spec_text
     from gapstream.evaluator import evaluate_fixpoint
@@ -228,7 +247,7 @@ def gapped_run(spec: str, generator: str, n: int):
     from gapstream.tracefile import parse_trace
 
     ast = parse_spec(spec_text(spec))
-    full, gapped = getattr(gen, generator)(SEED, n)
+    full, gapped = generated_texts(generator, n)
     full_inputs = parse_trace(full).streams
     start = perf_counter()
     concrete = evaluate_fixpoint(flatten(ast), full_inputs)
@@ -265,7 +284,8 @@ WORKLOADS = {
                          "feed latency and that of the last 10% of messages; the "
                          "emitted events checked against perfbench/oracle.py"),
     "reset-sum-online-gapped": (
-        partial(abstract_online_run, True, True), [40, 80, 160, 320], "offline",
+        partial(abstract_online_run, "reset-sum", partial(reset_sum_texts, True), True),
+        [40, 80, 160, 320], "offline",
         "time-aware unrolled abstract reset-sum online: wall seconds of all "
         "OnlineEvaluator.feed calls replaying perfbench/gen.py reset_sum(seed, "
         "n) with every tenth value lost to a gap and every tenth shown as "
@@ -273,14 +293,25 @@ WORKLOADS = {
         "messages; the emitted events checked against evaluate_fixpoint on "
         "that trace, whose output the full trace's concrete output refines"),
     "reset-sum-online-timed": (
-        partial(abstract_online_run, True, False), [40, 80, 160, 320], "offline",
+        partial(abstract_online_run, "reset-sum", partial(reset_sum_texts, False), True),
+        [40, 80, 160, 320], "offline",
         "time-aware unrolled abstract reset-sum online on the gap-free "
         "perfbench/gen.py reset_sum(seed, n), measured and checked as "
         "reset-sum-online-gapped"),
     "reset-sum-online-plain-gapped": (
-        partial(abstract_online_run, False, True), [40, 80, 160, 320], "offline",
+        partial(abstract_online_run, "reset-sum", partial(reset_sum_texts, True), False),
+        [40, 80, 160, 320], "offline",
         "plain (not time-aware) unrolled abstract reset-sum online on the "
         "trace of reset-sum-online-gapped, measured and checked as that one"),
+    "period-online-gapped": (
+        partial(abstract_online_run, "variable-period", partial(generated_texts, "period"),
+                True),
+        [16, 32, 64, 128], "offline",
+        "time-aware unrolled abstract variable-period online: wall seconds of "
+        "all OnlineEvaluator.feed calls replaying the gapped trace of "
+        "perfbench/gen.py period(seed, n), measured and checked as "
+        "reset-sum-online-gapped, over one run state whose delay holders are "
+        "kept from feed to feed"),
 }
 
 
@@ -290,7 +321,8 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     help="trace sizes n (default: 100 200 400 800 for reset-sum, "
                          "30 60 120 240 for window-gapped, 8 16 32 64 for "
-                         "period-gapped, 40 80 160 320 for the online replays)")
+                         "period-gapped, 16 32 64 128 for period-online-gapped, "
+                         "40 80 160 320 for the other online replays)")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to record the results in")
     args = ap.parse_args(argv)

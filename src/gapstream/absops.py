@@ -87,16 +87,17 @@ event alone: the trigger's gaps are cut to the output's span by
 TimeSet.window, which rebuilds only the two spans at its ends.  The gap
 half searches only the gaps past prev's progress.
 The pending timeouts of delay_abs cannot be recovered from prev cheaply, so
-its sweep state lives in a holder its caller passes, one per pair of
-argument streams (speclang.Operator.stateful), the concrete delay's too.
-The same argument objects get the kept result, so both halves of an
-unrolled delay share one sweep, and so does a delay stream that gained
-only progress short of the atom the kept sweep stopped at; later
-arguments resume the sweep from the kept checkpoint.  A holder sees only
-growing prefixes of its two streams, the contract prev relies on, so
-their history below the checkpoint is the kept one, and so are the
+it ignores prev, and its sweep state lives in a holder its caller passes,
+one per pair of argument streams (speclang.Operator.stateful), the
+concrete delay's too.  The same argument objects get the kept result, so
+both halves of an unrolled delay share one sweep, and so does a delay
+stream that gained only progress short of the atom the kept sweep stopped
+at; later arguments resume the sweep from the kept checkpoint.  A holder
+sees only growing prefixes of its two streams, the contract prev relies
+on, so their history below the checkpoint is the kept one, and so are the
 output's events and gaps there: a resumed sweep appends only the fires
-and unites only the spans it adds.
+and unites only the spans it adds.  The halves resume from prev as
+last's do.
 
 No operator checks its whole output: AbstractEventStream.of and
 EventStream.of validate at the public boundary only, inputs and user
@@ -128,14 +129,14 @@ from .abstract import AbstractEventStream, covered_span
 _NOTHING = AbstractEventStream.of(EventStream.empty())
 
 
-def nil_abs() -> AbstractEventStream:
+def nil_abs(prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """No event, decided everywhere; a constant has nothing to resume, so prev is ignored."""
     return AbstractEventStream.of(EventStream.of((), Progress.infinite()))
 
 
-def unit_abs() -> AbstractEventStream:
-    return AbstractEventStream.of(
-        EventStream.of(((0, UNIT),), Progress.infinite())
-    )
+def unit_abs(prev: AbstractEventStream = _NOTHING) -> AbstractEventStream:
+    """One unit event at 0, decided everywhere; prev is ignored, as nil_abs ignores it."""
+    return AbstractEventStream.of(EventStream.of(((0, UNIT),), Progress.infinite()))
 
 
 def time_abs(s: AbstractEventStream,
@@ -1043,6 +1044,7 @@ def _unchanged_below(state: dict, d: AbstractEventStream, r: AbstractEventStream
 
 
 def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
+              prev: AbstractEventStream = _NOTHING,
               state: Optional[dict] = None) -> AbstractEventStream:
     """Abstract delay: gaps where an output event is possible but not certain.
 
@@ -1077,6 +1079,7 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
       - restart: others, and a call without a holder, sweep from 0.
     A call that sweeps takes its own checkpoint at the least of the
     arguments' progress times, where the walk always has a point atom.
+    prev is ignored: the holder keeps more than prev gives, the timeouts.
     """
     if state is None:
         state = {}
@@ -1130,22 +1133,28 @@ def delay_abs(d: AbstractEventStream, r: AbstractEventStream,
 
 
 def delay_abs_bot(d: AbstractEventStream, r: AbstractEventStream,
+                  prev: AbstractEventStream = _NOTHING,
                   state: Optional[dict] = None) -> AbstractEventStream:
     """Value half of the unrolled abstract delay: gaps demoted to no-event.
 
-    It keeps delay_abs's stream and takes no gaps, so it is valid.
+    It keeps delay_abs's stream and takes no gaps, so it is valid, and
+    resumes as last_abs_bot does: prev if it has that stream.
     """
-    return AbstractEventStream(delay_abs(d, r, state=state).stream, TimeSet.empty())
-
-
-def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream,
-                  p: AbstractEventStream, state: Optional[dict] = None) -> AbstractEventStream:
-    """Gap half of the unrolled abstract delay: p's events plus recomputed gaps."""
     z = delay_abs(d, r, state=state)
-    return _gap_half(z.progress, z.gaps, p)
+    return prev if z.stream is prev.stream else AbstractEventStream(z.stream, TimeSet.empty())
+
+
+def delay_abs_gap(d: AbstractEventStream, r: AbstractEventStream, p: AbstractEventStream,
+                  prev: AbstractEventStream = _NOTHING,
+                  state: Optional[dict] = None) -> AbstractEventStream:
+    """Gap half of the unrolled abstract delay: p's events plus recomputed
+    gaps, resumed from prev through _gap_half as last_abs_gap is."""
+    z = delay_abs(d, r, state=state)
+    return _gap_half(z.progress, z.gaps, p, prev)
 
 
 def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream,
+                  prev: AbstractEventStream = _NOTHING,
                   state: Optional[dict] = None) -> AbstractEventStream:
     """Finite-memory abstract delay: runs of uncertain timeouts merge into one gap.
 
@@ -1157,6 +1166,7 @@ def delay_abs_fin(d: AbstractEventStream, r: AbstractEventStream,
     A source is a delay event with a finite amount at a reset gap.  Where
     r is not yet known at such an event, it may still become one and
     promote the region after it, so the output is decided only up to it.
+    prev is ignored, as delay_abs ignores it.
     """
     z = delay_abs(d, r, state=state)
     sources = []

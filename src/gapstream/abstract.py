@@ -100,13 +100,14 @@ class InputBuilder:
     events extend its event and tick tuples, and a progress alone reuses
     them.  Each directive checks what it adds, and extended the order and
     progress of the events it appends, so no stream is checked whole:
-    events ascend and never lie in a gap.
+    events ascend and never lie in a gap.  Each accepted event and gap span
+    is kept once: an event only until stream() builds it in, a span in the
+    set of the closed ones.
     """
 
     def __init__(self):
-        self.events: List[Tuple[Time, object]] = []
-        self.gap_spans: List[Span] = []
-        self._gaps = TimeSet.empty()    # gap_spans as one set
+        self._pending: List[Tuple[Time, object]] = []  # events stream() has not built in
+        self._gaps = TimeSet.empty()    # the closed gap spans
         self.open_gap: Optional[Tuple[Time, bool]] = None   # (start, start closed)
         # the progress, unpacked: every directive compares against it
         self._time: ExtTime = 0
@@ -120,7 +121,7 @@ class InputBuilder:
 
     @property
     def gapped(self) -> bool:
-        return bool(self.gap_spans) or self.open_gap is not None
+        return bool(self._gaps.spans) or self.open_gap is not None
 
     def _decide(self, kind: str, t: Time, inclusive: bool) -> None:
         if t < self._time or t == self._time and self._inclusive:
@@ -134,7 +135,7 @@ class InputBuilder:
         if self.open_gap is not None:
             self._close_gap(t)
             self.open_gap = (t, False)
-        self.events.append((t, v))
+        self._pending.append((t, v))
 
     def gap_start(self, t: Time) -> None:
         if self.open_gap is not None:
@@ -150,8 +151,7 @@ class InputBuilder:
         self.open_gap = None
 
     def _close_gap(self, t: Time) -> None:
-        self.gap_spans.append(Span(*self.open_gap, t, False))
-        self._gaps = self._gaps.union(TimeSet(self.gap_spans[-1:]))     # swept at its end
+        self._gaps = self._gaps.union(TimeSet.of(Span(*self.open_gap, t, False)))
 
     def advance(self, progress: Progress) -> None:
         if progress < self.progress:
@@ -167,8 +167,8 @@ class InputBuilder:
         built = self._built
         if built is not None and built[0] == abstract:
             return built[1]
-        base = self._base
-        self._base = s = base = base.extended(self.events[len(base.events):], self.progress)
+        self._base = s = base = self._base.extended(self._pending, self.progress)
+        self._pending = []
         if abstract:
             gaps = self._gaps
             if self.open_gap is not None:

@@ -56,21 +56,21 @@ class _Equation:
     The operator row is resolved and checked against the evaluation mode,
     and the argument names, the lifted function or literal and the state
     holder are kept, so an evaluation reads the arguments from env, looks
-    the implementation up on ops or absops and calls it.  The lookup is
-    made on every evaluation, so a wrapper patched in after the run state
-    was built sees each one.  op and args are the application's.
+    the implementation up on ops or absops and calls it, with the
+    equation's current value env[name] as prev.  The lookup is made on
+    every evaluation, so a wrapper patched in after the run state was
+    built sees each one.  op and args are the application's.
 
-    prev, the equation's current value env[name], reaches only the rows
-    that resume (Operator.resumes).  The holder reaches only the rows that
-    keep state (Operator.stateful), one per pair of argument names in
-    states; with no states those rows keep none.
+    A row that keeps state (Operator.stateful) also gets state=, its
+    holder in holders under its first two argument names, made there if
+    missing.
     """
 
     __slots__ = ("op", "args", "name", "names", "label", "module", "impl", "lit",
-                 "fn", "resumes", "state")
+                 "fn", "keywords")
 
     def __init__(self, name: str, app: Apply, concrete: bool,
-                 states: Optional[Dict[Tuple[str, ...], dict]] = None):
+                 holders: Dict[Tuple[str, ...], dict]):
         row = OPERATORS.get(app.op)
         if row is None or row.concrete != concrete:
             raise OperatorError(f"operator '{app.op}' needs abstract evaluation mode"
@@ -85,9 +85,9 @@ class _Equation:
         if row.takes == "fn":
             f = app.fn.resolve()
             self.fn = f.concrete if concrete else f.abstract_cells
-        self.resumes = row.resumes
-        self.state = (states.setdefault(self.names[:2], {})
-                      if row.stateful and states is not None else None)
+        # what every call passes beside prev=: state=, the holder, on a stateful row
+        self.keywords = ({"state": holders.setdefault(self.names[:2], {})}
+                         if row.stateful else {})
 
     def evaluate(self, env: Dict[str, object]):
         impl = getattr(self.module, self.impl)
@@ -97,11 +97,7 @@ class _Equation:
         if self.fn is not None:
             args.insert(0, self.fn)
         try:
-            if self.resumes:
-                return impl(*args, prev=env[self.name])
-            if self.state is not None:
-                return impl(*args, state=self.state)
-            return impl(*args)
+            return impl(*args, prev=env[self.name], **self.keywords)
         except (TypeError, ArithmeticError) as e:
             # a value function met payloads it cannot take (a type mismatch the
             # parser does not see, a division by zero)
@@ -145,28 +141,30 @@ class _Run:
 
     env holds every stream: the inputs, the equations and __sweeps__.
     compute[name]() evaluates one equation, bound once (_Equation), through
-    the dispatch, over env.  states holds the stateful rows' holders, one
-    per pair of argument names (see evaluate_fixpoint).  dirty holds the
-    equations marked for evaluation:
-    every one before the first fixed point; after it, the readers
-    (SpecGraph.readers) of each input object replaced since.  A fixed point
-    consumes every mark, so the marks are all that carries the change
-    from one message to the next.
+    the dispatch, over env.  The stateful rows' holders are bound into
+    their equations, one per pair of argument names: a holder must see
+    growing prefixes of the same two streams, so the two halves of an
+    unrolled delay share one only where unroll did not clone the value
+    stream.  The holders start empty.  dirty holds the equations marked
+    for evaluation: every one before the first fixed point; after it, the
+    readers (SpecGraph.readers) of each input object replaced since.  A
+    fixed point consumes every mark, so the marks are all that carries the
+    change from one message to the next.
     """
 
     def __init__(self, graph: SpecGraph):
         mode = graph.ast.mode
         abstract = mode == "abstract"
         env: Dict[str, object] = {name: _empty(mode) for name, _ in graph.equations}
-        states: Dict[Tuple[str, ...], dict] = {}
+        holders: Dict[Tuple[str, ...], dict] = {}
 
         def compute(eq):
             # the dispatch is looked up on every call, so a wrapper patched
             # in after the monitor was built sees every evaluation
             return lambda: (_eval_abstract if abstract else _eval_concrete)(eq, env)
 
-        self.env, self.states = env, states
-        self.compute = {name: compute(_Equation(name, app, not abstract, states))
+        self.env = env
+        self.compute = {name: compute(_Equation(name, app, not abstract, holders))
                         for name, app in graph.equations}
         self.dirty = set(env)
 
@@ -238,17 +236,12 @@ def evaluate_fixpoint(graph: SpecGraph, inputs: Dict[str, object],
     """Least fixed point of the equations over the given input streams.
 
     The iteration starts from empty streams.  Each evaluation gets the
-    equation's current value, and the operators that resume
-    (speclang.Operator.resumes) extend it past its progress instead of
-    starting from empty.  That value was computed by the same operator on
-    prefixes of the current arguments: env values only grow in a sweep.
-    The operator is prefix-monotone, so the value is a prefix of the new
-    output.
-
-    The rows that keep state (speclang.Operator.stateful) get one holder
-    per pair of argument names, so a holder sees only growing prefixes of
-    two env entries; the halves of an unrolled delay that read the same
-    pair share it.  The holders start empty.
+    equation's current value as prev, which the operator extends past its
+    progress instead of starting from empty; the rows that keep state
+    (speclang.Operator.stateful) resume from their holder (_Run).  That
+    value was computed by the same operator on prefixes of the current
+    arguments: env values only grow in a sweep.  The operator is
+    prefix-monotone, so the value is a prefix of the new output.
 
     _run, private to OnlineEvaluator, is the run state of the fixed point
     over a prefix of these inputs.  Its env, holders and marks are updated
@@ -349,11 +342,6 @@ class OnlineEvaluator:
             n: Progress.exclusive(0) for n in graph.outputs}
         self._run = _Run(graph)
         self.env: Optional[Dict[str, object]] = None
-
-    @property
-    def delays(self) -> Dict[Tuple[str, ...], dict]:
-        """The stateful rows' holders."""
-        return self._run.states
 
     def feed(self, msg: Message) -> List[Message]:
         if not isinstance(msg, Message):

@@ -20,12 +20,12 @@ them, lift and slift reject them, and const and time give a literal or a
 timestamp; so merge needs no check of its results, as lift has.
 lift (and so const) is absops's tick walk, absops._lift_ticks, which calls
 f only at ticks, as the encoded path relies on, and rejects GAP and
-UNKNOWN.  lift resumes from prev, its output on prefixes of the
-arguments, and walks only the ticks past prev's progress, as time maps
-only the ticks past prev's events.  So every concrete row that walks its
-history resumes (speclang.Operator.resumes and stateful).  The paper's
-signal lift, lift over encoded.synchronized(streams, merge, last), is the
-specification and test oracle of slift.
+UNKNOWN.  Every operator takes prev, its output on prefixes of the
+arguments: lift walks only the ticks past prev's progress, as time maps
+only the ticks past prev's events; nil and unit are constants and ignore
+it, and delay resumes from its holder instead (speclang.Operator.stateful).
+The paper's signal lift, lift over encoded.synchronized(streams, merge,
+last), is the specification and test oracle of slift.
 
 As in absops, no operator checks its whole output with EventStream.of,
 which is left to the public boundary.  time keeps its input's ticks and
@@ -50,15 +50,17 @@ from .streams import EventStream, Progress
 from .values import BOTTOM, GAP, UNIT
 
 
-def nil() -> EventStream:
+_NOTHING = EventStream.empty()
+
+
+def nil(prev: EventStream = _NOTHING) -> EventStream:
+    """No event, decided everywhere; a constant has nothing to resume, so prev is ignored."""
     return EventStream.of((), Progress.infinite())
 
 
-def unit() -> EventStream:
+def unit(prev: EventStream = _NOTHING) -> EventStream:
+    """One unit event at 0, decided everywhere; prev is ignored, as nil ignores it."""
     return EventStream.of(((0, UNIT),), Progress.infinite())
-
-
-_NOTHING = EventStream.empty()
 
 
 def time(s: EventStream, prev: EventStream = _NOTHING) -> EventStream:
@@ -107,7 +109,8 @@ def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventS
     return absops.last_abs(v, r, prev=prev).stream
 
 
-def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> EventStream:
+def delay(d: EventStream, r: EventStream, prev: EventStream = _NOTHING,
+          state: Optional[dict] = None) -> EventStream:
     """Emit a unit event when a requested delay elapses without a reset.
 
     A delay amount on d arms only if its timestamp carries a reset event or
@@ -115,9 +118,10 @@ def delay(d: EventStream, r: EventStream, state: Optional[dict] = None) -> Event
 
     This is absops.delay_abs, which decides exactly as far as the concrete
     semantics, and state is its holder, so a caller that passes one resumes
-    the sweep.  Amounts known only abstractly are rejected first.  The
-    holder sees only growing prefixes of d, so it also counts the amounts
-    already checked.
+    the sweep.  prev is ignored: the holder keeps more than prev can give,
+    the pending timeouts.  Amounts known only abstractly are rejected
+    first.  The holder sees only growing prefixes of d, so it also counts
+    the amounts already checked.
     """
     holder = {} if state is None else state
     for t, val in d.events[holder.get("checked", 0):]:

@@ -76,9 +76,12 @@ class Operator:
 
     impl names the implementing function: in ops for a concrete operator,
     in absops for an abstract one.  It is a name, not the function, so the
-    evaluator looks the function up on every call.  encode names the
-    function in encoded that expands an abstract operator into concrete
-    nodes; the unroll halves derive theirs from their base row's.
+    evaluator looks the function up on every call, with prev=, the
+    equation's current value, which it returns extended to its new output:
+    the fixed point calls it on growing prefixes of its arguments, and it
+    is prefix-monotone (see absops).  encode names the function in encoded
+    that expands an abstract operator into concrete nodes; the unroll
+    halves derive theirs from their base row's.
     """
 
     impl: str
@@ -90,14 +93,9 @@ class Operator:
     unroll: Optional[Tuple[str, str]] = None  # value and gap halves
     history: bool = False       # last/delay family: unroll never clones it
     encode: Optional[str] = None    # encoded function of an abstract row
-    # The evaluator passes the equation's current value as prev=.  The
-    # implementation must then return prev extended to its new output,
-    # which is sound because the fixed point calls it on growing prefixes
-    # of its arguments and it is prefix-monotone (see absops).
-    resumes: bool = False
-    # The evaluator passes state=, a holder it keeps per pair of argument
-    # names and the implementation fills; the holder sees only growing
-    # prefixes of those two streams, as prev does.  No row does both.
+    # The evaluator also passes state=, a holder it binds per pair of
+    # argument names and the implementation fills; the holder sees only
+    # growing prefixes of those two streams, as prev does.
     stateful: bool = False
 
     @property
@@ -113,39 +111,32 @@ class Operator:
 OPERATORS: Dict[str, Operator] = {
     "nil": Operator("nil", 0, 0, abstract="nil_abs"),
     "unit": Operator("unit", 0, 0, abstract="unit_abs"),
-    "time": Operator("time", 1, 1, abstract="time_abs", resumes=True),
-    "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True,
-                     resumes=True),
+    "time": Operator("time", 1, 1, abstract="time_abs"),
+    "last": Operator("last", 2, 2, guarded=(0,), abstract="last_abs", history=True),
     "delay": Operator("delay", 2, 2, guarded=(0,), abstract="delay_abs", history=True,
                       stateful=True),
-    "merge": Operator("merge", 1, None, abstract="merge_abs", resumes=True),
-    "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs", resumes=True),
-    "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs", resumes=True),
-    "const": Operator("const", 1, 1, takes="lit", abstract="const_abs", resumes=True),
+    "merge": Operator("merge", 1, None, abstract="merge_abs"),
+    "lift": Operator("lift", 0, None, takes="fn", abstract="lift_abs"),
+    "slift": Operator("slift", 0, None, takes="fn", abstract="slift_abs"),
+    "const": Operator("const", 1, 1, takes="lit", abstract="const_abs"),
     "nil_abs": Operator("nil_abs", 0, 0, encode="_enc_nil"),
     "unit_abs": Operator("unit_abs", 0, 0, encode="_enc_unit"),
-    "time_abs": Operator("time_abs", 1, 1, encode="_enc_time", resumes=True),
+    "time_abs": Operator("time_abs", 1, 1, encode="_enc_time"),
     "last_abs": Operator("last_abs", 2, 2, unroll=("last_bot", "last_gap"),
-                         history=True, encode="_enc_last", resumes=True),
+                         history=True, encode="_enc_last"),
     "delay_abs": Operator("delay_abs", 2, 2, unroll=("delay_bot", "delay_gap"),
                           history=True, encode="_enc_delay", stateful=True),
     "delay_fin": Operator("delay_abs_fin", 2, 2, stateful=True),
-    "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge", resumes=True),
-    "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift",
-                         resumes=True),
-    "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift",
-                          resumes=True),
-    "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const",
-                          resumes=True),
+    "merge_abs": Operator("merge_abs", 1, None, encode="_enc_merge"),
+    "lift_abs": Operator("lift_abs", 0, None, takes="fn", encode="_enc_lift"),
+    "slift_abs": Operator("slift_abs", 0, None, takes="fn", encode="_enc_slift"),
+    "const_abs": Operator("const_abs", 1, 1, takes="lit", encode="_enc_const"),
     "last_time": Operator("last_time_abs", 2, 2, unroll=("last_time_bot", "last_gap"),
-                          history=True, encode="_enc_last_time", resumes=True),
-    "slift_time": Operator("slift_time_abs", 2, 2, takes="fn",
-                           encode="_enc_slift_time", resumes=True),
-    "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True,
-                         resumes=True),
-    "last_time_bot": Operator("last_time_abs_bot", 2, 2, guarded=(0,), history=True,
-                              resumes=True),
-    "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True, resumes=True),
+                          history=True, encode="_enc_last_time"),
+    "slift_time": Operator("slift_time_abs", 2, 2, takes="fn", encode="_enc_slift_time"),
+    "last_bot": Operator("last_abs_bot", 2, 2, guarded=(0,), history=True),
+    "last_time_bot": Operator("last_time_abs_bot", 2, 2, guarded=(0,), history=True),
+    "last_gap": Operator("last_abs_gap", 3, 3, guarded=(0,), history=True),
     "delay_bot": Operator("delay_abs_bot", 2, 2, guarded=(0,), history=True,
                           stateful=True),
     "delay_gap": Operator("delay_abs_gap", 3, 3, guarded=(0,), history=True,

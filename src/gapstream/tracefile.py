@@ -189,8 +189,9 @@ def parse_trace(text: str) -> Trace:
             b.advance(progress)
         except TraceError as e:
             raise type(e)(f"line {last_line[name]}: {e}") from None
-        streams[name] = b.stream(types[name] in ("AbsBool", "Interval") or b.gapped
-                                 or any(v is TOP for _, v in b.events))
+        plain = b.stream(False)
+        streams[name] = (b.stream(True) if types[name] in ("AbsBool", "Interval") or b.gapped
+                         or any(v is TOP for _, v in plain.events) else plain)
     return Trace(tuple(declarations), epsilon, progress, streams)
 
 

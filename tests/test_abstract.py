@@ -174,16 +174,38 @@ class TestValueOrder:
         assert value_join(F(1), F(1)) == F(1)
 
 
-def _from_scratch(b: InputBuilder, abstract: bool):
-    """The builder's stream built whole from its directives' record, and
-    checked whole."""
-    base = EventStream.of(b.events, b.progress)
-    if not abstract:
-        return base
-    spans = list(b.gap_spans)
-    if b.open_gap is not None:
-        spans.append(Span(*b.open_gap, INF, False))
-    return AbstractEventStream.of(base, TimeSet(spans))
+class Accepted:
+    """The directives a builder accepted, recorded apart from it: the
+    events, the closed gap spans, the open gap's start and the progress."""
+
+    def __init__(self):
+        self.events, self.spans, self.open_gap = [], [], None
+        self.progress = Progress.exclusive(0)
+
+    def record(self, kind: str, t, v) -> None:
+        # an event or a gap start decides t, a gap end the times below it
+        self.progress = Progress(t, kind != "gap_end" and t is not INF)
+        if kind == "event":
+            self.events.append((t, v))
+            if self.open_gap is not None:
+                # an event punches a known point into the open gap
+                self.spans.append(Span(*self.open_gap, t, False))
+                self.open_gap = (t, False)
+        elif kind == "gap_start":
+            self.open_gap = (t, True)
+        elif kind == "gap_end":
+            self.spans.append(Span(*self.open_gap, t, False))
+            self.open_gap = None
+
+    def stream(self, abstract: bool):
+        """The stream built whole from the record, and checked whole."""
+        base = EventStream.of(self.events, self.progress)
+        if not abstract:
+            return base
+        spans = list(self.spans)
+        if self.open_gap is not None:
+            spans.append(Span(*self.open_gap, INF, False))
+        return AbstractEventStream.of(base, TimeSet(spans))
 
 
 @st.composite
@@ -215,12 +237,15 @@ class TestInputBuilder:
     def test_equals_stream_built_whole(self, abstract, run):
         b = InputBuilder()
         last = b.stream(abstract)
+        accepted = Accepted()
         for kind, t in run:
             if not abstract and kind.startswith("gap"):
                 continue
+            v = None
             try:
                 if kind == "event":
-                    b.event(t, TOP if t.denominator != 1 else t)
+                    v = TOP if t.denominator != 1 else t
+                    b.event(t, v)
                 elif kind == "progress":
                     b.advance(Progress(t, t is not INF))
                 else:
@@ -228,9 +253,10 @@ class TestInputBuilder:
             except OutOfOrderInput:
                 assert b.stream(abstract) is last, (kind, t)
                 continue
+            accepted.record(kind, t, v)
             s = b.stream(abstract)
-            assert s == _from_scratch(b, abstract), (kind, t)
-            assert s.ticks() == tuple(t for t, _ in b.events)
+            assert s == accepted.stream(abstract), (kind, t)
+            assert s.ticks() == tuple(t for t, _ in accepted.events)
             assert b.stream(abstract) is s
             last = s
 

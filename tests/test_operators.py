@@ -16,6 +16,7 @@ from gapstream.errors import OperatorError
 from gapstream.evaluator import Message, OnlineEvaluator, evaluate_fixpoint
 from gapstream.speclang import OPERATORS, abstractify, flatten, parse_spec, unroll
 from gapstream.streams import EventStream, Progress
+from gapstream.timeline import Span, TimeSet
 from gapstream.tracefile import parse_trace
 
 ABSTRACT = sorted(n for n, row in OPERATORS.items() if not row.concrete)
@@ -36,7 +37,6 @@ def tiny_graph(name):
 def test_row_is_consistent(name):
     row = OPERATORS[name]
     assert callable(getattr(ops if row.concrete else absops, row.impl))
-    assert not (row.resumes and row.stateful)   # the evaluator passes one or the other
     if row.concrete:
         assert not OPERATORS[row.abstract].concrete
     for half in row.unroll or ():
@@ -48,6 +48,28 @@ def test_row_evaluates(name):
     env = evaluate_fixpoint(tiny_graph(name), INPUTS)
     want = EventStream if OPERATORS[name].concrete else AbstractEventStream
     assert isinstance(env["z"], want)
+
+
+# an input x, and x cut at a lower progress; the abstract rows also take x
+# with a gap, cut inside it
+LONG = EventStream.of([(1, F(2)), (3, F(1)), (6, F(3))], Progress.infinite())
+GAPPED = AbstractEventStream.of(LONG, TimeSet.of(Span(4, True, 5, False)))
+RESUMED = {"concrete": (LONG, LONG.truncated(Progress.inclusive_at(2))),
+           "gapped": (GAPPED, AbstractEventStream.of(
+               LONG.truncated(Progress.exclusive(F(9, 2))), GAPPED.gaps))}
+
+
+@pytest.mark.parametrize("name, x, cut", [
+    pytest.param(name, x, cut, id=f"{name}-{kind}")
+    for name in sorted(OPERATORS) for kind, (x, cut) in RESUMED.items()
+    if kind == "concrete" or not OPERATORS[name].concrete])
+def test_row_resumes(name, x, cut):
+    # every row gets prev, the stateful ones their holder too: a fixed point
+    # from the run state of one over the cut x gives what a fresh one gives
+    graph = tiny_graph(name)
+    run = evaluator._Run(graph)
+    evaluate_fixpoint(graph, {"x": cut}, _run=run)
+    assert evaluate_fixpoint(graph, {"x": x}, _run=run) == evaluate_fixpoint(graph, {"x": x})
 
 
 @pytest.mark.parametrize("name", ABSTRACT)
