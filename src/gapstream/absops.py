@@ -35,9 +35,17 @@ oracle.  delay_abs
 and delay_abs_fin walk their inputs through _split, which also splits the
 atoms at the pending timeouts; delay_abs is one forward pass.  last_abs
 moves one pointer through the value stream's marks as the trigger ticks
-ascend (_last_values).  ops.time, ops.slift, ops.last and ops.delay run
-time_abs, slift_abs, last_abs and delay_abs on their concrete arguments
-and prev, so the concrete rows resume as these do.
+ascend (_last_values); on a value stream with no gap span the pointer
+moves through its events alone, from one bisect, and no mark is built.
+ops.time, ops.slift, ops.last and ops.delay run time_abs, slift_abs,
+last_abs and delay_abs on their concrete arguments and prev, so the
+concrete rows resume as these do.
+
+A row's result has its prev's type (_like): where prev is an EventStream
+and the result has no gap, the result is the EventStream itself, so a
+concrete row, whose prev is one, gets one back and ops unwraps nothing;
+an abstract prev, the empty default included, gets an
+AbstractEventStream.
 
 The time-aware last_time_abs and slift_time_abs are the last_abs and
 slift_abs walks with another taint rule, the cell a value gets where a gap
@@ -50,6 +58,10 @@ time_abs maps only the ticks past prev's events.
 They walk from prev's progress time, whose point atom holds each
 argument's cell there; slift_abs starts from each argument's latest value,
 taint, start and last gap end below that time, which _carried recovers.
+An argument with no gap span carries no gap state: its latest value is
+one bisect, untainted (_untainted), and the tick walk (_slift_ticks)
+hands the latest values to the function as they are while nothing is
+tainted.
 The lifted function is applied only to the atoms prev's progress does not
 decide: a point it does not cover, or an open atom whose upper end it does
 not cover from below.  The output is prev extended by what those atoms
@@ -66,11 +78,12 @@ concrete one there: every atom but the ticks has only BOTTOM cells.  A gap
 past the window changes no cell in it.  So the resumed lifts walk only the
 new ticks (_tick_cells, the concrete lift's walk, which ops.lift runs
 through _lift_ticks): lift_abs if f_abs keeps all-BOTTOM cells BOTTOM,
-which one call probes, and slift_abs carrying _carried's state through the
-ticks (_slift_ticks).  The output is prev's events extended by those the
-ticks give, with prev's gaps.  A GAP or UNKNOWN at a tick, which only the
-atom walk puts out or rejects, a function that gives anything else on
-BOTTOM cells, and a gap in the window take the atom walk.  merge_abs,
+which one call probes, and slift_abs carrying _carried's or _untainted's
+state through the ticks (_slift_ticks).  The output is prev's events
+extended by those the ticks give, with prev's gaps.  A GAP or UNKNOWN at
+a tick, which only the atom walk puts out or rejects, a function that
+gives anything else on BOTTOM cells, and a gap in the window take the
+atom walk.  merge_abs,
 whose merge_cells keeps BOTTOM and forwards the first event it meets,
 needs no tick walk there: one k-way pass over the arguments' new event
 slices (_merge_ticks) keeps the first argument's (time, value) pair at a
@@ -146,13 +159,24 @@ def time_abs(s: AbstractEventStream,
     s's ticks, progress and gaps stay, so the output is valid as s is.
     prev, time_abs's output on a prefix of s (empty by default), holds the
     first of those events, so only the later ticks are mapped; with s's
-    progress it is the output itself.
+    progress it is the output itself.  The output has prev's type (_like).
     """
     if prev.progress == s.progress:
         return prev
     old = prev.stream.events
     mapped = old + tuple((t, Fraction(t)) for t in s.stream.ticks()[len(old):])
-    return AbstractEventStream(s.stream.with_payloads(mapped), s.gaps)
+    return _like(prev, s.stream.with_payloads(mapped), s.gaps)
+
+
+def _like(prev: AbstractEventStream, stream: EventStream, gaps: TimeSet) -> AbstractEventStream:
+    """stream with gaps, of prev's type: stream itself if prev is an EventStream and gaps are empty.
+
+    A concrete row's prev is an EventStream, so its result is one too, and
+    ops needs no unwrap; an abstract prev gets an AbstractEventStream.
+    """
+    if prev is prev.stream and not gaps.spans:
+        return stream
+    return AbstractEventStream(stream, gaps)
 
 
 # -- lift ------------------------------------------------------------------
@@ -229,17 +253,35 @@ def _carried(s: AbstractEventStream, since: Time, stamp: bool = False) -> tuple:
     event, or before since with no event; started holds if s has an event
     or a gap below since; end is where the last gap below since ends, since
     at most.  These are what the walks of slift and last carry into since.
+    Where no gap starts below since, it is _untainted's state.
     """
     spans = s.gaps.spans
     k = bisect_left(spans, since, key=_lo)
-    end = s.gaps.free_since(since) if k else 0
+    if not k:
+        return _untainted(s, since, stamp)
     before = s.stream.last_event_before(since)
+    end = s.gaps.free_since(since)
     if before is None:
-        return BOTTOM, k > 0, k > 0, end
+        return BOTTOM, True, True, end
     # the last gap starting below since reaches past the latest event, if
     # it comes after it; an earlier one ends at or before that event
     t, latest = before
-    return Interval.single(t) if stamp else latest, k > 0 and t < spans[k - 1].hi, True, end
+    return Interval.single(t) if stamp else latest, t < spans[k - 1].hi, True, end
+
+
+def _untainted(s: AbstractEventStream, since: Time, stamp: bool = False) -> tuple:
+    """_carried's state where no gap of s starts below since: its latest value there, untainted.
+
+    One bisect (last_event_before) and no gap state: nothing is tainted, s
+    has started if it has an event below since, and no gap has ended.
+    slift_abs calls it for an argument with no gap span, and _carried
+    where none starts below since.
+    """
+    before = s.stream.last_event_before(since)
+    if before is None:
+        return BOTTOM, False, False, 0
+    t, latest = before
+    return Interval.single(t) if stamp else latest, False, True, 0
 
 
 def _walk(streams: Sequence[AbstractEventStream], horizon: Progress, start: Time = 0,
@@ -352,7 +394,7 @@ def _extended(prev: AbstractEventStream, events: list, gap_spans: list,
     for t, _ in events:
         if gaps.contains(t):
             raise OperatorError(f"event at {t} lies inside a gap")
-    return AbstractEventStream(stream, gaps)
+    return _like(prev, stream, gaps)
 
 
 def _new(s: EventStream, done: Progress, prog: Progress) -> slice:
@@ -405,14 +447,16 @@ def _gap_free_between(streams: Sequence[AbstractEventStream], since: Time,
                       until: ExtTime) -> bool:
     """True if no stream has a gap span that meets [since, until], ends included.
 
-    One bisect by _hi per stream finds its first span that ends at since
-    or later; spans past until are not asked about.
+    One bisect by _hi per stream with spans finds its first span that ends
+    at since or later; spans past until are not asked about, and a stream
+    with none is passed over.
     """
     for s in streams:
         spans = s.gaps.spans
-        i = bisect_left(spans, since, key=_hi)
-        if i < len(spans) and spans[i].lo <= until:
-            return False
+        if spans:
+            i = bisect_left(spans, since, key=_hi)
+            if i < len(spans) and spans[i].lo <= until:
+                return False
     return True
 
 
@@ -449,7 +493,7 @@ def lift_abs(f_abs: Callable, *streams: AbstractEventStream,
             and _keeps_bottom(f_abs, len(streams))):
         events, odd = _lift_ticks(f_abs, [s.stream for s in streams], done, prog)
         if odd is None:
-            return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
+            return _like(prev, prev.stream.extended(events, prog), prev.gaps)
     return _lift_atoms(f_abs, _walk(streams, prog, done.time), prog, prev)
 
 
@@ -507,7 +551,7 @@ def merge_abs(*streams: AbstractEventStream,
         return prev
     if _gap_free_between(streams, done.time, prog.time):
         events = _merge_ticks([s.stream for s in streams], done, prog)
-        return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
+        return _like(prev, prev.stream.extended(events, prog), prev.gaps)
     return _lift_atoms(merge_cells, _walk(streams, prog, done.time), prog, prev)
 
 
@@ -587,12 +631,25 @@ def _last_values(v: AbstractEventStream, ticks: Sequence[Time], taint=None):
 
     A value that a gap came after is tainted: TOP, or with a taint rule
     taint(latest, end), end that gap's end or t, and v's timestamps for
-    values.  _carried finds v's state before the first tick; from there one
-    pointer into v's marks up to the last tick follows the ticks.
+    values.  Where v has no gap span, one bisect finds the first tick's
+    place in v's ticks, and from there one pointer into v's events follows
+    the ticks: nothing is tainted.  Otherwise _carried finds v's state
+    before the first tick, and one pointer into v's marks up to the last
+    tick follows the ticks.
     """
     if not ticks:
         return
     stamp = taint is not None
+    if not v.gaps.spans:
+        times, events = v.stream.ticks(), v.stream.events
+        j, n = bisect_left(times, ticks[0]), len(times)
+        for t in ticks:
+            while j < n and times[j] < t:
+                j += 1
+            if j:
+                u, latest = events[j - 1]
+                yield t, Interval.single(u) if stamp else latest
+        return
     latest, tainted, _, end = _carried(v, ticks[0], stamp)
     marks = _marks(v, ticks[0], ticks[-1], stamp)
     j = 0
@@ -637,7 +694,7 @@ def last_abs(v: AbstractEventStream, r: AbstractEventStream,
         for t in out[bisect_left(out, sp.lo):bisect_right(out, sp.hi)]:
             if sp.contains(t):
                 raise OperatorError(f"event at {t} lies inside a gap")
-    return AbstractEventStream(stream, gaps)
+    return _like(prev, stream, gaps)
 
 
 def last_time_abs(v: AbstractEventStream, r: AbstractEventStream,
@@ -786,12 +843,12 @@ def slift_abs(f_abs: Callable, *streams: AbstractEventStream,
         return prev
     since = prev.progress.time
     stamp = taint is not None
-    carried = [_carried(s, since, stamp) for s in streams]
+    carried = [(_carried if s.gaps.spans else _untainted)(s, since, stamp) for s in streams]
     if _gap_free_between(streams, since, prog.time):
         events = _slift_ticks(f_abs, [s.stream for s in streams], carried, prev.progress,
                               prog, taint)
         if events is not None:
-            return AbstractEventStream(prev.stream.extended(events, prog), prev.gaps)
+            return _like(prev, prev.stream.extended(events, prog), prev.gaps)
     state = [list(column) for column in zip(*carried)]
     atoms = _synchronized_atoms(_walk(streams, prog, since, stamp), state, taint)
     return _lift_atoms(strict_cells(f_abs), atoms, prog, prev)
@@ -801,15 +858,17 @@ def _slift_ticks(f_abs: Callable, streams: Sequence[EventStream], carried: list,
                  done: Progress, prog: Progress, taint=None) -> Optional[list]:
     """slift_abs's events past done up to prog, where no argument has a gap from done's time to prog's.
 
-    carried holds _carried's (latest, tainted, started, end) per stream at
-    done's time; from there to prog's time no stream has a gap, so only the
-    ticks change that state, as in _synchronized_atoms.  The walk starts at
-    done's time, which done may decide, since a tick there still gives its
-    stream a latest value.  Each tick applies f_abs strictly to the synchronized cells.
-    None if some tick gives GAP or UNKNOWN, which only the atom walk puts
-    out or rejects.
+    carried holds _carried's or _untainted's (latest, tainted, started,
+    end) per stream at done's time; from there to prog's time no stream has
+    a gap, so only the ticks change that state, as in _synchronized_atoms,
+    and a taint only ends.  The walk starts at done's time, which done may
+    decide, since a tick there still gives its stream a latest value.  Each
+    tick applies f_abs strictly to the synchronized cells, which are the
+    latest values themselves once nothing is tainted.  None if some tick
+    gives GAP or UNKNOWN, which only the atom walk puts out or rejects.
     """
     latest, tainted, _, end = map(list, zip(*carried))
+    clean = not any(tainted)
     stamp = taint is not None
     strict = strict_cells(f_abs)
     events = []
@@ -819,11 +878,11 @@ def _slift_ticks(f_abs: Callable, streams: Sequence[EventStream], carried: list,
                 latest[i], tainted[i] = Interval.single(t) if stamp else c, False
         if done.covers(t):
             continue
-        synced = []
-        for v, tnt, e in zip(latest, tainted, end):
-            if tnt:
-                v = GAP if v is BOTTOM else TOP if taint is None else taint(v, e)
-            synced.append(v)
+        if not clean:
+            clean = not any(tainted)
+        synced = latest if clean else [
+            v if not tnt else GAP if v is BOTTOM else TOP if taint is None else taint(v, e)
+            for v, tnt, e in zip(latest, tainted, end)]
         out = strict(*synced)
         if out is GAP or out is UNKNOWN:
             return None

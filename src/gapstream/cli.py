@@ -70,17 +70,20 @@ def _transform(ast: SpecAst, args) -> SpecAst:
 
 
 def _infer_type(stream) -> str:
-    values = [v for _, v in stream.stream.events]
-    has_gap = not stream.gaps.is_empty()
+    """The stream type an output's declaration gives, read from its payloads.
+
+    TOP fits every type (values.typed_payload), so the other payloads
+    decide; a Bool stream with TOP or a gap is AbsBool.
+    """
+    events = stream.stream.events
+    values = [v for _, v in events if v is not TOP]
+    abstract = len(values) < len(events) or not stream.gaps.is_empty()
     if any(isinstance(v, Interval) for v in values):
         return "Interval"
-    if any(v is TOP for v in values):
-        kinds = {type(v) for v in values if v is not TOP}
-        return "AbsBool" if kinds == {bool} else "Int"
     if any(v is UNIT for v in values):
         return "Unit"
     if any(isinstance(v, bool) for v in values):
-        return "AbsBool" if has_gap else "Bool"
+        return "AbsBool" if abstract else "Bool"
     if any(isinstance(v, Fraction) for v in values):
         return "Int" if all(v.denominator == 1 for v in values) else "Real"
     return "Int"

@@ -326,6 +326,10 @@ class OnlineEvaluator:
     updated in place.  After a feed whose evaluation raised, env holds the
     iteration as the error left it, which is no fixed point, and the run
     state is dropped: the next feed evaluates from empty streams.
+
+    The inputs dict is kept too, and a feed replaces only its stream's
+    entry.  Streams are immutable, so an output whose env object is the one
+    last emitted from has nothing new, and its emission is skipped.
     """
 
     def __init__(self, graph: SpecGraph):
@@ -342,6 +346,9 @@ class OnlineEvaluator:
             n: Progress.exclusive(0) for n in graph.outputs}
         self._run = _Run(graph)
         self.env: Optional[Dict[str, object]] = None
+        self.inputs = {n: b.stream(self.abstract) for n, b in self.state.items()}
+        # each output's env object as last emitted from
+        self._emitted_from: Dict[str, object] = {}
 
     def feed(self, msg: Message) -> List[Message]:
         if not isinstance(msg, Message):
@@ -363,6 +370,7 @@ class OnlineEvaluator:
                 getattr(b, msg.kind)(t)
         except TraceError as e:
             raise type(e)(f"input '{msg.stream}': {e}") from None
+        self.inputs[msg.stream] = b.stream(self.abstract)
         return self._refresh()
 
     def _payload(self, v, ty: str):
@@ -372,16 +380,20 @@ class OnlineEvaluator:
         return v
 
     def _refresh(self) -> List[Message]:
-        inputs = {n: b.stream(self.abstract) for n, b in self.state.items()}
         self.env = self._run.env
         try:
-            env = evaluate_fixpoint(self.graph, inputs, _run=self._run)
+            env = evaluate_fixpoint(self.graph, self.inputs, _run=self._run)
         except BaseException:
             self._run = _Run(self.graph)
+            self._emitted_from.clear()
             raise
         out: List[Message] = []
+        emitted_from = self._emitted_from
         for name in self.graph.outputs:
             s = env[name]
+            if emitted_from.get(name) is s:
+                continue
+            emitted_from[name] = s
             stream, gaps = s.stream, s.gaps
             # the times of streams are canonical already
             for t, v in stream.events[self.emitted_events[name]:]:

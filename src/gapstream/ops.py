@@ -11,9 +11,12 @@ has the empty gaps and is its own stream), and there the abstract
 operators decide exactly what the concrete semantics does.  So time,
 slift, last and delay are absops.time_abs, absops.slift_abs,
 absops.last_abs and absops.delay_abs on their arguments and prev as they
-are, and resume as those do; what this module adds is only what is
-concrete: slift rejects a gap its function gives, and delay rejects
-amounts known only abstractly.  merge is absops.merge_abs too, a k-way
+are, and resume as those do.  An absops row's result has its prev's
+type, so on an EventStream prev time, slift, last and merge get the
+EventStream itself back and unwrap nothing; only delay, whose result
+comes from its holder, not from prev, takes its .stream.  What this
+module adds is only what is concrete: slift rejects a gap its function
+gives, and delay rejects amounts known only abstractly.  merge is absops.merge_abs too, a k-way
 pass over the arguments' new events.  It only forwards argument values,
 and no concrete value is GAP or UNKNOWN: the trace reader has no word for
 them, lift and slift reject them, and const and time give a literal or a
@@ -66,7 +69,7 @@ def unit(prev: EventStream = _NOTHING) -> EventStream:
 def time(s: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     """Each event's timestamp as its payload: absops.time_abs, which keeps
     s's ticks and progress and maps only the ticks past prev's events."""
-    return absops.time_abs(s, prev).stream
+    return absops.time_abs(s, prev)
 
 
 def lift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
@@ -98,7 +101,7 @@ def merge(*streams: EventStream, prev: EventStream = _NOTHING) -> EventStream:
     This is absops.merge_abs, which resumes from prev; on concrete streams
     it always takes its k-way pass over the new events.
     """
-    return absops.merge_abs(*streams, prev=prev).stream
+    return absops.merge_abs(*streams, prev=prev)
 
 
 def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventStream:
@@ -106,7 +109,7 @@ def last(v: EventStream, r: EventStream, prev: EventStream = _NOTHING) -> EventS
 
     This is absops.last_abs, which resumes from prev.
     """
-    return absops.last_abs(v, r, prev=prev).stream
+    return absops.last_abs(v, r, prev=prev)
 
 
 def delay(d: EventStream, r: EventStream, prev: EventStream = _NOTHING,
@@ -145,4 +148,4 @@ def slift(f: Callable, *streams: EventStream, prev: EventStream = _NOTHING) -> E
     out = absops.slift_abs(f, *streams, prev=prev)
     if out.gaps.spans:
         raise OperatorError(f"lifted function produced {GAP!r} on concrete streams")
-    return out.stream
+    return out

@@ -14,16 +14,21 @@ integral on exact loads.  An unknown start (TOP) or an inexact load makes
 the accumulator an interval, which is clamped to [0, covered time / k] only
 while every load folded so far lies in [0, 1]: the clamp assumes that hidden
 and TOP loads lie in [0, 1] too.  It also presumes that the whole queue,
-hidden entries included, lies in the window [until - k, until], as
-window_strip(k) leaves it.  Only the stored entries can be checked, so the
-clamp is made only when the first of them is at or after until - k.
+hidden entries included, lies in the window [until - k, until].  So the
+abstract queue carries the least time a hidden entry can have, hidden_from:
+the cutoff t - k of its last window_strip, None if it was never stripped.
+The clamp is made only where nothing is hidden or hidden_from is at or
+after until - k, and the first stored entry is at or after until - k too.
+A spec that strips to a wider window than it integrates, or at another
+tick, keeps entries from before until - k, hidden ones too, and gets no
+clamp there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import OperatorError
 from .functions import (LiftedFunction, _from_interval, abs_add, abs_mul,
@@ -69,11 +74,14 @@ class AbstractTimedQueue:
     """Queue with contents unknown before `unknown_before`; interval values.
 
     Its entries ascend, as a TimedQueue's do; the operations below keep
-    that order and do not check it again.
+    that order and do not check it again.  A hidden entry, one before
+    unknown_before, lies at or after hidden_from, the cutoff of the last
+    strip; None bounds nothing.
     """
 
     unknown_before: ExtTime
     entries: Tuple[Tuple[Fraction, object], ...] = ()
+    hidden_from: Optional[Fraction] = None
 
     @staticmethod
     def top() -> "AbstractTimedQueue":
@@ -151,19 +159,22 @@ def as_abstract_queue(cell) -> AbstractTimedQueue:
 
 def enq_abs(t: Fraction, d, q: AbstractTimedQueue) -> AbstractTimedQueue:
     iv = Interval.top() if d is TOP else (_to_interval(d) or d)
-    return AbstractTimedQueue(q.unknown_before, enq(t, iv, _ordered(q.entries)).entries)
+    return AbstractTimedQueue(q.unknown_before, enq(t, iv, _ordered(q.entries)).entries,
+                              q.hidden_from)
 
 
 def rem_older_abs(k: Fraction, t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
+    """The queue stripped as rem_older strips it: a hidden entry is kept
+    only from the cutoff t - k on, which becomes hidden_from."""
     stripped = rem_older(k, t, _ordered(q.entries)).entries
-    if t - k < q.unknown_before:
-        return AbstractTimedQueue(q.unknown_before, stripped)
-    return AbstractTimedQueue(Fraction(0), stripped)
+    cutoff = t - k
+    unknown = q.unknown_before if cutoff < q.unknown_before else Fraction(0)
+    return AbstractTimedQueue(unknown, stripped, cutoff)
 
 
 def rem_newer_abs(t: Fraction, q: AbstractTimedQueue) -> AbstractTimedQueue:
     return AbstractTimedQueue(
-        min(q.unknown_before, t), rem_newer(t, _ordered(q.entries)).entries
+        min(q.unknown_before, t), rem_newer(t, _ordered(q.entries)).entries, q.hidden_from
     )
 
 
@@ -182,7 +193,7 @@ def enq_bounded(t: Fraction, d, q: AbstractTimedQueue, n: int) -> AbstractTimedQ
     if len(q.entries) < n:
         return enq_abs(t, d, q)
     t2 = q.entries[1][0]
-    shrunk = AbstractTimedQueue(t2, q.entries[1:])
+    shrunk = AbstractTimedQueue(t2, q.entries[1:], q.hidden_from)
     return enq_bounded(t, d, shrunk, n)
 
 
@@ -222,8 +233,12 @@ def _integral_abstract(k):
         qa = as_abstract_queue(q)
         folded = 0      # entries folded so far
         unit = 0        # leading entries whose loads lie in [0, 1]
-        # the clamp presumes a queue inside the window [until - k, until]
-        windowed = not qa.entries or qa.entries[0][0] >= until - k
+        # the clamp presumes a queue inside the window [until - k, until],
+        # its hidden entries too, of which there are none before 0
+        start = until - k
+        hidden = qa.unknown_before != 0
+        windowed = ((not qa.entries or qa.entries[0][0] >= start)
+                    and (not hidden or qa.hidden_from is not None and qa.hidden_from >= start))
 
         def step(a, b, v, acc):
             nonlocal folded, unit

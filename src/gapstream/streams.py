@@ -28,6 +28,11 @@ those, and carries the ticks; truncated cuts a stream to a lower progress
 at one bisect; with_payloads puts new payloads on a stream's own ticks.
 No other module knows the layout, events beside their tick tuple, and the
 rule that events ascend under the progress is written once, in extended.
+Those three build through _version, which skips the frozen dataclass's
+__init__ and fills the instance dict once, fields and ticks together,
+since every version is built on every evaluation; the dict holds what a
+constructed stream's holds, so equality, hashing and pickling are the
+same.
 
 A concrete stream is its own gap-free abstract stream: its gaps are the
 one empty TimeSet every EventStream shares, and its stream is itself.  So
@@ -134,9 +139,12 @@ class EventStream:
 
     @staticmethod
     def _version(events: tuple, progress: Progress, ticks: tuple) -> "EventStream":
-        """The stream of events, its tick tuple given: the events' timestamps, in order."""
-        s = EventStream(events, progress)
-        s.__dict__["_ticks"] = ticks
+        """The stream of events, its tick tuple given: the events' timestamps, in order.
+
+        One instance-dict fill, past the frozen dataclass's __init__.
+        """
+        s = object.__new__(EventStream)
+        s.__dict__.update(events=events, progress=progress, _ticks=ticks)
         return s
 
     def extended(self, events: Sequence, progress: Progress) -> "EventStream":

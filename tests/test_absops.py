@@ -909,6 +909,65 @@ class TestResumedRows:
             op = RESUMING_OPERATORS[name]
             assert op(a, b, prev=op(ca, cb)) == op(a, b), name
 
+    @given(gapped_half_grid_streams(), gapped_half_grid_streams(),
+           PROGRESS_KINDS, st.sampled_from(HALF_GRID), PROGRESS_KINDS,
+           st.sampled_from(HALF_GRID))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_resumed_equals_fresh_on_event_streams(self, a, b, kind_a, at_a, kind_b, at_b):
+        # plain EventStreams have no gap span, so every row takes its
+        # gap-free path, and an EventStream prev gets EventStreams back
+        a, b = a.stream, b.stream
+        ca = a.truncated(min(a.progress, progress_of(kind_a, at_a)))
+        cb = b.truncated(min(b.progress, progress_of(kind_b, at_b)))
+        empty = EventStream.empty()
+        for name, op in RESUMING_OPERATORS.items():
+            if name == "delay_abs_gap":
+                continue        # its payloads are no delay amounts
+            fresh = op(a, b, prev=empty)
+            assert op(a, b, prev=op(ca, cb, prev=empty)) == fresh, name
+            # the same output as from an abstract prev, in prev's type
+            assert AbstractEventStream(fresh.stream, fresh.gaps) == op(a, b), name
+
+
+class TestResultType:
+    """A row's result has its prev's type: an EventStream prev gets the
+    extended EventStream itself, an abstract prev an AbstractEventStream."""
+
+    V = EventStream.of([(1, F(2)), (3, F(4)), (4, F(1))], Progress.inclusive_at(6))
+    R = EventStream.of([(2, UNIT), (4, UNIT), (5, UNIT)], Progress.exclusive(7))
+    ROWS = {
+        "time_abs": lambda v, r, **prev: A.time_abs(v, **prev),
+        "lift_abs": lambda v, r, **prev: A.lift_abs(A.merge_cells, v, r, **prev),
+        "merge_abs": A.merge_abs,
+        "slift_abs": lambda v, r, **prev: A.slift_abs(first_cell, v, r, **prev),
+        "last_abs": A.last_abs,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_event_stream_prev_gives_an_event_stream(self, name):
+        op = self.ROWS[name]
+        cut = Progress.exclusive(4)
+        prev = op(self.V.truncated(cut), self.R.truncated(cut), prev=EventStream.empty())
+        assert type(prev) is EventStream
+        out = op(self.V, self.R, prev=prev)
+        assert type(out) is EventStream
+        assert AbstractEventStream.of(out) == op(AbstractEventStream.of(self.V),
+                                                 AbstractEventStream.of(self.R))
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_abstract_prev_gives_an_abstract_stream(self, name):
+        op = self.ROWS[name]
+        for prev in ({}, {"prev": AbstractEventStream.of(EventStream.empty())}):
+            assert type(op(self.V, self.R, **prev)) is AbstractEventStream
+
+    def test_ops_return_the_row_result_as_it_is(self):
+        prev = ops.time(self.V.truncated(Progress.exclusive(4)))
+        assert type(prev) is EventStream
+        assert ops.time(self.V, prev) == A.time_abs(self.V, prev)
+        assert type(ops.last(self.V, self.R)) is EventStream
+        assert type(ops.merge(self.V, self.R)) is EventStream
+        assert type(ops.slift(lambda x, y: x, self.V, self.R)) is EventStream
+
 
 def last_frame_by_set_algebra(v, r):
     """_last_frame's gaps and progress as the whole-set composition it replaced.

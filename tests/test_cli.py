@@ -67,6 +67,25 @@ class TestRun:
         assert "9: sum = 0" in got.stdout
         assert "11: sum = #top" in got.stdout
 
+    def test_output_with_top_reads_back(self, workdir, tmp_path):
+        # #top beside an exact non-integral payload: an Int declaration
+        # would reject the payload when the output is read as a trace
+        spec = tmp_path / "q8.spec"
+        spec.write_text(spec_text("queue").replace("window_strip(5)", "window_strip(8)"))
+        trace = tmp_path / "mixed.trace"
+        trace.write_text("stream load : Real\n1: gap load\n2: known load\n"
+                         "7: load = 0.1\n20: load = 0.5\nprogress 30\n")
+        got = run_cli("run", "--abstract", "--unroll", str(spec), str(trace))
+        assert got.returncode == 0, got.stderr
+        assert "7: avg = #top" in got.stdout and "20: avg = 0.16" in got.stdout
+        assert got.stdout.startswith("stream avg : Real\n")
+        out = tmp_path / "out.trace"
+        out.write_text(got.stdout)
+        echo = tmp_path / "echo.spec"
+        echo.write_text("in avg : Events[Real]\ndef copy := merge(avg, avg)\nout copy\n")
+        again = run_cli("run", "--abstract", "--unroll", str(echo), str(out))
+        assert again.returncode == 0, again.stderr
+
     def test_missing_file(self, workdir):
         got = run_cli("run", str(workdir / "nope.spec"), str(workdir / "fig.trace"))
         assert got.returncode == 1

@@ -833,6 +833,23 @@ class TestConcreteResetSumWork:
         assert 0 < ticks_2n <= 2.5 * ticks_n, counts
         assert 0 < atoms_2n <= 2.5 * atoms_n, counts
 
+    def test_no_gap_state_on_gap_free_arguments(self, monkeypatch):
+        # no argument of a concrete evaluation has a gap span, so last reads
+        # its value stream's events by one pointer and slift carries only the
+        # latest values: neither builds marks nor carries gap state
+        calls = []
+        for name in ("_marks", "_carried"):
+            def counted(*args, kernel=getattr(absops, name), name=name):
+                calls.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(absops, name, counted)
+        for n in (40, 80):
+            env = evaluate_fixpoint(RESET_SUM_GRAPHS["concrete"],
+                                    parse_trace(reset_sum_trace(n)).streams)
+            assert env["__sweeps__"] > n
+            assert env["sum"].events
+        assert calls == []
+
 
 def reset_sum_replay(n: int) -> list:
     """reset_sum_trace(n) as messages in time order, with a progress

@@ -123,11 +123,12 @@ class TestLimit:
         assert limit(F(0), F(1), F("0.5")) == F("0.5")
 
 
-def window_avg(trace: str, abstract_mode: bool, spec: str = spec_text("queue")):
+def window_avg(trace: str, abstract_mode: bool, spec: str = spec_text("queue"),
+               time_aware: bool = False):
     """avg of the spec, the bundled queue one by default, on the trace text, concrete or abstract."""
     ast = parse_spec(spec)
     if abstract_mode:
-        ast = unroll(abstractify(ast))
+        ast = unroll(abstractify(ast, time_aware))
     return evaluate_fixpoint(flatten(ast), parse_trace(trace).streams)["avg"]
 
 
@@ -159,14 +160,15 @@ class TestWindowIntegralLoads:
             assert contains(got, want), (top, got, want)
 
     def test_unit_loads_still_clamp_the_unknown_start(self):
-        # everything before 10 is lost; the loads in [0, 1] bound the rest
-        queue = AbstractTimedQueue(F(10), ((F(10), Interval.single(F("0.4"))),))
+        # everything before 10 is lost, from the strip's cutoff 8 on; the
+        # loads in [0, 1] bound the rest
+        queue = AbstractTimedQueue(F(10), ((F(10), Interval.single(F("0.4"))),), F(8))
         assert _integral_abstract(F(5))(queue, F(13)) == Interval.of(F("0.24"), F("0.64"))
 
     def test_a_load_above_one_stops_the_clamp(self):
         # a hidden load of 1 over [8, 10) gives 2/5 + 2/5 + 1/5 = 1
         queue = AbstractTimedQueue(F(10), ((F(10), Interval.single(F(2))),
-                                           (F(11), Interval.single(F(1, 2)))))
+                                           (F(11), Interval.single(F(1, 2)))), F(8))
         assert _integral_abstract(F(5))(queue, F(13)) == Interval.of(F("0.6"), F(1))
 
     def test_a_queue_reaching_before_the_window_is_not_clamped(self):
@@ -181,6 +183,26 @@ class TestWindowIntegralLoads:
         got = window_avg(gapped, True, spec)
         assert got.stream.events[-1] == (F(12), TOP)
         assert refinement_leq(AbstractEventStream.of(window_avg(full, False, spec)), got)
+
+    @pytest.mark.parametrize("time_aware", [False, True])
+    def test_hidden_entries_before_the_window_stop_the_clamp(self, time_aware):
+        # stripped to 8 time units, the queue at 7 keeps the load of 1 from 1
+        # on, which the integral over 5 folds; with that load hidden, the
+        # only stored entry, at 7, lies inside the window [2, 7], but the
+        # hidden one may lie from the cutoff -1 on
+        spec = spec_text("queue").replace("window_strip(5)", "window_strip(8)")
+        full = "stream load : Real\n1: load = 1\n7: load = 0.1\nprogress 10\n"
+        gapped = full.replace("1: load = 1\n", "1: gap load\n2: known load\n")
+        concrete = window_avg(full, False, spec)
+        assert concrete.at(F(7)) == F("1.2")
+        got = window_avg(gapped, True, spec, time_aware)
+        assert refinement_leq(AbstractEventStream.of(concrete), got)
+
+    def test_a_strip_records_its_cutoff(self):
+        stripped = rem_older_abs(F(8), F(7), rem_newer_abs(F(7), AbstractTimedQueue.top()))
+        assert (stripped.unknown_before, stripped.hidden_from) == (F(7), F(-1))
+        assert _integral_abstract(F(5))(enq_abs(F(7), F(1, 10), stripped), F(7)) is TOP
+        assert AbstractTimedQueue.top().hidden_from is None
 
 
 # -- properties of the abstract integral ------------------------------------
@@ -220,7 +242,8 @@ def test_exact_integral_equals_concrete(k, times, data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_integral_fast_path_equals_interval_path(k, times, hidden, data):
     entries = tuple((t, data.draw(ABSTRACT_LOADS)) for t in times if t >= UNTIL - k)
-    queue = AbstractTimedQueue(entries[0][0] if hidden and entries else F(0), entries)
+    queue = AbstractTimedQueue(entries[0][0] if hidden and entries else F(0), entries,
+                               UNTIL - k)
     fast = _integral_abstract(k)(queue, UNTIL)
     with interval_path():
         general = _integral_abstract(k)(queue, UNTIL)
@@ -234,7 +257,7 @@ def test_integral_covers_its_instances(k, times, hidden, data):
     """Every stripped concrete queue the abstract one stands for integrates inside it."""
     entries = tuple((t, data.draw(ABSTRACT_LOADS)) for t in times if t >= UNTIL - k)
     start = entries[0][0] if hidden and entries else F(0)
-    got = _integral_abstract(k)(AbstractTimedQueue(start, entries), UNTIL)
+    got = _integral_abstract(k)(AbstractTimedQueue(start, entries, UNTIL - k), UNTIL)
     prefix = (((UNTIL - k, data.draw(st.sampled_from(TOP_INSTANCES))),)
               if start > UNTIL - k else ())
     chosen = tuple((t, data.draw(st.sampled_from(instances(v)))) for t, v in entries)
